@@ -1,27 +1,17 @@
-"""Selects the girth kernel at import: compiled if available, else pure.
-
-Set BTUSEARCH_PURE=1 to force the pure-Python kernel (used by the
-benchmark and by kernel-parity tests).
-"""
+"""Selects the girth kernel at import: compiled if available, else pure."""
 
 from __future__ import annotations
 
-import os
 from array import array
 
-from . import _girth_py
+try:
+    from . import _girth_c as _impl
 
-if os.environ.get("BTUSEARCH_PURE"):
-    _impl = _girth_py
+    BACKEND = "c"
+except ImportError:
+    from . import _girth_py as _impl  # type: ignore[no-redef]
+
     BACKEND = "python"
-else:
-    try:
-        from . import _girth_c as _impl  # type: ignore[no-redef]
-
-        BACKEND = "c"
-    except ImportError:
-        _impl = _girth_py
-        BACKEND = "python"
 
 
 def flatten_images(images) -> array:

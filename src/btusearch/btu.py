@@ -73,6 +73,42 @@ def to_biadjacency(b: BTU) -> np.ndarray:
     return mat
 
 
+def _augment(
+    adj: list[list[int]], col_owner: list[int], root: int, visited: list[bool]
+) -> bool:
+    """Depth-first augmenting-path search from `root`, on an explicit stack.
+
+    Each row on the path first takes its lowest free column; failing
+    that, it descends into its unvisited columns in ascending order.  On
+    success every column along the path passes to the row above it.
+    Augmenting paths can be as long as m, hence no recursion.
+    """
+    frames = []  # (row, iterator over the columns it has yet to descend into)
+    path = []  # (row, column) of each descent between consecutive frames
+    row = root
+    while True:
+        free = next((j for j in adj[row] if col_owner[j] == -1), None)
+        if free is not None:
+            col_owner[free] = row
+            for r, j in path:
+                col_owner[j] = r
+            return True
+        frames.append((row, iter(adj[row])))
+        while frames:
+            row, cols = frames[-1]
+            j = next((j for j in cols if not visited[j]), None)
+            if j is not None:
+                visited[j] = True
+                path.append((row, j))
+                row = col_owner[j]
+                break
+            frames.pop()
+            if path:
+                path.pop()
+        else:
+            return False
+
+
 def _extract_matching(adj: list[list[int]], m: int) -> list[int]:
     """One perfect matching, rows greedily then by augmenting paths.
 
@@ -82,20 +118,6 @@ def _extract_matching(adj: list[list[int]], m: int) -> list[int]:
     matrix guarantees a perfect matching exists.
     """
     col_owner = [-1] * m
-
-    def augment(row: int, visited: list[bool]) -> bool:
-        for j in adj[row]:
-            if col_owner[j] == -1:
-                col_owner[j] = row
-                return True
-        for j in adj[row]:
-            if not visited[j]:
-                visited[j] = True
-                if augment(col_owner[j], visited):
-                    col_owner[j] = row
-                    return True
-        return False
-
     for i in range(m):
         taken = False
         for j in adj[i]:
@@ -103,7 +125,7 @@ def _extract_matching(adj: list[list[int]], m: int) -> list[int]:
                 col_owner[j] = i
                 taken = True
                 break
-        if not taken and not augment(i, [False] * m):
+        if not taken and not _augment(adj, col_owner, i, [False] * m):
             raise ValueError("matrix is not regular: no perfect matching")
     row_to_col = [-1] * m
     for j, i in enumerate(col_owner):
@@ -128,7 +150,7 @@ def decompose_matrix(mat: np.ndarray) -> BTU:
     r = int(row_sums[0])
     if not ((row_sums == r).all() and (col_sums == r).all()):
         raise ValueError("matrix is not regular: row/column sums differ")
-    remaining = [[j for j in range(m) if mat[i, j]] for i in range(m)]
+    remaining = [np.flatnonzero(row).tolist() for row in mat]
     perms = []
     for _ in range(r):
         row_to_col = _extract_matching(remaining, m)

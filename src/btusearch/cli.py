@@ -2,8 +2,8 @@
 
 One subcommand per invocation; data goes to stdout (or -o FILE),
 diagnostics to stderr.  Exit status: 0 success, 1 domain error
-(degenerate factorization, oracle budget refusal, stage dead end),
-2 usage error.
+(degenerate factorization, oracle budget refusal, stage dead end) or
+unreadable file, 2 usage error.
 """
 
 from __future__ import annotations
@@ -20,6 +20,13 @@ from .oracle import max_girth, verify_search
 from .parameters import factorize, optimal_partitions
 from .perms import BTUError, Permutation, identity, scale_permutation
 from .searchspace import cayley_stats, enumerate_candidates
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -159,8 +166,10 @@ def _build_parser() -> argparse.ArgumentParser:
     add_mr(p)
     p.add_argument("--mode", choices=["best", "exhaustive"], default="best")
     p.add_argument("--policy", choices=["strict", "relaxed"], default="relaxed")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--cap", type=int, default=None, help="cap candidates per stage")
+    p.add_argument("--workers", type=_positive_int, default=1)
+    p.add_argument(
+        "--cap", type=_positive_int, default=None, help="cap candidates per stage"
+    )
     p.add_argument(
         "--format", choices=["json", "matrix", "alist", "dot"], default="json"
     )
@@ -206,7 +215,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enum-z", help="enumerate the fully scaled family")
     add_mr(p)
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=_positive_int, default=None)
     add_out(p)
     p.set_defaults(func=_cmd_enum_z)
 
@@ -228,10 +237,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except BTUError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (BTUError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -15,9 +15,20 @@ coprime offsets, then to the full single-cycle candidate set (of which
 rotations are the circulant members, so the single-part partition for
 the final slot pair is preserved either way).
 
-Candidate evaluation is a pure function of (stage prefix, final slot,
-word); the reduction keeps the maximum girth with lexicographic
-tie-break, so results are identical for any worker count.
+Scaling commutes with compose and invert, and it keeps compatibility
+and scales union-cycle partitions part by part.  So each beam member is
+rebased at the previous degree d before scaling, and the stage's
+degree-d candidates are filtered once per member there: compatibility
+with every slot but the replaced one, and for stage >= 4 the partition
+against the left neighbour.  Only the check against the newest slot
+needs degree n.
+
+Each member's surviving candidates then meet the finals in one ordered
+scan over (final, word), split into contiguous blocks for the workers;
+blocks come back in order, so the first maximum found is the
+lexicographic winner of (member, final, word), and the co-maximal list
+(exhaustive mode) is already in that order.  Results are identical for
+any worker count.
 """
 
 from __future__ import annotations
@@ -25,8 +36,9 @@ from __future__ import annotations
 import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from math import gcd
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from . import _kernel
 from .btu import BTU, in_Z, in_phi, make_btu
@@ -40,7 +52,6 @@ from .parameters import (
 from .perms import (
     BTUError,
     CompatibilityError,
-    PartitionP2,
     Permutation,
     circular_rotation,
     compose,
@@ -49,7 +60,7 @@ from .perms import (
     scale_permutation,
     union_cycle_partition,
 )
-from .searchspace import CandidateWord, enumerate_candidates
+from .searchspace import CandidateWord, enumerate_candidates, word_at_index
 
 ENUM_FALLBACK = "enum"  # rotation_j marker: final slot was enumerated
 
@@ -118,19 +129,15 @@ def _compatible_images(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     return all(x != y for x, y in zip(a, b))
 
 
-def _girth_of_perms(perms: Sequence[Permutation], n: int) -> int | None:
-    return _kernel.girth_of_images([p.image for p in perms], n)
+def _scaled_image(img: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """The one-line image of scale_permutation, without validation."""
+    d = len(img)
+    return tuple(x + off for off in range(0, d * k, d) for x in img)
 
 
-@dataclass(frozen=True)
-class _Member:
-    """One beam entry: a stage BTU prefix plus its lexicographic path key."""
-
-    key: tuple
-    perms: tuple[Permutation, ...]
-
-
-def _stage2(f: Factorization, config: SearchConfig) -> tuple[_Member, StageTrace]:
+def _stage2(
+    f: Factorization, config: SearchConfig
+) -> tuple[tuple[Permutation, ...], StageTrace]:
     n = f.b * f.k
     adm = admissible_rotations(n, f.b)
     if adm:
@@ -142,192 +149,151 @@ def _stage2(f: Factorization, config: SearchConfig) -> tuple[_Member, StageTrace
         j = _coprime_rotations(n)[0]
         marker = f"relaxed-gcd:{j}"
     perms = (identity(n), circular_rotation(n, j))
-    g = _girth_of_perms(perms, n)
-    assert g is not None
+    g = _kernel.girth_of_images([p.image for p in perms], n)
     trace = StageTrace(
         stage=2, n=n, rotation_j=marker, candidates_evaluated=1, best_girth=g
     )
-    return _Member(key=(), perms=perms), trace
+    return perms, trace
 
 
 def _finals_for_level(
     n: int, threshold: int, level: int, cap: int | None
-) -> list[tuple[int | str, Permutation]]:
-    """(marker, permutation) choices for the newest slot at a policy level."""
+) -> list[tuple[int | str, tuple[int, ...]]]:
+    """(marker, image) choices for the newest slot at a policy level."""
     if level == 0:
-        return [(j, circular_rotation(n, j)) for j in admissible_rotations(n, threshold)]
+        return [
+            (j, circular_rotation(n, j).image)
+            for j in admissible_rotations(n, threshold)
+        ]
     if level == 1:
         return [
-            (f"relaxed-gcd:{j}", circular_rotation(n, j))
+            (f"relaxed-gcd:{j}", circular_rotation(n, j).image)
             for j in _coprime_rotations(n)
         ]
     return [
-        (ENUM_FALLBACK, q)
+        (ENUM_FALLBACK, q.image)
         for q in enumerate_candidates(identity(n), limit=cap)
     ]
 
 
-@dataclass
-class _Evaluation:
-    girth: int
-    key: tuple
-    perms: tuple[Permutation, ...]
-    marker: int | str
-    word: tuple[int, ...]
-
-
 def _evaluate_chunk(
-    member: _Member,
-    final_idx: int,
-    marker: int | str,
-    final_perm: Permutation,
-    words: list[tuple[int, ...]],
-    word_lo: int,
-    word_hi: int,
-    candidates: list[Permutation],
-    replace_at: int,
-    required_left_beta: PartitionP2 | None,
+    head: list[tuple[int, ...]],
+    tail: list[tuple[int, ...]],
+    finals: list[tuple[int | str, tuple[int, ...]]],
+    survivors: list[tuple[int, tuple[int, ...]]],
     n: int,
-) -> tuple[int, list[_Evaluation]]:
-    """Evaluate one (member, final, word-range) block.
+    lo: int,
+    hi: int,
+) -> tuple[int, int, list[tuple[int | str, int, tuple]]]:
+    """Girths over positions lo..hi-1 of the finals x survivors grid.
 
-    Returns (number of configurations whose girth was computed, list of
-    the block's co-maximal evaluations).
+    Positions run in row-major order, so the block is scanned in (final,
+    word) order.  Returns (girths computed, best girth, the block's
+    co-maximal (marker, word index, images) in scan order).
     """
-    base = member.perms
-    others = [p.image for t, p in enumerate(base) if t != replace_at]
-    final_img = final_perm.image
-    if any(not _compatible_images(final_img, img) for img in others):
-        return 0, []
-    left_img = base[replace_at - 1].image if replace_at > 0 else None
-    best: list[_Evaluation] = []
-    best_g = -1
-    evaluated = 0
-    for widx in range(word_lo, word_hi):
-        cand = candidates[widx]
-        cimg = cand.image
-        if not _compatible_images(cimg, final_img):
+    width = len(survivors)
+    count, best_g, best = 0, -1, []
+    for pos in range(lo, hi):
+        row, col = divmod(pos, width)
+        marker, final = finals[row]
+        widx, cand = survivors[col]
+        if not _compatible_images(cand, final):
             continue
-        if any(not _compatible_images(cimg, img) for img in others):
-            continue
-        if required_left_beta is not None:
-            left = union_cycle_partition(base[replace_at - 1], cand)
-            if left != required_left_beta:
-                continue
-        perms = base[:replace_at] + (cand,) + base[replace_at + 1 :] + (final_perm,)
-        g = _girth_of_perms(perms, n)
-        assert g is not None
-        evaluated += 1
+        images = (*head, cand, *tail, final)
+        g = _kernel.girth_of_images(images, n)
+        count += 1
         if g > best_g:
-            best_g = g
-            best = []
+            best_g, best = g, []
         if g == best_g:
-            best.append(
-                _Evaluation(
-                    girth=g,
-                    key=member.key + (final_idx, words[widx]),
-                    perms=perms,
-                    marker=marker,
-                    word=words[widx],
-                )
-            )
-    return evaluated, best
+            best.append((marker, widx, images))
+    return count, best_g, best
 
 
 def _run_stage(
-    beam: list[_Member],
+    beam: list[tuple[Permutation, ...]],
     stage: int,
     f: Factorization,
     config: SearchConfig,
-) -> tuple[list[_Member], StageTrace]:
+) -> tuple[list[tuple[Permutation, ...]], StageTrace]:
     b, k = f.b, f.k
     n = b * k ** (stage - 1)
     d = b * k ** (stage - 2)
     replace_at = stage - 3  # 0-based index of slot stage-2
     # For stage >= 4 the replaced slot also has a left neighbour whose
-    # pair partition must stay on the stage-optimal sequence.
+    # pair partition must stay on the stage-optimal sequence.  Partitions
+    # scale with their permutations, so the degree-d check targets the
+    # previous stage's sequence.
     required_left_beta = (
-        closed_form_partitions(b, k, stage)[stage - 4] if stage >= 4 else None
+        closed_form_partitions(b, k, stage - 1)[stage - 4] if stage >= 4 else None
+    )
+    candidates = list(
+        enumerate_candidates(identity(d), limit=config.candidate_cap)
     )
 
-    words = list(
-        itertools.islice(
-            itertools.permutations(range(1, d)), config.candidate_cap
-        )
-    )
-    candidates = [
-        scale_permutation(q, k)
-        for q in enumerate_candidates(identity(d), limit=config.candidate_cap)
-    ]
-
-    prepared: list[_Member] = []
-    for member in beam:
-        scaled = tuple(scale_permutation(p, k) for p in member.perms)
-        inv = invert(scaled[stage - 2])
-        prepared.append(
-            _Member(key=member.key, perms=tuple(compose(p, inv) for p in scaled))
-        )
+    # Per member: the scaled slots before and after the replaced one, and
+    # the (word index, scaled image) of every candidate the degree-d
+    # filters keep.  Rebasing before scaling gives the same slots, since
+    # scale(p) . scale(q)^-1 = scale(p . q^-1).
+    prepared = []
+    for perms in beam:
+        inv = invert(perms[-1])
+        rebased = [compose(p, inv) for p in perms]
+        others = [p.image for t, p in enumerate(rebased) if t != replace_at]
+        left = rebased[replace_at - 1] if stage >= 4 else None
+        survivors = [
+            (widx, _scaled_image(q.image, k))
+            for widx, q in enumerate(candidates)
+            if all(_compatible_images(q.image, img) for img in others)
+            and (left is None or union_cycle_partition(left, q) == required_left_beta)
+        ]
+        scaled = [_scaled_image(p.image, k) for p in rebased]
+        prepared.append((scaled[:replace_at], scaled[replace_at + 1 :], survivors))
 
     levels = [0] if config.rotation_policy == "strict" else [0, 1, 2]
-    attempted_total = 0
-    for level in levels:
-        finals = _finals_for_level(n, d, level, config.candidate_cap)
-        if not finals:
-            continue
-        attempted = len(prepared) * len(finals) * len(words)
-        chunk_size = max(1, len(words) // max(1, 4 * config.worker_count))
-        tasks = []
-        for member in prepared:
-            for final_idx, (marker, final_perm) in enumerate(finals):
-                for lo in range(0, len(words), chunk_size):
-                    hi = min(len(words), lo + chunk_size)
-                    tasks.append(
-                        (
-                            member,
-                            final_idx,
-                            marker,
-                            final_perm,
-                            words,
-                            lo,
-                            hi,
-                            candidates,
-                            replace_at,
-                            required_left_beta,
-                            n,
-                        )
-                    )
-        if config.worker_count > 1:
-            with ThreadPoolExecutor(max_workers=config.worker_count) as pool:
-                outcomes = list(pool.map(lambda t: _evaluate_chunk(*t), tasks))
-        else:
-            outcomes = [_evaluate_chunk(*t) for t in tasks]
-        evaluated = sum(count for count, _ in outcomes)
-        attempted_total += attempted
-        if evaluated == 0:
-            continue
+    attempted = 0
+    with ThreadPoolExecutor(max_workers=config.worker_count) as pool:
+        for level in levels:
+            finals = _finals_for_level(n, d, level, config.candidate_cap)
+            if not finals:
+                continue
+            attempted += len(beam) * len(finals) * len(candidates)
+            evaluated, best_g, winners = 0, -1, []
+            for head, tail, survivors in prepared:
+                rows = [
+                    (marker, final)
+                    for marker, final in finals
+                    if all(_compatible_images(final, img) for img in head + tail)
+                ]
+                size = len(rows) * len(survivors)
+                step = max(1, size // (4 * config.worker_count))
+                starts = range(0, size, step)
+                stops = [min(size, lo + step) for lo in starts]
+                scan = partial(_evaluate_chunk, head, tail, rows, survivors, n)
+                for count, g, found in pool.map(scan, starts, stops):
+                    evaluated += count
+                    if g > best_g:
+                        best_g, winners = g, []
+                    if g == best_g:
+                        winners.extend(found)
+            if evaluated == 0:
+                continue
 
-        best_g = max(ev.girth for _, evs in outcomes for ev in evs)
-        winners = sorted(
-            (ev for _, evs in outcomes for ev in evs if ev.girth == best_g),
-            key=lambda ev: ev.key,
-        )
-        if config.mode == "best":
-            winners = winners[:1]
-        else:
-            deduped: dict[tuple, _Evaluation] = {}
-            for ev in winners:
-                deduped.setdefault(tuple(p.image for p in ev.perms), ev)
-            winners = list(deduped.values())
-        top = winners[0]
-        trace = StageTrace(
-            stage=stage,
-            n=n,
-            rotation_j=top.marker,
-            candidates_evaluated=attempted_total,
-            best_girth=best_g,
-            best_candidate_word=CandidateWord(n=d, word=Permutation(top.word)),
-        )
-        return [_Member(key=ev.key, perms=ev.perms) for ev in winners], trace
+            marker, widx, _ = winners[0]
+            if config.mode == "best":
+                kept = [winners[0][2]]
+            else:
+                kept = list(dict.fromkeys(images for _, _, images in winners))
+            trace = StageTrace(
+                stage=stage,
+                n=n,
+                rotation_j=marker,
+                candidates_evaluated=attempted,
+                best_girth=best_g,
+                best_candidate_word=CandidateWord(
+                    n=d, word=Permutation(word_at_index(d, widx))
+                ),
+            )
+            return [tuple(Permutation(img) for img in images) for images in kept], trace
 
     raise StageDeadEndError(
         stage,
@@ -344,14 +310,13 @@ def search(m: int, r: int, config: SearchConfig | None = None) -> SearchResult:
         raise DegenerateFactorizationError(
             f"m={m}, r={r}: k=1, enumeration search inapplicable"
         )
-    member, trace = _stage2(f, config)
-    beam = [member]
+    perms, trace = _stage2(f, config)
+    beam = [perms]
     traces = [trace]
     for stage in range(3, r + 1):
         beam, trace = _run_stage(beam, stage, f, config)
         traces.append(trace)
-    winner = beam[0]
-    result_btu = make_btu(winner.perms)
+    result_btu = make_btu(beam[0])
     betas = optimal_partitions(f).betas
     if not in_phi(result_btu, betas):
         raise AssertionError(

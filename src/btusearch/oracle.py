@@ -89,28 +89,32 @@ def enumerate_btus(
     chosen: list[tuple[int, ...]] = []
     if fix_first_identity:
         chosen.append(tuple(range(1, m + 1)))
+    yield from _extend(universe, chosen, m, r)
 
-    def rec():
-        if len(chosen) == r:
-            yield BTU(
-                m=m, r=r, perms=tuple(Permutation(img) for img in chosen)
-            )
-            return
-        for img in universe:
-            ok = True
-            for prev in chosen:
-                for x, y in zip(prev, img):
-                    if x == y:
-                        ok = False
-                        break
-                if not ok:
+
+def _extend(universe, chosen, m, r):
+    """Every way to fill the slots after `chosen` from `universe`.
+
+    A plain generator with explicit arguments: a self-referencing inner
+    function would form a reference cycle that keeps the m! universe
+    alive until the cyclic garbage collector runs.
+    """
+    if len(chosen) == r:
+        yield BTU(m=m, r=r, perms=tuple(Permutation(img) for img in chosen))
+        return
+    for img in universe:
+        ok = True
+        for prev in chosen:
+            for x, y in zip(prev, img):
+                if x == y:
+                    ok = False
                     break
-            if ok:
-                chosen.append(img)
-                yield from rec()
-                chosen.pop()
-
-    yield from rec()
+            if not ok:
+                break
+        if ok:
+            chosen.append(img)
+            yield from _extend(universe, chosen, m, r)
+            chosen.pop()
 
 
 def max_girth(

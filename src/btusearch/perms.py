@@ -15,7 +15,6 @@ perfect matchings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 
 class BTUError(Exception):
@@ -213,13 +212,3 @@ def unscale_permutation(p: Permutation, block: int) -> Permutation | None:
         if p.image[off : off + block] != tuple(x + off for x in head):
             return None
     return Permutation(head)
-
-
-def rotation_partition_parts(n: int, j: int) -> tuple[int, int]:
-    """(number of parts, part size) of the partition between I_n and C_j.
-
-    The union of the identity matching with a rotation by j splits into
-    gcd(j, n) alternating cycles, each covering n/gcd(j, n) positions.
-    """
-    g = gcd(j, n)
-    return g, n // g

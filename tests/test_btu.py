@@ -121,6 +121,15 @@ class TestDecompose:
             again = decompose_matrix(mat)
             assert (to_biadjacency(again) == mat).all()
 
+    def test_m2000_circulant_round_trip(self):
+        # Augmenting paths here run deeper than the default recursion limit.
+        m = 2000
+        b = make_btu([identity(m), circular_rotation(m, 1), circular_rotation(m, 3)])
+        mat = to_biadjacency(b)
+        again = decompose_matrix(mat)
+        assert again.m == m and again.r == 3
+        assert (to_biadjacency(again) == mat).all()
+
 
 class TestGirth:
     def test_single_cycle_pairs(self):

@@ -4,7 +4,10 @@ import json
 
 import pytest
 
+from btusearch.btu import make_btu
 from btusearch.cli import main
+from btusearch.io_formats import btu_to_format
+from btusearch.perms import circular_rotation, identity
 
 
 def run(capsys, *argv):
@@ -123,6 +126,14 @@ class TestGirthCommand:
         assert lines[0] == "8"
         assert len(lines[1].split()) == 8
 
+    def test_m2000_circulant(self, capsys, tmp_path):
+        m = 2000
+        b = make_btu([identity(m), circular_rotation(m, 1), circular_rotation(m, 3)])
+        f = tmp_path / "m.txt"
+        f.write_text(btu_to_format(b, "matrix"))
+        code, out, _ = run(capsys, "girth", "-i", str(f))
+        assert code == 0 and out == "6\n"
+
 
 class TestSmallCommands:
     def test_candidates(self, capsys):
@@ -179,3 +190,26 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as err:
             main([])
         assert err.value.code == 2
+
+
+class TestInputHardening:
+    @pytest.mark.parametrize("command", [["girth"], ["export", "--format", "dot"]])
+    def test_missing_input_exits_one(self, capsys, tmp_path, command):
+        missing = tmp_path / "absent.txt"
+        code, out, err = run(capsys, *command, "-i", str(missing))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "absent.txt" in err
+
+    def test_directory_input_exits_one(self, capsys, tmp_path):
+        code, _, err = run(capsys, "girth", "-i", str(tmp_path))
+        assert code == 1
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("flag", ["--workers", "--cap"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_non_positive_search_flags_are_usage_errors(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as err:
+            main(["search", "-m", "9", "-r", "3", flag, value])
+        assert err.value.code == 2
+        assert flag in capsys.readouterr().err

@@ -8,6 +8,7 @@ from btusearch.btu import adjacent_partitions, girth, in_Z, in_phi
 from btusearch.engine import (
     SearchConfig,
     StageDeadEndError,
+    StageTrace,
     admissible_rotations,
     enumerate_Z,
     search,
@@ -18,7 +19,8 @@ from btusearch.parameters import (
     factorize,
     optimal_partitions,
 )
-from btusearch.perms import identity
+from btusearch.perms import Permutation, identity
+from btusearch.searchspace import CandidateWord
 
 
 @pytest.fixture(autouse=True)
@@ -171,3 +173,91 @@ class TestEnumerateZ:
         betas = optimal_partitions(factorize(9, 3)).betas
         for b in list(enumerate_Z(9, 3, cap=50)):
             assert adjacent_partitions(b) == betas
+
+
+# Regression pins for r >= 4, exhaustive and capped runs included: the
+# winning BTU and every StageTrace field.  Trace rows are (stage, n,
+# rotation_j, candidates_evaluated, best_girth, best candidate word or
+# None).
+GOLDEN = {
+    (8, 4, "exhaustive", None): (
+        [
+            (3, 4, 2, 1, 7, 8, 6, 5),
+            (4, 3, 1, 2, 8, 7, 5, 6),
+            (1, 2, 3, 4, 5, 6, 7, 8),
+            (2, 5, 6, 7, 3, 4, 8, 1),
+        ],
+        [
+            (2, 2, "relaxed-gcd:1", 1, 4, None),
+            (3, 4, "enum", 8, 4, (1,)),
+            (4, 8, "enum", 60528, 4, (2, 3, 1)),
+        ],
+    ),
+    (16, 4, "best", None): (
+        [
+            (3, 4, 1, 6, 7, 8, 5, 2, 11, 12, 9, 14, 15, 16, 13, 10),
+            (2, 3, 4, 5, 6, 7, 8, 1, 10, 11, 12, 13, 14, 15, 16, 9),
+            (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16),
+            (16, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15),
+        ],
+        [
+            (2, 4, "relaxed-gcd:1", 1, 8, None),
+            (3, 8, "relaxed-gcd:1", 24, 4, (1, 2, 3)),
+            (4, 16, "relaxed-gcd:1", 40320, 4, (1, 2, 3, 4, 5, 6, 7)),
+        ],
+    ),
+    (16, 4, "exhaustive", 60): (
+        [
+            (3, 4, 1, 6, 7, 8, 5, 2, 11, 12, 9, 14, 15, 16, 13, 10),
+            (2, 3, 4, 5, 6, 7, 8, 1, 10, 11, 12, 13, 14, 15, 16, 9),
+            (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16),
+            (16, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15),
+        ],
+        [
+            (2, 4, "relaxed-gcd:1", 1, 8, None),
+            (3, 8, "relaxed-gcd:1", 24, 4, (1, 2, 3)),
+            (4, 16, "relaxed-gcd:1", 5760, 4, (1, 2, 3, 4, 5, 6, 7)),
+        ],
+    ),
+    (16, 5, "best", None): (
+        [
+            (5, 3, 7, 8, 4, 2, 1, 6, 13, 11, 15, 16, 12, 10, 9, 14),
+            (6, 4, 8, 7, 3, 1, 2, 5, 14, 12, 16, 15, 11, 9, 10, 13),
+            (4, 1, 6, 5, 7, 8, 3, 2, 12, 9, 14, 13, 15, 16, 11, 10),
+            (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16),
+            (10, 11, 12, 13, 14, 15, 16, 1, 2, 3, 4, 5, 6, 7, 8, 9),
+        ],
+        [
+            (2, 2, "relaxed-gcd:1", 1, 4, None),
+            (3, 4, "enum", 8, 4, (1,)),
+            (4, 8, "enum", 30264, 4, (2, 3, 1)),
+            (5, 16, "relaxed-gcd:7", 40320, 4, (2, 1, 4, 5, 7, 3, 6)),
+        ],
+    ),
+}
+
+
+class TestGoldenTraces:
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("case", list(GOLDEN), ids=lambda c: "-".join(map(str, c)))
+    def test_winner_and_traces(self, case, workers):
+        m, r, mode, cap = case
+        images, rows = GOLDEN[case]
+        result = search(
+            m, r, SearchConfig(mode=mode, worker_count=workers, candidate_cap=cap)
+        )
+        assert [p.image for p in result.btu.perms] == images
+        assert result.traces == tuple(
+            StageTrace(
+                stage=stage,
+                n=n,
+                rotation_j=rotation_j,
+                candidates_evaluated=attempted,
+                best_girth=best,
+                best_candidate_word=None
+                if word is None
+                else CandidateWord(n=len(word) + 1, word=Permutation(word)),
+            )
+            for stage, n, rotation_j, attempted, best, word in rows
+        )
+        assert result.girth == rows[-1][4]

@@ -1,5 +1,7 @@
 """Exhaustive enumeration, true maxima, census, engine comparison."""
 
+import gc
+import tracemalloc
 import warnings
 from math import factorial
 
@@ -89,6 +91,24 @@ class TestMaxGirth:
 
         report = max_girth(5, 2)
         assert girth(report.witness).girth == report.max_girth
+
+    def test_universe_freed_without_cyclic_gc(self):
+        # The 7! universe (about 0.6 MB) must go with its last reference.
+        # With automatic collection off, everything the call allocated is
+        # in the youngest generation, and collecting just that generation
+        # leaves the interpreter's free lists alone, so the difference
+        # below is exactly what only the cyclic collector could free.
+        gc.disable()
+        tracemalloc.start()
+        try:
+            max_girth(7, 2)
+            held, _ = tracemalloc.get_traced_memory()
+            gc.collect(0)
+            baseline, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert held - baseline < 10_000
 
 
 class TestCensus:
