@@ -1,14 +1,18 @@
-"""Times the pure-Python girth kernel against the compiled one.
+"""Times the pure-Python girth kernel against the compiled one, and the
+compiled kernel's batch call against one call per graph.
 
-Usage: python benchmarks/bench_girth.py [--calls N]
+Usage: PYTHONPATH=src python benchmarks/bench_girth.py [--calls N]
 
-Workloads mimic the search/oracle hot loop: many girth evaluations of
-small-to-medium BTUs.
+The compiled kernel is used when it is importable, e.g. after
+`python setup.py build_ext --inplace`.  Workloads mimic the search/oracle
+hot loop: many girth evaluations of small-to-medium BTUs.  The batch
+call runs with cutoff 0, so every girth is exact and the checksums agree.
 """
 
 import argparse
 import random
 import time
+from array import array
 
 from btusearch import _girth_py
 from btusearch._kernel import flatten_images
@@ -53,25 +57,38 @@ def time_backend(kernel, batch, m):
     return time.perf_counter() - started, checksum
 
 
+def time_batch(kernel, batch, m):
+    flat = flatten_images([img for imgs in batch for img in imgs])
+    out = array("i", [0]) * len(batch)
+    started = time.perf_counter()
+    kernel.girth_batch(flat, len(batch), m, len(batch[0]), out, 0)
+    return time.perf_counter() - started, sum(out)
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--calls", type=int, default=300, help="girth calls per case")
     args = parser.parse_args()
 
-    print(f"{'case':<24} {'calls':>6} {'pure':>10} {'compiled':>10} {'speedup':>8}")
+    print(
+        f"{'case':<24} {'calls':>6} {'pure':>10} {'compiled':>10} {'batch':>10} "
+        f"{'speedup':>8} {'batch/1':>8}"
+    )
     for name, batch, m in build_cases(args.calls):
         pure_s, pure_sum = time_backend(_girth_py, batch, m)
         if _girth_c is None:
-            print(f"{name:<24} {len(batch):>6} {pure_s:>9.3f}s {'n/a':>10} {'n/a':>8}")
+            print(f"{name:<24} {len(batch):>6} {pure_s:>9.3f}s {'n/a':>10} {'n/a':>10}")
             continue
         fast_s, fast_sum = time_backend(_girth_c, batch, m)
-        assert pure_sum == fast_sum, "kernels disagree"
+        batch_s, batch_sum = time_batch(_girth_c, batch, m)
+        assert pure_sum == fast_sum == batch_sum, "kernels disagree"
         print(
-            f"{name:<24} {len(batch):>6} {pure_s:>9.3f}s {fast_s:>9.3f}s "
-            f"{pure_s / fast_s:>7.1f}x"
+            f"{name:<24} {len(batch):>6} {pure_s:>9.3f}s {fast_s:>9.3f}s {batch_s:>9.3f}s "
+            f"{pure_s / fast_s:>7.1f}x {fast_s / batch_s:>7.1f}x"
         )
     if _girth_c is None:
-        print("\ncompiled kernel not built; install with `pip install -e .`")
+        print("\ncompiled kernel not importable; build it with "
+              "`python setup.py build_ext --inplace`")
 
 
 if __name__ == "__main__":

@@ -30,3 +30,14 @@ def girth_of_images(images, m: int) -> int | None:
     r = len(images)
     g = _impl.girth_from_images(flatten_images(images), m, r)
     return g if g else None
+
+
+def girth_batch(flat: array, n_graphs: int, m: int, r: int, cutoff: int) -> array:
+    """Girths of n_graphs (m, r) graphs packed back to back in flat.
+
+    Entry i is the exact girth when that exceeds cutoff, and otherwise
+    some value v with girth <= v <= cutoff; 0 means a forest.
+    """
+    out = array("i", bytes(4 * n_graphs))
+    _impl.girth_batch(flat, n_graphs, m, r, out, cutoff)
+    return out

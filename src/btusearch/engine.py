@@ -27,17 +27,22 @@ Each member's surviving candidates then meet the finals in one ordered
 scan over (final, word), split into contiguous blocks for the workers;
 blocks come back in order, so the first maximum found is the
 lexicographic winner of (member, final, word), and the co-maximal list
-(exhaustive mode) is already in that order.  Results are identical for
-any worker count.
+(exhaustive mode) is already in that order.  A block sends its graphs to
+the girth kernel in fixed-size batches with a cutoff at its running
+best, and in best mode ends at the bipartite Moore bound; neither can
+change which graph wins.  Results are identical for any worker count
+and either kernel.
 """
 
 from __future__ import annotations
 
 import itertools
+from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from math import gcd
+from operator import eq
 from typing import Iterator
 
 from . import _kernel
@@ -63,6 +68,9 @@ from .perms import (
 from .searchspace import CandidateWord, enumerate_candidates, word_at_index
 
 ENUM_FALLBACK = "enum"  # rotation_j marker: final slot was enumerated
+# Graphs per girth kernel call: bounds the packed buffer, and lets the
+# cutoff rise between calls.
+SUB_BATCH = 256
 
 
 class StageDeadEndError(BTUError):
@@ -126,7 +134,7 @@ def _coprime_rotations(n: int) -> list[int]:
 
 
 def _compatible_images(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    return all(x != y for x, y in zip(a, b))
+    return not any(map(eq, a, b))
 
 
 def _scaled_image(img: tuple[int, ...], k: int) -> tuple[int, ...]:
@@ -176,6 +184,17 @@ def _finals_for_level(
     ]
 
 
+def _moore_girth(n: int, r: int) -> int:
+    """The bipartite Moore bound for r >= 2: the largest girth 2L an
+    r-regular bipartite graph on n + n vertices can have, the largest L
+    with n >= sum_{i<L} (r-1)^i."""
+    half, reach = 1, 1
+    while reach + (r - 1) ** half <= n:
+        reach += (r - 1) ** half
+        half += 1
+    return 2 * half
+
+
 def _evaluate_chunk(
     head: list[tuple[int, ...]],
     tail: list[tuple[int, ...]],
@@ -184,28 +203,52 @@ def _evaluate_chunk(
     n: int,
     lo: int,
     hi: int,
+    exhaustive: bool,
 ) -> tuple[int, int, list[tuple[int | str, int, tuple]]]:
     """Girths over positions lo..hi-1 of the finals x survivors grid.
 
     Positions run in row-major order, so the block is scanned in (final,
-    word) order.  Returns (girths computed, best girth, the block's
-    co-maximal (marker, word index, images) in scan order).
+    word) order, SUB_BATCH compatible graphs per kernel call.  Between
+    calls the cutoff rises to the block's running best (minus 1 in
+    exhaustive mode, so ties stay exact): a graph at or below it cannot
+    change the block's result.  In best mode the scan ends at the first
+    graph that reaches the Moore bound, since nothing after it can beat
+    it.  Returns (graphs sent to the kernel, best girth, the block's
+    co-maximal (marker, word index, images) in scan order; in best mode
+    only the first).
     """
+    r = len(head) + len(tail) + 2
+    moore = _moore_girth(n, r)
+    before, after = _kernel.flatten_images(head), _kernel.flatten_images(tail)
     width = len(survivors)
+    first_row = lo // width
+    grid = itertools.product(finals[first_row : (hi - 1) // width + 1], survivors)
+    compatible = (
+        (marker, widx, cand, final)
+        for (marker, final), (widx, cand) in itertools.islice(
+            grid, lo - first_row * width, hi - first_row * width
+        )
+        if _compatible_images(cand, final)
+    )
     count, best_g, best = 0, -1, []
-    for pos in range(lo, hi):
-        row, col = divmod(pos, width)
-        marker, final = finals[row]
-        widx, cand = survivors[col]
-        if not _compatible_images(cand, final):
-            continue
-        images = (*head, cand, *tail, final)
-        g = _kernel.girth_of_images(images, n)
-        count += 1
-        if g > best_g:
-            best_g, best = g, []
-        if g == best_g:
-            best.append((marker, widx, images))
+    while keys := list(itertools.islice(compatible, SUB_BATCH)):
+        flat = array("i")
+        for _, _, cand, final in keys:
+            flat.extend(before)
+            flat.extend(cand)
+            flat.extend(after)
+            flat.extend(final)
+        cutoff = best_g - 1 if exhaustive else best_g
+        girths = _kernel.girth_batch(flat, len(keys), n, r, cutoff)
+        count += len(keys)
+        for (marker, widx, cand, final), g in zip(keys, girths):
+            if g > best_g:
+                best_g, best = g, []
+            elif not exhaustive or g < best_g:
+                continue
+            best.append((marker, widx, (*head, cand, *tail, final)))
+            if not exhaustive and g >= moore:
+                return count, best_g, best
     return count, best_g, best
 
 
@@ -250,6 +293,7 @@ def _run_stage(
         prepared.append((scaled[:replace_at], scaled[replace_at + 1 :], survivors))
 
     levels = [0] if config.rotation_policy == "strict" else [0, 1, 2]
+    exhaustive = config.mode == "exhaustive"
     attempted = 0
     with ThreadPoolExecutor(max_workers=config.worker_count) as pool:
         for level in levels:
@@ -268,7 +312,9 @@ def _run_stage(
                 step = max(1, size // (4 * config.worker_count))
                 starts = range(0, size, step)
                 stops = [min(size, lo + step) for lo in starts]
-                scan = partial(_evaluate_chunk, head, tail, rows, survivors, n)
+                scan = partial(
+                    _evaluate_chunk, head, tail, rows, survivors, n, exhaustive=exhaustive
+                )
                 for count, g, found in pool.map(scan, starts, stops):
                     evaluated += count
                     if g > best_g:

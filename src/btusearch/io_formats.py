@@ -74,10 +74,14 @@ def alist_to_matrix(text: str) -> np.ndarray:
         entries = [int(tok) for tok in lines[4 + j].split()]
         if len(entries) != col_deg[j]:
             raise ValueError(f"column {j + 1} degree mismatch")
+        if not all(1 <= i <= n_rows for i in entries):
+            raise ValueError(f"column {j + 1} has a row index outside 1..{n_rows}")
         for i in entries:
             mat[i - 1, j] = 1
     for i in range(n_rows):
         entries = [int(tok) for tok in lines[4 + n_cols + i].split()]
+        if not all(1 <= j <= n_cols for j in entries):
+            raise ValueError(f"row {i + 1} has a column index outside 1..{n_cols}")
         if sorted(entries) != [j + 1 for j in range(n_cols) if mat[i, j]]:
             raise ValueError(f"row {i + 1} entries disagree with columns")
     return mat

@@ -1,0 +1,78 @@
+"""Shared fixtures: the compiled girth kernel built from this checkout,
+and a switch that routes the package's girth calls to either kernel."""
+
+import importlib.util
+import shutil
+import subprocess
+import sys
+import sysconfig
+from pathlib import Path
+
+import pytest
+
+from btusearch import _girth_py, _kernel
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _have_compiler() -> bool:
+    cc = (sysconfig.get_config_var("CC") or "cc").split()[0]
+    return shutil.which(cc) is not None
+
+
+@pytest.fixture(scope="session")
+def compiled_kernel(tmp_path_factory):
+    """`btusearch._girth_c` built by setup.py into a temporary directory
+    and loaded from there, so the tests run the C source of this checkout
+    and nothing is written under src/.  Skips without a C compiler."""
+    if not _have_compiler():
+        pytest.skip("no C compiler to build the compiled kernel")
+    out = tmp_path_factory.mktemp("girth_c")
+    proc = subprocess.run(
+        [sys.executable, "setup.py", "-q", "build_ext",
+         "--build-lib", str(out / "lib"), "--build-temp", str(out / "tmp")],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    built = sorted((out / "lib" / "btusearch").glob("_girth_c.*"))
+    if proc.returncode != 0 or not built:
+        pytest.fail(f"building the compiled kernel failed:\n{proc.stdout}{proc.stderr}")
+    spec = importlib.util.spec_from_file_location("btusearch._girth_c", built[0])
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class LooseKernel:
+    """The pure kernel, except that batch entries with girth <= cutoff
+    come back as cutoff itself: the largest value the `girth_batch`
+    contract allows, so a caller that leans on more than the contract
+    shows it."""
+
+    girth_from_images = staticmethod(_girth_py.girth_from_images)
+
+    @staticmethod
+    def girth_batch(flat, n_graphs, m, r, out, cutoff):
+        _girth_py.girth_batch(flat, n_graphs, m, r, out, cutoff)
+        for i in range(n_graphs):
+            out[i] = cutoff if out[i] <= cutoff else out[i]
+
+
+@pytest.fixture(params=["python", "c"])
+def kernel(request):
+    """Each girth kernel in turn: the pure reference, then the compiled
+    one; "loose" (`LooseKernel`) only where a test asks for it."""
+    if request.param == "python":
+        return _girth_py
+    if request.param == "loose":
+        return LooseKernel
+    return request.getfixturevalue("compiled_kernel")
+
+
+@pytest.fixture
+def backend(kernel, monkeypatch):
+    """Routes every girth evaluation of the package through `kernel`."""
+    monkeypatch.setattr(_kernel, "_impl", kernel)
+    return kernel

@@ -201,6 +201,15 @@ class TestInputHardening:
         assert out == ""
         assert err.startswith("error: ") and "absent.txt" in err
 
+    @pytest.mark.parametrize("col1", ["1 0", "1 9"])
+    def test_alist_index_out_of_range_exits_one(self, capsys, tmp_path, col1):
+        f = tmp_path / "bad.alist"
+        f.write_text(f"3 3\n2 2\n2 2 2\n2 2 2\n{col1}\n1 2\n2 3\n1 2\n2 3\n1 3\n")
+        code, out, err = run(capsys, "girth", "-i", str(f))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+
     def test_directory_input_exits_one(self, capsys, tmp_path):
         code, _, err = run(capsys, "girth", "-i", str(tmp_path))
         assert code == 1

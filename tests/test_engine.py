@@ -1,14 +1,19 @@
 """Staged search and family enumeration."""
 
+import hashlib
+import json
 import warnings
 
 import pytest
 
+from btusearch import engine
 from btusearch.btu import adjacent_partitions, girth, in_Z, in_phi
+from btusearch.cli import main
 from btusearch.engine import (
     SearchConfig,
     StageDeadEndError,
     StageTrace,
+    _moore_girth,
     admissible_rotations,
     enumerate_Z,
     search,
@@ -261,3 +266,90 @@ class TestGoldenTraces:
             for stage, n, rotation_j, attempted, best, word in rows
         )
         assert result.girth == rows[-1][4]
+
+
+# SHA-256 of `btusearch search -m M -r R --mode MODE --no-timing` taken
+# with the pure kernel before the batched kernel calls, the cutoff and the
+# Moore-bound stop existed.  (16,5) exhaustive is left out: it spends
+# ~20 s in the candidate filters on either kernel.
+LADDER = {
+    (12, 3, "best"): "c279c485f4ac2099cc4053a92e00d782e1909b8d007f1d5ce7324251ed908fe4",
+    (18, 3, "best"): "afe678882677ba5a20b397a9f762db6c3379d1673bef7744a4a8983dce1f661b",
+    (32, 3, "best"): "e5579587197afd2240d773e6469dee87036f910cf28555c4f734875c54a339a9",
+    (27, 4, "best"): "4efd9ca94c17a253d11c497aeb1fbb7d43982595cd07c6d9b397e8940120877b",
+    (16, 5, "best"): "f78f5c2943b36ba3919e8772c075a2f9ac1be853e78d79375986b0d5ea9354a2",
+    (12, 3, "exhaustive"): "49b42199da392f111bdee85a7bd374457116edea825ef14c8d08cf114943badc",
+    (18, 3, "exhaustive"): "1d5102f178ea5cd3f5d615ce7573d0edd987ccfbb1578da6ec952e3d9f664a72",
+    (32, 3, "exhaustive"): "30486e0881df446b16cd8bf26d5ec47618e6a24a17c810619e0a258792f951ac",
+    (27, 4, "exhaustive"): "de35217c3a05d350e6c4c13e1bba4c8e5bc7e5c8fdbd37a2d63411b263902170",
+}
+# The pure kernels take ~8 s per (32,3) search, so they run the other
+# rungs, with one worker; the compiled kernel runs every rung with 1 and 3.
+LADDER_RUNS = [
+    (kernel, m, r, mode, 1)
+    for kernel in ("python", "loose")
+    for m, r, mode in LADDER
+    if (m, r) != (32, 3)
+] + [("c", m, r, mode, workers) for m, r, mode in LADDER for workers in (1, 3)]
+
+
+class TestBackendsAgree:
+    """Batched kernel calls, the cutoff and the Moore-bound stop leave
+    every answer as it was, on either kernel and for any worker count,
+    and also on a kernel that answers at the edge of the cutoff contract
+    (conftest.LooseKernel)."""
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("case", list(GOLDEN), ids=lambda c: "-".join(map(str, c)))
+    @pytest.mark.parametrize("kernel", ["python", "c", "loose"], indirect=True)
+    def test_golden_traces(self, backend, case, workers):
+        TestGoldenTraces().test_winner_and_traces(case, workers)
+
+    @pytest.mark.parametrize("kernel,m,r,mode,workers", LADDER_RUNS, indirect=["kernel"])
+    def test_ladder_json(self, backend, capsys, m, r, mode, workers):
+        code = main(
+            ["search", "-m", str(m), "-r", str(r), "--mode", mode,
+             "--workers", str(workers), "--no-timing"]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == LADDER[(m, r, mode)]
+
+
+# SHA-256 of the JSON list of the last stage's beam in exhaustive mode
+# (every co-maximal BTU, in scan order), taken with the pure kernel before
+# batching.  The report shows only the first of them.
+EXHAUSTIVE_BEAMS = {
+    (12, 3): "c3a76f6a465806a38d3dc1bc1258d93d4182c9f0d31526b3e882f13dd8012645",
+    (18, 3): "74da7538b43906047451669b605491e70ddec127525f2ef6cefcae9ca428ea59",
+    (27, 4): "4705a7597c6c58448b7965d7c5614cbe08255d98f46901595e574af9acf807ba",
+    (8, 4): "cd8d9d1fb090318116f57e963fe3ef02e1b444c255e85f1998260cd7dda4c6f3",
+    (32, 3): "19d03c79f052123273d793b13e92ebd71805b077cdac93602192b6abc791a0b0",
+}
+BEAM_RUNS = [
+    (kernel, m, r, 1)
+    for kernel in ("python", "loose")
+    for m, r in EXHAUSTIVE_BEAMS
+    if (m, r) != (32, 3)
+] + [("c", m, r, workers) for m, r in EXHAUSTIVE_BEAMS for workers in (1, 3)]
+
+
+class TestExhaustiveBeams:
+    @pytest.mark.parametrize("kernel,m,r,workers", BEAM_RUNS, indirect=["kernel"])
+    def test_co_maxima_and_order(self, backend, m, r, workers):
+        f = factorize(m, r)
+        config = SearchConfig(mode="exhaustive", worker_count=workers)
+        beam = [engine._stage2(f, config)[0]]
+        for stage in range(3, r + 1):
+            beam, _ = engine._run_stage(beam, stage, f, config)
+        text = json.dumps([[list(p.image) for p in perms] for perms in beam])
+        assert hashlib.sha256(text.encode()).hexdigest() == EXHAUSTIVE_BEAMS[(m, r)]
+
+
+class TestMooreGirth:
+    def test_values(self):
+        # r = 2: a single 2n-cycle; (32, 3): 1 + 2 + 4 + 8 + 16 = 31 <= 32.
+        assert [_moore_girth(n, 2) for n in (2, 5, 9)] == [4, 10, 18]
+        assert _moore_girth(32, 3) == 10 and _moore_girth(30, 3) == 8
+        assert _moore_girth(14, 3) == 6 and _moore_girth(15, 3) == 8
+        assert _moore_girth(20, 5) == 4 and _moore_girth(21, 5) == 6

@@ -72,6 +72,25 @@ class TestAlist:
             alist_to_matrix(bad)
 
 
+def alist_3x3(col1="1 3", row3="1 3"):
+    """Identity plus the unit rotation at m = 3, with two lines replaceable."""
+    return f"3 3\n2 2\n2 2 2\n2 2 2\n{col1}\n1 2\n2 3\n1 2\n2 3\n{row3}\n"
+
+
+class TestAlistIndexRange:
+    def test_template_is_valid(self):
+        assert alist_to_matrix(alist_3x3()).sum() == 6
+
+    @pytest.mark.parametrize(
+        "lines",
+        [{"col1": "1 0"}, {"col1": "1 9"}, {"row3": "0 3"}, {"row3": "1 9"}],
+        ids=["column-0", "column-9", "row-0", "row-9"],
+    )
+    def test_out_of_range_index_rejected(self, lines):
+        with pytest.raises(ValueError, match="outside 1..3"):
+            alist_to_matrix(alist_3x3(**lines))
+
+
 class TestDetect:
     def test_alist_detected(self, small_btu):
         mat = to_biadjacency(small_btu)
