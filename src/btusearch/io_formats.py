@@ -1,5 +1,8 @@
 """Text interchange forms: matrix, alist, DOT, and the JSON reports.
 
+matrix layout: m non-blank lines of m whitespace-separated tokens, each
+exactly "0" or "1" (written with single spaces, one trailing newline).
+
 alist layout (1-based, single spaces, one trailing newline):
   line 1: "N M"                 (both equal to m here)
   line 2: "maxcol maxrow"       (both equal to r)
@@ -23,21 +26,37 @@ from .perms import PartitionP2
 
 
 def matrix_to_text(mat: np.ndarray) -> str:
-    return "\n".join(" ".join(str(int(x)) for x in row) for row in mat) + "\n"
+    """Each row as its 0/1 digits joined by single spaces, one row a line.
+
+    Built as one byte buffer: digits at even columns, spaces between,
+    a newline in the last column.
+    """
+    mat = np.asarray(mat)
+    if not ((mat == 0) | (mat == 1)).all():
+        raise ValueError("matrix entries must be 0 or 1")
+    buf = np.full((mat.shape[0], 2 * mat.shape[1]), ord(" "), dtype=np.uint8)
+    buf[:, 0::2] = ord("0") + mat
+    buf[:, -1] = ord("\n")
+    return buf.tobytes().decode("ascii")
 
 
 def text_to_matrix(text: str) -> np.ndarray:
-    rows = [
-        [int(tok) for tok in line.split()]
-        for line in text.splitlines()
-        if line.strip()
-    ]
-    if not rows or any(len(row) != len(rows) for row in rows):
+    """Read m non-blank lines of m whitespace-separated tokens, each
+    exactly "0" or "1"."""
+    widths = [len(line.split()) for line in text.splitlines()]
+    widths = [w for w in widths if w]
+    n = len(widths)
+    if not n or any(w != n for w in widths):
         raise ValueError("matrix text must be square")
-    mat = np.array(rows, dtype=np.int8)
-    if not np.isin(mat, (0, 1)).all():
+    # n * n tokens squeeze to n * n characters only if each is one character.
+    digits = "".join(text.split())
+    if len(digits) != n * n or not digits.isascii():
         raise ValueError("matrix entries must be 0 or 1")
-    return mat
+    # uint8 wraps, so a byte below "0" also reads above 1.
+    values = np.frombuffer(digits.encode("ascii"), dtype=np.uint8) - ord("0")
+    if (values > 1).any():
+        raise ValueError("matrix entries must be 0 or 1")
+    return values.reshape(n, n).astype(np.int8)
 
 
 def matrix_to_alist(mat: np.ndarray) -> str:
@@ -48,13 +67,11 @@ def matrix_to_alist(mat: np.ndarray) -> str:
     lines = [
         f"{n_cols} {n_rows}",
         f"{int(col_deg.max())} {int(row_deg.max())}",
-        " ".join(str(d) for d in col_deg),
-        " ".join(str(d) for d in row_deg),
+        " ".join(map(str, col_deg.tolist())),
+        " ".join(map(str, row_deg.tolist())),
     ]
-    for j in range(n_cols):
-        lines.append(" ".join(str(i + 1) for i in range(n_rows) if mat[i, j]))
-    for i in range(n_rows):
-        lines.append(" ".join(str(j + 1) for j in range(n_cols) if mat[i, j]))
+    for vectors in (mat.T, mat):  # the column lines, then the row lines
+        lines += [" ".join(map(str, (np.flatnonzero(v) + 1).tolist())) for v in vectors]
     return "\n".join(lines) + "\n"
 
 
@@ -63,44 +80,57 @@ def alist_to_matrix(text: str) -> np.ndarray:
     if len(lines) < 4:
         raise ValueError("alist needs at least 4 header lines")
     n_cols, n_rows = (int(tok) for tok in lines[0].split())
+    if n_cols != n_rows:
+        raise ValueError("alist header must describe a square matrix")
     col_deg = [int(tok) for tok in lines[2].split()]
     row_deg = [int(tok) for tok in lines[3].split()]
     if len(col_deg) != n_cols or len(row_deg) != n_rows:
         raise ValueError("alist degree lines disagree with the header")
     if len(lines) != 4 + n_cols + n_rows:
         raise ValueError("alist line count disagrees with the header")
-    mat = np.zeros((n_rows, n_cols), dtype=np.int8)
+    rows: list[int] = []
+    cols: list[int] = []
     for j in range(n_cols):
         entries = [int(tok) for tok in lines[4 + j].split()]
         if len(entries) != col_deg[j]:
             raise ValueError(f"column {j + 1} degree mismatch")
-        if not all(1 <= i <= n_rows for i in entries):
+        if not 1 <= min(entries) <= max(entries) <= n_rows:
             raise ValueError(f"column {j + 1} has a row index outside 1..{n_rows}")
-        for i in entries:
-            mat[i - 1, j] = 1
+        rows += entries
+        cols += [j] * len(entries)
+    mat = np.zeros((n_rows, n_cols), dtype=np.int8)
+    mat[np.array(rows, dtype=np.intp) - 1, np.array(cols, dtype=np.intp)] = 1
     for i in range(n_rows):
         entries = [int(tok) for tok in lines[4 + n_cols + i].split()]
-        if not all(1 <= j <= n_cols for j in entries):
+        if not 1 <= min(entries) <= max(entries) <= n_cols:
             raise ValueError(f"row {i + 1} has a column index outside 1..{n_cols}")
-        if sorted(entries) != [j + 1 for j in range(n_cols) if mat[i, j]]:
+        if sorted(entries) != (np.flatnonzero(mat[i]) + 1).tolist():
             raise ValueError(f"row {i + 1} entries disagree with columns")
     return mat
 
 
 def detect_and_parse(text: str) -> np.ndarray:
-    """Interpret file content as alist if it validates, else as matrix."""
-    try:
+    """Parse file content as alist when its header says so, else as matrix.
+
+    The header says alist when the first non-blank line has exactly two
+    tokens and there are at least 4 non-blank lines.  A valid matrix
+    whose first line has two tokens has only two lines, so no valid
+    matrix reads as alist and no valid alist as matrix; the one reader
+    chosen reports its own error.
+    """
+    lines = [line for line in text.splitlines() if line.strip()]
+    if len(lines) >= 4 and len(lines[0].split()) == 2:
         return alist_to_matrix(text)
-    except ValueError:
-        return text_to_matrix(text)
+    return text_to_matrix(text)
 
 
 def matrix_to_dot(mat: np.ndarray) -> str:
+    """One edge per nonzero cell; np.nonzero yields them in row-major order."""
+    rows, cols = np.nonzero(mat)
     lines = ["graph btu {"]
-    for i in range(mat.shape[0]):
-        for j in range(mat.shape[1]):
-            if mat[i, j]:
-                lines.append(f"  l{i + 1} -- r{j + 1};")
+    lines += [
+        f"  l{i} -- r{j};" for i, j in zip((rows + 1).tolist(), (cols + 1).tolist())
+    ]
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -1,8 +1,14 @@
 """Command-line surface."""
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from strategies import format_shaped_texts
 
 from btusearch.btu import make_btu
 from btusearch.cli import main
@@ -222,3 +228,40 @@ class TestInputHardening:
             main(["search", "-m", "9", "-r", "3", flag, value])
         assert err.value.code == 2
         assert flag in capsys.readouterr().err
+
+    def test_matrix_entry_300_exits_one(self, capsys, tmp_path):
+        f = tmp_path / "m.txt"
+        f.write_text("300 1\n1 1\n")
+        code, out, err = run(capsys, "girth", "-i", str(f))
+        assert (code, out) == (1, "")
+        assert err == "error: matrix entries must be 0 or 1\n"
+
+    def test_alist_error_is_not_masked_by_the_matrix_reader(self, capsys, tmp_path):
+        f = tmp_path / "bad.alist"
+        f.write_text("3 3\n2 2\n2 2 2\n2 2 2\n1 9\n1 2\n2 3\n1 2\n2 3\n1 3\n")
+        code, _, err = run(capsys, "girth", "-i", str(f))
+        assert code == 1
+        assert err == "error: column 1 has a row index outside 1..3\n"
+
+
+class TestFuzzedInput:
+    """`girth` and `export` on damaged matrix and alist files end with
+    exit 0, or exit 1 and an `error: ` line; they never raise."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=format_shaped_texts())
+    def test_girth_and_export(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            src = Path(tmp) / "in.txt"
+            src.write_text(text)
+            for argv in (
+                ["girth", "-i", str(src)],
+                ["export", "-i", str(src), "--format", "alist"],
+                ["export", "-i", str(src), "--format", "dot"],
+            ):
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    code = main(argv + ["-o", str(Path(tmp) / "out.txt")])
+                assert code in (0, 1)
+                if code == 1:
+                    assert err.getvalue().startswith("error: ")

@@ -5,9 +5,11 @@ import json
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from strategies import regular_matrices
 
 from btusearch import engine
-from btusearch.btu import adjacent_partitions, girth, in_Z, in_phi
+from btusearch.btu import adjacent_partitions, decompose_matrix, girth, in_Z, in_phi
 from btusearch.cli import main
 from btusearch.engine import (
     SearchConfig,
@@ -353,3 +355,23 @@ class TestMooreGirth:
         assert _moore_girth(32, 3) == 10 and _moore_girth(30, 3) == 8
         assert _moore_girth(14, 3) == 6 and _moore_girth(15, 3) == 8
         assert _moore_girth(20, 5) == 4 and _moore_girth(21, 5) == 6
+
+
+def moore_bound_holds(m, r, g):
+    """Bipartite Moore bound: girth g = 2L needs m >= sum_{i<L} (r-1)^i."""
+    return g is None or m >= sum((r - 1) ** i for i in range(g // 2))
+
+
+class TestMooreBoundHolds:
+    @settings(max_examples=100, deadline=None)
+    @given(mat=regular_matrices(max_m=40))
+    def test_random_btus(self, mat):
+        b = decompose_matrix(mat)
+        assert moore_bound_holds(b.m, b.r, girth(b).girth)
+
+    @pytest.mark.parametrize("m,r", [(12, 3), (18, 3), (27, 4), (16, 5)])
+    def test_search_ladder(self, m, r):
+        result = search(m, r)
+        assert moore_bound_holds(m, r, girth(result.btu).girth)
+        for t in result.traces:
+            assert moore_bound_holds(t.n, t.stage, t.best_girth)

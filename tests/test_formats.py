@@ -1,9 +1,13 @@
 """Matrix/alist/DOT text forms and the JSON report schema."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from strategies import EDITS, edited, format_shaped_texts, regular_matrices
 
 from btusearch.btu import girth, make_btu, to_biadjacency
 from btusearch.engine import search
@@ -164,3 +168,191 @@ class TestBtuFormats:
         mat = to_biadjacency(small_btu)
         for text in (matrix_to_text(mat), matrix_to_alist(mat)):
             assert girth(decompose_matrix(detect_and_parse(text))).girth == g
+
+
+# The five readers and writers as they were before the whole-array
+# rewrite, each a Python loop over the m x m cells, kept as the
+# reference the rewrite is tested against.
+
+
+def ref_matrix_to_text(mat):
+    return "\n".join(" ".join(str(int(x)) for x in row) for row in mat) + "\n"
+
+
+def ref_text_to_matrix(text):
+    rows = [
+        [int(tok) for tok in line.split()]
+        for line in text.splitlines()
+        if line.strip()
+    ]
+    if not rows or any(len(row) != len(rows) for row in rows):
+        raise ValueError("matrix text must be square")
+    mat = np.array(rows, dtype=np.int8)
+    if not np.isin(mat, (0, 1)).all():
+        raise ValueError("matrix entries must be 0 or 1")
+    return mat
+
+
+def ref_matrix_to_alist(mat):
+    mat = np.asarray(mat)
+    n_cols, n_rows = mat.shape[1], mat.shape[0]
+    col_deg = mat.sum(axis=0).astype(int)
+    row_deg = mat.sum(axis=1).astype(int)
+    lines = [
+        f"{n_cols} {n_rows}",
+        f"{int(col_deg.max())} {int(row_deg.max())}",
+        " ".join(str(d) for d in col_deg),
+        " ".join(str(d) for d in row_deg),
+    ]
+    for j in range(n_cols):
+        lines.append(" ".join(str(i + 1) for i in range(n_rows) if mat[i, j]))
+    for i in range(n_rows):
+        lines.append(" ".join(str(j + 1) for j in range(n_cols) if mat[i, j]))
+    return "\n".join(lines) + "\n"
+
+
+def ref_alist_to_matrix(text):
+    lines = [line for line in text.splitlines() if line.strip()]
+    if len(lines) < 4:
+        raise ValueError("alist needs at least 4 header lines")
+    n_cols, n_rows = (int(tok) for tok in lines[0].split())
+    col_deg = [int(tok) for tok in lines[2].split()]
+    row_deg = [int(tok) for tok in lines[3].split()]
+    if len(col_deg) != n_cols or len(row_deg) != n_rows:
+        raise ValueError("alist degree lines disagree with the header")
+    if len(lines) != 4 + n_cols + n_rows:
+        raise ValueError("alist line count disagrees with the header")
+    mat = np.zeros((n_rows, n_cols), dtype=np.int8)
+    for j in range(n_cols):
+        entries = [int(tok) for tok in lines[4 + j].split()]
+        if len(entries) != col_deg[j]:
+            raise ValueError(f"column {j + 1} degree mismatch")
+        if not all(1 <= i <= n_rows for i in entries):
+            raise ValueError(f"column {j + 1} has a row index outside 1..{n_rows}")
+        for i in entries:
+            mat[i - 1, j] = 1
+    for i in range(n_rows):
+        entries = [int(tok) for tok in lines[4 + n_cols + i].split()]
+        if not all(1 <= j <= n_cols for j in entries):
+            raise ValueError(f"row {i + 1} has a column index outside 1..{n_cols}")
+        if sorted(entries) != [j + 1 for j in range(n_cols) if mat[i, j]]:
+            raise ValueError(f"row {i + 1} entries disagree with columns")
+    return mat
+
+
+def ref_detect_and_parse(text):
+    try:
+        return ref_alist_to_matrix(text)
+    except ValueError:
+        return ref_text_to_matrix(text)
+
+
+def ref_matrix_to_dot(mat):
+    lines = ["graph btu {"]
+    for i in range(mat.shape[0]):
+        for j in range(mat.shape[1]):
+            if mat[i, j]:
+                lines.append(f"  l{i + 1} -- r{j + 1};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def read_outcome(read, text):
+    """The matrix `read` returns (with its dtype), or ValueError."""
+    try:
+        mat = read(text)
+    except ValueError:
+        return ValueError
+    return mat.dtype, mat.tolist()
+
+
+READERS = [
+    (text_to_matrix, ref_text_to_matrix, matrix_to_text),
+    (alist_to_matrix, ref_alist_to_matrix, matrix_to_alist),
+    (detect_and_parse, ref_detect_and_parse, matrix_to_text),
+    (detect_and_parse, ref_detect_and_parse, matrix_to_alist),
+]
+
+
+class TestRewriteMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(mat=regular_matrices())
+    def test_writers_byte_identical(self, mat):
+        assert matrix_to_text(mat) == ref_matrix_to_text(mat)
+        assert matrix_to_alist(mat) == ref_matrix_to_alist(mat)
+        assert matrix_to_dot(mat) == ref_matrix_to_dot(mat)
+
+    @settings(max_examples=100, deadline=None)
+    @given(mat=regular_matrices())
+    def test_readers_agree_on_valid_text(self, mat):
+        for read, ref_read, write in READERS:
+            text = write(mat)
+            assert read_outcome(read, text) == read_outcome(ref_read, text)
+            assert (read(text) == mat).all()
+
+    @settings(max_examples=300, deadline=None)
+    @given(mat=regular_matrices(max_m=12), data=st.data())
+    def test_readers_agree_on_damaged_text(self, mat, data):
+        for read, ref_read, write in READERS:
+            text = data.draw(edited(write(mat), EDITS))
+            assert read_outcome(read, text) == read_outcome(ref_read, text)
+
+    @pytest.mark.parametrize("token", ["00", "+1", "١", "0_0"])
+    def test_token_grammar_is_exactly_0_or_1(self, token):
+        # The reference read these through int(); the grammar now takes
+        # only the one-character tokens "0" and "1".
+        text = f"{token} 0\n0 1\n"
+        assert ref_text_to_matrix(text)[1].tolist() == [0, 1]
+        with pytest.raises(ValueError, match="matrix entries must be 0 or 1"):
+            text_to_matrix(text)
+
+    def test_entry_beyond_int8_is_a_value_error(self):
+        with pytest.raises(OverflowError):
+            ref_text_to_matrix("300 1\n1 1\n")
+        with pytest.raises(ValueError, match="matrix entries must be 0 or 1"):
+            text_to_matrix("300 1\n1 1\n")
+
+    def test_matrix_writer_rejects_non_binary(self):
+        with pytest.raises(ValueError, match="matrix entries must be 0 or 1"):
+            matrix_to_text(np.array([[2, 0], [0, 1]]))
+
+
+class TestM2000CirculantTexts:
+    # SHA-256 of each text as the cell-by-cell writers produced it.
+    DIGESTS = {
+        "matrix": "27800d0afb59cb131cbf8daf1b2a4c0f1b11efc1ebf8198f47321f0ccd584c0a",
+        "alist": "b1ebcd1bfefe5ef189aa86996787a907e3250a242b60d78b7469071451d909dd",
+        "dot": "26ff4ed13501bc7e7723f28cff6b7b1d55011894ba2c122952f984fccafef81d",
+    }
+
+    def test_digests_and_read_back(self):
+        m = 2000
+        b = make_btu([identity(m), circular_rotation(m, 1), circular_rotation(m, 3)])
+        mat = to_biadjacency(b)
+        texts = {fmt: btu_to_format(b, fmt) for fmt in self.DIGESTS}
+        digests = {f: hashlib.sha256(t.encode()).hexdigest() for f, t in texts.items()}
+        assert digests == self.DIGESTS
+        assert (detect_and_parse(texts["matrix"]) == mat).all()
+        assert (detect_and_parse(texts["alist"]) == mat).all()
+
+
+class TestDetectChoosesOneReader:
+    def test_alist_error_is_reported(self):
+        message = r"column 1 has a row index outside 1\.\.3"
+        with pytest.raises(ValueError, match=message):
+            detect_and_parse(alist_3x3(col1="1 9"))
+
+    def test_non_square_alist_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            detect_and_parse("2 1\n1 2\n1 1\n2\n1\n1\n1 2\n")
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=format_shaped_texts())
+    def test_fuzz_returns_square_binary_or_value_error(self, text):
+        try:
+            mat = detect_and_parse(text)
+        except ValueError:
+            return
+        assert mat.dtype == np.int8 and mat.ndim == 2
+        assert mat.shape[0] == mat.shape[1] >= 1
+        assert np.isin(mat, (0, 1)).all()
