@@ -133,23 +133,37 @@ def _extract_matching(adj: list[list[int]], m: int) -> list[int]:
     return row_to_col
 
 
-def decompose_matrix(mat: np.ndarray) -> BTU:
-    """Split a regular 0/1 matrix into permutations summing back to it.
+def regular_degree(mat: np.ndarray) -> int:
+    """The common row and column sum r >= 1 of a square 0/1 matrix.
 
-    The inverse of to_biadjacency for file import; slot order is the
-    deterministic matching-extraction order.
+    Raises ValueError for any other matrix.  By Konig's theorem every
+    matrix it accepts splits into r permutation matrices, so it decides
+    whether decompose_matrix succeeds without running it.
     """
     mat = np.asarray(mat)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"matrix must be square, got shape {mat.shape}")
     if not np.isin(mat, (0, 1)).all():
         raise ValueError("matrix entries must be 0 or 1")
-    m = mat.shape[0]
     row_sums = mat.sum(axis=1)
     col_sums = mat.sum(axis=0)
-    r = int(row_sums[0])
+    r = int(row_sums[0]) if len(row_sums) else 0
     if not ((row_sums == r).all() and (col_sums == r).all()):
         raise ValueError("matrix is not regular: row/column sums differ")
+    if r == 0:
+        raise ValueError("a BTU needs at least one permutation")
+    return r
+
+
+def decompose_matrix(mat: np.ndarray) -> BTU:
+    """Split a regular 0/1 matrix into permutations summing back to it.
+
+    The inverse of to_biadjacency for file import; slot order is the
+    deterministic matching-extraction order.
+    """
+    r = regular_degree(mat)
+    mat = np.asarray(mat)
+    m = mat.shape[0]
     remaining = [np.flatnonzero(row).tolist() for row in mat]
     perms = []
     for _ in range(r):

@@ -14,7 +14,7 @@ import time
 from pathlib import Path
 
 from . import io_formats
-from .btu import decompose_matrix, girth
+from .btu import decompose_matrix, girth, regular_degree
 from .engine import SearchConfig, enumerate_Z, search
 from .oracle import max_girth, verify_search
 from .parameters import factorize, optimal_partitions
@@ -135,7 +135,7 @@ def _cmd_cayley(args) -> int:
 
 def _cmd_export(args) -> int:
     mat = io_formats.detect_and_parse(Path(args.input).read_text())
-    decompose_matrix(mat)  # reject non-regular input early
+    regular_degree(mat)  # refuse what decompose_matrix would refuse
     if args.format == "alist":
         text = io_formats.matrix_to_alist(mat)
     else:

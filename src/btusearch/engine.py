@@ -32,6 +32,12 @@ the girth kernel in fixed-size batches with a cutoff at its running
 best, and in best mode ends at the bipartite Moore bound; neither can
 change which graph wins.  Results are identical for any worker count
 and either kernel.
+
+Candidates and level-2 finals are held in lists, so a run whose stage
+would list more than MAX_LISTED of them ((d-1)! candidates, or (n-1)!
+finals) is refused with StageTooLargeError before the list is built,
+unless the candidate cap bounds it: up front for the candidates, on
+reaching level 2 for the finals.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from math import gcd
+from math import factorial, gcd
 from operator import eq
 from typing import Iterator
 
@@ -71,12 +77,39 @@ ENUM_FALLBACK = "enum"  # rotation_j marker: final slot was enumerated
 # Graphs per girth kernel call: bounds the packed buffer, and lets the
 # cutoff rise between calls.
 SUB_BATCH = 256
+# Most candidates or finals a stage may hold in a list.  Above it a run
+# is refused before the list is built: 9! = 362,880 candidates of degree
+# 10, as at (20, 3), are admitted; 10! would take gigabytes.
+MAX_LISTED = 1_000_000
 
 
 class StageDeadEndError(BTUError):
     def __init__(self, stage: int, detail: str):
         self.stage = stage
         super().__init__(f"stage {stage} dead end: {detail}")
+
+
+class StageTooLargeError(BTUError):
+    """A stage would list more candidates or finals than MAX_LISTED."""
+
+    def __init__(self, stage: int, what: str, degree: int, estimate: int):
+        self.stage = stage
+        self.estimate = estimate
+        self.limit = MAX_LISTED
+        super().__init__(
+            f"stage {stage} would list {estimate} {what} of degree {degree}, "
+            f"over the limit of {MAX_LISTED}; a candidate cap (--cap) bounds it"
+        )
+
+
+def _refuse_unlisted(stage: int, what: str, degree: int, cap: int | None) -> None:
+    """Raises StageTooLargeError when the (degree-1)! single-cycle
+    candidates of that degree, cut to cap, are more than MAX_LISTED."""
+    estimate = factorial(degree - 1)
+    if cap is not None:
+        estimate = min(estimate, cap)
+    if estimate > MAX_LISTED:
+        raise StageTooLargeError(stage, what, degree, estimate)
 
 
 @dataclass(frozen=True)
@@ -165,7 +198,7 @@ def _stage2(
 
 
 def _finals_for_level(
-    n: int, threshold: int, level: int, cap: int | None
+    n: int, threshold: int, level: int, cap: int | None, stage: int
 ) -> list[tuple[int | str, tuple[int, ...]]]:
     """(marker, image) choices for the newest slot at a policy level."""
     if level == 0:
@@ -178,6 +211,7 @@ def _finals_for_level(
             (f"relaxed-gcd:{j}", circular_rotation(n, j).image)
             for j in _coprime_rotations(n)
         ]
+    _refuse_unlisted(stage, "finals", n, cap)
     return [
         (ENUM_FALLBACK, q.image)
         for q in enumerate_candidates(identity(n), limit=cap)
@@ -297,7 +331,7 @@ def _run_stage(
     attempted = 0
     with ThreadPoolExecutor(max_workers=config.worker_count) as pool:
         for level in levels:
-            finals = _finals_for_level(n, d, level, config.candidate_cap)
+            finals = _finals_for_level(n, d, level, config.candidate_cap, stage)
             if not finals:
                 continue
             attempted += len(beam) * len(finals) * len(candidates)
@@ -356,6 +390,8 @@ def search(m: int, r: int, config: SearchConfig | None = None) -> SearchResult:
         raise DegenerateFactorizationError(
             f"m={m}, r={r}: k=1, enumeration search inapplicable"
         )
+    for stage in range(3, r + 1):
+        _refuse_unlisted(stage, "candidates", f.b * f.k ** (stage - 2), config.candidate_cap)
     perms, trace = _stage2(f, config)
     beam = [perms]
     traces = [trace]

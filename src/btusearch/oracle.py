@@ -6,24 +6,36 @@ be relabelled to that form), computes the true maximum girth, groups
 the family by partition signature, and compares the staged engine
 against the exhaustive answer.
 
-A run is refused up front when its cost estimate exceeds the
-compatibility-check budget; an oracle that silently samples would not
-be an oracle.
+The m! permutations form one lexicographic int8 array, the universe.
+Each slot's choices are the universe rows that disagree everywhere with
+every earlier slot, found by one vectorised mask per chosen row, and
+the resulting tuples come out in lexicographic order as blocks of at
+most BLOCK rows.  Girths are computed a block per kernel call, and
+partition signatures a block at a time by index arithmetic, so the
+memory in use is the universe plus one block.
+
+A run is refused up front when its cost estimate (the universe rows
+plus the compatibility checks) exceeds the budget; an oracle that
+silently samples would not be an oracle.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import factorial
 
+import numpy as np
+
 from . import _kernel
-from .btu import BTU, adjacent_partitions
+from .btu import BTU
 from .engine import SearchConfig, StageDeadEndError, search
 from .parameters import DegenerateFactorizationError
 from .perms import BTUError, PartitionP2, Permutation
 
 DEFAULT_BUDGET = 10_000_000
+# Tuples per block: bounds the index block, the kernel buffer and the
+# census keys, whatever the number of tuples.
+BLOCK = 4096
 
 
 class BudgetExceededError(BTUError):
@@ -32,7 +44,7 @@ class BudgetExceededError(BTUError):
         self.budget = budget
         super().__init__(
             f"exhaustive sweep of ({m}, {r}) needs an estimated {estimate} "
-            f"compatibility checks, over the budget of {budget}"
+            f"universe rows and compatibility checks, over the budget of {budget}"
         )
 
 
@@ -59,11 +71,105 @@ class VerifyReport:
 
 
 def _estimate_checks(m: int, r: int, fixed: bool) -> int:
-    """Upper bound on pairwise checks: every slot extension is costed as
-    if all m! permutations were tried against every prior slot."""
+    """Upper bound on the sweep's cost: the m! rows of the universe, plus
+    every slot extension costed as if all m! permutations were tried
+    against every prior slot."""
     free = r - 1 if fixed else r
     prior0 = 1 if fixed else 0
-    return sum(factorial(m) ** t * (t - 1 + prior0) for t in range(1, free + 1))
+    return factorial(m) + sum(
+        factorial(m) ** t * (t - 1 + prior0) for t in range(1, free + 1)
+    )
+
+
+def _universe(m: int) -> np.ndarray:
+    """All m! permutations of 0..m-1 as the rows of an int8 array, in
+    lexicographic order.
+
+    The rows of degree n are, for each first value v in turn, v followed
+    by the rows of degree n-1 with every value >= v shifted up by one; the
+    shift keeps their order, so the result stays lexicographic.
+    """
+    rows = np.zeros((1, 0), dtype=np.int8)
+    for n in range(1, m + 1):
+        rows = np.concatenate(
+            [
+                np.column_stack((np.full(len(rows), v, dtype=np.int8), rows + (rows >= v)))
+                for v in range(n)
+            ]
+        )
+    return rows
+
+
+def _leaves(
+    universe: np.ndarray,
+    compatible: np.ndarray,
+    choices: np.ndarray,
+    prefix: tuple[int, ...],
+    r: int,
+):
+    """(prefix, choices for slot r) for every way to fill slots 1..r-1,
+    in lexicographic order.  `compatible` are the universe rows that
+    disagree everywhere with every slot of `prefix`, and `choices` those
+    of them the next slot may take.
+
+    A plain generator with explicit arguments: a self-referencing inner
+    function would form a reference cycle that keeps the universe alive
+    until the cyclic garbage collector runs.
+    """
+    if len(prefix) == r - 1:
+        if len(choices):
+            yield prefix, choices
+        return
+    images = universe[compatible]
+    for c in choices.tolist():
+        rest = compatible[(images != universe[c]).all(axis=1)]
+        yield from _leaves(universe, rest, rest, (*prefix, c), r)
+
+
+def _image_blocks(m: int, r: int, fixed: bool, budget: int):
+    """The images of every ordered pairwise-compatible r-tuple, in
+    lexicographic order, as int8 arrays of shape (at most BLOCK, r, m)
+    holding 0-based values.
+
+    At the first next() it checks m and r, ends at once for r > m (no r
+    permutations can pairwise disagree at a position with only m values
+    available), and refuses a sweep over the budget; only then is the
+    universe built.  Tuples of consecutive prefixes are pooled into one
+    block, and a long run of choices for the last slot is split, so a
+    block never holds more than BLOCK tuples.
+    """
+    if m < 1 or r < 1:
+        raise ValueError("need m >= 1 and r >= 1")
+    if r > m:
+        return
+    estimate = _estimate_checks(m, r, fixed)
+    if estimate > budget:
+        raise BudgetExceededError(m, r, estimate, budget)
+    universe = _universe(m)
+    everything = np.arange(len(universe))
+    first = everything[:1] if fixed else everything
+    pending, pooled = [], 0
+    for prefix, choices in _leaves(universe, everything, first, (), r):
+        for start in range(0, len(choices), BLOCK):
+            piece = np.empty((min(BLOCK, len(choices) - start), r), dtype=np.intp)
+            piece[:, :-1] = prefix
+            piece[:, -1] = choices[start : start + BLOCK]
+            pending.append(piece)
+            pooled += len(piece)
+            if pooled >= BLOCK:
+                tuples = np.concatenate(pending)
+                yield universe[tuples[:BLOCK]]
+                pending, pooled = [tuples[BLOCK:]], pooled - BLOCK
+    if pooled:
+        yield universe[np.concatenate(pending)]
+
+
+def _btu(images: np.ndarray) -> BTU:
+    """The BTU of one tuple's 0-based images, shape (r, m)."""
+    r, m = images.shape
+    return BTU(
+        m=m, r=r, perms=tuple(Permutation(tuple(img)) for img in (images + 1).tolist())
+    )
 
 
 def enumerate_btus(
@@ -77,44 +183,9 @@ def enumerate_btus(
     Yields BTU values.  Empty for r > m (no r permutations can pairwise
     disagree at a position with only m values available).
     """
-    if m < 1 or r < 1:
-        raise ValueError("need m >= 1 and r >= 1")
-    if r > m:
-        return
-    estimate = _estimate_checks(m, r, fix_first_identity)
-    if estimate > budget:
-        raise BudgetExceededError(m, r, estimate, budget)
-
-    universe = list(itertools.permutations(range(1, m + 1)))
-    chosen: list[tuple[int, ...]] = []
-    if fix_first_identity:
-        chosen.append(tuple(range(1, m + 1)))
-    yield from _extend(universe, chosen, m, r)
-
-
-def _extend(universe, chosen, m, r):
-    """Every way to fill the slots after `chosen` from `universe`.
-
-    A plain generator with explicit arguments: a self-referencing inner
-    function would form a reference cycle that keeps the m! universe
-    alive until the cyclic garbage collector runs.
-    """
-    if len(chosen) == r:
-        yield BTU(m=m, r=r, perms=tuple(Permutation(img) for img in chosen))
-        return
-    for img in universe:
-        ok = True
-        for prev in chosen:
-            for x, y in zip(prev, img):
-                if x == y:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            chosen.append(img)
-            yield from _extend(universe, chosen, m, r)
-            chosen.pop()
+    for images in _image_blocks(m, r, fix_first_identity, budget):
+        for one in images:
+            yield _btu(one)
 
 
 def max_girth(
@@ -123,21 +194,29 @@ def max_girth(
     fix_first_identity: bool = True,
     budget: int = DEFAULT_BUDGET,
 ) -> OracleReport:
-    """Exact maximum girth over the exhaustive stream."""
-    best = -1
-    count = 0
-    witness: BTU | None = None
-    enumerated = 0
-    for b in enumerate_btus(m, r, fix_first_identity, budget=budget):
-        enumerated += 1
-        g = _kernel.girth_of_images([p.image for p in b.perms], m)
-        g = 0 if g is None else g
-        if g > best:
-            best = g
-            count = 1
-            witness = b
-        elif g == best:
-            count += 1
+    """Exact maximum girth over the exhaustive stream.
+
+    Each block goes to the girth kernel as one buffer, with the cutoff one
+    below the running best: a girth at or under the cutoff comes back at
+    most the cutoff, so it can neither reach the best nor tie it, and a
+    tie comes back exact, so the maximiser count is exact too.  The
+    witness is the first tuple that reaches the maximum.
+    """
+    best, count, enumerated = -1, 0, 0
+    witness: np.ndarray | None = None
+    for images in _image_blocks(m, r, fix_first_identity, budget):
+        flat = images.astype(np.int32)
+        flat += 1
+        girths = np.frombuffer(
+            _kernel.girth_batch(flat.ravel(), len(images), m, r, best - 1),
+            dtype=np.int32,
+        )
+        enumerated += len(images)
+        top = int(girths.max())
+        if top > best:
+            best, count, witness = top, 0, images[int(girths.argmax())]
+        if top == best:
+            count += int(np.count_nonzero(girths == best))
     if witness is None:
         raise BTUError(f"no ({m}, {r}) BTU exists")
     return OracleReport(
@@ -145,10 +224,44 @@ def max_girth(
         r=r,
         max_girth=best,
         maximizer_count=count,
-        witness=witness,
+        witness=_btu(witness),
         enumerated=enumerated,
         first_slot_fixed=fix_first_identity,
     )
+
+
+def _partition_codes(images: np.ndarray) -> np.ndarray:
+    """Per tuple, one int64 code for the union-cycle partition of each of
+    its r-1 adjacent slot pairs: with c_L the points on cycles of length
+    L under inv(p_i)[p_(i+1)], the code is sum_L c_L (m+1)^(L-1), whose
+    base-(m+1) digits give the partition back."""
+    count, r, m = images.shape
+    # Point x of tuple t sits at x + shift[t] of the flattened block, so
+    # one gather applies each tuple's own permutation.
+    shift = np.arange(0, count * m, m)[:, None]
+    home = np.arange(m) + shift
+    weights = (m + 1) ** np.arange(m, dtype=np.int64)
+    codes = np.zeros((count, r - 1), dtype=np.int64)
+    inverse = np.empty(count * m, dtype=np.intp)
+    for i in range(r - 1):
+        inverse[images[:, i] + shift] = home
+        sigma = inverse[images[:, i + 1] + shift]
+        lengths = np.zeros((count, m), dtype=np.intp)
+        power = sigma
+        for t in range(1, m + 1):
+            lengths[(power == home) & (lengths == 0)] = t
+            power = sigma.ravel()[power]
+        codes[:, i] = weights[lengths - 1].sum(axis=1)
+    return codes
+
+
+def _partition(code: int, m: int) -> PartitionP2:
+    """The partition a `_partition_codes` entry stands for."""
+    parts = []
+    for length in range(1, m + 1):
+        points = code // (m + 1) ** (length - 1) % (m + 1)
+        parts += [length] * (points // length)
+    return PartitionP2(tuple(parts))
 
 
 def phi_census(
@@ -157,11 +270,23 @@ def phi_census(
     fix_first_identity: bool = True,
     budget: int = DEFAULT_BUDGET,
 ) -> dict[tuple[PartitionP2, ...], int]:
-    """Counts of enumerated BTUs grouped by adjacent-partition signature."""
+    """Counts of enumerated BTUs grouped by adjacent-partition signature.
+
+    A block's tuples get a dense signature number, pair by pair, that
+    np.unique counts; signatures enter the dict in the order the stream
+    first meets them.
+    """
     census: dict[tuple[PartitionP2, ...], int] = {}
-    for b in enumerate_btus(m, r, fix_first_identity, budget=budget):
-        sig = adjacent_partitions(b)
-        census[sig] = census.get(sig, 0) + 1
+    for images in _image_blocks(m, r, fix_first_identity, budget):
+        codes = _partition_codes(images)
+        key = np.zeros(len(codes), dtype=np.int64)
+        for column in codes.T:
+            _, ids = np.unique(column, return_inverse=True)
+            _, key = np.unique(key * (ids.max() + 1) + ids, return_inverse=True)
+        _, first, counts = np.unique(key, return_index=True, return_counts=True)
+        for i in np.argsort(first):
+            sig = tuple(_partition(code, m) for code in codes[first[i]].tolist())
+            census[sig] = census.get(sig, 0) + int(counts[i])
     return census
 
 

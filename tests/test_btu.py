@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from btusearch.btu import (
     adjacent_partitions,
@@ -15,6 +17,7 @@ from btusearch.btu import (
     in_phi,
     make_btu,
     rebase,
+    regular_degree,
     to_biadjacency,
 )
 from btusearch.parameters import Factorization
@@ -129,6 +132,37 @@ class TestDecompose:
         again = decompose_matrix(mat)
         assert again.m == m and again.r == 3
         assert (to_biadjacency(again) == mat).all()
+
+
+class TestRegularDegree:
+    """`regular_degree` accepts exactly what `decompose_matrix` can split,
+    and refuses the rest with the same message."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        cells=st.integers(0, 5).flatmap(
+            lambda n: st.lists(st.integers(0, 2), min_size=n * n, max_size=n * n)
+        ),
+        square=st.booleans(),
+    )
+    def test_agrees_with_decompose(self, cells, square):
+        n = int(round(len(cells) ** 0.5))
+        mat = np.array(cells, dtype=np.int8).reshape(n, n)
+        if not square:
+            mat = mat[:, :-1]
+        try:
+            b = decompose_matrix(mat)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as err:
+                regular_degree(mat)
+            assert str(err.value) == str(exc)
+        else:
+            assert regular_degree(mat) == b.r
+            assert (to_biadjacency(b) == mat).all()
+
+    def test_zero_matrix_refused(self):
+        with pytest.raises(ValueError, match="at least one permutation"):
+            regular_degree(np.zeros((3, 3), dtype=np.int8))
 
 
 class TestGirth:

@@ -2,7 +2,9 @@
 
 import hashlib
 import json
+import time
 import warnings
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from btusearch.cli import main
 from btusearch.engine import (
     SearchConfig,
     StageDeadEndError,
+    StageTooLargeError,
     StageTrace,
     _moore_girth,
     admissible_rotations,
@@ -375,3 +378,46 @@ class TestMooreBoundHolds:
         assert moore_bound_holds(m, r, girth(result.btu).girth)
         for t in result.traces:
             assert moore_bound_holds(t.n, t.stage, t.best_girth)
+
+
+class TestStageTooLarge:
+    """A stage that would list more candidates or finals than MAX_LISTED
+    is refused before the list is built."""
+
+    @pytest.mark.parametrize(
+        "m,r,stage,degree", [(24, 3, 3, 12), (64, 4, 4, 16)]
+    )
+    def test_refused_up_front(self, m, r, stage, degree):
+        started = time.perf_counter()
+        with pytest.raises(StageTooLargeError) as err:
+            search(m, r)
+        assert time.perf_counter() - started < 1
+        assert err.value.stage == stage
+        assert err.value.estimate == factorial(degree - 1) > err.value.limit
+
+    def test_cap_bounds_the_stage(self):
+        result = search(64, 4, SearchConfig(candidate_cap=5))
+        assert result.btu.m == 64 and result.girth >= 4
+
+    def test_cap_above_the_limit_is_still_refused(self):
+        with pytest.raises(StageTooLargeError) as err:
+            search(24, 3, SearchConfig(candidate_cap=engine.MAX_LISTED + 1))
+        assert err.value.estimate == engine.MAX_LISTED + 1
+
+    def test_largest_listed_stage_is_admitted(self):
+        # (20, 3) lists 9! candidates of degree 10, the most of any size
+        # the tests, the README or the benchmark run.
+        engine._refuse_unlisted(3, "candidates", 10, None)
+        assert factorial(9) <= engine.MAX_LISTED < factorial(10)
+
+    def test_level_two_finals_refused_unless_capped(self):
+        with pytest.raises(StageTooLargeError) as err:
+            engine._finals_for_level(16, 8, 2, None, 5)
+        assert "finals of degree 16" in str(err.value)
+        assert len(engine._finals_for_level(16, 8, 2, 10, 5)) == 10
+
+    def test_cli_exits_one(self, capsys):
+        assert main(["search", "-m", "24", "-r", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: stage 3 would list")

@@ -1,13 +1,17 @@
 """Exhaustive enumeration, true maxima, census, engine comparison."""
 
 import gc
+import itertools
 import tracemalloc
 import warnings
+from functools import lru_cache
 from math import factorial
 
 import pytest
 
-from btusearch.btu import adjacent_partitions, make_btu, to_biadjacency
+from btusearch import _kernel, oracle
+from btusearch.btu import BTU, adjacent_partitions, make_btu, to_biadjacency
+from btusearch.cli import main
 from btusearch.oracle import (
     BudgetExceededError,
     enumerate_btus,
@@ -16,7 +20,7 @@ from btusearch.oracle import (
     verify_search,
 )
 from btusearch.parameters import AssumptionWarning
-from btusearch.perms import PartitionP2
+from btusearch.perms import BTUError, PartitionP2, Permutation
 
 
 @pytest.fixture(autouse=True)
@@ -150,3 +154,163 @@ class TestVerify:
         for m, r in [(4, 2), (5, 2), (4, 3)]:
             report = verify_search(m, r)
             assert report.engine_girth <= report.oracle.max_girth
+
+
+class TestBudget:
+    @pytest.mark.parametrize("fixed", [True, False])
+    def test_13_1_refused_before_the_universe(self, fixed):
+        # r = 1 needs no compatibility check, but 13! universe rows would
+        # not fit in memory; the estimate counts them.  Checked first, so
+        # that an estimate that forgets them fails here instead of
+        # building the universe.
+        assert oracle._estimate_checks(13, 1, fixed) > oracle.DEFAULT_BUDGET
+        with pytest.raises(BudgetExceededError) as err:
+            max_girth(13, 1, fix_first_identity=fixed)
+        assert err.value.estimate >= factorial(13) > err.value.budget
+
+    def test_13_1_refused_by_the_cli(self, capsys):
+        assert oracle._estimate_checks(13, 1, False) > oracle.DEFAULT_BUDGET
+        assert main(["oracle", "-m", "13", "-r", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "budget" in captured.err
+
+    @pytest.mark.parametrize("m,r", [(6, 3), (5, 4), (8, 2), (9, 1)])
+    def test_benchmark_and_test_sizes_admitted(self, m, r):
+        assert oracle._estimate_checks(m, r, True) <= oracle.DEFAULT_BUDGET
+
+    def test_r_above_m_is_empty_before_the_budget(self):
+        assert list(enumerate_btus(13, 14, fix_first_identity=False)) == []
+
+
+class TestBlocks:
+    def test_blocks_are_bounded_and_cover_the_stream(self):
+        sizes = [
+            len(images)
+            for images in oracle._image_blocks(8, 2, True, oracle.DEFAULT_BUDGET)
+        ]
+        assert max(sizes) <= oracle.BLOCK
+        assert sum(sizes) == 14833
+
+
+# The recursive enumeration the array code replaced, kept as the
+# reference it is checked against; only the budget check is left out,
+# since the grid below is chosen by the current budget.
+
+
+def _ref_enumerate_btus(m, r, fix_first_identity):
+    if m < 1 or r < 1:
+        raise ValueError("need m >= 1 and r >= 1")
+    if r > m:
+        return
+    universe = list(itertools.permutations(range(1, m + 1)))
+    chosen = []
+    if fix_first_identity:
+        chosen.append(tuple(range(1, m + 1)))
+    yield from _ref_extend(universe, chosen, m, r)
+
+
+def _ref_extend(universe, chosen, m, r):
+    if len(chosen) == r:
+        yield BTU(m=m, r=r, perms=tuple(Permutation(img) for img in chosen))
+        return
+    for img in universe:
+        ok = True
+        for prev in chosen:
+            for x, y in zip(prev, img):
+                if x == y:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            chosen.append(img)
+            yield from _ref_extend(universe, chosen, m, r)
+            chosen.pop()
+
+
+def _ref_max_girth(m, r, fix_first_identity=True):
+    best = -1
+    count = 0
+    witness = None
+    enumerated = 0
+    for b in _ref_enumerate_btus(m, r, fix_first_identity):
+        enumerated += 1
+        g = _kernel.girth_of_images([p.image for p in b.perms], m)
+        g = 0 if g is None else g
+        if g > best:
+            best = g
+            count = 1
+            witness = b
+        elif g == best:
+            count += 1
+    if witness is None:
+        raise BTUError(f"no ({m}, {r}) BTU exists")
+    return best, count, enumerated, witness
+
+
+def _ref_phi_census(m, r, fix_first_identity=True):
+    census = {}
+    for b in _ref_enumerate_btus(m, r, fix_first_identity):
+        sig = adjacent_partitions(b)
+        census[sig] = census.get(sig, 0) + 1
+    return census
+
+
+@lru_cache(maxsize=None)
+def _reference_report(m, r, fixed):
+    """(max, count, enumerated, witness images), or the error text.  The
+    reference takes exact single-graph girths, so it does not depend on
+    the kernel it runs on."""
+    try:
+        best, count, enumerated, witness = _ref_max_girth(m, r, fixed)
+    except BTUError as exc:
+        return str(exc)
+    return best, count, enumerated, _images(witness)
+
+
+def _images(b):
+    return tuple(p.image for p in b.perms)
+
+
+def _report(m, r, fixed):
+    try:
+        rep = max_girth(m, r, fix_first_identity=fixed)
+    except BTUError as exc:
+        return str(exc)
+    assert rep.first_slot_fixed is fixed
+    return rep.max_girth, rep.maximizer_count, rep.enumerated, _images(rep.witness)
+
+
+# Every (m, r, fixed) with m <= 6 and r <= 4 that the budget admits (r > m
+# among them), plus (7, 1), (7, 2) and (8, 2).
+CROSS_CHECK = [
+    pytest.param(m, r, fixed, id=f"{m}-{r}-{'fixed' if fixed else 'free'}")
+    for m, r in [*itertools.product(range(1, 7), range(1, 5)), (7, 1), (7, 2), (8, 2)]
+    for fixed in (True, False)
+    if r > m or oracle._estimate_checks(m, r, fixed) <= oracle.DEFAULT_BUDGET
+]
+# 190,800 graphs: about 9 s per pass on the pure kernel, so this case's
+# girths are cross-checked on the compiled kernel only; its stream and
+# census are checked below like every other case.
+COMPILED_ONLY = {(6, 2, False)}
+
+
+class TestMatchesRecursiveReference:
+    @pytest.mark.parametrize("m,r,fixed", CROSS_CHECK)
+    def test_stream(self, m, r, fixed):
+        got = [_images(b) for b in enumerate_btus(m, r, fix_first_identity=fixed)]
+        assert got == [_images(b) for b in _ref_enumerate_btus(m, r, fixed)]
+
+    @pytest.mark.parametrize("m,r,fixed", CROSS_CHECK)
+    def test_census(self, m, r, fixed):
+        got = phi_census(m, r, fix_first_identity=fixed)
+        # same counts, and signatures in the order the stream meets them
+        assert list(got.items()) == list(_ref_phi_census(m, r, fixed).items())
+
+    @pytest.mark.parametrize("kernel", ["python", "c", "loose"], indirect=True)
+    @pytest.mark.parametrize("m,r,fixed", CROSS_CHECK)
+    def test_max_girth(self, backend, kernel, m, r, fixed):
+        if (m, r, fixed) in COMPILED_ONLY and kernel.__name__ != "btusearch._girth_c":
+            pytest.skip("kernel-bound case, checked on the compiled kernel")
+        assert _report(m, r, fixed) == _reference_report(m, r, fixed)
