@@ -1,5 +1,5 @@
 """Times the pure-Python girth kernel against the compiled one, and the
-compiled kernel's batch call against one call per graph.
+compiled kernel's batch call against one call per graph (a batch of one).
 
 Usage: PYTHONPATH=src python benchmarks/bench_girth.py [--calls N]
 
@@ -15,13 +15,17 @@ import time
 from array import array
 
 from btusearch import _girth_py
-from btusearch._kernel import flatten_images
 from btusearch.perms import Permutation, circular_rotation, identity, is_compatible
 
 try:
     from btusearch import _girth_c
 except ImportError:
     _girth_c = None
+
+
+def flatten_images(images):
+    """Packs one-line image tuples into the kernels' flat 4-byte int layout."""
+    return array("i", [x for img in images for x in img])
 
 
 def random_images(m, r, rng):
@@ -50,10 +54,12 @@ def build_cases(calls):
 
 def time_backend(kernel, batch, m):
     flats = [(flatten_images(imgs), len(imgs)) for imgs in batch]
+    out = array("i", [0])
     started = time.perf_counter()
     checksum = 0
     for flat, r in flats:
-        checksum += kernel.girth_from_images(flat, m, r)
+        kernel.girth_batch(flat, 1, m, r, out, 0)
+        checksum += out[0]
     return time.perf_counter() - started, checksum
 
 

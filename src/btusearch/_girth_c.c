@@ -127,17 +127,6 @@ static int run(PyObject *flat_obj, Py_ssize_t n, int m, int r, int cutoff, int *
     return status == OK ? 0 : -1;
 }
 
-static PyObject *girth_from_images(PyObject *Py_UNUSED(self), PyObject *args)
-{
-    PyObject *flat;
-    int m, r, girth;
-    if (!PyArg_ParseTuple(args, "Oii:girth_from_images", &flat, &m, &r))
-        return NULL;
-    if (run(flat, 1, m, r, 0, &girth) < 0)
-        return NULL;
-    return PyLong_FromLong(girth);
-}
-
 static PyObject *girth_batch(PyObject *Py_UNUSED(self), PyObject *args)
 {
     PyObject *flat, *out_obj;
@@ -156,13 +145,11 @@ static PyObject *girth_batch(PyObject *Py_UNUSED(self), PyObject *args)
 }
 
 static PyMethodDef methods[] = {
-    {"girth_from_images", girth_from_images, METH_VARARGS,
-     "girth_from_images(flat, m, r) -> girth of one graph, 0 for a forest"},
     {"girth_batch", girth_batch, METH_VARARGS,
      "girth_batch(flat, n_graphs, m, r, out, cutoff)\n\n"
      "Writes the girths of n_graphs graphs to out[0:n_graphs], releasing the\n"
      "GIL.  out[i] is exact when the girth exceeds cutoff; otherwise it is\n"
-     "some value v with girth <= v <= cutoff."},
+     "some value v with girth <= v <= cutoff, so cutoff 0 makes it exact."},
     {NULL, NULL, 0, NULL},
 };
 

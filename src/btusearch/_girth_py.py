@@ -1,9 +1,9 @@
 """Pure-Python girth kernel.
 
 Same contract as the compiled kernel in _girth_c: given the r one-line
-images of an (m, r) incidence flattened into one 1-based buffer of
-4-byte ints, return the length of the shortest cycle of the bipartite
-row/column graph, or 0 if the graph is a forest.  Input that would make
+images of each of n (m, r) incidences flattened into one 1-based buffer
+of 4-byte ints, write the length of the shortest cycle of each bipartite
+row/column graph, or 0 for a forest.  Input that would make
 the BFS index out of range raises ValueError, as it does there.
 """
 
@@ -24,24 +24,16 @@ def _ints(obj, what: str, need: int, exact: bool) -> memoryview:
     return view
 
 
-def _flat(flat, n_graphs: int, m: int, r: int) -> list[int]:
-    if m < 1 or r < 1 or n_graphs < 0:
-        raise ValueError(
-            f"need m, r >= 1 and n_graphs >= 0, got m={m}, r={r}, n_graphs={n_graphs}"
-        )
-    return _ints(flat, "flat", n_graphs * r * m, exact=True).tolist()
-
-
-def girth_from_images(flat, m: int, r: int) -> int:
-    return _girth(_flat(flat, 1, m, r), 0, m, r)
-
-
 def girth_batch(flat, n_graphs: int, m: int, r: int, out, cutoff: int) -> None:
     """Writes the girths of n_graphs graphs, packed back to back in flat,
     to out[0:n_graphs].  They are all exact, which meets the compiled
     kernel's cutoff contract."""
     out_view = _ints(out, "out", n_graphs, exact=False)
-    images = _flat(flat, n_graphs, m, r)
+    if m < 1 or r < 1 or n_graphs < 0:
+        raise ValueError(
+            f"need m, r >= 1 and n_graphs >= 0, got m={m}, r={r}, n_graphs={n_graphs}"
+        )
+    images = _ints(flat, "flat", n_graphs * r * m, exact=True).tolist()
     size = r * m
     for g in range(n_graphs):
         out_view[g] = _girth(images, g * size, m, r)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from array import array
+import numpy as np
 
 try:
     from . import _girth_c as _impl
@@ -14,30 +14,24 @@ except ImportError:
     BACKEND = "python"
 
 
-def flatten_images(images) -> array:
-    """Pack r one-line image tuples into the kernel's flat int layout."""
-    flat = array("i")
-    for img in images:
-        flat.extend(img)
-    return flat
-
-
 def girth_of_images(images, m: int) -> int | None:
     """Girth of the bipartite graph of the given permutation images.
 
     Returns None when the graph has no cycle (only possible for r < 2).
     """
-    r = len(images)
-    g = _impl.girth_from_images(flatten_images(images), m, r)
+    flat = np.array(images, dtype=np.int32).ravel()
+    g = int(girth_batch(flat, 1, m, len(images), 0)[0])
     return g if g else None
 
 
-def girth_batch(flat: array, n_graphs: int, m: int, r: int, cutoff: int) -> array:
-    """Girths of n_graphs (m, r) graphs packed back to back in flat.
+def girth_batch(flat, n_graphs: int, m: int, r: int, cutoff: int) -> np.ndarray:
+    """Girths of n_graphs (m, r) graphs packed back to back in flat, a
+    buffer of 1-based 4-byte ints, as an int32 array.
 
     Entry i is the exact girth when that exceeds cutoff, and otherwise
-    some value v with girth <= v <= cutoff; 0 means a forest.
+    some value v with girth <= v <= cutoff; 0 means a forest.  Cutoff 0
+    makes every entry exact.
     """
-    out = array("i", bytes(4 * n_graphs))
+    out = np.zeros(n_graphs, dtype=np.int32)
     _impl.girth_batch(flat, n_graphs, m, r, out, cutoff)
     return out

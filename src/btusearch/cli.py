@@ -15,11 +15,11 @@ from pathlib import Path
 
 from . import io_formats
 from .btu import decompose_matrix, girth, regular_degree
-from .engine import SearchConfig, enumerate_Z, search
+from .engine import MAX_LISTED, SearchConfig, enumerate_Z, search
 from .oracle import max_girth, verify_search
 from .parameters import factorize, optimal_partitions
 from .perms import BTUError, Permutation, identity, scale_permutation
-from .searchspace import cayley_stats, enumerate_candidates
+from .searchspace import candidate_count, cayley_stats, enumerate_candidates
 
 
 def _positive_int(text: str) -> int:
@@ -98,14 +98,18 @@ def _cmd_girth(args) -> int:
 
 
 def _cmd_candidates(args) -> int:
+    listed = min(candidate_count(args.n), args.limit or float("inf"))
+    if listed > MAX_LISTED:
+        raise BTUError(
+            f"-n {args.n} would list {listed} candidates, over the limit of "
+            f"{MAX_LISTED}; --limit bounds it"
+        )
     base = (
         Permutation.from_text(args.base) if args.base else identity(args.n)
     )
     if base.n != args.n:
         raise BTUError(f"base degree {base.n} does not match -n {args.n}")
-    out = []
-    for q in enumerate_candidates(base, limit=args.limit):
-        out.append(q.to_text())
+    out = [q.to_text() for q in enumerate_candidates(base, limit=args.limit)]
     _emit("\n".join(out) + "\n" if out else "", args.output)
     return 0
 
@@ -203,7 +207,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("candidates", help="single-cycle candidates against a base")
     p.add_argument("-n", type=int, required=True, help="candidate degree")
     p.add_argument("--base", help="base permutation text (default identity)")
-    p.add_argument("--limit", type=int, default=None)
+    p.add_argument("--limit", type=_positive_int, default=None)
     add_out(p)
     p.set_defaults(func=_cmd_candidates)
 

@@ -24,7 +24,8 @@ against the left neighbour.  Only the check against the newest slot
 needs degree n.
 
 Each member's surviving candidates then meet the finals in one ordered
-scan over (final, word), split into contiguous blocks for the workers;
+scan over (final, word), split into contiguous blocks for the workers
+(one member at a time, so memory does not grow with the beam);
 blocks come back in order, so the first maximum found is the
 lexicographic winner of (member, final, word), and the co-maximal list
 (exhaustive mode) is already in that order.  A block sends its graphs to
@@ -33,23 +34,29 @@ best, and in best mode ends at the bipartite Moore bound; neither can
 change which graph wins.  Results are identical for any worker count
 and either kernel.
 
-Candidates and level-2 finals are held in lists, so a run whose stage
-would list more than MAX_LISTED of them ((d-1)! candidates, or (n-1)!
-finals) is refused with StageTooLargeError before the list is built,
-unless the candidate cap bounds it: up front for the candidates, on
-reaching level 2 for the finals.
+The stage runs on int arrays: its candidates are the rows of
+searchspace.cycle_images(d, cap), the filters are boolean masks over
+them (the partition check asks that every cycle of inv(left).q has the
+one length the required partition holds), and each member's (final,
+word) pairs form one ordered array that the workers take in slices.
+Permutation objects are built only for the winners.  The candidates and
+the level-2 finals are still listed in full, so a run whose stage would
+list more than MAX_LISTED of them ((d-1)! candidates, or (n-1)! finals)
+is refused with StageTooLargeError before the list is built, unless the
+candidate cap bounds it: up front for the candidates, on reaching level
+2 for the finals.
 """
 
 from __future__ import annotations
 
 import itertools
-from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from math import factorial, gcd
-from operator import eq
 from typing import Iterator
+
+import numpy as np
 
 from . import _kernel
 from .btu import BTU, in_Z, in_phi, make_btu
@@ -65,18 +72,18 @@ from .perms import (
     CompatibilityError,
     Permutation,
     circular_rotation,
-    compose,
+    compose,  # noqa: F401  read as engine.compose by perfbench/test_perfbench.py
     identity,
-    invert,
     scale_permutation,
-    union_cycle_partition,
 )
-from .searchspace import CandidateWord, enumerate_candidates, word_at_index
+from .searchspace import CandidateWord, cycle_images, enumerate_candidates, word_at_index
 
 ENUM_FALLBACK = "enum"  # rotation_j marker: final slot was enumerated
 # Graphs per girth kernel call: bounds the packed buffer, and lets the
 # cutoff rise between calls.
 SUB_BATCH = 256
+# Most booleans one (final, word) compatibility mask may hold.
+PAIR_CELLS = 1 << 22
 # Most candidates or finals a stage may hold in a list.  Above it a run
 # is refused before the list is built: 9! = 362,880 candidates of degree
 # 10, as at (20, 3), are admitted; 10! would take gigabytes.
@@ -166,16 +173,6 @@ def _coprime_rotations(n: int) -> list[int]:
     return [j for j in range(1, n) if gcd(j, n) == 1]
 
 
-def _compatible_images(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    return not any(map(eq, a, b))
-
-
-def _scaled_image(img: tuple[int, ...], k: int) -> tuple[int, ...]:
-    """The one-line image of scale_permutation, without validation."""
-    d = len(img)
-    return tuple(x + off for off in range(0, d * k, d) for x in img)
-
-
 def _stage2(
     f: Factorization, config: SearchConfig
 ) -> tuple[tuple[Permutation, ...], StageTrace]:
@@ -212,10 +209,8 @@ def _finals_for_level(
             for j in _coprime_rotations(n)
         ]
     _refuse_unlisted(stage, "finals", n, cap)
-    return [
-        (ENUM_FALLBACK, q.image)
-        for q in enumerate_candidates(identity(n), limit=cap)
-    ]
+    images = cycle_images(n, cap).astype(np.int32) + 1
+    return [(ENUM_FALLBACK, image) for image in map(tuple, images.tolist())]
 
 
 def _moore_girth(n: int, r: int) -> int:
@@ -230,60 +225,64 @@ def _moore_girth(n: int, r: int) -> int:
 
 
 def _evaluate_chunk(
-    head: list[tuple[int, ...]],
-    tail: list[tuple[int, ...]],
-    finals: list[tuple[int | str, tuple[int, ...]]],
-    survivors: list[tuple[int, tuple[int, ...]]],
-    n: int,
+    slots: np.ndarray,
+    at: int,
+    words: np.ndarray,
+    finals: np.ndarray,
+    pairs: np.ndarray,
     lo: int,
     hi: int,
     exhaustive: bool,
-) -> tuple[int, int, list[tuple[int | str, int, tuple]]]:
-    """Girths over positions lo..hi-1 of the finals x survivors grid.
+) -> tuple[int, int, list[int]]:
+    """Girths of the graphs that the (final, word) pairs[lo:hi] name: the
+    member's scaled slots with slot `at` replaced by the k-scaled word,
+    then the final; SUB_BATCH graphs per kernel call.
 
-    Positions run in row-major order, so the block is scanned in (final,
-    word) order, SUB_BATCH compatible graphs per kernel call.  Between
-    calls the cutoff rises to the block's running best (minus 1 in
-    exhaustive mode, so ties stay exact): a graph at or below it cannot
-    change the block's result.  In best mode the scan ends at the first
-    graph that reaches the Moore bound, since nothing after it can beat
-    it.  Returns (graphs sent to the kernel, best girth, the block's
-    co-maximal (marker, word index, images) in scan order; in best mode
-    only the first).
+    Between calls the cutoff rises to the block's running best (minus 1
+    in exhaustive mode, so ties stay exact): a graph at or below it
+    cannot change the block's result.  In best mode the scan ends once
+    the best reaches the Moore bound, since nothing after it can beat
+    it.  Returns (graphs sent to the kernel, best girth, the positions in
+    pairs of the block's co-maximal graphs in order; in best mode only
+    the first).
     """
-    r = len(head) + len(tail) + 2
+    r, n = len(slots) + 1, slots.shape[1]
     moore = _moore_girth(n, r)
-    before, after = _kernel.flatten_images(head), _kernel.flatten_images(tail)
-    width = len(survivors)
-    first_row = lo // width
-    grid = itertools.product(finals[first_row : (hi - 1) // width + 1], survivors)
-    compatible = (
-        (marker, widx, cand, final)
-        for (marker, final), (widx, cand) in itertools.islice(
-            grid, lo - first_row * width, hi - first_row * width
-        )
-        if _compatible_images(cand, final)
-    )
+    offsets = np.arange(0, n, words.shape[1], dtype=np.int32)[:, None]
     count, best_g, best = 0, -1, []
-    while keys := list(itertools.islice(compatible, SUB_BATCH)):
-        flat = array("i")
-        for _, _, cand, final in keys:
-            flat.extend(before)
-            flat.extend(cand)
-            flat.extend(after)
-            flat.extend(final)
+    for start in range(lo, hi, SUB_BATCH):
+        final, word = pairs[start : min(hi, start + SUB_BATCH)].T
+        graphs = np.empty((len(word), r, n), dtype=np.int32)
+        graphs[:, :-1] = slots
+        graphs[:, at] = (words[word, None, :] + offsets).reshape(len(word), n)
+        graphs[:, -1] = finals[final]
+        graphs += 1
         cutoff = best_g - 1 if exhaustive else best_g
-        girths = _kernel.girth_batch(flat, len(keys), n, r, cutoff)
-        count += len(keys)
-        for (marker, widx, cand, final), g in zip(keys, girths):
-            if g > best_g:
-                best_g, best = g, []
-            elif not exhaustive or g < best_g:
-                continue
-            best.append((marker, widx, (*head, cand, *tail, final)))
-            if not exhaustive and g >= moore:
-                return count, best_g, best
+        girths = _kernel.girth_batch(graphs.ravel(), len(word), n, r, cutoff)
+        count += len(word)
+        top = int(girths.max())
+        if exhaustive:
+            if top > best_g:
+                best_g, best = top, []
+            if top == best_g:
+                best.extend((np.flatnonzero(girths == top) + start).tolist())
+        elif top > best_g:
+            best_g, best = top, [start + int(girths.argmax())]
+            if best_g >= moore:
+                break
     return count, best_g, best
+
+
+def _uniform_cycles(sigma: np.ndarray, length: int) -> np.ndarray:
+    """Per row of sigma (a permutation of 0..d-1), whether all its cycles
+    have `length` points: no power below `length` fixes a point, and that
+    power is the identity."""
+    home = np.arange(sigma.shape[1])
+    power, ok = sigma, np.ones(len(sigma), dtype=bool)
+    for _ in range(1, length):
+        ok &= (power != home).all(axis=1)
+        power = np.take_along_axis(sigma, power, axis=1)
+    return ok & (power == home).all(axis=1)
 
 
 def _run_stage(
@@ -295,70 +294,78 @@ def _run_stage(
     b, k = f.b, f.k
     n = b * k ** (stage - 1)
     d = b * k ** (stage - 2)
-    replace_at = stage - 3  # 0-based index of slot stage-2
+    at = stage - 3  # 0-based index of slot stage-2, the replaced one
+    words = cycle_images(d, config.candidate_cap)
     # For stage >= 4 the replaced slot also has a left neighbour whose
     # pair partition must stay on the stage-optimal sequence.  Partitions
     # scale with their permutations, so the degree-d check targets the
-    # previous stage's sequence.
-    required_left_beta = (
-        closed_form_partitions(b, k, stage - 1)[stage - 4] if stage >= 4 else None
-    )
-    candidates = list(
-        enumerate_candidates(identity(d), limit=config.candidate_cap)
-    )
+    # previous stage's sequence, whose parts are all equal.
+    if stage >= 4:
+        (cycle,) = set(closed_form_partitions(b, k, stage - 1)[stage - 4].parts)
+    offsets = np.arange(0, n, d)[:, None]
 
-    # Per member: the scaled slots before and after the replaced one, and
-    # the (word index, scaled image) of every candidate the degree-d
-    # filters keep.  Rebasing before scaling gives the same slots, since
-    # scale(p) . scale(q)^-1 = scale(p . q^-1).
-    prepared = []
-    for perms in beam:
-        inv = invert(perms[-1])
-        rebased = [compose(p, inv) for p in perms]
-        others = [p.image for t, p in enumerate(rebased) if t != replace_at]
-        left = rebased[replace_at - 1] if stage >= 4 else None
-        survivors = [
-            (widx, _scaled_image(q.image, k))
-            for widx, q in enumerate(candidates)
-            if all(_compatible_images(q.image, img) for img in others)
-            and (left is None or union_cycle_partition(left, q) == required_left_beta)
-        ]
-        scaled = [_scaled_image(p.image, k) for p in rebased]
-        prepared.append((scaled[:replace_at], scaled[replace_at + 1 :], survivors))
+    def prepare(perms: tuple[Permutation, ...], finals: np.ndarray):
+        """The member's slots rebased (the last becomes the identity) and
+        scaled, and its ordered (final, word) pairs: the words that pass
+        the degree-d filters, against the finals compatible with the other
+        scaled slots.  As scaling adds j*d to block j, a scaled word meets
+        a final wherever the word meets the final's block j minus j*d."""
+        slots = np.array([p.image for p in perms]) - 1
+        slots = slots[:, np.argsort(slots[-1])]
+        keep = np.flatnonzero((words[:, None, :] != np.delete(slots, at, 0)).all(axis=(1, 2)))
+        if stage >= 4:
+            keep = keep[_uniform_cycles(np.argsort(slots[at - 1])[words[keep]], cycle)]
+        slots = (slots[:, None, :] + offsets).reshape(len(slots), n)
+        rows = np.flatnonzero((finals[:, None, :] != np.delete(slots, at, 0)).all(axis=(1, 2)))
+        blocks, kept = finals.reshape(len(finals), k, d) - offsets, words[keep, None, :]
+        step = max(1, PAIR_CELLS // max(1, len(keep) * n))
+        pairs = [np.empty((0, 2), dtype=np.intp)]
+        for lo in range(0, len(rows), step):
+            chunk = rows[lo : lo + step]
+            meets = (kept != blocks[chunk, None]).all(axis=(2, 3))
+            final, word = np.nonzero(meets)
+            pairs.append(np.column_stack((chunk[final], keep[word])))
+        return slots, np.concatenate(pairs)
+
+    @cache
+    def scaled_word(w: int) -> tuple[int, ...]:
+        """The 1-based image of word w's cycle scaled to degree n, one
+        tuple shared by every winner that holds it."""
+        return tuple(((words[w] + offsets).ravel() + 1).tolist())
 
     levels = [0] if config.rotation_policy == "strict" else [0, 1, 2]
     exhaustive = config.mode == "exhaustive"
     attempted = 0
     with ThreadPoolExecutor(max_workers=config.worker_count) as pool:
         for level in levels:
-            finals = _finals_for_level(n, d, level, config.candidate_cap, stage)
-            if not finals:
+            listed = _finals_for_level(n, d, level, config.candidate_cap, stage)
+            if not listed:
                 continue
-            attempted += len(beam) * len(finals) * len(candidates)
+            attempted += len(beam) * len(listed) * len(words)
+            finals = np.array([img for _, img in listed], dtype=np.int32) - 1
             evaluated, best_g, winners = 0, -1, []
-            for head, tail, survivors in prepared:
-                rows = [
-                    (marker, final)
-                    for marker, final in finals
-                    if all(_compatible_images(final, img) for img in head + tail)
-                ]
-                size = len(rows) * len(survivors)
-                step = max(1, size // (4 * config.worker_count))
-                starts = range(0, size, step)
-                stops = [min(size, lo + step) for lo in starts]
+            for perms in beam:
+                slots, pairs = prepare(perms, finals)
+                step = max(1, len(pairs) // (4 * config.worker_count))
+                starts = range(0, len(pairs), step)
+                stops = [min(len(pairs), lo + step) for lo in starts]
                 scan = partial(
-                    _evaluate_chunk, head, tail, rows, survivors, n, exhaustive=exhaustive
+                    _evaluate_chunk, slots, at, words, finals, pairs, exhaustive=exhaustive
                 )
+                rows = list(map(tuple, (slots + 1).tolist()))
                 for count, g, found in pool.map(scan, starts, stops):
                     evaluated += count
                     if g > best_g:
                         best_g, winners = g, []
                     if g == best_g:
-                        winners.extend(found)
+                        winners.extend(
+                            (fi, wi, (*rows[:at], scaled_word(wi), *rows[at + 1 :], listed[fi][1]))
+                            for fi, wi in pairs[found].tolist()
+                        )
             if evaluated == 0:
                 continue
 
-            marker, widx, _ = winners[0]
+            fi, widx, _ = winners[0]
             if config.mode == "best":
                 kept = [winners[0][2]]
             else:
@@ -366,14 +373,17 @@ def _run_stage(
             trace = StageTrace(
                 stage=stage,
                 n=n,
-                rotation_j=marker,
+                rotation_j=listed[fi][0],
                 candidates_evaluated=attempted,
                 best_girth=best_g,
                 best_candidate_word=CandidateWord(
                     n=d, word=Permutation(word_at_index(d, widx))
                 ),
             )
-            return [tuple(Permutation(img) for img in images) for images in kept], trace
+            # Winners share their slot images, so one Permutation per
+            # distinct image serves the whole beam.
+            made = {img: Permutation(img) for img in {img for images in kept for img in images}}
+            return [tuple(map(made.get, images)) for images in kept], trace
 
     raise StageDeadEndError(
         stage,

@@ -6,7 +6,8 @@ be relabelled to that form), computes the true maximum girth, groups
 the family by partition signature, and compares the staged engine
 against the exhaustive answer.
 
-The m! permutations form one lexicographic int8 array, the universe.
+The m! permutations form one lexicographic int array, the universe
+(`searchspace.lex_permutations`).
 Each slot's choices are the universe rows that disagree everywhere with
 every earlier slot, found by one vectorised mask per chosen row, and
 the resulting tuples come out in lexicographic order as blocks of at
@@ -31,6 +32,7 @@ from .btu import BTU
 from .engine import SearchConfig, StageDeadEndError, search
 from .parameters import DegenerateFactorizationError
 from .perms import BTUError, PartitionP2, Permutation
+from .searchspace import lex_permutations
 
 DEFAULT_BUDGET = 10_000_000
 # Tuples per block: bounds the index block, the kernel buffer and the
@@ -81,25 +83,6 @@ def _estimate_checks(m: int, r: int, fixed: bool) -> int:
     )
 
 
-def _universe(m: int) -> np.ndarray:
-    """All m! permutations of 0..m-1 as the rows of an int8 array, in
-    lexicographic order.
-
-    The rows of degree n are, for each first value v in turn, v followed
-    by the rows of degree n-1 with every value >= v shifted up by one; the
-    shift keeps their order, so the result stays lexicographic.
-    """
-    rows = np.zeros((1, 0), dtype=np.int8)
-    for n in range(1, m + 1):
-        rows = np.concatenate(
-            [
-                np.column_stack((np.full(len(rows), v, dtype=np.int8), rows + (rows >= v)))
-                for v in range(n)
-            ]
-        )
-    return rows
-
-
 def _leaves(
     universe: np.ndarray,
     compatible: np.ndarray,
@@ -128,7 +111,7 @@ def _leaves(
 
 def _image_blocks(m: int, r: int, fixed: bool, budget: int):
     """The images of every ordered pairwise-compatible r-tuple, in
-    lexicographic order, as int8 arrays of shape (at most BLOCK, r, m)
+    lexicographic order, as int arrays of shape (at most BLOCK, r, m)
     holding 0-based values.
 
     At the first next() it checks m and r, ends at once for r > m (no r
@@ -145,7 +128,7 @@ def _image_blocks(m: int, r: int, fixed: bool, budget: int):
     estimate = _estimate_checks(m, r, fixed)
     if estimate > budget:
         raise BudgetExceededError(m, r, estimate, budget)
-    universe = _universe(m)
+    universe = lex_permutations(m)
     everything = np.arange(len(universe))
     first = everything[:1] if fixed else everything
     pending, pooled = [], 0
@@ -207,10 +190,7 @@ def max_girth(
     for images in _image_blocks(m, r, fix_first_identity, budget):
         flat = images.astype(np.int32)
         flat += 1
-        girths = np.frombuffer(
-            _kernel.girth_batch(flat.ravel(), len(images), m, r, best - 1),
-            dtype=np.int32,
-        )
+        girths = _kernel.girth_batch(flat.ravel(), len(images), m, r, best - 1)
         enumerated += len(images)
         top = int(girths.max())
         if top > best:
@@ -298,19 +278,23 @@ def verify_search(
 ) -> VerifyReport:
     """Engine girth vs exhaustive maximum.
 
-    An inequality is reported, never raised: a disagreement is data
-    about the staged construction at that size.
+    The engine runs first, as it is the cheap side.  A size the engine
+    does not apply to (k = 1, r < 2, m <= r, or a stage dead end) gets an
+    engine_note instead of a girth, and an inequality is reported, never
+    raised: a disagreement is data about the staged construction at that
+    size.
     """
-    report = max_girth(m, r, budget=budget)
     engine_girth: int | None = None
     engine_btu: BTU | None = None
     note: str | None = None
     try:
         result = search(m, r, config)
-        engine_girth = result.girth
-        engine_btu = result.btu
-    except (DegenerateFactorizationError, StageDeadEndError) as exc:
+        engine_girth, engine_btu = result.girth, result.btu
+    except (DegenerateFactorizationError, StageDeadEndError, ValueError) as exc:
+        if isinstance(exc, ValueError) and r >= 2 and m > r:
+            raise  # factorize's ValueError is for r < 2 or m <= r only
         note = f"engine inapplicable: {exc}"
+    report = max_girth(m, r, budget=budget)
     equal = None if engine_girth is None else engine_girth == report.max_girth
     return VerifyReport(
         m=m,

@@ -4,8 +4,10 @@ partition against a fixed base is the single part (n).
 Composing the base with an n-cycle through all points produces exactly
 these candidates, and reading the cycle as the visiting order after n
 indexes them by words of degree n-1.  That bijection gives the count
-(n-1)!, deterministic lexicographic enumeration, and splitting of the
-stream into word-index ranges for parallel consumption.
+(n-1)! and a deterministic lexicographic enumeration.  The words, and
+the cycles they name against the identity, also come as lexicographic
+int arrays (`lex_permutations`, `cycle_images`), through which the
+staged search and the exhaustive oracle both enumerate.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ import itertools
 from dataclasses import dataclass
 from math import factorial
 from typing import Iterator
+
+import numpy as np
 
 from .parameters import DegenerateFactorizationError, Factorization
 from .perms import (
@@ -106,28 +110,51 @@ def word_at_index(n: int, index: int) -> tuple[int, ...]:
 
 
 def enumerate_candidates(
-    base: Permutation,
-    limit: int | None = None,
-    start: int = 0,
+    base: Permutation, limit: int | None = None
 ) -> Iterator[Permutation]:
-    """Candidates in word-lexicographic order.
-
-    `start` and `limit` select a word-index range, so disjoint ranges
-    enumerated independently cover the stream deterministically.
-    """
+    """Candidates in word-lexicographic order; the first `limit` only
+    when a limit is given."""
     n = base.n
     if n < 2:
         raise ValueError(f"need degree >= 2, got {n}")
-    total = candidate_count(n)
-    stop = total if limit is None else min(total, start + limit)
-    if start >= stop:
-        return
-    if start == 0:
-        words = itertools.islice(itertools.permutations(range(1, n)), stop)
-    else:
-        words = (word_at_index(n, i) for i in range(start, stop))
-    for word in words:
+    for word in itertools.islice(itertools.permutations(range(1, n)), limit):
         yield compose(base, _cycle_from_word(word, n))
+
+
+def lex_permutations(n: int, limit: int | None = None) -> np.ndarray:
+    """The permutations of 0..n-1 as the rows of an int array of the
+    narrowest signed type that holds n-1, in lexicographic order; the
+    first `limit` only when a limit is given.
+
+    The rows of degree t are, for each first value v in turn, v followed
+    by the rows of degree t-1 with every value >= v shifted up by one; the
+    shift keeps their order.  The first `limit` rows permute only the
+    last t places, for the least t with t! >= limit, so only t! are built.
+    """
+    dtype = np.min_scalar_type(-n).type  # holds -n, so n-1 as well
+    t = n if limit is None else next((s for s in range(n) if factorial(s) >= limit), n)
+    rows = np.zeros((1, 0), dtype=dtype)
+    for size in range(1, t + 1):
+        rest = np.concatenate([rows + (rows >= v) for v in range(size)])
+        rows = np.column_stack((np.repeat(np.arange(size, dtype=dtype), len(rows)), rest))
+    head = np.broadcast_to(np.arange(n - t, dtype=dtype), (len(rows[:limit]), n - t))
+    return np.hstack((head, rows[:limit] + dtype(n - t)))
+
+
+def cycle_images(n: int, limit: int | None = None) -> np.ndarray:
+    """Row i is the i-th image of enumerate_candidates(identity(n), limit)
+    minus 1, in the narrowest signed int type that holds n-1.
+
+    With S = [n-1 | word], the cycle maps S[j] to S[j+1] and the last
+    point back to n-1, so one scatter writes every row.
+    """
+    if n < 2:
+        raise ValueError(f"need degree >= 2, got {n}")
+    words = lex_permutations(n - 1, limit)
+    visits = np.column_stack((np.full(len(words), n - 1, np.min_scalar_type(-n)), words))
+    images = np.empty_like(visits)
+    images[np.arange(len(visits))[:, None], visits] = np.roll(visits, -1, axis=1)
+    return images
 
 
 def cayley_stats(f: Factorization, i: int) -> CayleyStats:

@@ -51,8 +51,6 @@ class LooseKernel:
     contract allows, so a caller that leans on more than the contract
     shows it."""
 
-    girth_from_images = staticmethod(_girth_py.girth_from_images)
-
     @staticmethod
     def girth_batch(flat, n_graphs, m, r, out, cutoff):
         _girth_py.girth_batch(flat, n_graphs, m, r, out, cutoff)

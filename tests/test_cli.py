@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -92,6 +93,20 @@ class TestOracleVerify:
         assert data["equal"] is True
         assert data["engine_girth"] == data["oracle_girth"] == 4
 
+    @pytest.mark.parametrize("m,r", [("9", "1"), ("4", "4")])
+    def test_verify_factorize_refusal(self, capsys, m, r):
+        code, out, err = run(capsys, "verify", "-m", m, "-r", r, "--no-timing")
+        assert code == 0 and err == ""
+        data = json.loads(out)
+        assert data["engine_girth"] is None and data["equal"] is None
+        assert data["engine_note"].startswith("engine inapplicable: ")
+        assert data["oracle_girth"] is not None and data["oracle_witness"]
+
+    def test_verify_still_refused_on_budget(self, capsys):
+        code, out, err = run(capsys, "verify", "-m", "9", "-r", "3")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "budget" in err
+
     def test_verify_engine_inapplicable(self, capsys):
         code, out, _ = run(capsys, "verify", "-m", "6", "-r", "3", "--no-timing")
         assert code == 0
@@ -153,6 +168,30 @@ class TestSmallCommands:
         )
         assert code == 0
         assert len(out.splitlines()) == 2
+
+    def test_candidates_over_the_limit_refused_up_front(self, capsys):
+        # 13! lines would take tens of gigabytes to join.
+        started = time.perf_counter()
+        code, out, err = run(capsys, "candidates", "-n", "14")
+        assert time.perf_counter() - started < 1
+        assert code == 1 and out == ""
+        assert err.startswith("error: -n 14 would list 6227020800 candidates")
+
+    def test_candidates_limit_bounds_the_listing(self, capsys):
+        code, out, _ = run(capsys, "candidates", "-n", "14", "--limit", "3")
+        assert code == 0
+        assert out.splitlines() == [
+            "2 3 4 5 6 7 8 9 10 11 12 13 14 1",
+            "2 3 4 5 6 7 8 9 10 11 13 14 12 1",
+            "2 3 4 5 6 7 8 9 10 12 13 11 14 1",
+        ]
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_candidates_non_positive_limit_is_a_usage_error(self, capsys, value):
+        with pytest.raises(SystemExit) as err:
+            main(["candidates", "-n", "5", "--limit", value])
+        assert err.value.code == 2
+        assert "--limit" in capsys.readouterr().err
 
     def test_scale(self, capsys):
         code, out, _ = run(capsys, "scale", "-p", "3 4 1 2", "-k", "2")

@@ -6,8 +6,10 @@ import time
 import warnings
 from math import factorial
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from strategies import regular_matrices
 
 from btusearch import engine
@@ -29,7 +31,7 @@ from btusearch.parameters import (
     factorize,
     optimal_partitions,
 )
-from btusearch.perms import Permutation, identity
+from btusearch.perms import PartitionP2, Permutation, identity, union_cycle_partition
 from btusearch.searchspace import CandidateWord
 
 
@@ -275,8 +277,8 @@ class TestGoldenTraces:
 
 # SHA-256 of `btusearch search -m M -r R --mode MODE --no-timing` taken
 # with the pure kernel before the batched kernel calls, the cutoff and the
-# Moore-bound stop existed.  (16,5) exhaustive is left out: it spends
-# ~20 s in the candidate filters on either kernel.
+# Moore-bound stop existed; (20,3) best and (16,5) exhaustive with the
+# compiled kernel before the stages ran on int arrays.
 LADDER = {
     (12, 3, "best"): "c279c485f4ac2099cc4053a92e00d782e1909b8d007f1d5ce7324251ed908fe4",
     (18, 3, "best"): "afe678882677ba5a20b397a9f762db6c3379d1673bef7744a4a8983dce1f661b",
@@ -287,14 +289,19 @@ LADDER = {
     (18, 3, "exhaustive"): "1d5102f178ea5cd3f5d615ce7573d0edd987ccfbb1578da6ec952e3d9f664a72",
     (32, 3, "exhaustive"): "30486e0881df446b16cd8bf26d5ec47618e6a24a17c810619e0a258792f951ac",
     (27, 4, "exhaustive"): "de35217c3a05d350e6c4c13e1bba4c8e5bc7e5c8fdbd37a2d63411b263902170",
+    (20, 3, "best"): "a6b7dfe835731022d162f96779cf8c4a62814798a101130098c3085773fbe471",
+    (16, 5, "exhaustive"): "334533926531bc9bf0fe8fcaa7247a909167da284a4f9ebc9678d34718644885",
 }
-# The pure kernels take ~8 s per (32,3) search, so they run the other
-# rungs, with one worker; the compiled kernel runs every rung with 1 and 3.
+# Rungs the pure kernels skip, as each takes them seconds ((32,3): ~8 s
+# per search) or minutes ((20,3), 9! candidates) per search.  They run the
+# other rungs with one worker; the compiled kernel runs every rung with 1
+# and 3.
+COMPILED_ONLY = {(32, 3, "best"), (32, 3, "exhaustive"), (20, 3, "best"), (16, 5, "exhaustive")}
 LADDER_RUNS = [
     (kernel, m, r, mode, 1)
     for kernel in ("python", "loose")
     for m, r, mode in LADDER
-    if (m, r) != (32, 3)
+    if (m, r, mode) not in COMPILED_ONLY
 ] + [("c", m, r, mode, workers) for m, r, mode in LADDER for workers in (1, 3)]
 
 
@@ -349,6 +356,35 @@ class TestExhaustiveBeams:
             beam, _ = engine._run_stage(beam, stage, f, config)
         text = json.dumps([[list(p.image) for p in perms] for perms in beam])
         assert hashlib.sha256(text.encode()).hexdigest() == EXHAUSTIVE_BEAMS[(m, r)]
+
+
+class TestUniformCycles:
+    """The stage >= 4 partition filter: every cycle of inv(left).q has
+    the same length, as union_cycle_partition(left, q) == beta asks."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_agrees_with_union_cycle_partition(self, data):
+        d = data.draw(st.integers(2, 16))
+        length = data.draw(st.sampled_from([t for t in range(2, d + 1) if d % t == 0]))
+        left = data.draw(st.permutations(range(d)))
+        order = data.draw(st.permutations(range(d)))
+        if data.draw(st.booleans()):
+            # sigma walks `order` in cycles of `length` points.
+            sigma = list(range(d))
+            for lo in range(0, d, length):
+                cycle = order[lo : lo + length]
+                for x, y in zip(cycle, cycle[1:] + cycle[:1]):
+                    sigma[x] = y
+        else:
+            sigma = order
+        assume(all(sigma[x] != x for x in range(d)))  # q compatible with left
+        q = [left[x] for x in sigma]
+        expected = union_cycle_partition(
+            Permutation(tuple(x + 1 for x in left)), Permutation(tuple(x + 1 for x in q))
+        ) == PartitionP2((length,) * (d // length))
+        got = engine._uniform_cycles(np.argsort(left)[np.array([q])], length)
+        assert got.tolist() == [expected]
 
 
 class TestMooreGirth:

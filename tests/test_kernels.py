@@ -13,9 +13,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from btusearch import _girth_py
-from btusearch._kernel import flatten_images
 from btusearch.btu import to_biadjacency
 from btusearch.perms import Permutation, identity, is_compatible
+
+
+def flatten_images(images):
+    """Packs one-line image tuples into the kernels' flat 4-byte int layout."""
+    return array("i", [x for img in images for x in img])
 
 
 def random_images(m, r, seed):
@@ -46,6 +50,14 @@ def nx_girth(images, m):
     return 0 if g == float("inf") else g
 
 
+def single(kernel, flat, m, r):
+    """One graph's girth through `girth_batch` with cutoff 0, which the
+    contract makes exact."""
+    out = array("i", [-1])
+    kernel.girth_batch(flat, 1, m, r, out, 0)
+    return out[0]
+
+
 CASES = [(4, 2), (5, 2), (4, 3), (6, 3), (9, 3), (5, 4), (8, 3)]
 
 
@@ -54,12 +66,12 @@ class TestPureKernel:
     def test_matches_networkx(self, m, r):
         for seed in range(4):
             images = random_images(m, r, seed)
-            got = _girth_py.girth_from_images(flatten_images(images), m, r)
+            got = single(_girth_py, flatten_images(images), m, r)
             assert got == nx_girth(images, m)
 
     def test_forest(self):
         images = [(2, 3, 1)]
-        assert _girth_py.girth_from_images(flatten_images(images), 3, 1) == 0
+        assert single(_girth_py, flatten_images(images), 3, 1) == 0
 
 
 class TestCompiledKernel:
@@ -68,13 +80,11 @@ class TestCompiledKernel:
         for seed in range(6):
             images = random_images(m, r, seed)
             flat = flatten_images(images)
-            assert compiled_kernel.girth_from_images(
-                flat, m, r
-            ) == _girth_py.girth_from_images(flat, m, r)
+            assert single(compiled_kernel, flat, m, r) == single(_girth_py, flat, m, r)
 
     def test_forest(self, compiled_kernel):
         images = [(2, 3, 1)]
-        assert compiled_kernel.girth_from_images(flatten_images(images), 3, 1) == 0
+        assert single(compiled_kernel, flatten_images(images), 3, 1) == 0
 
 
 class TestBatch:
@@ -93,8 +103,7 @@ class TestBatch:
         batch = [random_images(m, r, seed) for seed in seeds]
         flat = flatten_images([img for images in batch for img in images])
         exact = [
-            _girth_py.girth_from_images(flatten_images(images), m, r)
-            for images in batch
+            single(_girth_py, flatten_images(images), m, r) for images in batch
         ]
         for cutoff in (0, 4, 6, 8):
             out = array("i", [-1]) * (len(batch) + 1)
@@ -159,7 +168,7 @@ class TestInputChecks:
     )
     def test_single_rejects(self, kernel, flat, m, r):
         with pytest.raises(ValueError):
-            kernel.girth_from_images(flat, m, r)
+            kernel.girth_batch(flat, 1, m, r, _out(), 0)
 
     def test_empty_batch(self, kernel):
         out = _out()
@@ -170,4 +179,4 @@ class TestInputChecks:
         out = _out(2)
         kernel.girth_batch(flatten_images(GOOD + GOOD), 2, 3, 2, out, 0)
         assert list(out) == [6, 6]
-        assert kernel.girth_from_images(flatten_images(GOOD), 3, 2) == 6
+        assert single(kernel, flatten_images(GOOD), 3, 2) == 6

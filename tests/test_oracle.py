@@ -150,6 +150,19 @@ class TestVerify:
         assert "inapplicable" in report.engine_note
         assert report.oracle.max_girth == 4
 
+    @pytest.mark.parametrize(
+        "m,r,reason,oracle_girth",
+        [(9, 1, "row weight must be >= 2", 0), (4, 4, "need m > r", 4)],
+    )
+    def test_factorize_refusal_is_reported_not_raised(self, m, r, reason, oracle_girth):
+        report = verify_search(m, r)
+        assert report.engine_girth is None and report.engine_btu is None
+        assert report.equal is None
+        assert report.engine_note == f"engine inapplicable: {reason}, got " + (
+            f"r={r}" if r < 2 else f"m={m}, r={r}"
+        )
+        assert report.oracle.max_girth == oracle_girth
+
     def test_engine_never_beats_oracle(self):
         for m, r in [(4, 2), (5, 2), (4, 3)]:
             report = verify_search(m, r)

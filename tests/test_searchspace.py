@@ -3,6 +3,7 @@
 import itertools
 from math import factorial
 
+import numpy as np
 import pytest
 
 from btusearch.parameters import Factorization
@@ -18,7 +19,9 @@ from btusearch.searchspace import (
     NotACandidateError,
     candidate_count,
     cayley_stats,
+    cycle_images,
     enumerate_candidates,
+    lex_permutations,
     rank_candidate,
     unrank_candidate,
     word_at_index,
@@ -109,14 +112,6 @@ class TestEnumerate:
         )
         assert first == [expected]
 
-    def test_index_ranges_tile_the_stream(self):
-        base = circular_rotation(5, 2)
-        whole = list(enumerate_candidates(base))
-        pieces = []
-        for start in range(0, 24, 7):
-            pieces.extend(enumerate_candidates(base, limit=7, start=start))
-        assert pieces == whole
-
     def test_word_at_index_matches_lex_order(self):
         words = list(itertools.permutations(range(1, 5)))
         assert [word_at_index(5, i) for i in range(len(words))] == words
@@ -128,6 +123,45 @@ class TestEnumerate:
                 for img in itertools.permutations(range(1, n + 1))
             }
             assert counts == {candidate_count(n)}
+
+
+class TestArrays:
+    """The int-array enumeration the search and the oracle share."""
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_lex_permutations_is_the_lexicographic_head(self, n):
+        everything = list(itertools.permutations(range(n)))
+        limits = {None, factorial(n), factorial(n) + 5}
+        for t in range(n + 1):
+            limits |= {1, factorial(t), factorial(t) + 1}
+        for limit in limits:
+            rows = lex_permutations(n, limit)
+            assert rows.shape == (len(everything[:limit]), n)
+            assert [tuple(row) for row in rows.tolist()] == everything[:limit]
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_cycle_images_are_the_candidates_minus_one(self, n):
+        for limit in (None, 1, 5, factorial(n - 1)):
+            images = cycle_images(n, limit) + 1
+            stream = [q.image for q in enumerate_candidates(identity(n), limit)]
+            assert [tuple(row) for row in images.tolist()] == stream
+
+    @pytest.mark.parametrize("n", [128, 129, 256])
+    def test_no_wrap_at_large_degree(self, n):
+        rows = lex_permutations(n, 7)
+        assert np.iinfo(rows.dtype).max >= n - 1
+        tails = itertools.islice(itertools.permutations(range(n - 4, n)), 7)
+        assert rows[:, -4:].tolist() == [list(t) for t in tails]
+        assert (rows[:, : n - 4] == np.arange(n - 4)).all()
+        images = cycle_images(n, 7).astype(np.int64) + 1
+        stream = [q.image for q in enumerate_candidates(identity(n), 7)]
+        assert [tuple(row) for row in images.tolist()] == stream
+
+    def test_capped_universe_builds_only_its_tail(self):
+        # 15! rows would need terabytes; the first 5 permute the last 3.
+        rows = lex_permutations(16, 5)
+        assert rows.shape == (5, 16)
+        assert (rows[:, :13] == np.arange(13)).all()
 
 
 class TestCayleyStats:
