@@ -67,10 +67,20 @@ def make_btu(perms: Sequence[Permutation]) -> BTU:
 def to_biadjacency(b: BTU) -> np.ndarray:
     """The m x m 0/1 matrix: cell (i, p_t(i)) = 1 for every slot t."""
     mat = np.zeros((b.m, b.m), dtype=np.int8)
+    rows = np.arange(b.m)
     for p in b.perms:
-        for i, x in enumerate(p.image):
-            mat[i, x - 1] = 1
+        mat[rows, np.array(p.image) - 1] = 1
     return mat
+
+
+def _cells(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the nonzero cells, in row-major order.
+
+    One boolean scan: np.nonzero on the int8 matrix is over ten times
+    slower than np.flatnonzero on the boolean one.
+    """
+    mat = np.asarray(mat)
+    return np.divmod(np.flatnonzero(mat != 0), mat.shape[1])
 
 
 def _augment(
@@ -143,7 +153,7 @@ def regular_degree(mat: np.ndarray) -> int:
     mat = np.asarray(mat)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"matrix must be square, got shape {mat.shape}")
-    if not np.isin(mat, (0, 1)).all():
+    if not ((mat == 0) | (mat == 1)).all():
         raise ValueError("matrix entries must be 0 or 1")
     row_sums = mat.sum(axis=1)
     col_sums = mat.sum(axis=0)
@@ -162,9 +172,10 @@ def decompose_matrix(mat: np.ndarray) -> BTU:
     deterministic matching-extraction order.
     """
     r = regular_degree(mat)
-    mat = np.asarray(mat)
-    m = mat.shape[0]
-    remaining = [np.flatnonzero(row).tolist() for row in mat]
+    m = len(mat)
+    rows, cols = _cells(mat)
+    bounds, cols = np.searchsorted(rows, np.arange(m + 1)).tolist(), cols.tolist()
+    remaining = [cols[a:b] for a, b in zip(bounds, bounds[1:])]
     perms = []
     for _ in range(r):
         row_to_col = _extract_matching(remaining, m)

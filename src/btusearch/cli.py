@@ -12,6 +12,9 @@ import argparse
 import sys
 import time
 from pathlib import Path
+from typing import Iterable, Iterator
+
+import numpy as np
 
 from . import io_formats
 from .btu import decompose_matrix, girth, regular_degree
@@ -19,7 +22,10 @@ from .engine import MAX_LISTED, SearchConfig, enumerate_Z, search
 from .oracle import max_girth, verify_search
 from .parameters import factorize, optimal_partitions
 from .perms import BTUError, Permutation, identity, scale_permutation
-from .searchspace import candidate_count, cayley_stats, enumerate_candidates
+from .searchspace import candidate_count, cayley_stats, cycle_images
+
+# Rows of a listing turned into text at a time.
+_BLOCK_ROWS = 1 << 14
 
 
 def _positive_int(text: str) -> int:
@@ -29,11 +35,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(text: str | Iterable[str], out_path: str | None) -> None:
+    """Write the text, or its pieces in turn, to out_path or stdout."""
+    pieces = [text] if isinstance(text, str) else text
     if out_path:
-        Path(out_path).write_text(text)
+        with open(out_path, "w") as out:
+            out.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _cmd_params(args) -> int:
@@ -109,9 +118,28 @@ def _cmd_candidates(args) -> int:
     )
     if base.n != args.n:
         raise BTUError(f"base degree {base.n} does not match -n {args.n}")
-    out = [q.to_text() for q in enumerate_candidates(base, limit=args.limit)]
-    _emit("\n".join(out) + "\n" if out else "", args.output)
+    _emit(_candidate_lines(base, cycle_images(args.n, args.limit)), args.output)
     return 0
+
+
+def _candidate_lines(base: Permutation, cycles: np.ndarray) -> Iterator[str]:
+    """The text of base composed with each row of cycles (0-based images),
+    one row a line, in blocks of _BLOCK_ROWS rows.
+
+    Row i of a table holds the text of base(i + 1) and a space, padded
+    with zero bytes, so one gather both composes a block with the base and
+    spells it; each line's last space becomes a newline and the padding
+    goes.
+    """
+    texts = [f"{x} ".encode() for x in base.image]
+    table = np.zeros((len(texts), max(map(len, texts))), dtype=np.uint8)
+    for i, text in enumerate(texts):
+        table[i, : len(text)] = np.frombuffer(text, dtype=np.uint8)
+    for start in range(0, len(cycles), _BLOCK_ROWS):
+        cells = table[cycles[start : start + _BLOCK_ROWS]]
+        last = cells[:, -1]
+        last[last == ord(" ")] = ord("\n")
+        yield cells[cells != 0].tobytes().decode("ascii")
 
 
 def _cmd_scale(args) -> int:

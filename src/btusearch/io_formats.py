@@ -1,7 +1,8 @@
 """Text interchange forms: matrix, alist, DOT, and the JSON reports.
 
-matrix layout: m non-blank lines of m whitespace-separated tokens, each
-exactly "0" or "1" (written with single spaces, one trailing newline).
+matrix layout: ASCII text of m non-blank lines of m whitespace-separated
+tokens, each exactly "0" or "1" (written with single spaces, one trailing
+newline).
 
 alist layout (1-based, single spaces, one trailing newline):
   line 1: "N M"                 (both equal to m here)
@@ -15,14 +16,25 @@ alist layout (1-based, single spaces, one trailing newline):
 from __future__ import annotations
 
 import json
+import re
 from typing import Any
 
 import numpy as np
 
-from .btu import BTU, to_biadjacency
+from .btu import BTU, _cells, to_biadjacency
 from .engine import SearchResult
 from .oracle import OracleReport, VerifyReport
 from .perms import PartitionP2
+
+# The ASCII characters str.split() takes for whitespace are the line ends
+# of str.splitlines(), here all mapped to "\n", and three blanks within
+# a line.
+_LINE_ENDS = bytes.maketrans(b"\r\x0b\x0c\x1c\x1d\x1e", b"\n" * 6)
+_LINE_BLANKS = b" \t\x1f"
+
+# The first non-blank line: what follows the leading whitespace, up to
+# the first character at which str.splitlines() ends a line.
+_FIRST_LINE = re.compile(r"\s*([^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*)")
 
 
 def matrix_to_text(mat: np.ndarray) -> str:
@@ -42,21 +54,39 @@ def matrix_to_text(mat: np.ndarray) -> str:
 
 def text_to_matrix(text: str) -> np.ndarray:
     """Read m non-blank lines of m whitespace-separated tokens, each
-    exactly "0" or "1"."""
-    widths = [len(line.split()) for line in text.splitlines()]
-    widths = [w for w in widths if w]
+    exactly "0" or "1".
+
+    The text must be ASCII and is read as bytes.  Each token is one
+    character exactly when no two non-blank bytes are adjacent; the line
+    ends become newlines and the other blanks go, which leaves each line
+    as its digits.
+    """
+    if not text.isascii():
+        raise ValueError("matrix entries must be 0 or 1")
+    data = text.encode("ascii")
+    # Above " " is any byte but a blank or a control byte, and a control
+    # byte fails the digit test below.
+    above = np.frombuffer(data, dtype=np.uint8) > ord(" ")
+    if (above[1:] & above[:-1]).any():
+        raise ValueError("matrix entries must be 0 or 1")
+    lines = data.translate(_LINE_ENDS, _LINE_BLANKS).split(b"\n")
+    # uint8 wraps, so a byte below "0" also reads above 1.
+    digits = np.frombuffer(b"".join(lines), dtype=np.uint8) - ord("0")
+    if (digits > 1).any():
+        raise ValueError("matrix entries must be 0 or 1")
+    widths = [w for w in map(len, lines) if w]
     n = len(widths)
     if not n or any(w != n for w in widths):
         raise ValueError("matrix text must be square")
-    # n * n tokens squeeze to n * n characters only if each is one character.
-    digits = "".join(text.split())
-    if len(digits) != n * n or not digits.isascii():
-        raise ValueError("matrix entries must be 0 or 1")
-    # uint8 wraps, so a byte below "0" also reads above 1.
-    values = np.frombuffer(digits.encode("ascii"), dtype=np.uint8) - ord("0")
-    if (values > 1).any():
-        raise ValueError("matrix entries must be 0 or 1")
-    return values.reshape(n, n).astype(np.int8)
+    return digits.reshape(n, n).astype(np.int8)
+
+
+def _index_lines(major: np.ndarray, minor: np.ndarray, n: int) -> list[str]:
+    """For each of 0..n-1 in turn, the 1-based minor indices of the cells
+    whose major index it is, in the given order; major ascends."""
+    bounds = np.searchsorted(major, np.arange(n + 1)).tolist()
+    labels = list(map(str, (minor + 1).tolist()))
+    return [" ".join(labels[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
 def matrix_to_alist(mat: np.ndarray) -> str:
@@ -64,14 +94,16 @@ def matrix_to_alist(mat: np.ndarray) -> str:
     n_cols, n_rows = mat.shape[1], mat.shape[0]
     col_deg = mat.sum(axis=0).astype(int)
     row_deg = mat.sum(axis=1).astype(int)
+    rows, cols = _cells(mat)
+    by_col = np.argsort(cols, kind="stable")  # rows stay ascending per column
     lines = [
         f"{n_cols} {n_rows}",
         f"{int(col_deg.max())} {int(row_deg.max())}",
         " ".join(map(str, col_deg.tolist())),
         " ".join(map(str, row_deg.tolist())),
+        *_index_lines(cols[by_col], rows[by_col], n_cols),
+        *_index_lines(rows, cols, n_rows),
     ]
-    for vectors in (mat.T, mat):  # the column lines, then the row lines
-        lines += [" ".join(map(str, (np.flatnonzero(v) + 1).tolist())) for v in vectors]
     return "\n".join(lines) + "\n"
 
 
@@ -100,11 +132,14 @@ def alist_to_matrix(text: str) -> np.ndarray:
         cols += [j] * len(entries)
     mat = np.zeros((n_rows, n_cols), dtype=np.int8)
     mat[np.array(rows, dtype=np.intp) - 1, np.array(cols, dtype=np.intp)] = 1
+    cell_rows, cell_cols = _cells(mat)
+    bounds = np.searchsorted(cell_rows, np.arange(n_rows + 1)).tolist()
+    cell_cols = (cell_cols + 1).tolist()
     for i in range(n_rows):
         entries = [int(tok) for tok in lines[4 + n_cols + i].split()]
         if not 1 <= min(entries) <= max(entries) <= n_cols:
             raise ValueError(f"row {i + 1} has a column index outside 1..{n_cols}")
-        if sorted(entries) != (np.flatnonzero(mat[i]) + 1).tolist():
+        if sorted(entries) != cell_cols[bounds[i] : bounds[i + 1]]:
             raise ValueError(f"row {i + 1} entries disagree with columns")
     return mat
 
@@ -118,15 +153,16 @@ def detect_and_parse(text: str) -> np.ndarray:
     matrix reads as alist and no valid alist as matrix; the one reader
     chosen reports its own error.
     """
-    lines = [line for line in text.splitlines() if line.strip()]
-    if len(lines) >= 4 and len(lines[0].split()) == 2:
-        return alist_to_matrix(text)
+    first = _FIRST_LINE.match(text).group(1)
+    if len(first.split()) == 2:
+        if sum(1 for line in text.splitlines() if line.strip()) >= 4:
+            return alist_to_matrix(text)
     return text_to_matrix(text)
 
 
 def matrix_to_dot(mat: np.ndarray) -> str:
-    """One edge per nonzero cell; np.nonzero yields them in row-major order."""
-    rows, cols = np.nonzero(mat)
+    """One edge per nonzero cell, in row-major order."""
+    rows, cols = _cells(mat)
     lines = ["graph btu {"]
     lines += [
         f"  l{i} -- r{j};" for i, j in zip((rows + 1).tolist(), (cols + 1).tolist())

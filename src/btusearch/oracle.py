@@ -54,7 +54,7 @@ class BudgetExceededError(BTUError):
 class OracleReport:
     m: int
     r: int
-    max_girth: int
+    max_girth: int | None  # None: every graph is a forest (r = 1)
     maximizer_count: int
     witness: BTU
     enumerated: int
@@ -183,7 +183,8 @@ def max_girth(
     below the running best: a girth at or under the cutoff comes back at
     most the cutoff, so it can neither reach the best nor tie it, and a
     tie comes back exact, so the maximiser count is exact too.  The
-    witness is the first tuple that reaches the maximum.
+    witness is the first tuple that reaches the maximum.  The kernel's 0
+    for a forest is reported as None, as btu.girth reports it.
     """
     best, count, enumerated = -1, 0, 0
     witness: np.ndarray | None = None
@@ -202,7 +203,7 @@ def max_girth(
     return OracleReport(
         m=m,
         r=r,
-        max_girth=best,
+        max_girth=best or None,
         maximizer_count=count,
         witness=_btu(witness),
         enumerated=enumerated,

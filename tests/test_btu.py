@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from strategies import regular_matrices
 
+from btusearch import btu
 from btusearch.btu import (
     adjacent_partitions,
     canonicalize_order,
@@ -103,6 +105,21 @@ class TestBiadjacency:
         assert (mat.sum(axis=1) == 3).all()
 
 
+def ref_decompose_matrix(mat):
+    """decompose_matrix as it was before the row lists came from one cell
+    scan: one flatnonzero per row."""
+    r = regular_degree(mat)
+    m = mat.shape[0]
+    remaining = [np.flatnonzero(row).tolist() for row in mat]
+    perms = []
+    for _ in range(r):
+        row_to_col = btu._extract_matching(remaining, m)
+        perms.append(Permutation(tuple(j + 1 for j in row_to_col)))
+        for i, j in enumerate(row_to_col):
+            remaining[i].remove(j)
+    return make_btu(perms)
+
+
 class TestDecompose:
     def test_all_ones(self):
         b = decompose_matrix(np.ones((3, 3), dtype=int))
@@ -132,6 +149,11 @@ class TestDecompose:
         again = decompose_matrix(mat)
         assert again.m == m and again.r == 3
         assert (to_biadjacency(again) == mat).all()
+
+    @settings(max_examples=150, deadline=None)
+    @given(mat=regular_matrices())
+    def test_same_slots_as_the_row_list_construction(self, mat):
+        assert decompose_matrix(mat) == ref_decompose_matrix(mat)
 
 
 class TestRegularDegree:

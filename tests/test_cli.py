@@ -14,7 +14,8 @@ from strategies import format_shaped_texts
 from btusearch.btu import make_btu
 from btusearch.cli import main
 from btusearch.io_formats import btu_to_format
-from btusearch.perms import circular_rotation, identity
+from btusearch.perms import Permutation, circular_rotation, identity
+from btusearch.searchspace import enumerate_candidates
 
 
 def run(capsys, *argv):
@@ -100,7 +101,9 @@ class TestOracleVerify:
         data = json.loads(out)
         assert data["engine_girth"] is None and data["equal"] is None
         assert data["engine_note"].startswith("engine inapplicable: ")
-        assert data["oracle_girth"] is not None and data["oracle_witness"]
+        # r = 1 graphs are forests, which have no girth.
+        assert data["oracle_girth"] == (None if r == "1" else 4)
+        assert data["oracle_witness"]
 
     def test_verify_still_refused_on_budget(self, capsys):
         code, out, err = run(capsys, "verify", "-m", "9", "-r", "3")
@@ -185,6 +188,27 @@ class TestSmallCommands:
             "2 3 4 5 6 7 8 9 10 11 13 14 12 1",
             "2 3 4 5 6 7 8 9 10 12 13 11 14 1",
         ]
+
+    @pytest.mark.parametrize(
+        "n,base,limit",
+        [
+            (2, None, None),
+            (5, "5 3 1 2 4", None),
+            (9, None, None),  # 40,320 lines: three blocks
+            (10, "2 1 4 3 6 5 8 7 10 9", 20000),
+            (30, None, 7),
+        ],
+    )
+    def test_candidates_text_is_enumerate_candidates(self, capsys, tmp_path, n, base, limit):
+        perm = Permutation.from_text(base) if base else identity(n)
+        lines = [q.to_text() + "\n" for q in enumerate_candidates(perm, limit=limit)]
+        argv = ["candidates", "-n", str(n)]
+        argv += ["--base", base] if base else []
+        argv += ["--limit", str(limit)] if limit else []
+        assert run(capsys, *argv) == (0, "".join(lines), "")
+        out = tmp_path / "candidates.txt"
+        assert run(capsys, *argv, "-o", str(out)) == (0, "", "")
+        assert out.read_text() == "".join(lines)
 
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_candidates_non_positive_limit_is_a_usage_error(self, capsys, value):

@@ -317,6 +317,84 @@ class TestRewriteMatchesReference:
             matrix_to_text(np.array([[2, 0], [0, 1]]))
 
 
+# The ASCII characters str.split() takes for whitespace; the line ends
+# str.splitlines() knows among them (with "\r\n"); the rest.
+ASCII_BLANKS = " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"
+LINE_ENDS = ("\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e")
+LINE_BLANKS = " \t\x1f"
+
+
+@st.composite
+def respaced(draw, mat, separators=LINE_BLANKS):
+    """The matrix text of mat with each separator a run of `separators`,
+    each line end one of LINE_ENDS, and blank lines and blanks around."""
+    pad = st.text(alphabet=LINE_BLANKS, max_size=2)
+    gap = st.text(alphabet=separators, min_size=1, max_size=3)
+    end = st.sampled_from(LINE_ENDS)
+    out = draw(pad) + draw(end) if draw(st.booleans()) else ""
+    for row in mat.tolist():
+        out += draw(pad) + "".join(f"{x}{draw(gap)}" for x in row[:-1])
+        out += f"{row[-1]}{draw(pad)}{draw(end)}"
+        if draw(st.booleans()):
+            out += draw(pad) + draw(end)
+    return out + draw(pad)
+
+
+class TestMatrixGrammar:
+    """The matrix reader reads ASCII text as the reference did."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "0\t1\n1\t0\n",
+            "0\x1f1\n1 \t\x1f 0",
+            "0 1\r1 0\r",
+            "0 1\r\n1 0\r\n",
+            "0 1\x0b1 0\x0c",
+            "0 1\x1c1 0\x1d\x1e",
+            "\n \n\t0 1 \n\n 1 0\t\n\n",
+            "0\x0b1\n1\x0c0\n",
+            "0\x1c1\x1d1\x1e0\n",
+        ],
+    )
+    def test_ascii_whitespace_reads_as_the_reference(self, text):
+        assert read_outcome(text_to_matrix, text) == read_outcome(ref_text_to_matrix, text)
+        assert read_outcome(detect_and_parse, text) == read_outcome(ref_text_to_matrix, text)
+
+    @settings(max_examples=150, deadline=None)
+    @given(mat=regular_matrices(max_m=8), data=st.data())
+    def test_respaced_text_reads_back(self, mat, data):
+        text = data.draw(respaced(mat))
+        assert read_outcome(text_to_matrix, text) == read_outcome(ref_text_to_matrix, text)
+        assert (text_to_matrix(text) == mat).all()
+        assert (detect_and_parse(text) == mat).all()
+
+    @settings(max_examples=150, deadline=None)
+    @given(mat=regular_matrices(max_m=8), data=st.data())
+    def test_any_ascii_separator_reads_as_the_reference(self, mat, data):
+        # Separators that end a line make the text ragged for both readers.
+        text = data.draw(respaced(mat, separators=ASCII_BLANKS))
+        assert read_outcome(text_to_matrix, text) == read_outcome(ref_text_to_matrix, text)
+
+    @pytest.mark.parametrize("text", ["0\u00a01\n1 0\n", "0 1\u20281 0\n"])
+    def test_non_ascii_text_is_refused(self, text):
+        # The reference read both: str.split() takes U+00A0 for a blank,
+        # and str.splitlines() ends a line at U+2028.
+        assert ref_text_to_matrix(text).tolist() == [[0, 1], [1, 0]]
+        with pytest.raises(ValueError, match="matrix entries must be 0 or 1"):
+            text_to_matrix(text)
+        with pytest.raises(ValueError, match="matrix entries must be 0 or 1"):
+            detect_and_parse(text)
+
+    @settings(max_examples=50, deadline=None)
+    @given(mat=regular_matrices())
+    def test_writers_on_int64_and_bool(self, mat):
+        for cast in (mat.astype(np.int64), mat.astype(bool)):
+            assert matrix_to_text(cast) == ref_matrix_to_text(cast)
+            assert matrix_to_alist(cast) == ref_matrix_to_alist(cast)
+            assert matrix_to_dot(cast) == ref_matrix_to_dot(cast)
+
+
 class TestM2000CirculantTexts:
     # SHA-256 of each text as the cell-by-cell writers produced it.
     DIGESTS = {

@@ -152,7 +152,7 @@ class TestVerify:
 
     @pytest.mark.parametrize(
         "m,r,reason,oracle_girth",
-        [(9, 1, "row weight must be >= 2", 0), (4, 4, "need m > r", 4)],
+        [(9, 1, "row weight must be >= 2", None), (4, 4, "need m > r", 4)],
     )
     def test_factorize_refusal_is_reported_not_raised(self, m, r, reason, oracle_girth):
         report = verify_search(m, r)
@@ -272,14 +272,14 @@ def _ref_phi_census(m, r, fix_first_identity=True):
 
 @lru_cache(maxsize=None)
 def _reference_report(m, r, fixed):
-    """(max, count, enumerated, witness images), or the error text.  The
-    reference takes exact single-graph girths, so it does not depend on
-    the kernel it runs on."""
+    """(max, count, enumerated, witness images), or the error text, with
+    None for the maximum of forests.  The reference takes exact
+    single-graph girths, so it does not depend on the kernel it runs on."""
     try:
         best, count, enumerated, witness = _ref_max_girth(m, r, fixed)
     except BTUError as exc:
         return str(exc)
-    return best, count, enumerated, _images(witness)
+    return best or None, count, enumerated, _images(witness)
 
 
 def _images(b):
