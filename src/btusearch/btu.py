@@ -83,38 +83,79 @@ def _cells(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.divmod(np.flatnonzero(mat != 0), mat.shape[1])
 
 
+def _ones(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cells of _cells, after checking that every one of them holds 1.
+
+    The check reads only the nonzero cells, and it is exact for any
+    dtype: 0.5, NaN, inf, -1 and 2 are all nonzero and not 1.
+    """
+    mat = np.asarray(mat)
+    rows, cols = _cells(mat)
+    if not (mat[rows, cols] == 1).all():
+        raise ValueError("matrix entries must be 0 or 1")
+    return rows, cols
+
+
+def _regular_cells(mat: np.ndarray) -> tuple[int, np.ndarray]:
+    """r, and the column of each one in row-major order, of a square 0/1
+    matrix with r >= 1 ones in every row and column; ValueError for any
+    other matrix.
+
+    The m*m cells are scanned once; the 0/1 check and the row and
+    column sums then read only the O(m*r) ones.
+    """
+    mat = np.asarray(mat)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {mat.shape}")
+    m = mat.shape[0]
+    rows, cols = _ones(mat)
+    row_sums = np.bincount(rows, minlength=m)
+    col_sums = np.bincount(cols, minlength=m)
+    r = int(row_sums[0]) if m else 0
+    if not ((row_sums == r).all() and (col_sums == r).all()):
+        raise ValueError("matrix is not regular: row/column sums differ")
+    if r == 0:
+        raise ValueError("a BTU needs at least one permutation")
+    return r, cols
+
+
 def _augment(
-    adj: list[list[int]], col_owner: list[int], root: int, visited: list[bool]
+    adj: list[list[int]], col_owner: list[int], root: int, seen: list[int]
 ) -> bool:
     """Depth-first augmenting-path search from `root`, on an explicit stack.
 
     Each row on the path first takes its lowest free column; failing
-    that, it descends into its unvisited columns in ascending order.  On
+    that, it descends into its unseen columns in ascending order.  On
     success every column along the path passes to the row above it.
-    Augmenting paths can be as long as m, hence no recursion.
+    A column counts as seen in this search when `seen` holds `root`
+    for it, so one array serves every root of a matching.  Augmenting
+    paths can be as long as m, hence no recursion.
     """
     frames = []  # (row, iterator over the columns it has yet to descend into)
     path = []  # (row, column) of each descent between consecutive frames
     row = root
     while True:
-        free = next((j for j in adj[row] if col_owner[j] == -1), None)
-        if free is not None:
-            col_owner[free] = row
-            for r, j in path:
-                col_owner[j] = r
-            return True
+        for j in adj[row]:
+            if col_owner[j] == -1:
+                col_owner[j] = row
+                for owner, col in path:
+                    col_owner[col] = owner
+                return True
         frames.append((row, iter(adj[row])))
         while frames:
             row, cols = frames[-1]
-            j = next((j for j in cols if not visited[j]), None)
-            if j is not None:
-                visited[j] = True
-                path.append((row, j))
-                row = col_owner[j]
-                break
-            frames.pop()
-            if path:
-                path.pop()
+            for j in cols:
+                if seen[j] != root:
+                    break
+            else:
+                frames.pop()
+                if path:
+                    path.pop()
+                continue
+            seen[j] = root
+            path.append((row, j))
+            row = col_owner[j]
+            break
         else:
             return False
 
@@ -128,15 +169,15 @@ def _extract_matching(adj: list[list[int]], m: int) -> list[int]:
     matrix guarantees a perfect matching exists.
     """
     col_owner = [-1] * m
+    seen = [-1] * m
     for i in range(m):
-        taken = False
         for j in adj[i]:
             if col_owner[j] == -1:
                 col_owner[j] = i
-                taken = True
                 break
-        if not taken and not _augment(adj, col_owner, i, [False] * m):
-            raise ValueError("matrix is not regular: no perfect matching")
+        else:
+            if not _augment(adj, col_owner, i, seen):
+                raise ValueError("matrix is not regular: no perfect matching")
     row_to_col = [-1] * m
     for j, i in enumerate(col_owner):
         row_to_col[i] = j
@@ -150,19 +191,7 @@ def regular_degree(mat: np.ndarray) -> int:
     matrix it accepts splits into r permutation matrices, so it decides
     whether decompose_matrix succeeds without running it.
     """
-    mat = np.asarray(mat)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {mat.shape}")
-    if not ((mat == 0) | (mat == 1)).all():
-        raise ValueError("matrix entries must be 0 or 1")
-    row_sums = mat.sum(axis=1)
-    col_sums = mat.sum(axis=0)
-    r = int(row_sums[0]) if len(row_sums) else 0
-    if not ((row_sums == r).all() and (col_sums == r).all()):
-        raise ValueError("matrix is not regular: row/column sums differ")
-    if r == 0:
-        raise ValueError("a BTU needs at least one permutation")
-    return r
+    return _regular_cells(mat)[0]
 
 
 def decompose_matrix(mat: np.ndarray) -> BTU:
@@ -171,11 +200,11 @@ def decompose_matrix(mat: np.ndarray) -> BTU:
     The inverse of to_biadjacency for file import; slot order is the
     deterministic matching-extraction order.
     """
-    r = regular_degree(mat)
+    r, cols = _regular_cells(mat)
     m = len(mat)
-    rows, cols = _cells(mat)
-    bounds, cols = np.searchsorted(rows, np.arange(m + 1)).tolist(), cols.tolist()
-    remaining = [cols[a:b] for a, b in zip(bounds, bounds[1:])]
+    # Row-major cells of a matrix with r ones in every row: row i's
+    # columns, ascending, are the i-th run of r.
+    remaining = cols.reshape(m, r).tolist()
     perms = []
     for _ in range(r):
         row_to_col = _extract_matching(remaining, m)

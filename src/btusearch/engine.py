@@ -53,7 +53,7 @@ import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cache, partial
-from math import factorial, gcd
+from math import factorial, gcd, lgamma, log, log10
 from typing import Iterator
 
 import numpy as np
@@ -431,6 +431,11 @@ def enumerate_Z(m: int, r: int, cap: int | None = None) -> Iterator[BTU]:
     ranges over single-cycle candidates of degree m; combinations that
     fail pairwise compatibility or leave the optimal partition sequence
     are dropped, so every yielded BTU is a family member.
+
+    Each of the prod_{j=1}^{r-2} (b*k^j - 1)! * (m-1)! combinations is
+    built and checked in Python until the cap is reached, so a run that
+    would try more than MAX_LISTED of them is refused with BTUError
+    before the first, whatever the cap.
     """
     f = factorize(m, r)
     if f.degenerate:
@@ -438,6 +443,15 @@ def enumerate_Z(m: int, r: int, cap: int | None = None) -> Iterator[BTU]:
             f"m={m}, r={r}: k=1, family enumeration inapplicable"
         )
     b, k = f.b, f.k
+    # log10 of the attempts; lgamma(n) is ln((n-1)!)
+    degrees = (m, *(b * k**j for j in range(1, r - 1)))
+    attempts = sum(map(lgamma, degrees)) / log(10)
+    if attempts > log10(MAX_LISTED):
+        raise BTUError(
+            f"m={m}, r={r}: the family enumeration would try about "
+            f"{10 ** (attempts % 1):.1f}e{int(attempts)} slot combinations, "
+            f"over the limit of {MAX_LISTED}; a cap bounds only the members listed"
+        )
     scaled_slots = [
         [
             scale_permutation(q, k ** (r - 1 - j))

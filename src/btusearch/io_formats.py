@@ -15,13 +15,14 @@ alist layout (1-based, single spaces, one trailing newline):
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
-from typing import Any
+from typing import Any, NoReturn
 
 import numpy as np
 
-from .btu import BTU, _cells, to_biadjacency
+from .btu import BTU, _cells, _ones, to_biadjacency
 from .engine import SearchResult
 from .oracle import OracleReport, VerifyReport
 from .perms import PartitionP2
@@ -41,15 +42,17 @@ def matrix_to_text(mat: np.ndarray) -> str:
     """Each row as its 0/1 digits joined by single spaces, one row a line.
 
     Built as one byte buffer: digits at even columns, spaces between,
-    a newline in the last column.
+    a newline in the last column.  Every digit starts as "0", and the
+    ones found by the one scan of the matrix become "1".
     """
     mat = np.asarray(mat)
-    if not ((mat == 0) | (mat == 1)).all():
-        raise ValueError("matrix entries must be 0 or 1")
-    buf = np.full((mat.shape[0], 2 * mat.shape[1]), ord(" "), dtype=np.uint8)
-    buf[:, 0::2] = ord("0") + mat
-    buf[:, -1] = ord("\n")
-    return buf.tobytes().decode("ascii")
+    rows, cols = _ones(mat)
+    line = np.full(2 * mat.shape[1], ord(" "), dtype=np.uint8)
+    line[0::2] = ord("0")
+    line[-1] = ord("\n")
+    buf = np.tile(line, (mat.shape[0], 1))
+    buf[rows, 2 * cols] = ord("1")
+    return str(buf, "ascii")
 
 
 def text_to_matrix(text: str) -> np.ndarray:
@@ -92,9 +95,11 @@ def _index_lines(major: np.ndarray, minor: np.ndarray, n: int) -> list[str]:
 def matrix_to_alist(mat: np.ndarray) -> str:
     mat = np.asarray(mat)
     n_cols, n_rows = mat.shape[1], mat.shape[0]
-    col_deg = mat.sum(axis=0).astype(int)
-    row_deg = mat.sum(axis=1).astype(int)
     rows, cols = _cells(mat)
+    # The degrees are the column and row sums, also of a matrix not 0/1.
+    values = mat[rows, cols]
+    col_deg = np.bincount(cols, values, minlength=n_cols).astype(int)
+    row_deg = np.bincount(rows, values, minlength=n_rows).astype(int)
     by_col = np.argsort(cols, kind="stable")  # rows stay ascending per column
     lines = [
         f"{n_cols} {n_rows}",
@@ -108,6 +113,13 @@ def matrix_to_alist(mat: np.ndarray) -> str:
 
 
 def alist_to_matrix(text: str) -> np.ndarray:
+    """Read the alist layout of the module docstring, for a square matrix.
+
+    The index lines are read as one integer array and checked with
+    whole-array operations; the matrix is filled from the cells of the
+    column lines.  Only when a check fails are the lines read again one
+    at a time, to name the first damaged one.
+    """
     lines = [line for line in text.splitlines() if line.strip()]
     if len(lines) < 4:
         raise ValueError("alist needs at least 4 header lines")
@@ -120,28 +132,64 @@ def alist_to_matrix(text: str) -> np.ndarray:
         raise ValueError("alist degree lines disagree with the header")
     if len(lines) != 4 + n_cols + n_rows:
         raise ValueError("alist line count disagrees with the header")
-    rows: list[int] = []
-    cols: list[int] = []
-    for j in range(n_cols):
-        entries = [int(tok) for tok in lines[4 + j].split()]
+    cells = _alist_cells(lines[4:], n_rows, col_deg)
+    if cells is None:
+        _raise_first_damage(lines[4:], n_rows, col_deg)
+    mat = np.zeros((n_rows, n_cols), dtype=np.int8)
+    mat.reshape(-1)[cells] = 1
+    return mat
+
+
+def _alist_cells(index_lines: list[str], n: int, col_deg: list[int]) -> np.ndarray | None:
+    """The row-major flat indices of the cells that the n column lines of
+    an n x n alist name, or None when the index lines fail any check of
+    _raise_first_damage.  Every token is read with int(), as there.
+    """
+    tokens = [line.split() for line in index_lines]
+    counts = np.fromiter(map(len, tokens), dtype=np.int64, count=2 * n)
+    try:
+        values = np.fromiter(
+            map(int, itertools.chain.from_iterable(tokens)),
+            dtype=np.int64,
+            count=int(counts.sum()),
+        )
+        degrees_agree = (counts[:n] == np.array(col_deg, dtype=np.int64)).all()
+    except (ValueError, OverflowError):  # int() refuses a token, or int64 a value
+        return None
+    if not (degrees_agree and 1 <= values.min() and values.max() <= n):
+        return None
+    by_col, by_row = np.split(values - 1, [int(counts[:n].sum())])
+    cells = np.unique(by_col * n + np.repeat(np.arange(n), counts[:n]))
+    # The row lines agree with the columns when their cells, sorted, are
+    # the cells of the column lines: each row line then lists, in some
+    # order, exactly the columns of that row's cells.
+    claimed = np.sort(np.repeat(np.arange(n), counts[n:]) * n + by_row)
+    if len(claimed) != len(cells) or (claimed != cells).any():
+        return None
+    return cells
+
+
+def _raise_first_damage(index_lines: list[str], n: int, col_deg: list[int]) -> NoReturn:
+    """Raises the ValueError of the first damaged index line of an n x n
+    alist, in file order.  Within a line: a token int() refuses, then
+    (column lines) the degree, then the index range, then (row lines)
+    the disagreement with the cells the column lines name."""
+    row_cols: list[set[int]] = [set() for _ in range(n)]
+    for j, line in enumerate(index_lines[:n]):
+        entries = [int(tok) for tok in line.split()]
         if len(entries) != col_deg[j]:
             raise ValueError(f"column {j + 1} degree mismatch")
-        if not 1 <= min(entries) <= max(entries) <= n_rows:
-            raise ValueError(f"column {j + 1} has a row index outside 1..{n_rows}")
-        rows += entries
-        cols += [j] * len(entries)
-    mat = np.zeros((n_rows, n_cols), dtype=np.int8)
-    mat[np.array(rows, dtype=np.intp) - 1, np.array(cols, dtype=np.intp)] = 1
-    cell_rows, cell_cols = _cells(mat)
-    bounds = np.searchsorted(cell_rows, np.arange(n_rows + 1)).tolist()
-    cell_cols = (cell_cols + 1).tolist()
-    for i in range(n_rows):
-        entries = [int(tok) for tok in lines[4 + n_cols + i].split()]
-        if not 1 <= min(entries) <= max(entries) <= n_cols:
-            raise ValueError(f"row {i + 1} has a column index outside 1..{n_cols}")
-        if sorted(entries) != cell_cols[bounds[i] : bounds[i + 1]]:
+        if not 1 <= min(entries) <= max(entries) <= n:
+            raise ValueError(f"column {j + 1} has a row index outside 1..{n}")
+        for i in entries:
+            row_cols[i - 1].add(j + 1)
+    for i, line in enumerate(index_lines[n:]):
+        entries = [int(tok) for tok in line.split()]
+        if not 1 <= min(entries) <= max(entries) <= n:
+            raise ValueError(f"row {i + 1} has a column index outside 1..{n}")
+        if sorted(entries) != sorted(row_cols[i]):
             raise ValueError(f"row {i + 1} entries disagree with columns")
-    return mat
+    raise AssertionError("the whole-array alist checks refused valid lines")
 
 
 def detect_and_parse(text: str) -> np.ndarray:

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from strategies import regular_matrices
 
-from btusearch import btu
 from btusearch.btu import (
     adjacent_partitions,
     canonicalize_order,
@@ -22,6 +21,7 @@ from btusearch.btu import (
     regular_degree,
     to_biadjacency,
 )
+from btusearch.io_formats import matrix_to_text
 from btusearch.parameters import Factorization
 from btusearch.perms import (
     CompatibilityError,
@@ -105,15 +105,63 @@ class TestBiadjacency:
         assert (mat.sum(axis=1) == 3).all()
 
 
+def ref_augment(adj, col_owner, root, visited):
+    """_augment as it was before the plain loops and the stamped visited
+    array: the reference its matchings are checked against."""
+    frames = []
+    path = []
+    row = root
+    while True:
+        free = next((j for j in adj[row] if col_owner[j] == -1), None)
+        if free is not None:
+            col_owner[free] = row
+            for r, j in path:
+                col_owner[j] = r
+            return True
+        frames.append((row, iter(adj[row])))
+        while frames:
+            row, cols = frames[-1]
+            j = next((j for j in cols if not visited[j]), None)
+            if j is not None:
+                visited[j] = True
+                path.append((row, j))
+                row = col_owner[j]
+                break
+            frames.pop()
+            if path:
+                path.pop()
+        else:
+            return False
+
+
+def ref_extract_matching(adj, m):
+    """_extract_matching as it was, with a fresh visited list per root."""
+    col_owner = [-1] * m
+    for i in range(m):
+        taken = False
+        for j in adj[i]:
+            if col_owner[j] == -1:
+                col_owner[j] = i
+                taken = True
+                break
+        if not taken and not ref_augment(adj, col_owner, i, [False] * m):
+            raise ValueError("matrix is not regular: no perfect matching")
+    row_to_col = [-1] * m
+    for j, i in enumerate(col_owner):
+        row_to_col[i] = j
+    return row_to_col
+
+
 def ref_decompose_matrix(mat):
     """decompose_matrix as it was before the row lists came from one cell
-    scan: one flatnonzero per row."""
+    scan (one flatnonzero per row) and before the matching loops were
+    rewritten."""
     r = regular_degree(mat)
     m = mat.shape[0]
     remaining = [np.flatnonzero(row).tolist() for row in mat]
     perms = []
     for _ in range(r):
-        row_to_col = btu._extract_matching(remaining, m)
+        row_to_col = ref_extract_matching(remaining, m)
         perms.append(Permutation(tuple(j + 1 for j in row_to_col)))
         for i, j in enumerate(row_to_col):
             remaining[i].remove(j)
@@ -155,6 +203,18 @@ class TestDecompose:
     def test_same_slots_as_the_row_list_construction(self, mat):
         assert decompose_matrix(mat) == ref_decompose_matrix(mat)
 
+    @pytest.mark.parametrize("kind", ["m2048-random", "m2000-circulant"])
+    def test_same_slots_as_the_reference_at_full_size(self, kind):
+        # The random matrix sends a few hundred rows down augmenting
+        # paths; the circulant's paths are among the longest.
+        if kind == "m2048-random":
+            b = random_btu(2048, 3, seed=7)
+        else:
+            m = 2000
+            b = make_btu([identity(m), circular_rotation(m, 1), circular_rotation(m, 3)])
+        mat = to_biadjacency(b)
+        assert decompose_matrix(mat) == ref_decompose_matrix(mat)
+
 
 class TestRegularDegree:
     """`regular_degree` accepts exactly what `decompose_matrix` can split,
@@ -185,6 +245,27 @@ class TestRegularDegree:
     def test_zero_matrix_refused(self):
         with pytest.raises(ValueError, match="at least one permutation"):
             regular_degree(np.zeros((3, 3), dtype=np.int8))
+
+    @pytest.mark.parametrize(
+        "dtype, value",
+        [(np.float64, v) for v in (0.5, np.nan, np.inf, -1, 2)]
+        + [(np.int64, v) for v in (-1, 2)],
+    )
+    @pytest.mark.parametrize("cell", [(0, 0), (0, 1)], ids=["on-a-one", "on-a-zero"])
+    @pytest.mark.parametrize("read", [regular_degree, decompose_matrix, matrix_to_text])
+    def test_non_binary_entries_refused(self, read, cell, dtype, value):
+        mat = np.eye(3, dtype=dtype)
+        mat[cell] = value
+        with pytest.raises(ValueError, match="^matrix entries must be 0 or 1$"):
+            read(mat)
+
+    @pytest.mark.parametrize("dtype", [bool, np.float64, np.int64])
+    def test_other_dtypes_of_0_and_1_accepted(self, dtype):
+        mat = to_biadjacency(random_btu(6, 3, seed=2))
+        cast = mat.astype(dtype)
+        assert regular_degree(cast) == 3
+        assert decompose_matrix(cast) == decompose_matrix(mat)
+        assert matrix_to_text(cast) == matrix_to_text(mat)
 
 
 class TestGirth:

@@ -230,6 +230,15 @@ class TestSmallCommands:
             "2 1 4 3 | 1 2 3 4 | 4 3 1 2",
         ]
 
+    def test_enum_z_refused_up_front_whatever_the_cap(self, capsys):
+        # (12,3) would try 5! x 11! ~ 4.8e9 combinations before its first
+        # member; the cap bounds only what is printed.
+        start = time.perf_counter()
+        code, out, err = run(capsys, "enum-z", "-m", "12", "-r", "3", "--cap", "1")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        assert "4.8e9" in err and "1000000" in err
+
     def test_cayley(self, capsys):
         code, out, _ = run(capsys, "cayley", "-m", "9", "-r", "3", "-i", "1")
         assert code == 0

@@ -31,7 +31,13 @@ from btusearch.parameters import (
     factorize,
     optimal_partitions,
 )
-from btusearch.perms import PartitionP2, Permutation, identity, union_cycle_partition
+from btusearch.perms import (
+    BTUError,
+    PartitionP2,
+    Permutation,
+    identity,
+    union_cycle_partition,
+)
 from btusearch.searchspace import CandidateWord
 
 
@@ -180,6 +186,16 @@ class TestEnumerateZ:
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateFactorizationError):
             list(enumerate_Z(6, 3))
+
+    def test_9_3_listed_in_full(self):
+        # 2! x 8! = 80,640 combinations tried: under the listing limit.
+        assert sum(1 for _ in enumerate_Z(9, 3)) == 26640
+
+    @pytest.mark.parametrize("cap", [None, 1])
+    def test_refused_up_front_whatever_the_cap(self, cap):
+        members = enumerate_Z(12, 3, cap=cap)
+        with pytest.raises(BTUError, match=r"about 4\.8e9 .* limit of 1000000"):
+            next(members)
 
     def test_partitions_always_optimal(self):
         betas = optimal_partitions(factorize(9, 3)).betas

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from strategies import EDITS, edited, format_shaped_texts, regular_matrices
+from strategies import EDITS, FUZZ_EDITS, edited, format_shaped_texts, regular_matrices
 
 from btusearch.btu import girth, make_btu, to_biadjacency
 from btusearch.engine import search
@@ -240,6 +240,51 @@ def ref_alist_to_matrix(text):
     return mat
 
 
+def per_line_alist_to_matrix(text):
+    """alist_to_matrix as it was before the index lines were read as one
+    array: per-line int() loops, with the square header check the
+    reference lacks.  Its messages are the ones the reader keeps."""
+    lines = [line for line in text.splitlines() if line.strip()]
+    if len(lines) < 4:
+        raise ValueError("alist needs at least 4 header lines")
+    n_cols, n_rows = (int(tok) for tok in lines[0].split())
+    if n_cols != n_rows:
+        raise ValueError("alist header must describe a square matrix")
+    col_deg = [int(tok) for tok in lines[2].split()]
+    row_deg = [int(tok) for tok in lines[3].split()]
+    if len(col_deg) != n_cols or len(row_deg) != n_rows:
+        raise ValueError("alist degree lines disagree with the header")
+    if len(lines) != 4 + n_cols + n_rows:
+        raise ValueError("alist line count disagrees with the header")
+    rows, cols = [], []
+    for j in range(n_cols):
+        entries = [int(tok) for tok in lines[4 + j].split()]
+        if len(entries) != col_deg[j]:
+            raise ValueError(f"column {j + 1} degree mismatch")
+        if not 1 <= min(entries) <= max(entries) <= n_rows:
+            raise ValueError(f"column {j + 1} has a row index outside 1..{n_rows}")
+        rows += entries
+        cols += [j] * len(entries)
+    mat = np.zeros((n_rows, n_cols), dtype=np.int8)
+    mat[np.array(rows, dtype=np.intp) - 1, np.array(cols, dtype=np.intp)] = 1
+    for i in range(n_rows):
+        entries = [int(tok) for tok in lines[4 + n_cols + i].split()]
+        if not 1 <= min(entries) <= max(entries) <= n_cols:
+            raise ValueError(f"row {i + 1} has a column index outside 1..{n_cols}")
+        if sorted(entries) != (np.flatnonzero(mat[i]) + 1).tolist():
+            raise ValueError(f"row {i + 1} entries disagree with columns")
+    return mat
+
+
+def read_message(read, text):
+    """The matrix `read` returns, or the type and message it raises."""
+    try:
+        mat = read(text)
+    except Exception as exc:  # noqa: BLE001  the type is part of the answer
+        return type(exc).__name__, str(exc)
+    return mat.dtype, mat.tolist()
+
+
 def ref_detect_and_parse(text):
     try:
         return ref_alist_to_matrix(text)
@@ -297,6 +342,39 @@ class TestRewriteMatchesReference:
             text = data.draw(edited(write(mat), EDITS))
             assert read_outcome(read, text) == read_outcome(ref_read, text)
 
+    @settings(max_examples=300, deadline=None)
+    @given(mat=regular_matrices(max_m=12), data=st.data())
+    def test_alist_reader_under_fuzzing(self, mat, data):
+        text = matrix_to_alist(mat)
+        for _ in range(2):
+            if text.split():
+                text = data.draw(edited(text, FUZZ_EDITS))
+        assert read_outcome(alist_to_matrix, text) == read_outcome(ref_alist_to_matrix, text)
+        assert read_message(alist_to_matrix, text) == read_message(per_line_alist_to_matrix, text)
+
+    @pytest.mark.parametrize(
+        "at, line, message",
+        [
+            (2, "99999999999999999999 2 2", "column 1 degree mismatch"),
+            (4, "1 99999999999999999999", "column 1 has a row index outside 1..3"),
+            (7, "-99999999999999999999 2", "row 1 has a column index outside 1..3"),
+            (8, "١ 3", "row 2 entries disagree with columns"),
+            (9, "x 3", "invalid literal for int() with base 10: 'x'"),
+        ],
+    )
+    def test_alist_damaged_line_named(self, at, line, message):
+        # Values beyond int64 are read as int() reads them, not refused
+        # with an OverflowError.
+        lines = alist_3x3().split("\n")
+        lines[at] = line
+        text = "\n".join(lines)
+        assert read_message(alist_to_matrix, text) == ("ValueError", message)
+        assert read_message(per_line_alist_to_matrix, text) == ("ValueError", message)
+
+    def test_alist_tokens_read_as_int_reads_them(self):
+        text = alist_3x3(col1="+1 ٣", row3="0_1 3")
+        assert (alist_to_matrix(text) == alist_to_matrix(alist_3x3())).all()
+
     @pytest.mark.parametrize("token", ["00", "+1", "١", "0_0"])
     def test_token_grammar_is_exactly_0_or_1(self, token):
         # The reference read these through int(); the grammar now takes
@@ -311,6 +389,12 @@ class TestRewriteMatchesReference:
             ref_text_to_matrix("300 1\n1 1\n")
         with pytest.raises(ValueError, match="matrix entries must be 0 or 1"):
             text_to_matrix("300 1\n1 1\n")
+
+    @pytest.mark.parametrize("mat", [[[2, 0], [1, 1]], [[1, -1], [0, 3]]])
+    def test_alist_writer_sums_a_non_binary_matrix(self, mat):
+        # The degree lines are the column and row sums, as they were.
+        mat = np.array(mat)
+        assert matrix_to_alist(mat) == ref_matrix_to_alist(mat)
 
     def test_matrix_writer_rejects_non_binary(self):
         with pytest.raises(ValueError, match="matrix entries must be 0 or 1"):
