@@ -22,7 +22,7 @@ from .engine import MAX_LISTED, SearchConfig, enumerate_Z, search
 from .oracle import max_girth, verify_search
 from .parameters import factorize, optimal_partitions
 from .perms import BTUError, Permutation, identity, scale_permutation
-from .searchspace import candidate_count, cayley_stats, cycle_images
+from .searchspace import cayley_stats, cycle_images, listed_count
 
 # Rows of a listing turned into text at a time.
 _BLOCK_ROWS = 1 << 14
@@ -107,10 +107,10 @@ def _cmd_girth(args) -> int:
 
 
 def _cmd_candidates(args) -> int:
-    listed = min(candidate_count(args.n), args.limit or float("inf"))
+    listed, text = listed_count(args.n, args.limit)
     if listed > MAX_LISTED:
         raise BTUError(
-            f"-n {args.n} would list {listed} candidates, over the limit of "
+            f"-n {args.n} would list {text} candidates, over the limit of "
             f"{MAX_LISTED}; --limit bounds it"
         )
     base = (

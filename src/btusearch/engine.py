@@ -34,15 +34,19 @@ best, and in best mode ends at the bipartite Moore bound; neither can
 change which graph wins.  Results are identical for any worker count
 and either kernel.
 
-The stage runs on int arrays: its candidates are the rows of
-searchspace.cycle_images(d, cap), the filters are boolean masks over
-them (the partition check asks that every cycle of inv(left).q has the
-one length the required partition holds), and each member's (final,
-word) pairs form one ordered array that the workers take in slices.
-Permutation objects are built only for the winners.  The candidates and
-the level-2 finals are still listed in full, so a run whose stage would
-list more than MAX_LISTED of them ((d-1)! candidates, or (n-1)! finals)
-is refused with StageTooLargeError before the list is built, unless the
+The stage runs on int arrays of 0-based images: the beam is one array
+of shape (members, slots, n), the candidates are the rows of
+searchspace.cycle_images(d, cap), the finals are rotations or, at level
+2, the cycle_images of degree n, the filters are boolean masks over them
+(the partition check asks that every cycle of inv(left).q has the one
+length the required partition holds), and each member's (final, word)
+pairs form one ordered array that the workers take in slices.  A scan
+never reads the replaced slot, so a member whose other rebased slots
+repeat an earlier member's would repeat its graphs in order: it is
+skipped, and the exhaustive beam holds no duplicate.  The candidates and
+the level-2 finals are listed in full, so a run whose stage would list
+more than MAX_LISTED of them ((d-1)! candidates, or (n-1)! finals) is
+refused with StageTooLargeError before the list is built, unless the
 candidate cap bounds it: up front for the candidates, on reaching level
 2 for the finals.
 """
@@ -52,14 +56,14 @@ from __future__ import annotations
 import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cache, partial
-from math import factorial, gcd, lgamma, log, log10
+from functools import partial
+from math import gcd, lgamma, log, log10
 from typing import Iterator
 
 import numpy as np
 
 from . import _kernel
-from .btu import BTU, in_Z, in_phi, make_btu
+from .btu import BTU, in_phi, make_btu
 from .parameters import (
     DegenerateFactorizationError,
     Factorization,
@@ -69,14 +73,12 @@ from .parameters import (
 )
 from .perms import (
     BTUError,
-    CompatibilityError,
     Permutation,
-    circular_rotation,
     compose,  # noqa: F401  read as engine.compose by perfbench/test_perfbench.py
     identity,
-    scale_permutation,
+    spell_count,
 )
-from .searchspace import CandidateWord, cycle_images, enumerate_candidates, word_at_index
+from .searchspace import CandidateWord, cycle_images, listed_count, word_at_index
 
 ENUM_FALLBACK = "enum"  # rotation_j marker: final slot was enumerated
 # Graphs per girth kernel call: bounds the packed buffer, and lets the
@@ -99,24 +101,21 @@ class StageDeadEndError(BTUError):
 class StageTooLargeError(BTUError):
     """A stage would list more candidates or finals than MAX_LISTED."""
 
-    def __init__(self, stage: int, what: str, degree: int, estimate: int):
+    def __init__(self, stage: int, what: str, degree: int, estimate: int | float, text: str):
         self.stage = stage
         self.estimate = estimate
         self.limit = MAX_LISTED
         super().__init__(
-            f"stage {stage} would list {estimate} {what} of degree {degree}, "
+            f"stage {stage} would list {text} {what} of degree {degree}, "
             f"over the limit of {MAX_LISTED}; a candidate cap (--cap) bounds it"
         )
 
 
 def _refuse_unlisted(stage: int, what: str, degree: int, cap: int | None) -> None:
-    """Raises StageTooLargeError when the (degree-1)! single-cycle
-    candidates of that degree, cut to cap, are more than MAX_LISTED."""
-    estimate = factorial(degree - 1)
-    if cap is not None:
-        estimate = min(estimate, cap)
+    """Refuses a list of the (degree-1)! candidates, cut to cap, over MAX_LISTED."""
+    estimate, text = listed_count(degree, cap)
     if estimate > MAX_LISTED:
-        raise StageTooLargeError(stage, what, degree, estimate)
+        raise StageTooLargeError(stage, what, degree, estimate, text)
 
 
 @dataclass(frozen=True)
@@ -169,48 +168,40 @@ def admissible_rotations(n: int, threshold: int) -> list[int]:
     ]
 
 
-def _coprime_rotations(n: int) -> list[int]:
-    return [j for j in range(1, n) if gcd(j, n) == 1]
+def _rotations(n: int, threshold: int, level: int) -> tuple[list[int | str], list[int]]:
+    """(markers, offsets) of the rotations policy level 0 or 1 offers the
+    newest slot: the admissible offsets, or at level 1 every offset
+    coprime to n, which is every offset admissible at threshold 0."""
+    offsets = admissible_rotations(n, threshold if level == 0 else 0)
+    return [j if level == 0 else f"relaxed-gcd:{j}" for j in offsets], offsets
 
 
-def _stage2(
-    f: Factorization, config: SearchConfig
-) -> tuple[tuple[Permutation, ...], StageTrace]:
+def _stage2(f: Factorization, config: SearchConfig) -> tuple[np.ndarray, StageTrace]:
+    """The one-member beam [identity, rotation] at degree b*k, its rotation
+    the first that the first policy level offering any gives."""
     n = f.b * f.k
-    adm = admissible_rotations(n, f.b)
-    if adm:
-        j = adm[0]
-        marker: int | str = j
-    elif config.rotation_policy == "strict":
-        raise StageDeadEndError(2, f"no admissible rotation at n={n}, threshold={f.b}")
+    for level in [0] if config.rotation_policy == "strict" else [0, 1]:
+        markers, offsets = _rotations(n, f.b, level)
+        if offsets:
+            break
     else:
-        j = _coprime_rotations(n)[0]
-        marker = f"relaxed-gcd:{j}"
-    perms = (identity(n), circular_rotation(n, j))
-    g = _kernel.girth_of_images([p.image for p in perms], n)
-    trace = StageTrace(
-        stage=2, n=n, rotation_j=marker, candidates_evaluated=1, best_girth=g
-    )
-    return perms, trace
+        raise StageDeadEndError(2, f"no admissible rotation at n={n}, threshold={f.b}")
+    beam = np.array([[np.arange(n), (np.arange(n) - offsets[0]) % n]], dtype=np.min_scalar_type(n))
+    g = _kernel.girth_of_images(beam[0] + 1, n)
+    return beam, StageTrace(2, n, rotation_j=markers[0], candidates_evaluated=1, best_girth=g)
 
 
-def _finals_for_level(
-    n: int, threshold: int, level: int, cap: int | None, stage: int
-) -> list[tuple[int | str, tuple[int, ...]]]:
-    """(marker, image) choices for the newest slot at a policy level."""
-    if level == 0:
-        return [
-            (j, circular_rotation(n, j).image)
-            for j in admissible_rotations(n, threshold)
-        ]
-    if level == 1:
-        return [
-            (f"relaxed-gcd:{j}", circular_rotation(n, j).image)
-            for j in _coprime_rotations(n)
-        ]
+def _finals_for_level(n: int, threshold: int, level: int, cap: int | None, stage: int):
+    """(markers, finals) for the newest slot at a policy level: one marker
+    and one row of 0-based images per final.  At levels 0 and 1 the row of
+    offset j is the rotation (i - j) mod n; at level 2 the finals are every
+    single-cycle candidate of degree n, cut to cap."""
+    if level < 2:
+        markers, offsets = _rotations(n, threshold, level)
+        return markers, (np.arange(n) - np.array(offsets, dtype=np.intp)[:, None]) % n
     _refuse_unlisted(stage, "finals", n, cap)
-    images = cycle_images(n, cap).astype(np.int32) + 1
-    return [(ENUM_FALLBACK, image) for image in map(tuple, images.tolist())]
+    finals = cycle_images(n, cap)
+    return [ENUM_FALLBACK] * len(finals), finals
 
 
 def _moore_girth(n: int, r: int) -> int:
@@ -224,19 +215,24 @@ def _moore_girth(n: int, r: int) -> int:
     return 2 * half
 
 
+def _assemble(slots: np.ndarray, at: int, words: np.ndarray, finals: np.ndarray, dtype):
+    """The graphs of (word, final) row pairs as 0-based images of shape
+    (pairs, r, n): the member's scaled slots with slot `at` replaced by
+    the word scaled to degree n, then the final."""
+    (count, d), n = words.shape, slots.shape[1]
+    graphs = np.empty((count, len(slots) + 1, n), dtype=dtype)
+    graphs[:, :-1] = slots
+    graphs[:, at] = (words[:, None, :] + np.arange(0, n, d)[:, None]).reshape(count, n)
+    graphs[:, -1] = finals
+    return graphs
+
+
 def _evaluate_chunk(
-    slots: np.ndarray,
-    at: int,
-    words: np.ndarray,
-    finals: np.ndarray,
-    pairs: np.ndarray,
-    lo: int,
-    hi: int,
-    exhaustive: bool,
+    slots: np.ndarray, at: int, words: np.ndarray, finals: np.ndarray,
+    pairs: np.ndarray, lo: int, hi: int, exhaustive: bool,
 ) -> tuple[int, int, list[int]]:
-    """Girths of the graphs that the (final, word) pairs[lo:hi] name: the
-    member's scaled slots with slot `at` replaced by the k-scaled word,
-    then the final; SUB_BATCH graphs per kernel call.
+    """Girths of the graphs that the (final, word) pairs[lo:hi] name,
+    SUB_BATCH graphs per kernel call.
 
     Between calls the cutoff rises to the block's running best (minus 1
     in exhaustive mode, so ties stay exact): a graph at or below it
@@ -248,14 +244,10 @@ def _evaluate_chunk(
     """
     r, n = len(slots) + 1, slots.shape[1]
     moore = _moore_girth(n, r)
-    offsets = np.arange(0, n, words.shape[1], dtype=np.int32)[:, None]
     count, best_g, best = 0, -1, []
     for start in range(lo, hi, SUB_BATCH):
         final, word = pairs[start : min(hi, start + SUB_BATCH)].T
-        graphs = np.empty((len(word), r, n), dtype=np.int32)
-        graphs[:, :-1] = slots
-        graphs[:, at] = (words[word, None, :] + offsets).reshape(len(word), n)
-        graphs[:, -1] = finals[final]
+        graphs = _assemble(slots, at, words[word], finals[final], np.int32)
         graphs += 1
         cutoff = best_g - 1 if exhaustive else best_g
         girths = _kernel.girth_batch(graphs.ravel(), len(word), n, r, cutoff)
@@ -286,11 +278,8 @@ def _uniform_cycles(sigma: np.ndarray, length: int) -> np.ndarray:
 
 
 def _run_stage(
-    beam: list[tuple[Permutation, ...]],
-    stage: int,
-    f: Factorization,
-    config: SearchConfig,
-) -> tuple[list[tuple[Permutation, ...]], StageTrace]:
+    beam: np.ndarray, stage: int, f: Factorization, config: SearchConfig
+) -> tuple[np.ndarray, StageTrace]:
     b, k = f.b, f.k
     n = b * k ** (stage - 1)
     d = b * k ** (stage - 2)
@@ -303,92 +292,74 @@ def _run_stage(
     if stage >= 4:
         (cycle,) = set(closed_form_partitions(b, k, stage - 1)[stage - 4].parts)
     offsets = np.arange(0, n, d)[:, None]
+    dtype = np.min_scalar_type(n)  # of the new beam
 
-    def prepare(perms: tuple[Permutation, ...], finals: np.ndarray):
-        """The member's slots rebased (the last becomes the identity) and
-        scaled, and its ordered (final, word) pairs: the words that pass
-        the degree-d filters, against the finals compatible with the other
-        scaled slots.  As scaling adds j*d to block j, a scaled word meets
-        a final wherever the word meets the final's block j minus j*d."""
-        slots = np.array([p.image for p in perms]) - 1
-        slots = slots[:, np.argsort(slots[-1])]
+    def prepare(slots: np.ndarray, finals: np.ndarray, blocks: np.ndarray):
+        """The member's rebased slots scaled, and its ordered (final, word)
+        pairs: the words that pass the degree-d filters, against the
+        finals compatible with the other scaled slots.  As scaling adds
+        j*d to block j, a scaled word meets a final wherever the word
+        meets the final's block j minus j*d, which `blocks` holds."""
         keep = np.flatnonzero((words[:, None, :] != np.delete(slots, at, 0)).all(axis=(1, 2)))
         if stage >= 4:
             keep = keep[_uniform_cycles(np.argsort(slots[at - 1])[words[keep]], cycle)]
         slots = (slots[:, None, :] + offsets).reshape(len(slots), n)
         rows = np.flatnonzero((finals[:, None, :] != np.delete(slots, at, 0)).all(axis=(1, 2)))
-        blocks, kept = finals.reshape(len(finals), k, d) - offsets, words[keep, None, :]
+        kept = words[keep, None, :]
         step = max(1, PAIR_CELLS // max(1, len(keep) * n))
         pairs = [np.empty((0, 2), dtype=np.intp)]
         for lo in range(0, len(rows), step):
             chunk = rows[lo : lo + step]
-            meets = (kept != blocks[chunk, None]).all(axis=(2, 3))
-            final, word = np.nonzero(meets)
+            final, word = np.nonzero((kept != blocks[chunk, None]).all(axis=(2, 3)))
             pairs.append(np.column_stack((chunk[final], keep[word])))
         return slots, np.concatenate(pairs)
-
-    @cache
-    def scaled_word(w: int) -> tuple[int, ...]:
-        """The 1-based image of word w's cycle scaled to degree n, one
-        tuple shared by every winner that holds it."""
-        return tuple(((words[w] + offsets).ravel() + 1).tolist())
 
     levels = [0] if config.rotation_policy == "strict" else [0, 1, 2]
     exhaustive = config.mode == "exhaustive"
     attempted = 0
     with ThreadPoolExecutor(max_workers=config.worker_count) as pool:
         for level in levels:
-            listed = _finals_for_level(n, d, level, config.candidate_cap, stage)
-            if not listed:
+            markers, finals = _finals_for_level(n, d, level, config.candidate_cap, stage)
+            if not len(finals):
                 continue
-            attempted += len(beam) * len(listed) * len(words)
-            finals = np.array([img for _, img in listed], dtype=np.int32) - 1
-            evaluated, best_g, winners = 0, -1, []
-            for perms in beam:
-                slots, pairs = prepare(perms, finals)
+            attempted += len(beam) * len(finals) * len(words)
+            blocks = finals.reshape(len(finals), k, d) - offsets
+            evaluated, best_g, winners, seen = 0, -1, [], set()
+            for member in beam:
+                rebased = member[:, np.argsort(member[-1])]
+                others = np.delete(rebased, at, 0).tobytes()
+                if others in seen:
+                    continue  # its graphs are an earlier member's, in order
+                seen.add(others)
+                slots, pairs = prepare(rebased, finals, blocks)
                 step = max(1, len(pairs) // (4 * config.worker_count))
                 starts = range(0, len(pairs), step)
                 stops = [min(len(pairs), lo + step) for lo in starts]
                 scan = partial(
                     _evaluate_chunk, slots, at, words, finals, pairs, exhaustive=exhaustive
                 )
-                rows = list(map(tuple, (slots + 1).tolist()))
-                for count, g, found in pool.map(scan, starts, stops):
+                found = []
+                for count, g, block in pool.map(scan, starts, stops):
                     evaluated += count
                     if g > best_g:
-                        best_g, winners = g, []
+                        best_g, winners, found = g, [], []
                     if g == best_g:
-                        winners.extend(
-                            (fi, wi, (*rows[:at], scaled_word(wi), *rows[at + 1 :], listed[fi][1]))
-                            for fi, wi in pairs[found].tolist()
-                        )
+                        found.extend(block)
+                if found:
+                    final, word = pairs[found].T
+                    if not winners:
+                        first = int(final[0]), int(word[0])
+                    winners.append(_assemble(slots, at, words[word], finals[final], dtype))
             if evaluated == 0:
                 continue
 
-            fi, widx, _ = winners[0]
-            if config.mode == "best":
-                kept = [winners[0][2]]
-            else:
-                kept = list(dict.fromkeys(images for _, _, images in winners))
-            trace = StageTrace(
-                stage=stage,
-                n=n,
-                rotation_j=listed[fi][0],
-                candidates_evaluated=attempted,
-                best_girth=best_g,
-                best_candidate_word=CandidateWord(
-                    n=d, word=Permutation(word_at_index(d, widx))
-                ),
-            )
-            # Winners share their slot images, so one Permutation per
-            # distinct image serves the whole beam.
-            made = {img: Permutation(img) for img in {img for images in kept for img in images}}
-            return [tuple(map(made.get, images)) for images in kept], trace
+            word = CandidateWord(n=d, word=Permutation(word_at_index(d, first[1])))
+            trace = StageTrace(stage, n, markers[first[0]], attempted, best_g, word)
+            return np.concatenate(winners)[: None if exhaustive else 1], trace
 
     raise StageDeadEndError(
-        stage,
-        f"no compatible (rotation, candidate) configuration at n={n} "
-        f"under {config.rotation_policy} policy",
+        stage, f"no compatible (rotation, candidate) configuration at n={n} "
+        f"under {config.rotation_policy} policy"
     )
 
 
@@ -397,30 +368,18 @@ def search(m: int, r: int, config: SearchConfig | None = None) -> SearchResult:
     config = config or SearchConfig()
     f = factorize(m, r)
     if r >= 3 and f.degenerate:
-        raise DegenerateFactorizationError(
-            f"m={m}, r={r}: k=1, enumeration search inapplicable"
-        )
+        raise DegenerateFactorizationError(f"m={m}, r={r}: k=1, enumeration search inapplicable")
     for stage in range(3, r + 1):
         _refuse_unlisted(stage, "candidates", f.b * f.k ** (stage - 2), config.candidate_cap)
-    perms, trace = _stage2(f, config)
-    beam = [perms]
+    beam, trace = _stage2(f, config)
     traces = [trace]
     for stage in range(3, r + 1):
         beam, trace = _run_stage(beam, stage, f, config)
         traces.append(trace)
-    result_btu = make_btu(beam[0])
-    betas = optimal_partitions(f).betas
-    if not in_phi(result_btu, betas):
-        raise AssertionError(
-            "search produced a BTU off the optimal partition sequence"
-        )
-    return SearchResult(
-        factorization=f,
-        btu=result_btu,
-        girth=traces[-1].best_girth,
-        traces=tuple(traces),
-        config_echo=config,
-    )
+    result_btu = make_btu([Permutation(tuple(image)) for image in (beam[0] + 1).tolist()])
+    if not in_phi(result_btu, optimal_partitions(f).betas):
+        raise AssertionError("search produced a BTU off the optimal partition sequence")
+    return SearchResult(f, result_btu, traces[-1].best_girth, tuple(traces), config)
 
 
 def enumerate_Z(m: int, r: int, cap: int | None = None) -> Iterator[BTU]:
@@ -430,46 +389,47 @@ def enumerate_Z(m: int, r: int, cap: int | None = None) -> Iterator[BTU]:
     candidates of degree b*k^j, slot r-1 is the identity, and slot r
     ranges over single-cycle candidates of degree m; combinations that
     fail pairwise compatibility or leave the optimal partition sequence
-    are dropped, so every yielded BTU is a family member.
+    are dropped, so every yielded BTU is a family member.  Slot pairs
+    that involve slot r-1 or r hold both by construction but for the
+    compatibility of slot r, one mask over the cycle_images(m) rows per
+    prefix of scaled candidates.
 
-    Each of the prod_{j=1}^{r-2} (b*k^j - 1)! * (m-1)! combinations is
-    built and checked in Python until the cap is reached, so a run that
-    would try more than MAX_LISTED of them is refused with BTUError
-    before the first, whatever the cap.
+    A run whose prod_{j=1}^{r-2} (b*k^j - 1)! * (m-1)! combinations are
+    more than MAX_LISTED is refused with BTUError before the first,
+    whatever the cap.
     """
     f = factorize(m, r)
     if f.degenerate:
-        raise DegenerateFactorizationError(
-            f"m={m}, r={r}: k=1, family enumeration inapplicable"
-        )
+        raise DegenerateFactorizationError(f"m={m}, r={r}: k=1, family enumeration inapplicable")
     b, k = f.b, f.k
     # log10 of the attempts; lgamma(n) is ln((n-1)!)
     degrees = (m, *(b * k**j for j in range(1, r - 1)))
     attempts = sum(map(lgamma, degrees)) / log(10)
     if attempts > log10(MAX_LISTED):
         raise BTUError(
-            f"m={m}, r={r}: the family enumeration would try about "
-            f"{10 ** (attempts % 1):.1f}e{int(attempts)} slot combinations, "
+            f"m={m}, r={r}: the family enumeration would try "
+            f"{spell_count(attempts)[1]} slot combinations, "
             f"over the limit of {MAX_LISTED}; a cap bounds only the members listed"
         )
-    scaled_slots = [
-        [
-            scale_permutation(q, k ** (r - 1 - j))
-            for q in enumerate_candidates(identity(b * k**j))
-        ]
-        for j in range(1, r - 1)
+    scaled = [
+        (cycle_images(d)[:, None, :] + np.arange(0, m, d)[:, None]).reshape(-1, m)
+        for d in degrees[1:]
     ]
+    lasts, middle = cycle_images(m), identity(m)
     yielded = 0
-    for combo in itertools.product(*scaled_slots):
-        for last in enumerate_candidates(identity(m)):
-            perms = (*combo, identity(m), last)
-            try:
-                candidate = make_btu(perms)
-            except CompatibilityError:
-                continue
-            if not in_Z(candidate, f):
-                continue
-            yield candidate
+    for combo in itertools.product(*map(range, map(len, scaled))):
+        prefix = np.array([q[i] for q, i in zip(scaled, combo)]).reshape(-1, m)
+        meet = itertools.combinations(range(r - 2), 2)
+        if not all((prefix[i] != prefix[j]).all() for i, j in meet):
+            continue
+        # Slots i+1 and i+2 (1-based) need cycles of b*k^(i+1) points.
+        sigmas = [np.argsort(p)[q] for p, q in zip(prefix, prefix[1:])]
+        if not all(_uniform_cycles(s[None], d)[0] for s, d in zip(sigmas, degrees[1:])):
+            continue
+        head = tuple(Permutation(tuple(image)) for image in (prefix + 1).tolist())
+        rows = np.flatnonzero((lasts[:, None, :] != prefix).all(axis=(1, 2)))
+        for image in (lasts[rows[: None if cap is None else cap - yielded]] + 1).tolist():
+            yield BTU(m=m, r=r, perms=(*head, middle, Permutation(tuple(image))))
             yielded += 1
-            if cap is not None and yielded >= cap:
-                return
+        if cap is not None and yielded >= cap:
+            return

@@ -23,7 +23,7 @@ silently samples would not be an oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, lgamma, log, log10
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from . import _kernel
 from .btu import BTU
 from .engine import SearchConfig, StageDeadEndError, search
 from .parameters import DegenerateFactorizationError
-from .perms import BTUError, PartitionP2, Permutation
+from .perms import BTUError, PartitionP2, Permutation, spell_count
 from .searchspace import lex_permutations
 
 DEFAULT_BUDGET = 10_000_000
@@ -41,11 +41,11 @@ BLOCK = 4096
 
 
 class BudgetExceededError(BTUError):
-    def __init__(self, m: int, r: int, estimate: int, budget: int):
+    def __init__(self, m: int, r: int, estimate: int | float, budget: int, text: str):
         self.estimate = estimate
         self.budget = budget
         super().__init__(
-            f"exhaustive sweep of ({m}, {r}) needs an estimated {estimate} "
+            f"exhaustive sweep of ({m}, {r}) needs an estimated {text} "
             f"universe rows and compatibility checks, over the budget of {budget}"
         )
 
@@ -81,6 +81,15 @@ def _estimate_checks(m: int, r: int, fixed: bool) -> int:
     return factorial(m) + sum(
         factorial(m) ** t * (t - 1 + prior0) for t in range(1, free + 1)
     )
+
+
+def _log10_estimate(m: int, r: int, fixed: bool) -> float:
+    """log10 of _estimate_checks(m, r, fixed) to within its largest term,
+    sized from lgamma, so no huge factorial is computed."""
+    free = r - 1 if fixed else r
+    last = free if fixed else free - 1  # the factor of the largest term
+    rows = lgamma(m + 1) / log(10)
+    return free * rows + log10(last) if last > 0 else rows
 
 
 def _leaves(
@@ -125,9 +134,11 @@ def _image_blocks(m: int, r: int, fixed: bool, budget: int):
         raise ValueError("need m >= 1 and r >= 1")
     if r > m:
         return
-    estimate = _estimate_checks(m, r, fixed)
+    estimate, text = spell_count(
+        _log10_estimate(m, r, fixed), lambda: _estimate_checks(m, r, fixed)
+    )
     if estimate > budget:
-        raise BudgetExceededError(m, r, estimate, budget)
+        raise BudgetExceededError(m, r, estimate, budget, text)
     universe = lex_permutations(m)
     everything = np.arange(len(universe))
     first = everything[:1] if fixed else everything

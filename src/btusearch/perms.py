@@ -15,10 +15,29 @@ perfect matchings.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
+from typing import Callable
+
+# Refusals spell counts in full up to this many digits.  Past them an exact
+# count may take seconds to compute and, past 4,300 digits, cannot be text.
+EXACT_DIGITS = 30
 
 
 class BTUError(Exception):
     """Base class for domain errors raised by this package."""
+
+
+def spell_count(log10: float, exact: Callable[[], int] | None = None) -> tuple[int | float, str]:
+    """A refusal's count and its text, from the count's log10: the int
+    `exact` computes and its digits while they are at most EXACT_DIGITS,
+    else the nearest float (inf past the float range) and `about 1.2e3456`."""
+    if exact is not None and log10 < EXACT_DIGITS - 1:
+        count = exact()
+        return count, str(count)
+    mantissa, power = round(10 ** (log10 % 1), 1), int(log10)
+    if mantissa == 10:  # 9.96e5 is about 1.0e6
+        mantissa, power = 1.0, power + 1
+    return (10.0**log10 if log10 < 308 else inf), f"about {mantissa:.1f}e{power}"
 
 
 class CompatibilityError(BTUError):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, lgamma, log, log10
 from typing import Iterator
 
 import numpy as np
@@ -26,6 +26,7 @@ from .perms import (
     compose,
     cycle_type,
     invert,
+    spell_count,
 )
 
 
@@ -60,6 +61,15 @@ def candidate_count(n: int) -> int:
     if n < 2:
         raise ValueError(f"need degree >= 2, got {n}")
     return factorial(n - 1)
+
+
+def listed_count(n: int, limit: int | None = None) -> tuple[int | float, str]:
+    """min(candidate_count(n), limit) and its text, as perms.spell_count
+    gives them: sized in log space, so no huge factorial is computed."""
+    digits = lgamma(max(n, 1)) / log(10)  # below 2, candidate_count refuses n
+    if limit is None:
+        return spell_count(digits, lambda: candidate_count(n))
+    return spell_count(min(digits, log10(limit)), lambda: min(candidate_count(n), limit))
 
 
 def _cycle_from_word(word: tuple[int, ...], n: int) -> Permutation:

@@ -180,6 +180,26 @@ class TestSmallCommands:
         assert code == 1 and out == ""
         assert err.startswith("error: -n 14 would list 6227020800 candidates")
 
+    @pytest.mark.parametrize(
+        "argv,start",
+        [
+            ("search -m 1000000000000 -r 3", "stage 3 would list about 8.3e5565702 candidates"),
+            ("search -m 100000 -r 3", "stage 3 would list about 4.0e2564 candidates"),
+            ("candidates -n 100000", "-n 100000 would list about 2.8e456568 candidates"),
+            ("oracle -m 2000 -r 1", "exhaustive sweep of (2000, 1) needs an estimated about 3.3e5735"),
+            ("oracle -m 3000 -r 60", "exhaustive sweep of (3000, 60) needs an estimated about 7.1e547838"),
+            ("oracle -m 500 -r 3", "exhaustive sweep of (500, 3) needs an estimated about 3.6e3402"),
+        ],
+    )
+    def test_huge_counts_refused_at_once_in_one_short_line(self, capsys, argv, start):
+        # The exact counts run past the 4,300 digits Python turns into
+        # text, and 999,999! alone takes seconds to compute.
+        started = time.perf_counter()
+        code, out, err = run(capsys, *argv.split())
+        assert time.perf_counter() - started < 1
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {start}") and len(err) < 300
+
     def test_candidates_limit_bounds_the_listing(self, capsys):
         code, out, _ = run(capsys, "candidates", "-n", "14", "--limit", "3")
         assert code == 0

@@ -1,8 +1,10 @@
 """Staged search and family enumeration."""
 
 import hashlib
+import itertools
 import json
 import time
+import tracemalloc
 import warnings
 from math import factorial
 
@@ -13,7 +15,14 @@ from hypothesis import strategies as st
 from strategies import regular_matrices
 
 from btusearch import engine
-from btusearch.btu import adjacent_partitions, decompose_matrix, girth, in_Z, in_phi
+from btusearch.btu import (
+    adjacent_partitions,
+    decompose_matrix,
+    girth,
+    in_Z,
+    in_phi,
+    make_btu,
+)
 from btusearch.cli import main
 from btusearch.engine import (
     SearchConfig,
@@ -33,12 +42,15 @@ from btusearch.parameters import (
 )
 from btusearch.perms import (
     BTUError,
+    CompatibilityError,
     PartitionP2,
     Permutation,
+    circular_rotation,
     identity,
+    scale_permutation,
     union_cycle_partition,
 )
-from btusearch.searchspace import CandidateWord
+from btusearch.searchspace import CandidateWord, cycle_images, enumerate_candidates
 
 
 @pytest.fixture(autouse=True)
@@ -202,6 +214,39 @@ class TestEnumerateZ:
         for b in list(enumerate_Z(9, 3, cap=50)):
             assert adjacent_partitions(b) == betas
 
+    @pytest.mark.parametrize("m,r", [(4, 2), (7, 2), (4, 3), (8, 3), (8, 4)])
+    def test_members_are_the_per_attempt_loop(self, m, r):
+        assert list(enumerate_Z(m, r)) == list(per_attempt_Z(m, r))
+
+    @pytest.mark.parametrize("cap", [1, 5])
+    def test_capped_members_are_the_per_attempt_loop(self, cap):
+        assert list(enumerate_Z(9, 3, cap=cap)) == list(per_attempt_Z(9, 3, cap))
+
+
+def per_attempt_Z(m, r, cap=None):
+    """The family enumeration as one make_btu and in_Z check per slot
+    combination: the reference the array filter is tested against."""
+    f = factorize(m, r)
+    scaled_slots = [
+        [
+            scale_permutation(q, f.k ** (r - 1 - j))
+            for q in enumerate_candidates(identity(f.b * f.k**j))
+        ]
+        for j in range(1, r - 1)
+    ]
+    yielded = 0
+    for combo in itertools.product(*scaled_slots):
+        for last in enumerate_candidates(identity(m)):
+            try:
+                candidate = make_btu((*combo, identity(m), last))
+            except CompatibilityError:
+                continue
+            if in_Z(candidate, f):
+                yield candidate
+                yielded += 1
+                if yielded == cap:
+                    return
+
 
 # Regression pins for r >= 4, exhaustive and capped runs included: the
 # winning BTU and every StageTrace field.  Trace rows are (stage, n,
@@ -353,12 +398,18 @@ EXHAUSTIVE_BEAMS = {
     (27, 4): "4705a7597c6c58448b7965d7c5614cbe08255d98f46901595e574af9acf807ba",
     (8, 4): "cd8d9d1fb090318116f57e963fe3ef02e1b444c255e85f1998260cd7dda4c6f3",
     (32, 3): "19d03c79f052123273d793b13e92ebd71805b077cdac93602192b6abc791a0b0",
+    # Full co-maximal beams in which members repeat: 11,700 and 70,746
+    # BTUs.  At (16, 5) stage 5, 80 of the 736 members repeat an earlier
+    # member's slots but the replaced one.
+    (16, 4): "47ee69d51d33db7f74f375ca7a8ab030f7733d40b8fb4d551a51e501efabdf76",
+    (16, 5): "ebf224628b83558dce0909df6af92fac3d6c3260fc12f59d124a90091984fd3f",
 }
+COMPILED_ONLY = {(32, 3), (16, 4), (16, 5)}
 BEAM_RUNS = [
     (kernel, m, r, 1)
     for kernel in ("python", "loose")
     for m, r in EXHAUSTIVE_BEAMS
-    if (m, r) != (32, 3)
+    if (m, r) not in COMPILED_ONLY
 ] + [("c", m, r, workers) for m, r in EXHAUSTIVE_BEAMS for workers in (1, 3)]
 
 
@@ -367,11 +418,46 @@ class TestExhaustiveBeams:
     def test_co_maxima_and_order(self, backend, m, r, workers):
         f = factorize(m, r)
         config = SearchConfig(mode="exhaustive", worker_count=workers)
-        beam = [engine._stage2(f, config)[0]]
+        beam = engine._stage2(f, config)[0]
         for stage in range(3, r + 1):
             beam, _ = engine._run_stage(beam, stage, f, config)
-        text = json.dumps([[list(p.image) for p in perms] for perms in beam])
+        text = json.dumps((beam.astype(int) + 1).tolist())
         assert hashlib.sha256(text.encode()).hexdigest() == EXHAUSTIVE_BEAMS[(m, r)]
+
+
+class TestFinalsForLevel:
+    def test_level_two_is_the_candidate_array(self):
+        markers, finals = engine._finals_for_level(7, 3, 2, None, 3)
+        assert markers == ["enum"] * 720
+        assert np.array_equal(finals, cycle_images(7))
+        markers, finals = engine._finals_for_level(7, 3, 2, 5, 3)
+        assert markers == ["enum"] * 5 and np.array_equal(finals, cycle_images(7, 5))
+
+    @pytest.mark.parametrize("n,threshold", [(9, 3), (12, 2), (16, 8), (7, 1)])
+    @pytest.mark.parametrize("level", [0, 1])
+    def test_rotation_rows(self, n, threshold, level):
+        markers, finals = engine._finals_for_level(n, threshold, level, None, 3)
+        assert len(markers) == len(finals)
+        for marker, row in zip(markers, finals):
+            j = marker if level == 0 else int(marker.removeprefix("relaxed-gcd:"))
+            assert row.tolist() == [x - 1 for x in circular_rotation(n, j).image]
+        assert markers == (
+            admissible_rotations(n, threshold)
+            if level == 0
+            else [f"relaxed-gcd:{j}" for j in admissible_rotations(n, 0)]
+        )
+
+
+class TestStageTwoMemory:
+    def test_only_the_used_rotation_is_built(self):
+        # Every admissible rotation of degree 4096 is 2,046 rows of 4,096.
+        tracemalloc.start()
+        try:
+            assert search(4096, 2).girth == 2 * 4096
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestUniformCycles:
@@ -466,7 +552,7 @@ class TestStageTooLarge:
         with pytest.raises(StageTooLargeError) as err:
             engine._finals_for_level(16, 8, 2, None, 5)
         assert "finals of degree 16" in str(err.value)
-        assert len(engine._finals_for_level(16, 8, 2, 10, 5)) == 10
+        assert len(engine._finals_for_level(16, 8, 2, 10, 5)[1]) == 10
 
     def test_cli_exits_one(self, capsys):
         assert main(["search", "-m", "24", "-r", "3"]) == 1
