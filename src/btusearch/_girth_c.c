@@ -1,40 +1,124 @@
 /* Compiled girth kernel; _girth_py is the reference implementation.
  *
- * A graph is an (m, r) incidence given as r one-line images of degree m,
- * 1-based and flattened: row vertex i is joined to column vertex
- * flat[t*m + i] - 1 for each slot t.  A batch is n such graphs back to
- * back.  The girth is the length of the shortest cycle, or 0 for a
- * forest.  The BFS runs without the GIL, so threads can share a search.
+ * A batch is a table of image rows plus a row index.  The table holds
+ * rows of m unsigned ints of 1, 2 or 4 bytes, each a 0-based one-line
+ * image; graph g has r slots, and slot t is table row index[g*r + t]:
+ * row vertex i is joined to column vertex row[i].  The girth is the
+ * length of the shortest cycle (2 for a double edge), or 0 for a forest.
+ * The whole call runs without the GIL, so threads can share a search.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <limits.h>
+#include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
-enum { OK = 0, NO_MEMORY = -1, BAD_IMAGE = -2 };
+enum { OK = 0, NO_MEMORY = -1, BAD_IMAGE = -2, BAD_ROW = -3 };
+
+typedef struct {
+    const char *table;
+    Py_ssize_t rows;
+    int itemsize;
+    const int *index;
+    Py_ssize_t n;
+    int m, r, cutoff, slack, stop;
+    int *out;
+} Batch;
+
+static inline unsigned item(const char *row, int itemsize, int i)
+{
+    if (itemsize == 1)
+        return ((const unsigned char *)row)[i];
+    if (itemsize == 2) {
+        uint16_t v;
+        memcpy(&v, row + 2 * (Py_ssize_t)i, 2);
+        return v;
+    }
+    uint32_t v;
+    memcpy(&v, row + 4 * (Py_ssize_t)i, 4);
+    return v;
+}
+
+/* Copies graph g's slots into img (slot-major) and their inverses into
+ * inv, checking that each is a permutation of 0..m-1: OK or BAD_IMAGE.
+ * Inlined once per item size, so each copy reads a fixed width. */
+static inline int load_as(const Batch *b, Py_ssize_t g, int *img, int *inv, int itemsize)
+{
+    int m = b->m;
+    memset(inv, 0xff, (size_t)b->r * (size_t)m * sizeof(int));
+    for (Py_ssize_t t = 0, at = 0; t < b->r; t++, at += m) {
+        const char *row = b->table + b->index[g * b->r + t] * (Py_ssize_t)m * itemsize;
+        for (int i = 0; i < m; i++) {
+            unsigned v = item(row, itemsize, i);
+            if (v >= (unsigned)m || inv[at + v] >= 0)
+                return BAD_IMAGE;
+            img[at + i] = (int)v;
+            inv[at + v] = i;
+        }
+    }
+    return OK;
+}
+
+static int load(const Batch *b, Py_ssize_t g, int *img, int *inv)
+{
+    if (b->itemsize == 1)
+        return load_as(b, g, img, inv, 1);
+    if (b->itemsize == 2)
+        return load_as(b, g, img, inv, 2);
+    return load_as(b, g, img, inv, 4);
+}
+
+/* Whether two slots agree at some row: a double edge, a cycle of 2. */
+static int twice(const int *img, int m, int r)
+{
+    for (Py_ssize_t at = m; at < (Py_ssize_t)r * m; at += m)
+        for (Py_ssize_t s = 0; s < at; s += m)
+            for (int i = 0; i < m; i++)
+                if (img[s + i] == img[at + i])
+                    return 1;
+    return 0;
+}
+
+/* With r = 2 the graph is a union of cycles: row i reaches row
+ * inv0[img1[i]] through two edges, so the girth is twice the shortest
+ * cycle of that map, whose fixed points are the double edges.  seen
+ * holds m ints. */
+static int girth_two(const int *img, const int *inv, int m, int *seen)
+{
+    int best = 0;
+    memset(seen, 0, (size_t)m * sizeof(int));
+    for (int s = 0; s < m && best != 2; s++) {
+        int len = 0;
+        for (int i = s; !seen[i]; i = inv[img[m + i]], len++)
+            seen[i] = 1;
+        if (len && (!best || 2 * len < best))
+            best = 2 * len;
+    }
+    return best;
+}
 
 /* One BFS from every row vertex (every cycle passes through one).  The
- * source loop stops once the best cycle is 4, the shortest a simple
- * bipartite graph has, or at most cutoff: a girth <= cutoff may then come
- * back as any value in [girth, cutoff], while a larger girth is exact.
- * work holds r*m + 6*m ints. */
-static int girth_one(const int *flat, int m, int r, int cutoff, int *work)
+ * search ends at the first cycle of length 4, the shortest a bipartite
+ * graph without double edges has, or at most cutoff: a girth <= cutoff
+ * may then come back as any value in [girth, cutoff], while a larger
+ * girth is exact.  Every BFS value is the length of a closed walk, so
+ * never below the girth; only a value above cutoff must be exact, and
+ * only then are double edges looked for.  work holds 2*r*m + 6*m ints. */
+static int girth_one(const Batch *b, Py_ssize_t g, int cutoff, int *work)
 {
+    int m = b->m, r = b->r, nv = 2 * m, best = 0, enough = cutoff > 4 ? cutoff : 4;
     Py_ssize_t rm = (Py_ssize_t)r * m;
-    int nv = 2 * m, best = 0;
-    int *inv = work, *dist = work + rm, *parent = dist + nv, *queue = parent + nv;
+    int *img = work, *inv = img + rm, *dist = inv + rm, *parent = dist + nv,
+        *queue = parent + nv;
 
-    memset(inv, 0xff, (size_t)rm * sizeof(int));
-    for (Py_ssize_t t = 0; t < rm; t += m)
-        for (int i = 0; i < m; i++) {
-            int v = flat[t + i];
-            if (v < 1 || v > m || inv[t + v - 1] >= 0)
-                return BAD_IMAGE;
-            inv[t + v - 1] = i;
-        }
+    int status = load(b, g, img, inv);
+    if (status != OK)
+        return status;
+    if (r == 2)
+        return girth_two(img, inv, m, dist);
 
-    for (int s = 0; s < m && best != 4 && !(best && best <= cutoff); s++) {
+    for (int s = 0; s < m; s++) {
         memset(dist, 0xff, (size_t)nv * sizeof(int));
         dist[s] = 0;
         parent[s] = -1;
@@ -45,53 +129,69 @@ static int girth_one(const int *flat, int m, int r, int cutoff, int *work)
             if (best && 2 * du >= best)
                 continue;
             for (Py_ssize_t t = 0; t < rm; t += m) {
-                int w = u < m ? flat[t + u] - 1 + m : inv[t + u - m];
+                int w = u < m ? img[t + u] + m : inv[t + u - m];
                 if (dist[w] < 0) {
                     dist[w] = du + 1;
                     parent[w] = u;
                     queue[tail++] = w;
-                } else if (w != parent[u]) {
-                    int cycle = du + dist[w] + 1;
-                    if (!best || cycle < best)
-                        best = cycle;
+                } else if (w != parent[u] && (!best || du + dist[w] + 1 < best)) {
+                    best = du + dist[w] + 1;
+                    if (best <= enough)
+                        goto found;
                 }
             }
         }
     }
-    return best;
+found:
+    return best > cutoff && twice(img, m, r) ? 2 : best;
 }
 
-static int girth_many(const int *flat, Py_ssize_t n, int m, int r, int cutoff, int *out)
+/* Checks every row index, then scores graphs in order until the batch
+ * ends or an entry reaches stop.  Returns the graphs scored, or a status
+ * below 0. */
+static Py_ssize_t girth_many(const Batch *b)
 {
-    Py_ssize_t rm = (Py_ssize_t)r * m;
-    int *work = malloc((size_t)(rm + 6 * (Py_ssize_t)m) * sizeof(int));
+    for (Py_ssize_t i = 0; i < b->n * b->r; i++)
+        if (b->index[i] < 0 || b->index[i] >= b->rows)
+            return BAD_ROW;
+    int *work = malloc((size_t)(2 * (Py_ssize_t)b->r + 6) * (size_t)b->m * sizeof(int));
     if (!work)
         return NO_MEMORY;
-    int status = OK;
-    for (Py_ssize_t g = 0; g < n && status == OK; g++) {
-        int girth = girth_one(flat + g * rm, m, r, cutoff, work);
-        if (girth < 0)
-            status = girth;
-        else
-            out[g] = girth;
+    Py_ssize_t g = 0;
+    int best = 0, cutoff = b->cutoff;
+    while (g < b->n) {
+        int girth = girth_one(b, g, cutoff, work);
+        if (girth < 0) {
+            g = girth;
+            break;
+        }
+        b->out[g++] = girth;
+        if (girth > best)
+            best = girth;
+        if (best - b->slack > cutoff)
+            cutoff = best - b->slack;
+        if (b->stop > 0 && girth >= b->stop)
+            break;
     }
     free(work);
-    return status;
+    return g;
 }
 
-/* Takes a C-contiguous buffer of 4-byte items from obj into view, with at
- * least `need` items, or exactly that many when `exact`. */
-static int get_ints(PyObject *obj, Py_buffer *view, int flags, const char *what,
-                    Py_ssize_t need, int exact)
+/* Takes a C-contiguous buffer from obj into view, of items of 4 bytes
+ * (or of 1, 2 or 4 when `any_width`), with at least `need` items, or
+ * exactly that many when `exact`; need < 0 asks nothing of the count. */
+static int get_buffer(PyObject *obj, Py_buffer *view, int flags, const char *what,
+                      int any_width, Py_ssize_t need, int exact)
 {
     if (PyObject_GetBuffer(obj, view, flags | PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0)
         return -1;
-    if (view->itemsize != 4) {
-        PyErr_Format(PyExc_ValueError, "%s must hold 4-byte ints, not %zd-byte items",
-                     what, view->itemsize);
-    } else if (exact ? view->len / 4 != need : view->len / 4 < need) {
-        PyErr_Format(PyExc_ValueError, "%s has %zd items, needs %s%zd", what,
-                     view->len / 4, exact ? "" : "at least ", need);
+    Py_ssize_t size = view->itemsize, items = size ? view->len / size : 0;
+    if (size != 4 && !(any_width && (size == 1 || size == 2))) {
+        PyErr_Format(PyExc_ValueError, "%s must hold %s-byte ints, not %zd-byte items",
+                     what, any_width ? "1-, 2- or 4" : "4", size);
+    } else if (need >= 0 && (exact ? items != need : items < need)) {
+        PyErr_Format(PyExc_ValueError, "%s has %zd items, needs %s%zd", what, items,
+                     exact ? "" : "at least ", need);
     } else {
         return 0;
     }
@@ -99,57 +199,73 @@ static int get_ints(PyObject *obj, Py_buffer *view, int flags, const char *what,
     return -1;
 }
 
-/* Runs the batch without the GIL and maps its status to an exception. */
-static int run(PyObject *flat_obj, Py_ssize_t n, int m, int r, int cutoff, int *out)
-{
-    Py_buffer flat;
-    if (m < 1 || r < 1 || m > INT_MAX / 2 || n < 0) {
-        PyErr_Format(PyExc_ValueError, "need 1 <= m <= %d, r >= 1 and n_graphs >= 0, "
-                     "got m=%d, r=%d, n_graphs=%zd", INT_MAX / 2, m, r, n);
-        return -1;
-    }
-    Py_ssize_t rm = (Py_ssize_t)r * m;
-    if (n > PY_SSIZE_T_MAX / 4 / rm) {
-        PyErr_SetString(PyExc_ValueError, "n_graphs * r * m is too large");
-        return -1;
-    }
-    if (get_ints(flat_obj, &flat, PyBUF_SIMPLE, "flat", n * rm, 1) < 0)
-        return -1;
-    int status;
-    Py_BEGIN_ALLOW_THREADS
-    status = n ? girth_many(flat.buf, n, m, r, cutoff, out) : OK;
-    Py_END_ALLOW_THREADS
-    PyBuffer_Release(&flat);
-    if (status == NO_MEMORY)
-        PyErr_NoMemory();
-    else if (status == BAD_IMAGE)
-        PyErr_Format(PyExc_ValueError, "each image must be a permutation of 1..%d", m);
-    return status == OK ? 0 : -1;
-}
-
 static PyObject *girth_batch(PyObject *Py_UNUSED(self), PyObject *args)
 {
-    PyObject *flat, *out_obj;
-    Py_ssize_t n;
-    int m, r, cutoff;
-    Py_buffer out;
-    if (!PyArg_ParseTuple(args, "OniiOi:girth_batch", &flat, &n, &m, &r, &out_obj, &cutoff))
+    PyObject *table_obj, *index_obj, *out_obj;
+    Batch b = {.slack = 0, .stop = 0};
+    Py_buffer table, index, out;
+    if (!PyArg_ParseTuple(args, "OOniiOi|ii:girth_batch", &table_obj, &index_obj, &b.n,
+                          &b.m, &b.r, &out_obj, &b.cutoff, &b.slack, &b.stop))
         return NULL;
-    if (get_ints(out_obj, &out, PyBUF_WRITABLE, "out", n, 0) < 0)
+    if (b.m < 1 || b.r < 1 || b.m > INT_MAX / 2 || b.n < 0 || b.slack < 0) {
+        PyErr_Format(PyExc_ValueError, "need 1 <= m <= %d, r >= 1, n_graphs >= 0 and "
+                     "slack >= 0, got m=%d, r=%d, n_graphs=%zd, slack=%d",
+                     INT_MAX / 2, b.m, b.r, b.n, b.slack);
         return NULL;
-    int status = run(flat, n, m, r, cutoff, out.buf);
+    }
+    if (b.n > PY_SSIZE_T_MAX / 4 / b.r) {
+        PyErr_SetString(PyExc_ValueError, "n_graphs * r is too large");
+        return NULL;
+    }
+    if (get_buffer(table_obj, &table, PyBUF_SIMPLE, "table", 1, -1, 0) < 0)
+        return NULL;
+    if (get_buffer(index_obj, &index, PyBUF_SIMPLE, "index", 0, b.n * b.r, 1) < 0) {
+        PyBuffer_Release(&table);
+        return NULL;
+    }
+    if (get_buffer(out_obj, &out, PyBUF_WRITABLE, "out", 0, b.n, 0) < 0) {
+        PyBuffer_Release(&index);
+        PyBuffer_Release(&table);
+        return NULL;
+    }
+    Py_ssize_t items = table.len / table.itemsize, done = 0;
+    if (items % b.m) {
+        PyErr_Format(PyExc_ValueError, "table has %zd items, not a multiple of m=%d",
+                     items, b.m);
+        done = -1;
+    } else {
+        b.table = table.buf;
+        b.rows = items / b.m;
+        b.itemsize = (int)table.itemsize;
+        b.index = index.buf;
+        b.out = out.buf;
+        Py_BEGIN_ALLOW_THREADS
+        done = b.n ? girth_many(&b) : 0;
+        Py_END_ALLOW_THREADS
+        if (done == NO_MEMORY)
+            PyErr_NoMemory();
+        else if (done == BAD_ROW)
+            PyErr_Format(PyExc_ValueError, "each row index must be in 0..%zd", b.rows - 1);
+        else if (done == BAD_IMAGE)
+            PyErr_Format(PyExc_ValueError, "each image must be a permutation of 0..%d",
+                         b.m - 1);
+    }
     PyBuffer_Release(&out);
-    if (status < 0)
-        return NULL;
-    Py_RETURN_NONE;
+    PyBuffer_Release(&index);
+    PyBuffer_Release(&table);
+    return done < 0 ? NULL : PyLong_FromSsize_t(done);
 }
 
 static PyMethodDef methods[] = {
     {"girth_batch", girth_batch, METH_VARARGS,
-     "girth_batch(flat, n_graphs, m, r, out, cutoff)\n\n"
-     "Writes the girths of n_graphs graphs to out[0:n_graphs], releasing the\n"
-     "GIL.  out[i] is exact when the girth exceeds cutoff; otherwise it is\n"
-     "some value v with girth <= v <= cutoff, so cutoff 0 makes it exact."},
+     "girth_batch(table, index, n_graphs, m, r, out, cutoff, slack=0, stop=0)\n\n"
+     "Scores n_graphs graphs in order, releasing the GIL, and returns the\n"
+     "number scored: slot t of graph g is row index[g*r + t] of table, rows\n"
+     "of m 0-based images in 1-, 2- or 4-byte unsigned ints, and out[g] gets\n"
+     "its girth.  Graph g's cutoff is the larger of cutoff and (the largest\n"
+     "out entry before it) - slack; out[g] is exact when the girth exceeds\n"
+     "that cutoff, and otherwise some value v with girth <= v <= cutoff.\n"
+     "With stop > 0 the call ends after the first entry >= stop."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -83,32 +83,34 @@ def _cells(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.divmod(np.flatnonzero(mat != 0), mat.shape[1])
 
 
-def _ones(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The cells of _cells, after checking that every one of them holds 1.
+def _ones(mat: np.ndarray, cells=None) -> tuple[np.ndarray, np.ndarray]:
+    """The cells of _cells (`cells`, when the caller has them), after
+    checking that every one of them holds 1.
 
     The check reads only the nonzero cells, and it is exact for any
     dtype: 0.5, NaN, inf, -1 and 2 are all nonzero and not 1.
     """
     mat = np.asarray(mat)
-    rows, cols = _cells(mat)
+    rows, cols = _cells(mat) if cells is None else cells
     if not (mat[rows, cols] == 1).all():
         raise ValueError("matrix entries must be 0 or 1")
     return rows, cols
 
 
-def _regular_cells(mat: np.ndarray) -> tuple[int, np.ndarray]:
+def _regular_cells(mat: np.ndarray, cells=None) -> tuple[int, np.ndarray]:
     """r, and the column of each one in row-major order, of a square 0/1
     matrix with r >= 1 ones in every row and column; ValueError for any
     other matrix.
 
-    The m*m cells are scanned once; the 0/1 check and the row and
-    column sums then read only the O(m*r) ones.
+    The m*m cells are scanned once, unless the caller passes their
+    `_cells`; the 0/1 check and the row and column sums then read only
+    the O(m*r) ones.
     """
     mat = np.asarray(mat)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"matrix must be square, got shape {mat.shape}")
     m = mat.shape[0]
-    rows, cols = _ones(mat)
+    rows, cols = _ones(mat, cells)
     row_sums = np.bincount(rows, minlength=m)
     col_sums = np.bincount(cols, minlength=m)
     r = int(row_sums[0]) if m else 0
@@ -184,14 +186,15 @@ def _extract_matching(adj: list[list[int]], m: int) -> list[int]:
     return row_to_col
 
 
-def regular_degree(mat: np.ndarray) -> int:
-    """The common row and column sum r >= 1 of a square 0/1 matrix.
+def regular_degree(mat: np.ndarray, cells=None) -> int:
+    """The common row and column sum r >= 1 of a square 0/1 matrix, read
+    from its `_cells` when the caller passes them.
 
     Raises ValueError for any other matrix.  By Konig's theorem every
     matrix it accepts splits into r permutation matrices, so it decides
     whether decompose_matrix succeeds without running it.
     """
-    return _regular_cells(mat)[0]
+    return _regular_cells(mat, cells)[0]
 
 
 def decompose_matrix(mat: np.ndarray) -> BTU:

@@ -17,7 +17,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import io_formats
-from .btu import decompose_matrix, girth, regular_degree
+from .btu import _cells, decompose_matrix, girth, regular_degree
 from .engine import MAX_LISTED, SearchConfig, enumerate_Z, search
 from .oracle import max_girth, verify_search
 from .parameters import factorize, optimal_partitions
@@ -158,8 +158,9 @@ def _cmd_enum_z(args) -> int:
 
 def _cmd_cayley(args) -> int:
     stats = cayley_stats(factorize(args.m, args.r), args.stage)
+    order = listed_count(stats.degree_sym + 1)[1]  # spelled as refusals spell counts
     print(
-        f"degree_sym={stats.degree_sym} order={stats.order} "
+        f"degree_sym={stats.degree_sym} order={order} "
         f"node_degree={stats.node_degree} transition_bound={stats.transition_bound}"
     )
     return 0
@@ -167,11 +168,12 @@ def _cmd_cayley(args) -> int:
 
 def _cmd_export(args) -> int:
     mat = io_formats.detect_and_parse(Path(args.input).read_text())
-    regular_degree(mat)  # refuse what decompose_matrix would refuse
+    cells = _cells(mat)  # one scan, for the check and the writer
+    regular_degree(mat, cells)  # refuse what decompose_matrix would refuse
     if args.format == "alist":
-        text = io_formats.matrix_to_alist(mat)
+        text = io_formats.matrix_to_alist(mat, cells)
     else:
-        text = io_formats.matrix_to_dot(mat)
+        text = io_formats.matrix_to_dot(mat, cells)
     _emit(text, args.output)
     return 0
 

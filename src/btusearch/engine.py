@@ -28,9 +28,10 @@ scan over (final, word), split into contiguous blocks for the workers
 (one member at a time, so memory does not grow with the beam);
 blocks come back in order, so the first maximum found is the
 lexicographic winner of (member, final, word), and the co-maximal list
-(exhaustive mode) is already in that order.  A block sends its graphs to
-the girth kernel in fixed-size batches with a cutoff at its running
-best, and in best mode ends at the bipartite Moore bound; neither can
+(exhaustive mode) is already in that order.  A block is one girth kernel
+call: the kernel raises its cutoff after every graph to the block's
+running best (minus 1 in exhaustive mode, so ties stay exact), and in
+best mode it ends the block at the bipartite Moore bound; neither can
 change which graph wins.  Results are identical for any worker count
 and either kernel.
 
@@ -39,8 +40,10 @@ of shape (members, slots, n), the candidates are the rows of
 searchspace.cycle_images(d, cap), the finals are rotations or, at level
 2, the cycle_images of degree n, the filters are boolean masks over them
 (the partition check asks that every cycle of inv(left).q has the one
-length the required partition holds), and each member's (final, word)
-pairs form one ordered array that the workers take in slices.  A scan
+length the required partition holds).  Each member's graphs are rows of
+one image table, its scaled slots, the finals compatible with them and
+its kept words scaled to degree n, and its (final, word) pairs form one
+ordered array of table rows that the workers take in slices.  A scan
 never reads the replaced slot, so a member whose other rebased slots
 repeat an earlier member's would repeat its graphs in order: it is
 skipped, and the exhaustive beam holds no duplicate.  The candidates and
@@ -81,9 +84,6 @@ from .perms import (
 from .searchspace import CandidateWord, cycle_images, listed_count, word_at_index
 
 ENUM_FALLBACK = "enum"  # rotation_j marker: final slot was enumerated
-# Graphs per girth kernel call: bounds the packed buffer, and lets the
-# cutoff rise between calls.
-SUB_BATCH = 256
 # Most booleans one (final, word) compatibility mask may hold.
 PAIR_CELLS = 1 << 22
 # Most candidates or finals a stage may hold in a list.  Above it a run
@@ -215,54 +215,39 @@ def _moore_girth(n: int, r: int) -> int:
     return 2 * half
 
 
-def _assemble(slots: np.ndarray, at: int, words: np.ndarray, finals: np.ndarray, dtype):
-    """The graphs of (word, final) row pairs as 0-based images of shape
-    (pairs, r, n): the member's scaled slots with slot `at` replaced by
-    the word scaled to degree n, then the final."""
-    (count, d), n = words.shape, slots.shape[1]
-    graphs = np.empty((count, len(slots) + 1, n), dtype=dtype)
-    graphs[:, :-1] = slots
-    graphs[:, at] = (words[:, None, :] + np.arange(0, n, d)[:, None]).reshape(count, n)
-    graphs[:, -1] = finals
-    return graphs
+def _index(pairs: np.ndarray, at: int, r: int) -> np.ndarray:
+    """The kernel's row index of (final row, word row) table pairs: slot
+    t is table row t, the member's scaled slot, but slot `at` takes the
+    word and slot r-1 the final."""
+    index = np.empty((len(pairs), r), dtype=np.int32)
+    index[:] = np.arange(r, dtype=np.int32)
+    index[:, at] = pairs[:, 1]
+    index[:, -1] = pairs[:, 0]
+    return index
 
 
 def _evaluate_chunk(
-    slots: np.ndarray, at: int, words: np.ndarray, finals: np.ndarray,
-    pairs: np.ndarray, lo: int, hi: int, exhaustive: bool,
+    table: np.ndarray, r: int, at: int, pairs: np.ndarray, lo: int, hi: int, moore: int,
+    exhaustive: bool,
 ) -> tuple[int, int, list[int]]:
-    """Girths of the graphs that the (final, word) pairs[lo:hi] name,
-    SUB_BATCH graphs per kernel call.
+    """Girths of the r-slot graphs that the table pairs[lo:hi] name, in one
+    kernel call.
 
-    Between calls the cutoff rises to the block's running best (minus 1
-    in exhaustive mode, so ties stay exact): a graph at or below it
-    cannot change the block's result.  In best mode the scan ends once
-    the best reaches the Moore bound, since nothing after it can beat
-    it.  Returns (graphs sent to the kernel, best girth, the positions in
-    pairs of the block's co-maximal graphs in order; in best mode only
-    the first).
+    After every graph the cutoff rises to the block's running best (minus
+    1 in exhaustive mode, so ties stay exact): a graph at or below it
+    cannot change the block's result.  In best mode the call ends once a
+    graph reaches the Moore bound, since nothing after it can beat it.
+    Returns (graphs the kernel scored, best girth, the positions in pairs
+    of the block's co-maximal graphs in order; in best mode only the
+    first).
     """
-    r, n = len(slots) + 1, slots.shape[1]
-    moore = _moore_girth(n, r)
-    count, best_g, best = 0, -1, []
-    for start in range(lo, hi, SUB_BATCH):
-        final, word = pairs[start : min(hi, start + SUB_BATCH)].T
-        graphs = _assemble(slots, at, words[word], finals[final], np.int32)
-        graphs += 1
-        cutoff = best_g - 1 if exhaustive else best_g
-        girths = _kernel.girth_batch(graphs.ravel(), len(word), n, r, cutoff)
-        count += len(word)
-        top = int(girths.max())
-        if exhaustive:
-            if top > best_g:
-                best_g, best = top, []
-            if top == best_g:
-                best.extend((np.flatnonzero(girths == top) + start).tolist())
-        elif top > best_g:
-            best_g, best = top, [start + int(girths.argmax())]
-            if best_g >= moore:
-                break
-    return count, best_g, best
+    index = _index(pairs[lo:hi], at, r)
+    if exhaustive:
+        girths = _kernel.girth_batch(table, index, table.shape[1], -1, slack=1)
+        best_g = int(girths.max())
+        return len(girths), best_g, (np.flatnonzero(girths == best_g) + lo).tolist()
+    girths = _kernel.girth_batch(table, index, table.shape[1], -1, stop=moore)
+    return len(girths), int(girths.max()), [lo + int(girths.argmax())]
 
 
 def _uniform_cycles(sigma: np.ndarray, length: int) -> np.ndarray:
@@ -295,27 +280,42 @@ def _run_stage(
     dtype = np.min_scalar_type(n)  # of the new beam
 
     def prepare(slots: np.ndarray, finals: np.ndarray, blocks: np.ndarray):
-        """The member's rebased slots scaled, and its ordered (final, word)
-        pairs: the words that pass the degree-d filters, against the
-        finals compatible with the other scaled slots.  As scaling adds
-        j*d to block j, a scaled word meets a final wherever the word
-        meets the final's block j minus j*d, which `blocks` holds."""
+        """The member's image table, its ordered (final, word) pairs of
+        table rows, and the finals and words the table holds.
+
+        Rows 0..stage-2 are the member's rebased slots scaled, then come
+        the finals compatible with the other scaled slots, then the words
+        that pass the degree-d filters, scaled.  As scaling adds j*d to
+        block j, a scaled word meets a final wherever the word meets the
+        final's block j minus j*d, which `blocks` holds."""
         keep = np.flatnonzero((words[:, None, :] != np.delete(slots, at, 0)).all(axis=(1, 2)))
         if stage >= 4:
             keep = keep[_uniform_cycles(np.argsort(slots[at - 1])[words[keep]], cycle)]
         slots = (slots[:, None, :] + offsets).reshape(len(slots), n)
         rows = np.flatnonzero((finals[:, None, :] != np.delete(slots, at, 0)).all(axis=(1, 2)))
+        first_word = stage - 1 + len(rows)
+        table = np.empty((first_word + len(keep), n), dtype=dtype)
+        table[: stage - 1] = slots
+        table[stage - 1 : first_word] = finals[rows]
         kept = words[keep, None, :]
+        scaled = table[first_word:].reshape(len(keep), k, d)
+        scaled[:] = kept
+        scaled += np.arange(0, n, d, dtype=dtype)[:, None]
         step = max(1, PAIR_CELLS // max(1, len(keep) * n))
-        pairs = [np.empty((0, 2), dtype=np.intp)]
+        pairs = [np.empty((0, 2), dtype=np.int32)]
         for lo in range(0, len(rows), step):
-            chunk = rows[lo : lo + step]
-            final, word = np.nonzero((kept != blocks[chunk, None]).all(axis=(2, 3)))
-            pairs.append(np.column_stack((chunk[final], keep[word])))
-        return slots, np.concatenate(pairs)
+            final, word = np.nonzero((kept != blocks[rows[lo : lo + step], None]).all(axis=(2, 3)))
+            chunk = np.empty((len(final), 2), dtype=np.int32)
+            chunk[:, 0] = final
+            chunk[:, 0] += stage - 1 + lo
+            chunk[:, 1] = word
+            chunk[:, 1] += first_word
+            pairs.append(chunk)
+        return table, np.concatenate(pairs), rows, keep
 
     levels = [0] if config.rotation_policy == "strict" else [0, 1, 2]
     exhaustive = config.mode == "exhaustive"
+    moore = _moore_girth(n, stage)
     attempted = 0
     with ThreadPoolExecutor(max_workers=config.worker_count) as pool:
         for level in levels:
@@ -331,12 +331,12 @@ def _run_stage(
                 if others in seen:
                     continue  # its graphs are an earlier member's, in order
                 seen.add(others)
-                slots, pairs = prepare(rebased, finals, blocks)
+                table, pairs, rows, keep = prepare(rebased, finals, blocks)
                 step = max(1, len(pairs) // (4 * config.worker_count))
                 starts = range(0, len(pairs), step)
                 stops = [min(len(pairs), lo + step) for lo in starts]
                 scan = partial(
-                    _evaluate_chunk, slots, at, words, finals, pairs, exhaustive=exhaustive
+                    _evaluate_chunk, table, stage, at, pairs, moore=moore, exhaustive=exhaustive
                 )
                 found = []
                 for count, g, block in pool.map(scan, starts, stops):
@@ -346,10 +346,11 @@ def _run_stage(
                     if g == best_g:
                         found.extend(block)
                 if found:
-                    final, word = pairs[found].T
+                    hits = pairs[found]
                     if not winners:
-                        first = int(final[0]), int(word[0])
-                    winners.append(_assemble(slots, at, words[word], finals[final], dtype))
+                        final, word = hits[0] - (stage - 1, stage - 1 + len(rows))
+                        first = int(rows[final]), int(keep[word])
+                    winners.append(table[_index(hits, at, stage)])
             if evaluated == 0:
                 continue
 

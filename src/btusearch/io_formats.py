@@ -92,10 +92,12 @@ def _index_lines(major: np.ndarray, minor: np.ndarray, n: int) -> list[str]:
     return [" ".join(labels[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
-def matrix_to_alist(mat: np.ndarray) -> str:
+def matrix_to_alist(mat: np.ndarray, cells=None) -> str:
+    """The alist text of mat; `cells` are its `btu._cells`, when the
+    caller has them."""
     mat = np.asarray(mat)
     n_cols, n_rows = mat.shape[1], mat.shape[0]
-    rows, cols = _cells(mat)
+    rows, cols = _cells(mat) if cells is None else cells
     # The degrees are the column and row sums, also of a matrix not 0/1.
     values = mat[rows, cols]
     col_deg = np.bincount(cols, values, minlength=n_cols).astype(int)
@@ -208,9 +210,10 @@ def detect_and_parse(text: str) -> np.ndarray:
     return text_to_matrix(text)
 
 
-def matrix_to_dot(mat: np.ndarray) -> str:
-    """One edge per nonzero cell, in row-major order."""
-    rows, cols = _cells(mat)
+def matrix_to_dot(mat: np.ndarray, cells=None) -> str:
+    """One edge per nonzero cell, in row-major order; `cells` are the
+    `btu._cells` of mat, when the caller has them."""
+    rows, cols = _cells(mat) if cells is None else cells
     lines = ["graph btu {"]
     lines += [
         f"  l{i} -- r{j};" for i, j in zip((rows + 1).tolist(), (cols + 1).tolist())

@@ -10,9 +10,10 @@ The m! permutations form one lexicographic int array, the universe
 (`searchspace.lex_permutations`).
 Each slot's choices are the universe rows that disagree everywhere with
 every earlier slot, found by one vectorised mask per chosen row, and
-the resulting tuples come out in lexicographic order as blocks of at
-most BLOCK rows.  Girths are computed a block per kernel call, and
-partition signatures a block at a time by index arithmetic, so the
+the resulting tuples of universe rows come out in lexicographic order
+as blocks of at most BLOCK rows.  Girths are computed a block per
+kernel call, which reads each tuple's images from the universe itself,
+and partition signatures a block at a time by index arithmetic, so the
 memory in use is the universe plus one block.
 
 A run is refused up front when its cost estimate (the universe rows
@@ -118,10 +119,10 @@ def _leaves(
         yield from _leaves(universe, rest, rest, (*prefix, c), r)
 
 
-def _image_blocks(m: int, r: int, fixed: bool, budget: int):
-    """The images of every ordered pairwise-compatible r-tuple, in
-    lexicographic order, as int arrays of shape (at most BLOCK, r, m)
-    holding 0-based values.
+def _tuple_blocks(m: int, r: int, fixed: bool, budget: int):
+    """Every ordered pairwise-compatible r-tuple, in lexicographic order,
+    as (universe, tuples): the universe of 0-based images, shape (m!, m),
+    and an int32 array of shape (at most BLOCK, r) of its rows.
 
     At the first next() it checks m and r, ends at once for r > m (no r
     permutations can pairwise disagree at a position with only m values
@@ -145,17 +146,17 @@ def _image_blocks(m: int, r: int, fixed: bool, budget: int):
     pending, pooled = [], 0
     for prefix, choices in _leaves(universe, everything, first, (), r):
         for start in range(0, len(choices), BLOCK):
-            piece = np.empty((min(BLOCK, len(choices) - start), r), dtype=np.intp)
+            piece = np.empty((min(BLOCK, len(choices) - start), r), dtype=np.int32)
             piece[:, :-1] = prefix
             piece[:, -1] = choices[start : start + BLOCK]
             pending.append(piece)
             pooled += len(piece)
             if pooled >= BLOCK:
                 tuples = np.concatenate(pending)
-                yield universe[tuples[:BLOCK]]
+                yield universe, tuples[:BLOCK]
                 pending, pooled = [tuples[BLOCK:]], pooled - BLOCK
     if pooled:
-        yield universe[np.concatenate(pending)]
+        yield universe, np.concatenate(pending)
 
 
 def _btu(images: np.ndarray) -> BTU:
@@ -177,8 +178,8 @@ def enumerate_btus(
     Yields BTU values.  Empty for r > m (no r permutations can pairwise
     disagree at a position with only m values available).
     """
-    for images in _image_blocks(m, r, fix_first_identity, budget):
-        for one in images:
+    for universe, tuples in _tuple_blocks(m, r, fix_first_identity, budget):
+        for one in universe[tuples]:
             yield _btu(one)
 
 
@@ -190,23 +191,22 @@ def max_girth(
 ) -> OracleReport:
     """Exact maximum girth over the exhaustive stream.
 
-    Each block goes to the girth kernel as one buffer, with the cutoff one
-    below the running best: a girth at or under the cutoff comes back at
-    most the cutoff, so it can neither reach the best nor tie it, and a
-    tie comes back exact, so the maximiser count is exact too.  The
+    Each block goes to the girth kernel as one call on the universe and
+    its tuples, with slack 1, so the cutoff stays one below the running
+    best: a girth at or under the cutoff comes back at most the cutoff,
+    so it can neither reach the best nor tie it, and a tie comes back
+    exact, so the maximiser count is exact too.  The
     witness is the first tuple that reaches the maximum.  The kernel's 0
     for a forest is reported as None, as btu.girth reports it.
     """
     best, count, enumerated = -1, 0, 0
     witness: np.ndarray | None = None
-    for images in _image_blocks(m, r, fix_first_identity, budget):
-        flat = images.astype(np.int32)
-        flat += 1
-        girths = _kernel.girth_batch(flat.ravel(), len(images), m, r, best - 1)
-        enumerated += len(images)
+    for universe, tuples in _tuple_blocks(m, r, fix_first_identity, budget):
+        girths = _kernel.girth_batch(universe, tuples, m, best - 1, slack=1)
+        enumerated += len(tuples)
         top = int(girths.max())
         if top > best:
-            best, count, witness = top, 0, images[int(girths.argmax())]
+            best, count, witness = top, 0, universe[tuples[int(girths.argmax())]]
         if top == best:
             count += int(np.count_nonzero(girths == best))
     if witness is None:
@@ -269,8 +269,8 @@ def phi_census(
     first meets them.
     """
     census: dict[tuple[PartitionP2, ...], int] = {}
-    for images in _image_blocks(m, r, fix_first_identity, budget):
-        codes = _partition_codes(images)
+    for universe, tuples in _tuple_blocks(m, r, fix_first_identity, budget):
+        codes = _partition_codes(universe[tuples])
         key = np.zeros(len(codes), dtype=np.int64)
         for column in codes.T:
             _, ids = np.unique(column, return_inverse=True)

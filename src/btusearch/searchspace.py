@@ -51,7 +51,7 @@ class CandidateWord:
 @dataclass(frozen=True)
 class CayleyStats:
     degree_sym: int
-    order: int
+    order: int | float  # a float past EXACT_DIGITS digits
     node_degree: int
     transition_bound: int
 
@@ -173,7 +173,8 @@ def cayley_stats(f: Factorization, i: int) -> CayleyStats:
     Stage i (1 <= i <= r-2) searches degree b*k^i; the candidate set maps
     onto the symmetric group of degree b*k^i - 1, viewed as a Cayley
     graph whose every node touches b*k^i - 2 others, any node reachable
-    within b*k^i optimal transitions.
+    within b*k^i optimal transitions.  Its order is the count
+    listed_count gives: exact up to EXACT_DIGITS digits, else a float.
     """
     if f.degenerate:
         raise DegenerateFactorizationError(f"k=1 for m={f.m}, r={f.r}")
@@ -182,7 +183,7 @@ def cayley_stats(f: Factorization, i: int) -> CayleyStats:
     d = f.b * f.k**i
     return CayleyStats(
         degree_sym=d - 1,
-        order=factorial(d - 1),
+        order=listed_count(d)[0],
         node_degree=d - 2,
         transition_bound=d,
     )

@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+from array import array
 from pathlib import Path
 
 import pytest
@@ -46,16 +47,23 @@ def compiled_kernel(tmp_path_factory):
 
 
 class LooseKernel:
-    """The pure kernel, except that batch entries with girth <= cutoff
-    come back as cutoff itself: the largest value the `girth_batch`
-    contract allows, so a caller that leans on more than the contract
-    shows it."""
+    """The pure kernel, except that an entry whose girth is at most its
+    graph's cutoff comes back as that cutoff itself: the largest value the
+    `girth_batch` contract allows, with the cutoff rising after every
+    graph to the largest entry so far minus slack, and the call ending at
+    the first entry >= stop.  A caller that leans on more than the
+    contract shows it."""
 
     @staticmethod
-    def girth_batch(flat, n_graphs, m, r, out, cutoff):
-        _girth_py.girth_batch(flat, n_graphs, m, r, out, cutoff)
-        for i in range(n_graphs):
-            out[i] = cutoff if out[i] <= cutoff else out[i]
+    def girth_batch(table, index, n_graphs, m, r, out, cutoff, slack=0, stop=0):
+        exact = array("i", [0]) * n_graphs
+        done = _girth_py.girth_batch(table, index, n_graphs, m, r, exact, cutoff, slack, stop)
+        for g in range(done):
+            out[g] = exact[g] if exact[g] > cutoff else cutoff
+            cutoff = max(cutoff, out[g] - slack)
+            if 0 < stop <= out[g]:
+                return g + 1
+        return done
 
 
 @pytest.fixture(params=["python", "c"])

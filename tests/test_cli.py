@@ -5,6 +5,7 @@ import io
 import json
 import tempfile
 import time
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -264,6 +265,24 @@ class TestSmallCommands:
         assert code == 0
         assert out == "degree_sym=2 order=2 node_degree=1 transition_bound=3\n"
 
+    def test_cayley_spells_a_huge_order(self, capsys):
+        # (10^6 - 1)! has 5.6 million digits: spelled, never computed.
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "cayley", "-m", "1000000000000", "-r", "3", "-i", "1")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert out == (
+            "degree_sym=999999 order=about 8.3e5565702 "
+            "node_degree=999998 transition_bound=1000000\n"
+        )
+
+    @pytest.mark.parametrize("m,order", [(784, str(factorial(27))), (900, "about 8.8e30")])
+    def test_cayley_order_as_refusals_spell_it(self, capsys, m, order):
+        # 27! has 29 digits and is spelled in full; 29! has 31.
+        code, out, _ = run(capsys, "cayley", "-m", str(m), "-r", "3", "-i", "1")
+        assert code == 0
+        assert f" order={order} " in out
+
     def test_export(self, capsys, tmp_path):
         _, matrix_text, _ = run(
             capsys, "search", "-m", "4", "-r", "2", "--format", "matrix"
@@ -276,6 +295,29 @@ class TestSmallCommands:
         code, out, _ = run(capsys, "export", "-i", str(f), "--format", "alist")
         assert code == 0
         assert out.splitlines()[0] == "4 4"
+
+
+    @pytest.mark.parametrize("fmt", ["alist", "dot"])
+    def test_export_scans_the_matrix_once(self, capsys, tmp_path, monkeypatch, fmt):
+        from btusearch import btu, cli, io_formats
+
+        b = make_btu([identity(12), circular_rotation(12, 1), circular_rotation(12, 5)])
+        f = tmp_path / "m.txt"
+        f.write_text(btu_to_format(b, "matrix"))
+        mat = io_formats.detect_and_parse(f.read_text())
+        expected = {"alist": io_formats.matrix_to_alist, "dot": io_formats.matrix_to_dot}[fmt](mat)
+        scans, cells = [], btu._cells
+
+        def counted(m):
+            scans.append(1)
+            return cells(m)
+
+        for module in (btu, cli, io_formats):
+            monkeypatch.setattr(module, "_cells", counted)
+        code, out, _ = run(capsys, "export", "-i", str(f), "--format", fmt)
+        assert code == 0
+        assert out == expected
+        assert len(scans) == 1
 
 
 class TestUsageErrors:

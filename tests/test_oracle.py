@@ -199,8 +199,8 @@ class TestBudget:
 class TestBlocks:
     def test_blocks_are_bounded_and_cover_the_stream(self):
         sizes = [
-            len(images)
-            for images in oracle._image_blocks(8, 2, True, oracle.DEFAULT_BUDGET)
+            len(tuples)
+            for _, tuples in oracle._tuple_blocks(8, 2, True, oracle.DEFAULT_BUDGET)
         ]
         assert max(sizes) <= oracle.BLOCK
         assert sum(sizes) == 14833
