@@ -19,6 +19,7 @@ from .engine import (
     SearchConfig,
     SearchResult,
     StageDeadEndError,
+    StageTooLargeError,
     StageTrace,
     admissible_rotations,
     enumerate_Z,
@@ -47,6 +48,7 @@ from .perms import (
     CompatibilityError,
     PartitionP2,
     Permutation,
+    TooLargeError,
     circular_rotation,
     compose,
     identity,

@@ -2,8 +2,8 @@
 
 One subcommand per invocation; data goes to stdout (or -o FILE),
 diagnostics to stderr.  Exit status: 0 success, 1 domain error
-(degenerate factorization, oracle budget refusal, stage dead end) or
-unreadable file, 2 usage error.
+(degenerate factorization, a run refused as too large, stage dead end)
+or unreadable file, 2 usage error.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .btu import _cells, decompose_matrix, girth, regular_degree
 from .engine import MAX_LISTED, SearchConfig, enumerate_Z, search
 from .oracle import max_girth, verify_search
 from .parameters import factorize, optimal_partitions
-from .perms import BTUError, Permutation, identity, scale_permutation
+from .perms import BTUError, Permutation, identity, refuse_oversize, scale_permutation, spell_count
 from .searchspace import cayley_stats, cycle_images, listed_count
 
 # Rows of a listing turned into text at a time.
@@ -107,12 +107,10 @@ def _cmd_girth(args) -> int:
 
 
 def _cmd_candidates(args) -> int:
-    listed, text = listed_count(args.n, args.limit)
-    if listed > MAX_LISTED:
-        raise BTUError(
-            f"-n {args.n} would list {text} candidates, over the limit of "
-            f"{MAX_LISTED}; --limit bounds it"
-        )
+    refuse_oversize(
+        MAX_LISTED, *listed_count(args.n, args.limit),
+        f"-n {args.n} would list {{count}} candidates, over the limit of {{limit}}; --limit bounds it",
+    )
     base = (
         Permutation.from_text(args.base) if args.base else identity(args.n)
     )
@@ -158,7 +156,7 @@ def _cmd_enum_z(args) -> int:
 
 def _cmd_cayley(args) -> int:
     stats = cayley_stats(factorize(args.m, args.r), args.stage)
-    order = listed_count(stats.degree_sym + 1)[1]  # spelled as refusals spell counts
+    order = spell_count(*listed_count(stats.degree_sym + 1))[1]  # as refusals spell it
     print(
         f"degree_sym={stats.degree_sym} order={order} "
         f"node_degree={stats.node_degree} transition_bound={stats.transition_bound}"

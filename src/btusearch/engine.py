@@ -60,7 +60,7 @@ import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from math import gcd, lgamma, log, log10
+from math import gcd
 from typing import Iterator
 
 import numpy as np
@@ -77,9 +77,10 @@ from .parameters import (
 from .perms import (
     BTUError,
     Permutation,
+    TooLargeError,
     compose,  # noqa: F401  read as engine.compose by perfbench/test_perfbench.py
     identity,
-    spell_count,
+    refuse_oversize,
 )
 from .searchspace import CandidateWord, cycle_images, listed_count, word_at_index
 
@@ -98,24 +99,20 @@ class StageDeadEndError(BTUError):
         super().__init__(f"stage {stage} dead end: {detail}")
 
 
-class StageTooLargeError(BTUError):
+class StageTooLargeError(TooLargeError):
     """A stage would list more candidates or finals than MAX_LISTED."""
 
-    def __init__(self, stage: int, what: str, degree: int, estimate: int | float, text: str):
-        self.stage = stage
-        self.estimate = estimate
-        self.limit = MAX_LISTED
-        super().__init__(
-            f"stage {stage} would list {text} {what} of degree {degree}, "
-            f"over the limit of {MAX_LISTED}; a candidate cap (--cap) bounds it"
-        )
+    stage: int
 
 
 def _refuse_unlisted(stage: int, what: str, degree: int, cap: int | None) -> None:
     """Refuses a list of the (degree-1)! candidates, cut to cap, over MAX_LISTED."""
-    estimate, text = listed_count(degree, cap)
-    if estimate > MAX_LISTED:
-        raise StageTooLargeError(stage, what, degree, estimate, text)
+    refuse_oversize(
+        MAX_LISTED, *listed_count(degree, cap),
+        f"stage {stage} would list {{count}} {what} of degree {degree}, "
+        "over the limit of {limit}; a candidate cap (--cap) bounds it",
+        StageTooLargeError, stage=stage,
+    )
 
 
 @dataclass(frozen=True)
@@ -396,22 +393,19 @@ def enumerate_Z(m: int, r: int, cap: int | None = None) -> Iterator[BTU]:
     prefix of scaled candidates.
 
     A run whose prod_{j=1}^{r-2} (b*k^j - 1)! * (m-1)! combinations are
-    more than MAX_LISTED is refused with BTUError before the first,
+    more than MAX_LISTED is refused with TooLargeError before the first,
     whatever the cap.
     """
     f = factorize(m, r)
     if f.degenerate:
         raise DegenerateFactorizationError(f"m={m}, r={r}: k=1, family enumeration inapplicable")
     b, k = f.b, f.k
-    # log10 of the attempts; lgamma(n) is ln((n-1)!)
     degrees = (m, *(b * k**j for j in range(1, r - 1)))
-    attempts = sum(map(lgamma, degrees)) / log(10)
-    if attempts > log10(MAX_LISTED):
-        raise BTUError(
-            f"m={m}, r={r}: the family enumeration would try "
-            f"{spell_count(attempts)[1]} slot combinations, "
-            f"over the limit of {MAX_LISTED}; a cap bounds only the members listed"
-        )
+    refuse_oversize(
+        MAX_LISTED, sum(listed_count(d)[0] for d in degrees), None,
+        f"m={m}, r={r}: the family enumeration would try {{count}} slot combinations, "
+        "over the limit of {limit}; a cap bounds only the members listed",
+    )
     scaled = [
         (cycle_images(d)[:, None, :] + np.arange(0, m, d)[:, None]).reshape(-1, m)
         for d in degrees[1:]

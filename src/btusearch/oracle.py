@@ -16,9 +16,10 @@ kernel call, which reads each tuple's images from the universe itself,
 and partition signatures a block at a time by index arithmetic, so the
 memory in use is the universe plus one block.
 
-A run is refused up front when its cost estimate (the universe rows
-plus the compatibility checks) exceeds the budget; an oracle that
-silently samples would not be an oracle.
+A run is refused up front, with BudgetExceededError (a
+perms.TooLargeError), when its cost estimate (the universe rows plus the
+compatibility checks) exceeds DEFAULT_BUDGET; an oracle that silently
+samples would not be an oracle.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from . import _kernel
 from .btu import BTU
 from .engine import SearchConfig, StageDeadEndError, search
 from .parameters import DegenerateFactorizationError
-from .perms import BTUError, PartitionP2, Permutation, spell_count
+from .perms import BTUError, PartitionP2, Permutation, TooLargeError, refuse_oversize
 from .searchspace import lex_permutations
 
 DEFAULT_BUDGET = 10_000_000
@@ -41,14 +42,12 @@ DEFAULT_BUDGET = 10_000_000
 BLOCK = 4096
 
 
-class BudgetExceededError(BTUError):
-    def __init__(self, m: int, r: int, estimate: int | float, budget: int, text: str):
-        self.estimate = estimate
-        self.budget = budget
-        super().__init__(
-            f"exhaustive sweep of ({m}, {r}) needs an estimated {text} "
-            f"universe rows and compatibility checks, over the budget of {budget}"
-        )
+class BudgetExceededError(TooLargeError):
+    """An exhaustive sweep whose estimated cost is over DEFAULT_BUDGET."""
+
+    @property
+    def budget(self) -> int:
+        return self.limit
 
 
 @dataclass(frozen=True)
@@ -119,14 +118,14 @@ def _leaves(
         yield from _leaves(universe, rest, rest, (*prefix, c), r)
 
 
-def _tuple_blocks(m: int, r: int, fixed: bool, budget: int):
+def _tuple_blocks(m: int, r: int, fixed: bool):
     """Every ordered pairwise-compatible r-tuple, in lexicographic order,
     as (universe, tuples): the universe of 0-based images, shape (m!, m),
     and an int32 array of shape (at most BLOCK, r) of its rows.
 
     At the first next() it checks m and r, ends at once for r > m (no r
     permutations can pairwise disagree at a position with only m values
-    available), and refuses a sweep over the budget; only then is the
+    available), and refuses a sweep over DEFAULT_BUDGET; only then is the
     universe built.  Tuples of consecutive prefixes are pooled into one
     block, and a long run of choices for the last slot is split, so a
     block never holds more than BLOCK tuples.
@@ -135,11 +134,12 @@ def _tuple_blocks(m: int, r: int, fixed: bool, budget: int):
         raise ValueError("need m >= 1 and r >= 1")
     if r > m:
         return
-    estimate, text = spell_count(
-        _log10_estimate(m, r, fixed), lambda: _estimate_checks(m, r, fixed)
+    refuse_oversize(
+        DEFAULT_BUDGET, _log10_estimate(m, r, fixed), lambda: _estimate_checks(m, r, fixed),
+        f"exhaustive sweep of ({m}, {r}) needs an estimated {{count}} "
+        "universe rows and compatibility checks, over the budget of {limit}",
+        BudgetExceededError,
     )
-    if estimate > budget:
-        raise BudgetExceededError(m, r, estimate, budget, text)
     universe = lex_permutations(m)
     everything = np.arange(len(universe))
     first = everything[:1] if fixed else everything
@@ -167,28 +167,18 @@ def _btu(images: np.ndarray) -> BTU:
     )
 
 
-def enumerate_btus(
-    m: int,
-    r: int,
-    fix_first_identity: bool,
-    budget: int = DEFAULT_BUDGET,
-):
+def enumerate_btus(m: int, r: int, fix_first_identity: bool):
     """All ordered pairwise-compatible r-tuples, lexicographically.
 
     Yields BTU values.  Empty for r > m (no r permutations can pairwise
     disagree at a position with only m values available).
     """
-    for universe, tuples in _tuple_blocks(m, r, fix_first_identity, budget):
+    for universe, tuples in _tuple_blocks(m, r, fix_first_identity):
         for one in universe[tuples]:
             yield _btu(one)
 
 
-def max_girth(
-    m: int,
-    r: int,
-    fix_first_identity: bool = True,
-    budget: int = DEFAULT_BUDGET,
-) -> OracleReport:
+def max_girth(m: int, r: int, fix_first_identity: bool = True) -> OracleReport:
     """Exact maximum girth over the exhaustive stream.
 
     Each block goes to the girth kernel as one call on the universe and
@@ -201,7 +191,7 @@ def max_girth(
     """
     best, count, enumerated = -1, 0, 0
     witness: np.ndarray | None = None
-    for universe, tuples in _tuple_blocks(m, r, fix_first_identity, budget):
+    for universe, tuples in _tuple_blocks(m, r, fix_first_identity):
         girths = _kernel.girth_batch(universe, tuples, m, best - 1, slack=1)
         enumerated += len(tuples)
         top = int(girths.max())
@@ -257,10 +247,7 @@ def _partition(code: int, m: int) -> PartitionP2:
 
 
 def phi_census(
-    m: int,
-    r: int,
-    fix_first_identity: bool = True,
-    budget: int = DEFAULT_BUDGET,
+    m: int, r: int, fix_first_identity: bool = True
 ) -> dict[tuple[PartitionP2, ...], int]:
     """Counts of enumerated BTUs grouped by adjacent-partition signature.
 
@@ -269,7 +256,7 @@ def phi_census(
     first meets them.
     """
     census: dict[tuple[PartitionP2, ...], int] = {}
-    for universe, tuples in _tuple_blocks(m, r, fix_first_identity, budget):
+    for universe, tuples in _tuple_blocks(m, r, fix_first_identity):
         codes = _partition_codes(universe[tuples])
         key = np.zeros(len(codes), dtype=np.int64)
         for column in codes.T:
@@ -282,12 +269,7 @@ def phi_census(
     return census
 
 
-def verify_search(
-    m: int,
-    r: int,
-    config: SearchConfig | None = None,
-    budget: int = DEFAULT_BUDGET,
-) -> VerifyReport:
+def verify_search(m: int, r: int, config: SearchConfig | None = None) -> VerifyReport:
     """Engine girth vs exhaustive maximum.
 
     The engine runs first, as it is the cheap side.  A size the engine
@@ -306,7 +288,7 @@ def verify_search(
         if isinstance(exc, ValueError) and r >= 2 and m > r:
             raise  # factorize's ValueError is for r < 2 or m <= r only
         note = f"engine inapplicable: {exc}"
-    report = max_girth(m, r, budget=budget)
+    report = max_girth(m, r)
     equal = None if engine_girth is None else engine_girth == report.max_girth
     return VerifyReport(
         m=m,

@@ -27,17 +27,39 @@ class BTUError(Exception):
     """Base class for domain errors raised by this package."""
 
 
+class TooLargeError(BTUError):
+    """A run refused up front: its estimated count is over its limit.
+    Keywords become attributes, the fields a subclass declares."""
+
+    def __init__(self, message: str, estimate: int | float, limit: int, **fields):
+        super().__init__(message)
+        self.estimate, self.limit = estimate, limit
+        vars(self).update(fields)
+
+
 def spell_count(log10: float, exact: Callable[[], int] | None = None) -> tuple[int | float, str]:
     """A refusal's count and its text, from the count's log10: the int
     `exact` computes and its digits while they are at most EXACT_DIGITS,
     else the nearest float (inf past the float range) and `about 1.2e3456`."""
-    if exact is not None and log10 < EXACT_DIGITS - 1:
+    if exact is not None and log10 < EXACT_DIGITS:
         count = exact()
         return count, str(count)
     mantissa, power = round(10 ** (log10 % 1), 1), int(log10)
     if mantissa == 10:  # 9.96e5 is about 1.0e6
         mantissa, power = 1.0, power + 1
     return (10.0**log10 if log10 < 308 else inf), f"about {mantissa:.1f}e{power}"
+
+
+def refuse_oversize(
+    limit: int, log10: float, exact: Callable[[], int] | None, message: str,
+    error: type[TooLargeError] = TooLargeError, **fields
+) -> None:
+    """The one size gate: raises `error` when the count spell_count gives
+    for (log10, exact) is over `limit`, with `message` naming the spelled
+    count as {count} and the limit as {limit}, and `fields` passed on."""
+    estimate, text = spell_count(log10, exact)
+    if estimate > limit:
+        raise error(message.format(count=text, limit=limit), estimate, limit, **fields)
 
 
 class CompatibilityError(BTUError):

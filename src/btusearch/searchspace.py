@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import factorial, lgamma, log, log10
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -63,13 +63,13 @@ def candidate_count(n: int) -> int:
     return factorial(n - 1)
 
 
-def listed_count(n: int, limit: int | None = None) -> tuple[int | float, str]:
-    """min(candidate_count(n), limit) and its text, as perms.spell_count
-    gives them: sized in log space, so no huge factorial is computed."""
+def listed_count(n: int, limit: int | None = None) -> tuple[float, Callable[[], int]]:
+    """log10 of min(candidate_count(n), limit) and a thunk for its exact
+    value, as perms.spell_count takes them: no huge factorial is computed."""
     digits = lgamma(max(n, 1)) / log(10)  # below 2, candidate_count refuses n
     if limit is None:
-        return spell_count(digits, lambda: candidate_count(n))
-    return spell_count(min(digits, log10(limit)), lambda: min(candidate_count(n), limit))
+        return digits, lambda: candidate_count(n)
+    return min(digits, log10(limit)), lambda: min(candidate_count(n), limit)
 
 
 def _cycle_from_word(word: tuple[int, ...], n: int) -> Permutation:
@@ -183,7 +183,7 @@ def cayley_stats(f: Factorization, i: int) -> CayleyStats:
     d = f.b * f.k**i
     return CayleyStats(
         degree_sym=d - 1,
-        order=listed_count(d)[0],
+        order=spell_count(*listed_count(d))[0],
         node_degree=d - 2,
         transition_bound=d,
     )

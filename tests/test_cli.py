@@ -12,10 +12,11 @@ import pytest
 from hypothesis import given, settings
 from strategies import format_shaped_texts
 
+from btusearch import engine
 from btusearch.btu import make_btu
-from btusearch.cli import main
+from btusearch.cli import _build_parser, main
 from btusearch.io_formats import btu_to_format
-from btusearch.perms import Permutation, circular_rotation, identity
+from btusearch.perms import Permutation, TooLargeError, circular_rotation, identity
 from btusearch.searchspace import enumerate_candidates
 
 
@@ -276,9 +277,12 @@ class TestSmallCommands:
             "node_degree=999998 transition_bound=1000000\n"
         )
 
-    @pytest.mark.parametrize("m,order", [(784, str(factorial(27))), (900, "about 8.8e30")])
+    @pytest.mark.parametrize(
+        "m,order",
+        [(784, str(factorial(27))), (841, str(factorial(28))), (900, "about 8.8e30")],
+    )
     def test_cayley_order_as_refusals_spell_it(self, capsys, m, order):
-        # 27! has 29 digits and is spelled in full; 29! has 31.
+        # 27! has 29 digits and 28! has 30, both spelled in full; 29! has 31.
         code, out, _ = run(capsys, "cayley", "-m", str(m), "-r", "3", "-i", "1")
         assert code == 0
         assert f" order={order} " in out
@@ -318,6 +322,72 @@ class TestSmallCommands:
         assert code == 0
         assert out == expected
         assert len(scans) == 1
+
+
+_CAP_TAIL = "over the limit of 1000000; a candidate cap (--cap) bounds it"
+
+
+def _sweep(m, r, count):
+    return (
+        f"exhaustive sweep of ({m}, {r}) needs an estimated {count} universe rows "
+        "and compatibility checks, over the budget of 10000000"
+    )
+
+
+class TestRefusals:
+    """Every up-front refusal, byte for byte: one TooLargeError from the
+    one size gate, and `error: <message>` with exit 1 from the CLI."""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (
+                "candidates -n 14",
+                "-n 14 would list 6227020800 candidates, over the limit of 1000000; "
+                "--limit bounds it",
+            ),
+            (
+                "search -m 24 -r 3",
+                f"stage 3 would list 39916800 candidates of degree 12, {_CAP_TAIL}",
+            ),
+            (
+                "search -m 64 -r 4",
+                f"stage 4 would list 1307674368000 candidates of degree 16, {_CAP_TAIL}",
+            ),
+            (
+                "search -m 24 -r 3 --cap 1000001",
+                f"stage 3 would list 1000001 candidates of degree 12, {_CAP_TAIL}",
+            ),
+            ("oracle -m 9 -r 3", _sweep(9, 3, 95569583362001280)),
+            ("verify -m 9 -r 3", _sweep(9, 3, 263364514560)),
+            ("oracle -m 13 -r 1", _sweep(13, 1, 6227020800)),
+            (
+                "enum-z -m 12 -r 3 --cap 1",
+                "m=12, r=3: the family enumeration would try about 4.8e9 slot combinations, "
+                "over the limit of 1000000; a cap bounds only the members listed",
+            ),
+            (
+                # 28! has 30 digits, spelled in full like every count up to EXACT_DIGITS.
+                "search -m 841 -r 3",
+                f"stage 3 would list {factorial(28)} candidates of degree 29, {_CAP_TAIL}",
+            ),
+        ],
+    )
+    def test_cli_refusal(self, capsys, argv, message):
+        args = _build_parser().parse_args(argv.split())
+        with pytest.raises(TooLargeError) as err:
+            args.func(args)
+        assert str(err.value) == message
+        assert err.value.estimate > err.value.limit
+        assert run(capsys, *argv.split()) == (1, "", f"error: {message}\n")
+
+    def test_level_two_finals_refusal(self):
+        with pytest.raises(TooLargeError) as err:
+            engine._finals_for_level(16, 8, 2, None, 5)
+        assert str(err.value) == (
+            f"stage 5 would list 1307674368000 finals of degree 16, {_CAP_TAIL}"
+        )
+        assert err.value.estimate > err.value.limit
 
 
 class TestUsageErrors:

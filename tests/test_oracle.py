@@ -200,7 +200,7 @@ class TestBlocks:
     def test_blocks_are_bounded_and_cover_the_stream(self):
         sizes = [
             len(tuples)
-            for _, tuples in oracle._tuple_blocks(8, 2, True, oracle.DEFAULT_BUDGET)
+            for _, tuples in oracle._tuple_blocks(8, 2, True)
         ]
         assert max(sizes) <= oracle.BLOCK
         assert sum(sizes) == 14833
