@@ -24,16 +24,37 @@ against the left neighbour.  Only the check against the newest slot
 needs degree n.
 
 Each member's surviving candidates then meet the finals in one ordered
-scan over (final, word), split into contiguous blocks for the workers
-(one member at a time, so memory does not grow with the beam);
-blocks come back in order, so the first maximum found is the
+scan over (final, word), one member at a time, so memory does not grow
+with the beam.  The scan is cut into blocks of BLOCK graphs, and a block
+is one girth kernel call: the kernel raises its cutoff after every graph
+to the running best (minus 1 in exhaustive mode, so ties stay exact),
+and in best mode it ends the call at the bipartite Moore bound; neither
+can change which graph wins.  Each block starts from the best girth of
+the blocks returned before it was started, minus 1.  With one worker,
+or a member of one block, the blocks run in turn on the calling thread;
+otherwise the worker pool scores them, at most one per worker at a
+time.  Blocks come back in order, so the first maximum found is the
 lexicographic winner of (member, final, word), and the co-maximal list
-(exhaustive mode) is already in that order.  A block is one girth kernel
-call: the kernel raises its cutoff after every graph to the block's
-running best (minus 1 in exhaustive mode, so ties stay exact), and in
-best mode it ends the block at the bipartite Moore bound; neither can
-change which graph wins.  Results are identical for any worker count
-and either kernel.
+(exhaustive mode) is already in that order; in best mode no block
+starts once one has returned a graph at the Moore bound.  Results are
+identical for any worker count and either kernel.
+
+Best mode at stage 3 scans half of the rotation finals.  The reflection
+rho: x -> n-1-x relabels a graph's points, so it keeps the girth.  The
+stage has one member, and its scan never reads the replaced slot, so
+each graph is [scale(w), identity, rotation j].  Conjugating by rho
+fixes the identity, sends rotation j to rotation n-j, and sends scale(w)
+to scale(rho w rho), with rho at degree d inside: a single-cycle
+candidate again, so an uncapped word list is closed under the map, and
+so is the compatibility of word and final.  The level-0 and level-1
+finals are closed under j <-> n-j and run in ascending j, so a maximum,
+or a graph at the Moore bound, with j > n/2 has a twin of the same girth
+that the scan meets first: the finals with j <= n/2 give the same
+winner, and the same first graph at the Moore bound.  The attempted
+product still counts every final.  The argument fails for a capped word
+list, which the map need not keep; for level-2 finals, which run in
+word order; and for exhaustive mode, which lists every co-maximum.
+Those scans stay whole.
 
 The stage runs on int arrays of 0-based images: the beam is one array
 of shape (members, slots, n), the candidates are the rows of
@@ -43,10 +64,10 @@ searchspace.cycle_images(d, cap), the finals are rotations or, at level
 length the required partition holds).  Each member's graphs are rows of
 one image table, its scaled slots, the finals compatible with them and
 its kept words scaled to degree n, and its (final, word) pairs form one
-ordered array of table rows that the workers take in slices.  A scan
-never reads the replaced slot, so a member whose other rebased slots
-repeat an earlier member's would repeat its graphs in order: it is
-skipped, and the exhaustive beam holds no duplicate.  The candidates and
+ordered array of table rows, which the blocks cut.  A scan never reads
+the replaced slot, so a member whose other rebased slots repeat an
+earlier member's would repeat its graphs in order: it is skipped, and
+the exhaustive beam holds no duplicate.  The candidates and
 the level-2 finals are listed in full, so a run whose stage would list
 more than MAX_LISTED of them ((d-1)! candidates, or (n-1)! finals) is
 refused with StageTooLargeError before the list is built, unless the
@@ -57,6 +78,7 @@ candidate cap bounds it: up front for the candidates, on reaching level
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -87,6 +109,9 @@ from .searchspace import CandidateWord, cycle_images, listed_count, word_at_inde
 ENUM_FALLBACK = "enum"  # rotation_j marker: final slot was enumerated
 # Most booleans one (final, word) compatibility mask may hold.
 PAIR_CELLS = 1 << 22
+# Most graphs one girth kernel call scores: it bounds the call's index
+# and result arrays, and it is the share a pool worker takes at a time.
+BLOCK = 65536
 # Most candidates or finals a stage may hold in a list.  Above it a run
 # is refused before the list is built: 9! = 362,880 candidates of degree
 # 10, as at (20, 3), are admitted; 10! would take gigabytes.
@@ -224,26 +249,26 @@ def _index(pairs: np.ndarray, at: int, r: int) -> np.ndarray:
 
 
 def _evaluate_chunk(
-    table: np.ndarray, r: int, at: int, pairs: np.ndarray, lo: int, hi: int, moore: int,
-    exhaustive: bool,
+    table: np.ndarray, r: int, at: int, pairs: np.ndarray, lo: int, moore: int,
+    exhaustive: bool, cutoff: int = -1,
 ) -> tuple[int, int, list[int]]:
-    """Girths of the r-slot graphs that the table pairs[lo:hi] name, in one
-    kernel call.
+    """Girths of the r-slot graphs that the table pairs[lo:lo+BLOCK] name,
+    in one kernel call.
 
-    After every graph the cutoff rises to the block's running best (minus
-    1 in exhaustive mode, so ties stay exact): a graph at or below it
-    cannot change the block's result.  In best mode the call ends once a
-    graph reaches the Moore bound, since nothing after it can beat it.
-    Returns (graphs the kernel scored, best girth, the positions in pairs
-    of the block's co-maximal graphs in order; in best mode only the
-    first).
+    A graph's cutoff is `cutoff` or, if higher, the block's running best
+    (minus 1 in exhaustive mode, so ties stay exact): a graph at or below
+    it cannot change the result.  In best mode the call ends once a graph
+    reaches the Moore bound, since nothing after it can beat it.  Returns
+    (graphs the kernel scored, best girth, the positions in pairs of the
+    block's co-maximal graphs in order; in best mode only the first).  A
+    best girth at or below `cutoff` only bounds the block's girths.
     """
-    index = _index(pairs[lo:hi], at, r)
+    index = _index(pairs[lo : lo + BLOCK], at, r)
     if exhaustive:
-        girths = _kernel.girth_batch(table, index, table.shape[1], -1, slack=1)
+        girths = _kernel.girth_batch(table, index, table.shape[1], cutoff, slack=1)
         best_g = int(girths.max())
         return len(girths), best_g, (np.flatnonzero(girths == best_g) + lo).tolist()
-    girths = _kernel.girth_batch(table, index, table.shape[1], -1, stop=moore)
+    girths = _kernel.girth_batch(table, index, table.shape[1], cutoff, stop=moore)
     return len(girths), int(girths.max()), [lo + int(girths.argmax())]
 
 
@@ -312,14 +337,38 @@ def _run_stage(
 
     levels = [0] if config.rotation_policy == "strict" else [0, 1, 2]
     exhaustive = config.mode == "exhaustive"
+    # Best mode at stage 3 scans one final of each reflection pair (see
+    # the module docstring).
+    halve = stage == 3 and not exhaustive and config.candidate_cap is None
     moore = _moore_girth(n, stage)
     attempted = 0
+
+    def in_order(scan, starts):
+        """The blocks' results, in order.  Each block starts from the best
+        girth of the blocks returned before it was started, minus 1: it
+        reads best_g as the scan loop below raises it."""
+        if config.worker_count == 1 or len(starts) == 1:
+            for lo in starts:
+                yield scan(lo, cutoff=best_g - 1)
+            return
+        ahead = deque()  # at most one block per worker in flight
+        for lo in starts:
+            ahead.append(pool.submit(scan, lo, cutoff=best_g - 1))
+            if len(ahead) == config.worker_count:
+                yield ahead.popleft().result()
+        while ahead:
+            yield ahead.popleft().result()
+
     with ThreadPoolExecutor(max_workers=config.worker_count) as pool:
         for level in levels:
             markers, finals = _finals_for_level(n, d, level, config.candidate_cap, stage)
             if not len(finals):
                 continue
             attempted += len(beam) * len(finals) * len(words)
+            if halve and level < 2:
+                # The offsets ascend and pair up as j <-> n-j (n/2 is
+                # coprime to n only at n = 2): the first half is j <= n/2.
+                finals = finals[: (len(finals) + 1) // 2]
             blocks = finals.reshape(len(finals), k, d) - offsets
             evaluated, best_g, winners, seen = 0, -1, [], set()
             for member in beam:
@@ -329,19 +378,18 @@ def _run_stage(
                     continue  # its graphs are an earlier member's, in order
                 seen.add(others)
                 table, pairs, rows, keep = prepare(rebased, finals, blocks)
-                step = max(1, len(pairs) // (4 * config.worker_count))
-                starts = range(0, len(pairs), step)
-                stops = [min(len(pairs), lo + step) for lo in starts]
                 scan = partial(
                     _evaluate_chunk, table, stage, at, pairs, moore=moore, exhaustive=exhaustive
                 )
                 found = []
-                for count, g, block in pool.map(scan, starts, stops):
+                for count, g, block in in_order(scan, range(0, len(pairs), BLOCK)):
                     evaluated += count
                     if g > best_g:
                         best_g, winners, found = g, [], []
                     if g == best_g:
                         found.extend(block)
+                    if g == moore and not exhaustive:
+                        break  # nothing later can beat it
                 if found:
                     hits = pairs[found]
                     if not winners:

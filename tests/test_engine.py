@@ -6,15 +6,16 @@ import json
 import time
 import tracemalloc
 import warnings
-from math import factorial
+from concurrent.futures import ThreadPoolExecutor
+from math import factorial, gcd
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from strategies import regular_matrices
 
-from btusearch import engine
+from btusearch import _kernel, engine
 from btusearch.btu import (
     adjacent_partitions,
     decompose_matrix,
@@ -448,9 +449,153 @@ class TestFinalsForLevel:
         )
 
 
+def _reflect(p: np.ndarray) -> np.ndarray:
+    """rho.p.rho for the reflection rho: x -> n-1-x, on 0-based images."""
+    return len(p) - 1 - p[::-1]
+
+
+class TestReflectionHalfScan:
+    """Best mode at stage 3 scans only the rotation finals j <= n/2: the
+    reflection maps [scale(w), identity, rotation j] to a graph of the
+    same girth, [scale(rho.w.rho), identity, rotation n-j]."""
+
+    @staticmethod
+    def stage_three_graphs(monkeypatch, kernel, m, config):
+        """Graphs the kernel scores at stage 3 of search(m, 3, config)."""
+        monkeypatch.setattr(_kernel, "_impl", kernel)
+        batch, scored = _kernel.girth_batch, []
+
+        def counting(table, index, *args, **kwargs):
+            girths = batch(table, index, *args, **kwargs)
+            if index.shape[1] == 3:
+                scored.append(len(girths))
+            return girths
+
+        monkeypatch.setattr(_kernel, "girth_batch", counting)
+        search(m, 3, config)
+        return sum(scored)
+
+    @pytest.mark.parametrize(
+        "config,graphs",
+        [
+            (SearchConfig(), 20160),
+            (SearchConfig(worker_count=2), 20160),
+            (SearchConfig(candidate_cap=5040), 40320),
+            (SearchConfig(mode="exhaustive"), 40320),
+        ],
+        ids=["best", "best-2-workers", "capped", "exhaustive"],
+    )
+    def test_graphs_scored_at_32_3(self, compiled_kernel, monkeypatch, config, graphs):
+        # 8 rotation finals of degree 32 times 7! = 5,040 words of degree 8,
+        # every pair compatible; the cap lists all 5,040 but is a cap.
+        assert self.stage_three_graphs(monkeypatch, compiled_kernel, 32, config) == graphs
+
+    @settings(
+        max_examples=100, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        bk=st.sampled_from([(1, 2), (1, 3), (2, 2), (3, 2), (1, 4), (2, 3), (4, 2)]),
+        data=st.data(),
+    )
+    def test_twins_have_equal_girth(self, kernel, bk, data):
+        b, k = bk
+        d, n = b * k, b * k * k
+        words = cycle_images(d)
+        w = words[data.draw(st.integers(0, len(words) - 1), label="word")].astype(np.intp)
+        j = data.draw(st.sampled_from([j for j in range(1, n) if gcd(j, n) == 1]), label="j")
+
+        def rotation(j):
+            return (np.arange(n) - j) % n
+
+        def scale(w):
+            return (w[None, :] + np.arange(0, n, d)[:, None]).reshape(n)
+
+        twin = _reflect(w)
+        assert (words == twin).all(axis=1).any()
+        assert np.array_equal(_reflect(rotation(j)), rotation(n - j))
+        assert np.array_equal(_reflect(scale(w)), scale(twin))
+        table = np.array(
+            [scale(w), np.arange(n), rotation(j), scale(twin), rotation(n - j)], dtype=np.int32
+        )
+        index = np.array([[0, 1, 2], [3, 1, 4]], dtype=np.int32)
+        out = np.empty(2, dtype=np.int32)
+        # Slack 2n keeps the second graph's cutoff at 0: both are exact.
+        assert kernel.girth_batch(table, index, 2, n, 3, out, 0, 2 * n, 0) == 2
+        assert out[0] == out[1]
+
+
+class TestCallingThread:
+    """A member of one block is scanned on the calling thread, and so is
+    every member when there is one worker."""
+
+    @pytest.mark.parametrize("m,r,workers", [(18, 3, 2), (27, 4, 1)])
+    def test_no_pool_task(self, monkeypatch, capsys, m, r, workers):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a task went to the worker pool")
+
+        monkeypatch.setattr(ThreadPoolExecutor, "submit", refuse)
+        code = main(
+            ["search", "-m", str(m), "-r", str(r), "--workers", str(workers), "--no-timing"]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == LADDER[(m, r, "best")]
+
+    def test_a_member_of_several_blocks_goes_to_the_pool(self, compiled_kernel, monkeypatch):
+        # (32,3) scans 20,160 graphs: one block, or 5 of at most 4,096.
+        monkeypatch.setattr(_kernel, "_impl", compiled_kernel)
+        submit, tasks = ThreadPoolExecutor.submit, []
+
+        def counting(pool, *args, **kwargs):
+            tasks.append(args)
+            return submit(pool, *args, **kwargs)
+
+        monkeypatch.setattr(ThreadPoolExecutor, "submit", counting)
+        assert search(32, 3, SearchConfig(worker_count=2)).girth == 8
+        assert tasks == []
+        monkeypatch.setattr(engine, "BLOCK", 4096)
+        assert search(32, 3, SearchConfig(worker_count=2)).girth == 8
+        assert len(tasks) == 5
+
+
+class TestSmallBlocks:
+    """Members cut into many blocks give the same answers.  On the calling
+    thread and on the pool, each block starts from the best girth of the
+    blocks returned before it was started, and in best mode no block
+    starts after one at the Moore bound.  The loose kernel answers at the
+    edge of the cutoff contract."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(engine, "BLOCK", 97)
+
+    @pytest.mark.parametrize(
+        "kernel,m,r,mode,workers",
+        [("loose", m, r, mode, w) for m, r, mode in [(18, 3, "best"), (27, 4, "best"),
+                                                    (18, 3, "exhaustive")] for w in (1, 3)]
+        + [("c", m, r, mode, w) for m, r, mode in [(32, 3, "best"), (20, 3, "best"),
+                                                  (32, 3, "exhaustive")] for w in (1, 3)],
+        indirect=["kernel"],
+    )
+    def test_ladder_json(self, backend, capsys, m, r, mode, workers):
+        TestBackendsAgree().test_ladder_json(backend, capsys, m, r, mode, workers)
+
+    @pytest.mark.parametrize(
+        "kernel,m,r,workers",
+        [("loose", m, r, w) for m, r in [(12, 3), (18, 3), (27, 4), (8, 4)] for w in (1, 3)]
+        + [("c", m, r, w) for m, r in [(32, 3), (16, 4)] for w in (1, 3)],
+        indirect=["kernel"],
+    )
+    def test_exhaustive_beams(self, backend, m, r, workers):
+        TestExhaustiveBeams().test_co_maxima_and_order(backend, m, r, workers)
+
+
 class TestStageTwoMemory:
-    def test_only_the_used_rotation_is_built(self):
+    def test_only_the_used_rotation_is_built(self, compiled_kernel, monkeypatch):
         # Every admissible rotation of degree 4096 is 2,046 rows of 4,096.
+        # The pure kernel's BFS scores the one 4096-cycle in O(m^2) time.
+        monkeypatch.setattr(_kernel, "_impl", compiled_kernel)
         tracemalloc.start()
         try:
             assert search(4096, 2).girth == 2 * 4096
