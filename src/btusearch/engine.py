@@ -25,19 +25,22 @@ needs degree n.
 
 Each member's surviving candidates then meet the finals in one ordered
 scan over (final, word), one member at a time, so memory does not grow
-with the beam.  The scan is cut into blocks of BLOCK graphs, and a block
-is one girth kernel call: the kernel raises its cutoff after every graph
-to the running best (minus 1 in exhaustive mode, so ties stay exact),
-and in best mode it ends the call at the bipartite Moore bound; neither
-can change which graph wins.  Each block starts from the best girth of
-the blocks returned before it was started, minus 1.  With one worker,
-or a member of one block, the blocks run in turn on the calling thread;
-otherwise the worker pool scores them, at most one per worker at a
-time.  Blocks come back in order, so the first maximum found is the
-lexicographic winner of (member, final, word), and the co-maximal list
-(exhaustive mode) is already in that order; in best mode no block
-starts once one has returned a graph at the Moore bound.  Results are
-identical for any worker count and either kernel.
+with the beam.  The scan is cut once, into units of a final range by a
+word range, finals outer, of at most BLOCK pairs and PAIR_CELLS mask
+cells.  A unit builds its own pair mask and kernel index and is one
+girth kernel call: the kernel raises its cutoff after every graph to
+the running best (minus 1 in exhaustive mode, so ties stay exact), and
+in best mode it ends the call at the bipartite Moore bound; neither can
+change which graph wins.  Each unit starts from the best girth of the
+units returned before it was started, minus 1.  With one worker, or a
+member of one unit, the units run in turn on the calling thread;
+otherwise the worker pool runs them, masks included, at most one per
+worker at a time.  Units come back in order, each in (final, word)
+order, so the first maximum found is the lexicographic winner of
+(member, final, word), and the co-maximal list (exhaustive mode) is
+already in that order; in best mode no unit starts once one has
+returned a graph at the Moore bound.  Results are identical for any
+worker count, unit size and either kernel.
 
 Best mode at stage 3 scans half of the rotation finals.  The reflection
 rho: x -> n-1-x relabels a graph's points, so it keeps the girth.  The
@@ -63,11 +66,11 @@ searchspace.cycle_images(d, cap), the finals are rotations or, at level
 (the partition check asks that every cycle of inv(left).q has the one
 length the required partition holds).  Each member's graphs are rows of
 one image table, its scaled slots, the finals compatible with them and
-its kept words scaled to degree n, and its (final, word) pairs form one
-ordered array of table rows, which the blocks cut.  A scan never reads
-the replaced slot, so a member whose other rebased slots repeat an
-earlier member's would repeat its graphs in order: it is skipped, and
-the exhaustive beam holds no duplicate.  The candidates and
+its kept words scaled to degree n, and a unit's pairs are the (final
+row, word row) pairs of its ranges that differ at every point.  A scan
+never reads the replaced slot, so a member whose other rebased slots
+repeat an earlier member's would repeat its graphs in order: it is
+skipped, and the exhaustive beam holds no duplicate.  The candidates and
 the level-2 finals are listed in full, so a run whose stage would list
 more than MAX_LISTED of them ((d-1)! candidates, or (n-1)! finals) is
 refused with StageTooLargeError before the list is built, unless the
@@ -107,10 +110,10 @@ from .perms import (
 from .searchspace import CandidateWord, cycle_images, listed_count, word_at_index
 
 ENUM_FALLBACK = "enum"  # rotation_j marker: final slot was enumerated
-# Most booleans one (final, word) compatibility mask may hold.
+# Most booleans one unit's (final, word, point) compatibility mask may hold.
 PAIR_CELLS = 1 << 22
-# Most graphs one girth kernel call scores: it bounds the call's index
-# and result arrays, and it is the share a pool worker takes at a time.
+# Most pairs in one unit, so most graphs one girth kernel call scores: it
+# bounds the call's index and result arrays, and is a pool worker's share.
 BLOCK = 65536
 # Most candidates or finals a stage may hold in a list.  Above it a run
 # is refused before the list is built: 9! = 362,880 candidates of degree
@@ -237,39 +240,36 @@ def _moore_girth(n: int, r: int) -> int:
     return 2 * half
 
 
-def _index(pairs: np.ndarray, at: int, r: int) -> np.ndarray:
-    """The kernel's row index of (final row, word row) table pairs: slot
-    t is table row t, the member's scaled slot, but slot `at` takes the
-    word and slot r-1 the final."""
-    index = np.empty((len(pairs), r), dtype=np.int32)
-    index[:] = np.arange(r, dtype=np.int32)
-    index[:, at] = pairs[:, 1]
-    index[:, -1] = pairs[:, 0]
-    return index
-
-
 def _evaluate_chunk(
-    table: np.ndarray, r: int, at: int, pairs: np.ndarray, lo: int, moore: int,
+    table: np.ndarray, r: int, at: int, unit: tuple[slice, slice], moore: int,
     exhaustive: bool, cutoff: int = -1,
-) -> tuple[int, int, list[int]]:
-    """Girths of the r-slot graphs that the table pairs[lo:lo+BLOCK] name,
-    in one kernel call.
+) -> tuple[int, np.ndarray]:
+    """Girths, in one kernel call, of the graphs of the compatible (final,
+    word) pairs of the table rows unit = (finals, words), in that order:
+    slot t is table row t, but slot `at` takes the word and slot r-1 the
+    final.
 
-    A graph's cutoff is `cutoff` or, if higher, the block's running best
+    A graph's cutoff is `cutoff` or, if higher, the unit's running best
     (minus 1 in exhaustive mode, so ties stay exact): a graph at or below
     it cannot change the result.  In best mode the call ends once a graph
     reaches the Moore bound, since nothing after it can beat it.  Returns
-    (graphs the kernel scored, best girth, the positions in pairs of the
-    block's co-maximal graphs in order; in best mode only the first).  A
-    best girth at or below `cutoff` only bounds the block's girths.
+    the best girth and the index rows of the co-maximal graphs in order
+    (in best mode only the first), or -1 and none without a compatible
+    pair.  A best girth at or below `cutoff` only bounds the unit's girths.
     """
-    index = _index(pairs[lo : lo + BLOCK], at, r)
-    if exhaustive:
-        girths = _kernel.girth_batch(table, index, table.shape[1], cutoff, slack=1)
-        best_g = int(girths.max())
-        return len(girths), best_g, (np.flatnonzero(girths == best_g) + lo).tolist()
-    girths = _kernel.girth_batch(table, index, table.shape[1], cutoff, stop=moore)
-    return len(girths), int(girths.max()), [lo + int(girths.argmax())]
+    finals, words = unit
+    final, word = np.nonzero((table[finals, None] != table[words]).all(axis=2))
+    index = np.tile(np.arange(r, dtype=np.int32), (len(final), 1))
+    if not len(index):
+        return -1, index
+    index[:, at] = word + words.start
+    index[:, -1] = final + finals.start
+    girths = _kernel.girth_batch(
+        table, index, table.shape[1], cutoff, slack=int(exhaustive), stop=0 if exhaustive else moore
+    )
+    best_g = int(girths.max())
+    hits = np.flatnonzero(girths == best_g)
+    return best_g, index[hits if exhaustive else hits[:1]]
 
 
 def _uniform_cycles(sigma: np.ndarray, length: int) -> np.ndarray:
@@ -301,15 +301,12 @@ def _run_stage(
     offsets = np.arange(0, n, d)[:, None]
     dtype = np.min_scalar_type(n)  # of the new beam
 
-    def prepare(slots: np.ndarray, finals: np.ndarray, blocks: np.ndarray):
-        """The member's image table, its ordered (final, word) pairs of
-        table rows, and the finals and words the table holds.
+    def prepare(slots: np.ndarray, finals: np.ndarray):
+        """The member's image table, and the finals and words it holds.
 
         Rows 0..stage-2 are the member's rebased slots scaled, then come
         the finals compatible with the other scaled slots, then the words
-        that pass the degree-d filters, scaled.  As scaling adds j*d to
-        block j, a scaled word meets a final wherever the word meets the
-        final's block j minus j*d, which `blocks` holds."""
+        that pass the degree-d filters, scaled."""
         keep = np.flatnonzero((words[:, None, :] != np.delete(slots, at, 0)).all(axis=(1, 2)))
         if stage >= 4:
             keep = keep[_uniform_cycles(np.argsort(slots[at - 1])[words[keep]], cycle)]
@@ -319,21 +316,10 @@ def _run_stage(
         table = np.empty((first_word + len(keep), n), dtype=dtype)
         table[: stage - 1] = slots
         table[stage - 1 : first_word] = finals[rows]
-        kept = words[keep, None, :]
         scaled = table[first_word:].reshape(len(keep), k, d)
-        scaled[:] = kept
+        scaled[:] = words[keep, None, :]
         scaled += np.arange(0, n, d, dtype=dtype)[:, None]
-        step = max(1, PAIR_CELLS // max(1, len(keep) * n))
-        pairs = [np.empty((0, 2), dtype=np.int32)]
-        for lo in range(0, len(rows), step):
-            final, word = np.nonzero((kept != blocks[rows[lo : lo + step], None]).all(axis=(2, 3)))
-            chunk = np.empty((len(final), 2), dtype=np.int32)
-            chunk[:, 0] = final
-            chunk[:, 0] += stage - 1 + lo
-            chunk[:, 1] = word
-            chunk[:, 1] += first_word
-            pairs.append(chunk)
-        return table, np.concatenate(pairs), rows, keep
+        return table, rows, keep
 
     levels = [0] if config.rotation_policy == "strict" else [0, 1, 2]
     exhaustive = config.mode == "exhaustive"
@@ -341,19 +327,20 @@ def _run_stage(
     # the module docstring).
     halve = stage == 3 and not exhaustive and config.candidate_cap is None
     moore = _moore_girth(n, stage)
+    cells = max(1, min(BLOCK, PAIR_CELLS // n))  # most pairs in one unit
     attempted = 0
 
-    def in_order(scan, starts):
-        """The blocks' results, in order.  Each block starts from the best
-        girth of the blocks returned before it was started, minus 1: it
+    def in_order(scan, units):
+        """The units' results, in order.  Each unit starts from the best
+        girth of the units returned before it was started, minus 1: it
         reads best_g as the scan loop below raises it."""
-        if config.worker_count == 1 or len(starts) == 1:
-            for lo in starts:
-                yield scan(lo, cutoff=best_g - 1)
+        if config.worker_count == 1 or len(units) == 1:
+            for unit in units:
+                yield scan(unit, cutoff=best_g - 1)
             return
-        ahead = deque()  # at most one block per worker in flight
-        for lo in starts:
-            ahead.append(pool.submit(scan, lo, cutoff=best_g - 1))
+        ahead = deque()  # at most one unit per worker in flight
+        for unit in units:
+            ahead.append(pool.submit(scan, unit, cutoff=best_g - 1))
             if len(ahead) == config.worker_count:
                 yield ahead.popleft().result()
         while ahead:
@@ -369,34 +356,40 @@ def _run_stage(
                 # The offsets ascend and pair up as j <-> n-j (n/2 is
                 # coprime to n only at n = 2): the first half is j <= n/2.
                 finals = finals[: (len(finals) + 1) // 2]
-            blocks = finals.reshape(len(finals), k, d) - offsets
-            evaluated, best_g, winners, seen = 0, -1, [], set()
+            best_g, winners, seen = -1, [], set()
             for member in beam:
                 rebased = member[:, np.argsort(member[-1])]
                 others = np.delete(rebased, at, 0).tobytes()
                 if others in seen:
                     continue  # its graphs are an earlier member's, in order
                 seen.add(others)
-                table, pairs, rows, keep = prepare(rebased, finals, blocks)
+                table, rows, keep = prepare(rebased, finals)
+                first_word = len(table) - len(keep)
+                wstep = max(1, min(len(keep), cells))
+                fstep = max(1, cells // wstep)  # finals outer, words inner
+                units = [
+                    (slice(f0, min(f0 + fstep, first_word)), slice(w0, w0 + wstep))
+                    for f0 in range(stage - 1, first_word, fstep)
+                    for w0 in range(first_word, len(table), wstep)
+                ]
                 scan = partial(
-                    _evaluate_chunk, table, stage, at, pairs, moore=moore, exhaustive=exhaustive
+                    _evaluate_chunk, table, stage, at, moore=moore, exhaustive=exhaustive
                 )
                 found = []
-                for count, g, block in in_order(scan, range(0, len(pairs), BLOCK)):
-                    evaluated += count
+                for g, hits in in_order(scan, units):
                     if g > best_g:
                         best_g, winners, found = g, [], []
-                    if g == best_g:
-                        found.extend(block)
+                    if g == best_g and len(hits):
+                        found.append(hits)
                     if g == moore and not exhaustive:
                         break  # nothing later can beat it
                 if found:
-                    hits = pairs[found]
+                    hits = np.concatenate(found)
                     if not winners:
-                        final, word = hits[0] - (stage - 1, stage - 1 + len(rows))
+                        final, word = hits[0, -1] - (stage - 1), hits[0, at] - first_word
                         first = int(rows[final]), int(keep[word])
-                    winners.append(table[_index(hits, at, stage)])
-            if evaluated == 0:
+                    winners.append(table[hits])
+            if not winners:
                 continue
 
             word = CandidateWord(n=d, word=Permutation(word_at_index(d, first[1])))

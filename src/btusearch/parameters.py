@@ -36,30 +36,26 @@ class OptimalPartitionSet:
     betas: tuple[PartitionP2, ...]
 
 
-def _exact_root(x: int, e: int) -> int | None:
-    """The integer k with k**e == x, or None.  Pure integer arithmetic."""
-    if x < 1:
-        return None
-    if e == 1:
-        return x
-    lo, hi = 1, x
-    while lo <= hi:
+def _floor_root(x: int, e: int) -> int:
+    """The largest integer k with k**e <= x, for x >= 1.  Pure integer
+    arithmetic."""
+    lo, hi = 1, 1 << (x.bit_length() // e + 1)  # hi**e > x
+    while hi - lo > 1:
         mid = (lo + hi) // 2
-        v = mid**e
-        if v == x:
-            return mid
-        if v < x:
-            lo = mid + 1
+        if mid**e <= x:
+            lo = mid
         else:
-            hi = mid - 1
-    return None
+            hi = mid
+    return lo
 
 
 def factorize(m: int, r: int) -> Factorization:
     """Minimal b >= 1 with m = b * k^(r-1) for an exact integer k.
 
-    b = m (k = 1) always qualifies, so the result is degenerate exactly
-    when no smaller b works.
+    The smallest b has the largest k, so k is tried downward from the
+    integer (r-1)-th root of m: at most m^(1/(r-1)) tries.  k = 1 (b = m)
+    always qualifies, so the result is degenerate exactly when no larger
+    k works.
     """
     if r < 2:
         raise ValueError(f"row weight must be >= 2, got r={r}")
@@ -71,13 +67,10 @@ def factorize(m: int, r: int) -> Factorization:
             AssumptionWarning,
             stacklevel=2,
         )
-    for b in range(1, m + 1):
-        if m % b:
-            continue
-        k = _exact_root(m // b, r - 1)
-        if k is not None:
-            return Factorization(m=m, r=r, b=b, k=k)
-    raise AssertionError("unreachable: b = m always factors")
+    k = _floor_root(m, r - 1)
+    while m % k ** (r - 1):
+        k -= 1
+    return Factorization(m=m, r=r, b=m // k ** (r - 1), k=k)
 
 
 def closed_form_partitions(b: int, k: int, r: int) -> tuple[PartitionP2, ...]:

@@ -63,6 +63,13 @@ class TestSearch:
         assert code == 1
         assert "error" in err
 
+    def test_large_prime_is_degenerate_at_once(self, capsys):
+        started = time.perf_counter()
+        code, out, err = run(capsys, "search", "-m", "1000000007", "-r", "3")
+        assert time.perf_counter() - started < 1
+        assert (code, out) == (1, "")
+        assert err == "error: m=1000000007, r=3: k=1, enumeration search inapplicable\n"
+
     def test_matrix_output(self, capsys, tmp_path):
         out_file = tmp_path / "btu.txt"
         code, _, _ = run(

@@ -526,7 +526,7 @@ class TestReflectionHalfScan:
 
 
 class TestCallingThread:
-    """A member of one block is scanned on the calling thread, and so is
+    """A member of one unit is scanned on the calling thread, and so is
     every member when there is one worker."""
 
     @pytest.mark.parametrize("m,r,workers", [(18, 3, 2), (27, 4, 1)])
@@ -543,7 +543,8 @@ class TestCallingThread:
         assert hashlib.sha256(out.encode()).hexdigest() == LADDER[(m, r, "best")]
 
     def test_a_member_of_several_blocks_goes_to_the_pool(self, compiled_kernel, monkeypatch):
-        # (32,3) scans 20,160 graphs: one block, or 5 of at most 4,096.
+        # (32,3) scans 4 finals x 5,040 words: one unit, or at most 4,096
+        # pairs to a unit, each final in word ranges 0:4096 and 4096:5040.
         monkeypatch.setattr(_kernel, "_impl", compiled_kernel)
         submit, tasks = ThreadPoolExecutor.submit, []
 
@@ -556,15 +557,15 @@ class TestCallingThread:
         assert tasks == []
         monkeypatch.setattr(engine, "BLOCK", 4096)
         assert search(32, 3, SearchConfig(worker_count=2)).girth == 8
-        assert len(tasks) == 5
+        assert len(tasks) == 8
 
 
 class TestSmallBlocks:
-    """Members cut into many blocks give the same answers.  On the calling
-    thread and on the pool, each block starts from the best girth of the
-    blocks returned before it was started, and in best mode no block
-    starts after one at the Moore bound.  The loose kernel answers at the
-    edge of the cutoff contract."""
+    """Members cut into many units of at most BLOCK = 97 pairs give the
+    same answers.  On the calling thread and on the pool, each unit starts
+    from the best girth of the units returned before it was started, and
+    in best mode no unit starts after one at the Moore bound.  The loose
+    kernel answers at the edge of the cutoff contract."""
 
     @pytest.fixture(autouse=True)
     def small_blocks(self, monkeypatch):
@@ -590,6 +591,33 @@ class TestSmallBlocks:
     def test_exhaustive_beams(self, backend, m, r, workers):
         TestExhaustiveBeams().test_co_maxima_and_order(backend, m, r, workers)
 
+    @pytest.mark.parametrize(
+        "kernel,m,r,mode",
+        [("c", 32, 3, "exhaustive"), ("c", 20, 3, "best"), ("c", 27, 4, "best"),
+         ("c", 16, 4, "exhaustive")],
+        indirect=["kernel"],
+    )
+    def test_no_call_exceeds_a_unit(self, backend, monkeypatch, m, r, mode):
+        batch, calls = _kernel.girth_batch, []
+
+        def counting(table, index, *args, **kwargs):
+            calls.append((len(index), table.shape[1]))
+            return batch(table, index, *args, **kwargs)
+
+        monkeypatch.setattr(_kernel, "girth_batch", counting)
+        search(m, r, SearchConfig(mode=mode))
+        assert calls
+        assert all(0 < g <= max(1, min(engine.BLOCK, engine.PAIR_CELLS // n)) for g, n in calls)
+
+
+class TestSmallPairCells(TestSmallBlocks):
+    """The same runs with units that PAIR_CELLS sets rather than BLOCK:
+    40 pairs to a unit at degree 32, 71 at degree 18."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(engine, "PAIR_CELLS", 40 * 32)
+
 
 class TestStageTwoMemory:
     def test_only_the_used_rotation_is_built(self, compiled_kernel, monkeypatch):
@@ -603,6 +631,21 @@ class TestStageTwoMemory:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+
+class TestStageThreeMemory:
+    def test_exhaustive_20_3(self, compiled_kernel, monkeypatch):
+        # 9! words of degree 10 against 8 rotation finals of degree 20.
+        # Each unit builds its own mask and index, so the peak holds the
+        # words, the table and one unit (45 MiB with a member-wide pair list).
+        monkeypatch.setattr(_kernel, "_impl", compiled_kernel)
+        tracemalloc.start()
+        try:
+            assert search(20, 3, SearchConfig(mode="exhaustive")).girth == 8
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 28 * 2**20
 
 
 class TestUniformCycles:

@@ -1,5 +1,6 @@
 """Factorization m = b*k^(r-1) and the optimal partition sequence."""
 
+import time
 import warnings
 
 import pytest
@@ -24,6 +25,21 @@ def brute_force_min_b(m: int, r: int) -> tuple[int, int]:
         for k in range(1, m + 1):
             if b * k ** (r - 1) == m:
                 return b, k
+    raise AssertionError
+
+
+def walk_b(m: int, r: int) -> tuple[int, int]:
+    """The former factorize loop: b from 1 upward, the first whose
+    cofactor m // b is an exact (r-1)-th power."""
+    for b in range(1, m + 1):
+        if m % b:
+            continue
+        lo, hi = 1, m // b
+        while lo <= hi:
+            mid = (lo + hi) // 2
+            if mid ** (r - 1) == m // b:
+                return b, mid
+            lo, hi = (mid + 1, hi) if mid ** (r - 1) < m // b else (lo, mid - 1)
     raise AssertionError
 
 
@@ -60,6 +76,23 @@ class TestFactorize:
                 f = factorize(m, r)
                 assert f.b * f.k ** (r - 1) == m
                 assert (f.b, f.k) == brute_force_min_b(m, r)
+
+    def test_agrees_with_walking_b_upward(self):
+        for r in range(2, 8):
+            for m in range(r + 1, 3001):
+                f = factorize(m, r)
+                assert (f.b, f.k) == walk_b(m, r), (m, r)
+
+    @pytest.mark.parametrize(
+        "m,r,b,k",
+        [(10**9 + 7, 3, 10**9 + 7, 1), (2 * 99991**2, 3, 2, 99991), (3**40, 5, 1, 3**10),
+         (2**64, 2, 1, 2**64)],
+    )
+    def test_large_m_at_once(self, m, r, b, k):
+        started = time.perf_counter()
+        f = factorize(m, r)
+        assert time.perf_counter() - started < 1
+        assert (f.b, f.k) == (b, k)
 
     def test_no_float_root_confusion(self):
         # 5**3 = 125; a naive float cube root of 125 can land on 4.9999...
