@@ -272,6 +272,9 @@ def main(argv: list[str] | None = None) -> int:
     except (BTUError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # a bare MemoryError() has no text
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -35,12 +35,13 @@ change which graph wins.  Each unit starts from the best girth of the
 units returned before it was started, minus 1.  With one worker, or a
 member of one unit, the units run in turn on the calling thread;
 otherwise the worker pool runs them, masks included, at most one per
-worker at a time.  Units come back in order, each in (final, word)
-order, so the first maximum found is the lexicographic winner of
-(member, final, word), and the co-maximal list (exhaustive mode) is
-already in that order; in best mode no unit starts once one has
-returned a graph at the Moore bound.  Results are identical for any
-worker count, unit size and either kernel.
+worker at a time.  A unit returns its co-maximal graphs (in best mode
+the first), and units come back in order, each in (final, word) order,
+so the first winner, which the trace is read off, is the lexicographic
+first maximum of (member, final, word), and the co-maximal list is in
+that order; in best mode no unit starts once one has returned a graph
+at the Moore bound.  Results are identical for any worker count, unit
+size and either kernel.
 
 Best mode at stage 3 scans half of the rotation finals.  The reflection
 rho: x -> n-1-x relabels a graph's points, so it keeps the girth.  The
@@ -62,20 +63,19 @@ Those scans stay whole.
 The stage runs on int arrays of 0-based images: the beam is one array
 of shape (members, slots, n), the candidates are the rows of
 searchspace.cycle_images(d, cap), the finals are rotations or, at level
-2, the cycle_images of degree n, the filters are boolean masks over them
-(the partition check asks that every cycle of inv(left).q has the one
-length the required partition holds).  Each member's graphs are rows of
+2, the rows of cycle_images(n), all in its type, the filters are boolean
+masks over them (the partition check asks that every cycle of
+inv(left).q has the one length the required partition holds).  Each member's graphs are rows of
 one image table, its scaled slots, the finals compatible with them and
 its kept words scaled to degree n, and a unit's pairs are the (final
 row, word row) pairs of its ranges that differ at every point.  A scan
 never reads the replaced slot, so a member whose other rebased slots
 repeat an earlier member's would repeat its graphs in order: it is
-skipped, and the exhaustive beam holds no duplicate.  The candidates and
-the level-2 finals are listed in full, so a run whose stage would list
-more than MAX_LISTED of them ((d-1)! candidates, or (n-1)! finals) is
-refused with StageTooLargeError before the list is built, unless the
-candidate cap bounds it: up front for the candidates, on reaching level
-2 for the finals.
+skipped, and the exhaustive beam holds no duplicate.  A stage that
+would list more than MAX_LISTED candidates ((d-1)!), rotations (n-1) or
+level-2 finals ((n-1)!) is refused with StageTooLargeError before the
+list is built, unless the candidate cap bounds it (it does not bound
+rotations): up front, but on reaching level 2 for the level-2 finals.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from math import gcd
+from math import gcd, log10
 from typing import Iterator
 
 import numpy as np
@@ -107,7 +107,7 @@ from .perms import (
     identity,
     refuse_oversize,
 )
-from .searchspace import CandidateWord, cycle_images, listed_count, word_at_index
+from .searchspace import CandidateWord, cycle_images, listed_count, rank_candidate
 
 ENUM_FALLBACK = "enum"  # rotation_j marker: final slot was enumerated
 # Most booleans one unit's (final, word, point) compatibility mask may hold.
@@ -193,12 +193,15 @@ def admissible_rotations(n: int, threshold: int) -> list[int]:
     ]
 
 
-def _rotations(n: int, threshold: int, level: int) -> tuple[list[int | str], list[int]]:
-    """(markers, offsets) of the rotations policy level 0 or 1 offers the
-    newest slot: the admissible offsets, or at level 1 every offset
-    coprime to n, which is every offset admissible at threshold 0."""
-    offsets = admissible_rotations(n, threshold if level == 0 else 0)
-    return [j if level == 0 else f"relaxed-gcd:{j}" for j in offsets], offsets
+def _marker(level: int, final_row: np.ndarray) -> int | str:
+    """A final row's rotation_j: j for the rotation whose first image is
+    n-j (relaxed at level 1), or ENUM_FALLBACK at level 2.
+
+    >>> [_marker(level, np.array([2, 0, 1])) for level in (0, 1, 2)]
+    [1, 'relaxed-gcd:1', 'enum']
+    """
+    j = len(final_row) - int(final_row[0])
+    return [j, f"relaxed-gcd:{j}", ENUM_FALLBACK][level]
 
 
 def _stage2(f: Factorization, config: SearchConfig) -> tuple[np.ndarray, StageTrace]:
@@ -206,27 +209,28 @@ def _stage2(f: Factorization, config: SearchConfig) -> tuple[np.ndarray, StageTr
     the first that the first policy level offering any gives."""
     n = f.b * f.k
     for level in [0] if config.rotation_policy == "strict" else [0, 1]:
-        markers, offsets = _rotations(n, f.b, level)
+        offsets = admissible_rotations(n, f.b if level == 0 else 0)
         if offsets:
             break
     else:
         raise StageDeadEndError(2, f"no admissible rotation at n={n}, threshold={f.b}")
     beam = np.array([[np.arange(n), (np.arange(n) - offsets[0]) % n]], dtype=np.min_scalar_type(n))
     g = _kernel.girth_of_images(beam[0] + 1, n)
-    return beam, StageTrace(2, n, rotation_j=markers[0], candidates_evaluated=1, best_girth=g)
+    return beam, StageTrace(2, n, _marker(level, beam[0, 1]), candidates_evaluated=1, best_girth=g)
 
 
 def _finals_for_level(n: int, threshold: int, level: int, cap: int | None, stage: int):
-    """(markers, finals) for the newest slot at a policy level: one marker
-    and one row of 0-based images per final.  At levels 0 and 1 the row of
-    offset j is the rotation (i - j) mod n; at level 2 the finals are every
-    single-cycle candidate of degree n, cut to cap."""
+    """The newest slot's finals at a policy level, rows of 0-based images
+    in cycle_images(n)'s type: the rotations (i - j) mod n of the
+    admissible offsets j, ascending (at level 1 of every j coprime to n);
+    at level 2 every single-cycle candidate of degree n, cut to cap."""
     if level < 2:
-        markers, offsets = _rotations(n, threshold, level)
-        return markers, (np.arange(n) - np.array(offsets, dtype=np.intp)[:, None]) % n
+        dt = np.min_scalar_type(-n)
+        offsets = np.array(admissible_rotations(n, threshold if level == 0 else 0), dtype=dt)
+        # (j - i) mod -n lies in (-n, 0], and -n fits dt where n need not.
+        return -((offsets[:, None] - np.arange(n, dtype=dt)) % -n)
     _refuse_unlisted(stage, "finals", n, cap)
-    finals = cycle_images(n, cap)
-    return [ENUM_FALLBACK] * len(finals), finals
+    return cycle_images(n, cap)
 
 
 def _moore_girth(n: int, r: int) -> int:
@@ -253,23 +257,23 @@ def _evaluate_chunk(
     (minus 1 in exhaustive mode, so ties stay exact): a graph at or below
     it cannot change the result.  In best mode the call ends once a graph
     reaches the Moore bound, since nothing after it can beat it.  Returns
-    the best girth and the index rows of the co-maximal graphs in order
-    (in best mode only the first), or -1 and none without a compatible
-    pair.  A best girth at or below `cutoff` only bounds the unit's girths.
+    the best girth and the images of the co-maximal graphs in order (in
+    best mode only the first), or -1 and none without a compatible pair;
+    a best girth at or below `cutoff` only bounds the unit's, and has none.
     """
     finals, words = unit
     final, word = np.nonzero((table[finals, None] != table[words]).all(axis=2))
     index = np.tile(np.arange(r, dtype=np.int32), (len(final), 1))
     if not len(index):
-        return -1, index
+        return -1, table[index]
     index[:, at] = word + words.start
     index[:, -1] = final + finals.start
     girths = _kernel.girth_batch(
         table, index, table.shape[1], cutoff, slack=int(exhaustive), stop=0 if exhaustive else moore
     )
     best_g = int(girths.max())
-    hits = np.flatnonzero(girths == best_g)
-    return best_g, index[hits if exhaustive else hits[:1]]
+    hits = np.flatnonzero(girths == max(best_g, cutoff + 1))  # none if it only bounds
+    return best_g, table[index[hits if exhaustive else hits[:1]]]
 
 
 def _uniform_cycles(sigma: np.ndarray, length: int) -> np.ndarray:
@@ -298,11 +302,11 @@ def _run_stage(
     # previous stage's sequence, whose parts are all equal.
     if stage >= 4:
         (cycle,) = set(closed_form_partitions(b, k, stage - 1)[stage - 4].parts)
-    offsets = np.arange(0, n, d)[:, None]
     dtype = np.min_scalar_type(n)  # of the new beam
+    offsets = np.arange(0, n, d, dtype=dtype)[:, None]
 
     def prepare(slots: np.ndarray, finals: np.ndarray):
-        """The member's image table, and the finals and words it holds.
+        """The member's image table and the row of its first word.
 
         Rows 0..stage-2 are the member's rebased slots scaled, then come
         the finals compatible with the other scaled slots, then the words
@@ -318,8 +322,8 @@ def _run_stage(
         table[stage - 1 : first_word] = finals[rows]
         scaled = table[first_word:].reshape(len(keep), k, d)
         scaled[:] = words[keep, None, :]
-        scaled += np.arange(0, n, d, dtype=dtype)[:, None]
-        return table, rows, keep
+        scaled += offsets
+        return table, first_word
 
     levels = [0] if config.rotation_policy == "strict" else [0, 1, 2]
     exhaustive = config.mode == "exhaustive"
@@ -348,7 +352,7 @@ def _run_stage(
 
     with ThreadPoolExecutor(max_workers=config.worker_count) as pool:
         for level in levels:
-            markers, finals = _finals_for_level(n, d, level, config.candidate_cap, stage)
+            finals = _finals_for_level(n, d, level, config.candidate_cap, stage)
             if not len(finals):
                 continue
             attempted += len(beam) * len(finals) * len(words)
@@ -363,9 +367,8 @@ def _run_stage(
                 if others in seen:
                     continue  # its graphs are an earlier member's, in order
                 seen.add(others)
-                table, rows, keep = prepare(rebased, finals)
-                first_word = len(table) - len(keep)
-                wstep = max(1, min(len(keep), cells))
+                table, first_word = prepare(rebased, finals)
+                wstep = max(1, min(len(table) - first_word, cells))
                 fstep = max(1, cells // wstep)  # finals outer, words inner
                 units = [
                     (slice(f0, min(f0 + fstep, first_word)), slice(w0, w0 + wstep))
@@ -375,26 +378,20 @@ def _run_stage(
                 scan = partial(
                     _evaluate_chunk, table, stage, at, moore=moore, exhaustive=exhaustive
                 )
-                found = []
-                for g, hits in in_order(scan, units):
+                for g, graphs in in_order(scan, units):
                     if g > best_g:
-                        best_g, winners, found = g, [], []
-                    if g == best_g and len(hits):
-                        found.append(hits)
+                        best_g, winners = g, []
+                    if g == best_g and len(graphs) and (exhaustive or not winners):
+                        winners.append(graphs)
                     if g == moore and not exhaustive:
                         break  # nothing later can beat it
-                if found:
-                    hits = np.concatenate(found)
-                    if not winners:
-                        final, word = hits[0, -1] - (stage - 1), hits[0, at] - first_word
-                        first = int(rows[final]), int(keep[word])
-                    winners.append(table[hits])
             if not winners:
                 continue
 
-            word = CandidateWord(n=d, word=Permutation(word_at_index(d, first[1])))
-            trace = StageTrace(stage, n, markers[first[0]], attempted, best_g, word)
-            return np.concatenate(winners)[: None if exhaustive else 1], trace
+            first = winners[0][0]  # its replaced slot's first block is the word
+            word = rank_candidate(Permutation(tuple(first[at, :d] + 1)), identity(d))
+            trace = StageTrace(stage, n, _marker(level, first[-1]), attempted, best_g, word)
+            return np.concatenate(winners), trace
 
     raise StageDeadEndError(
         stage, f"no compatible (rotation, candidate) configuration at n={n} "
@@ -409,7 +406,13 @@ def search(m: int, r: int, config: SearchConfig | None = None) -> SearchResult:
     if r >= 3 and f.degenerate:
         raise DegenerateFactorizationError(f"m={m}, r={r}: k=1, enumeration search inapplicable")
     for stage in range(3, r + 1):
-        _refuse_unlisted(stage, "candidates", f.b * f.k ** (stage - 2), config.candidate_cap)
+        n = f.b * f.k ** (stage - 1)
+        _refuse_unlisted(stage, "candidates", n // f.k, config.candidate_cap)
+        refuse_oversize(
+            MAX_LISTED, log10(n - 1), lambda: n - 1, f"stage {stage} would list up to {{count}} "
+            f"rotation finals of degree {n}, over the limit of {{limit}}; a candidate cap "
+            "(--cap) does not bound them", StageTooLargeError, stage=stage,
+        )
     beam, trace = _stage2(f, config)
     traces = [trace]
     for stage in range(3, r + 1):

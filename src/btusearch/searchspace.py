@@ -139,10 +139,11 @@ def lex_permutations(n: int, limit: int | None = None) -> np.ndarray:
     The rows of degree t are, for each first value v in turn, v followed
     by the rows of degree t-1 with every value >= v shifted up by one; the
     shift keeps their order.  The first `limit` rows permute only the
-    last t places, for the least t with t! >= limit, so only t! are built.
+    last t places, for the least t >= 1 (so n-t fits the type) with
+    t! >= limit, so only t! are built.
     """
     dtype = np.min_scalar_type(-n).type  # holds -n, so n-1 as well
-    t = n if limit is None else next((s for s in range(n) if factorial(s) >= limit), n)
+    t = n if limit is None else next((s for s in range(1, n) if factorial(s) >= limit), n)
     rows = np.zeros((1, 0), dtype=dtype)
     for size in range(1, t + 1):
         rest = np.concatenate([rows + (rows >= v) for v in range(size)])

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from strategies import format_shaped_texts
 
-from btusearch import engine
+from btusearch import cli, engine
 from btusearch.btu import make_btu
 from btusearch.cli import _build_parser, main
 from btusearch.io_formats import btu_to_format
@@ -388,6 +388,18 @@ class TestRefusals:
         assert err.value.estimate > err.value.limit
         assert run(capsys, *argv.split()) == (1, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("m", [2_000_000, 100_000_000])
+    def test_rotation_finals_refused_whatever_the_cap(self, capsys, m):
+        # At r = 3 the stage-3 degree is m; no cap bounds the m-1 rotations.
+        started = time.perf_counter()
+        assert run(capsys, "search", "-m", str(m), "-r", "3", "--cap", "1") == (
+            1,
+            "",
+            f"error: stage 3 would list up to {m - 1} rotation finals of degree {m}, "
+            "over the limit of 1000000; a candidate cap (--cap) does not bound them\n",
+        )
+        assert time.perf_counter() - started < 1
+
     def test_level_two_finals_refusal(self):
         with pytest.raises(TooLargeError) as err:
             engine._finals_for_level(16, 8, 2, None, 5)
@@ -395,6 +407,22 @@ class TestRefusals:
             f"stage 5 would list 1307674368000 finals of degree 16, {_CAP_TAIL}"
         )
         assert err.value.estimate > err.value.limit
+
+
+class TestMemoryError:
+    @pytest.mark.parametrize(
+        "error,line",
+        [
+            (MemoryError(), "error: out of memory\n"),
+            (MemoryError("Unable to allocate 2.36 GiB"), "error: Unable to allocate 2.36 GiB\n"),
+        ],
+    )
+    def test_one_line_and_exit_one(self, capsys, monkeypatch, error, line):
+        def out_of_memory(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, "search", out_of_memory)
+        assert run(capsys, "search", "-m", "20", "-r", "3") == (1, "", line)
 
 
 class TestUsageErrors:

@@ -428,25 +428,29 @@ class TestExhaustiveBeams:
 
 class TestFinalsForLevel:
     def test_level_two_is_the_candidate_array(self):
-        markers, finals = engine._finals_for_level(7, 3, 2, None, 3)
-        assert markers == ["enum"] * 720
+        finals = engine._finals_for_level(7, 3, 2, None, 3)
         assert np.array_equal(finals, cycle_images(7))
-        markers, finals = engine._finals_for_level(7, 3, 2, 5, 3)
-        assert markers == ["enum"] * 5 and np.array_equal(finals, cycle_images(7, 5))
+        assert finals.dtype == cycle_images(7).dtype
+        assert {engine._marker(2, row) for row in finals} == {"enum"}
+        assert np.array_equal(engine._finals_for_level(7, 3, 2, 5, 3), cycle_images(7, 5))
 
-    @pytest.mark.parametrize("n,threshold", [(9, 3), (12, 2), (16, 8), (7, 1)])
+    # At n = 128 the narrow type holds -n but not n.
+    @pytest.mark.parametrize("n,threshold", [(9, 3), (12, 2), (16, 8), (7, 1), (128, 40), (129, 40)])
     @pytest.mark.parametrize("level", [0, 1])
     def test_rotation_rows(self, n, threshold, level):
-        markers, finals = engine._finals_for_level(n, threshold, level, None, 3)
-        assert len(markers) == len(finals)
-        for marker, row in zip(markers, finals):
-            j = marker if level == 0 else int(marker.removeprefix("relaxed-gcd:"))
+        finals = engine._finals_for_level(n, threshold, level, None, 3)
+        assert finals.dtype == cycle_images(n, 1).dtype
+        offsets = admissible_rotations(n, threshold if level == 0 else 0)
+        assert len(finals) == len(offsets)
+        for j, row in zip(offsets, finals):
             assert row.tolist() == [x - 1 for x in circular_rotation(n, j).image]
-        assert markers == (
-            admissible_rotations(n, threshold)
-            if level == 0
-            else [f"relaxed-gcd:{j}" for j in admissible_rotations(n, 0)]
+        assert [engine._marker(level, row) for row in finals] == (
+            offsets if level == 0 else [f"relaxed-gcd:{j}" for j in offsets]
         )
+
+    def test_rotation_rows_of_degree_32768(self):
+        # int16 holds -32768 but not 32768; 14 offsets pass this threshold.
+        self.test_rotation_rows(32768, 16370, 0)
 
 
 def _reflect(p: np.ndarray) -> np.ndarray:
@@ -647,6 +651,19 @@ class TestStageThreeMemory:
             tracemalloc.stop()
         assert peak < 28 * 2**20
 
+    def test_capped_large_degree(self, compiled_kernel, monkeypatch):
+        # One word against 1,440 rotation finals of degree 4,000.
+        # The finals are int16 rows, as cycle_images(4000) would be, and
+        # the stage keeps its winners as graphs (99 MiB with int64 finals).
+        monkeypatch.setattr(_kernel, "_impl", compiled_kernel)
+        tracemalloc.start()
+        try:
+            assert search(4000, 3, SearchConfig(candidate_cap=1)).girth == 6
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50 * 2**20
+
 
 class TestUniformCycles:
     """The stage >= 4 partition filter: every cycle of inv(left).q has
@@ -740,7 +757,9 @@ class TestStageTooLarge:
         with pytest.raises(StageTooLargeError) as err:
             engine._finals_for_level(16, 8, 2, None, 5)
         assert "finals of degree 16" in str(err.value)
-        assert len(engine._finals_for_level(16, 8, 2, 10, 5)[1]) == 10
+        finals = engine._finals_for_level(16, 8, 2, 10, 5)
+        assert np.array_equal(finals, cycle_images(16, 10))
+        assert finals.dtype == cycle_images(16, 1).dtype
 
     def test_cli_exits_one(self, capsys):
         assert main(["search", "-m", "24", "-r", "3"]) == 1

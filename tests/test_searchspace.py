@@ -157,6 +157,12 @@ class TestArrays:
         stream = [q.image for q in enumerate_candidates(identity(n), 7)]
         assert [tuple(row) for row in images.tolist()] == stream
 
+    @pytest.mark.parametrize("n", [128, 129, 32768])
+    def test_first_row_at_large_degree(self, n):
+        # At n = 128 and 32768 the type holds n-1 but not n.
+        assert (lex_permutations(n, 1) == np.arange(n)).all()
+        assert cycle_images(n + 1, 1).tolist() == [[*range(1, n + 1), 0]]
+
     def test_capped_universe_builds_only_its_tail(self):
         # 15! rows would need terabytes; the first 5 permute the last 3.
         rows = lex_permutations(16, 5)
