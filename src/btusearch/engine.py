@@ -21,7 +21,10 @@ rebased at the previous degree d before scaling, and the stage's
 degree-d candidates are filtered once per member there: compatibility
 with every slot but the replaced one, and for stage >= 4 the partition
 against the left neighbour.  Only the check against the newest slot
-needs degree n.
+needs degree n.  At stage 3 the only other rebased slot is the
+identity, and a candidate against the identity is a single d-cycle
+(d >= 2), which has no fixed point: it differs from the identity at
+every point, so stage 3 keeps every candidate and runs no filter.
 
 Each member's surviving candidates then meet the finals in one ordered
 scan over (final, word), one member at a time, so memory does not grow
@@ -61,21 +64,26 @@ word order; and for exhaustive mode, which lists every co-maximum.
 Those scans stay whole.
 
 The stage runs on int arrays of 0-based images: the beam is one array
-of shape (members, slots, n), the candidates are the rows of
+of shape (members, slots, n), the candidates are rows of
 searchspace.cycle_images(d, cap), the finals are rotations or, at level
-2, the rows of cycle_images(n), all in its type, the filters are boolean
-masks over them (the partition check asks that every cycle of
-inv(left).q has the one length the required partition holds).  Each member's graphs are rows of
-one image table, its scaled slots, the finals compatible with them and
-its kept words scaled to degree n, and a unit's pairs are the (final
-row, word row) pairs of its ranges that differ at every point.  A scan
-never reads the replaced slot, so a member whose other rebased slots
-repeat an earlier member's would repeat its graphs in order: it is
-skipped, and the exhaustive beam holds no duplicate.  A stage that
-would list more than MAX_LISTED candidates ((d-1)!), rotations (n-1) or
-level-2 finals ((n-1)!) is refused with StageTooLargeError before the
-list is built, unless the candidate cap bounds it (it does not bound
-rotations): up front, but on reaching level 2 for the level-2 finals.
+2, the rows of cycle_images(n), all in its type.  Stage 3 takes every
+candidate row.  At stage >= 4 a member's candidates are grown under its
+filters by searchspace.grown_cycle_images, one word entry at a time in
+row order, so no row that fails is built: it must differ from the
+member's other slots at every point, and every cycle of inv(left).q
+must have the one length the required partition holds.  Each member's
+graphs are rows of one image table, its scaled slots, the finals
+compatible with them and its kept words scaled to degree n, and a
+unit's pairs are the (final row, word row) pairs of its ranges that
+differ at every point.  A scan never reads the replaced slot, so a
+member whose other rebased slots repeat an earlier member's would
+repeat its graphs in order: it is skipped, and the exhaustive beam
+holds no duplicate.  A stage that would list more than MAX_LISTED
+candidates ((d-1)!), rotations (n-1) or level-2 finals ((n-1)!) is
+refused with StageTooLargeError before the list is built, unless the
+candidate cap bounds it (it does not bound rotations): up front, but on
+reaching level 2 for the level-2 finals.  The candidate refusal stands
+at stage >= 4 as well, though only the grown rows are built there.
 """
 
 from __future__ import annotations
@@ -107,7 +115,13 @@ from .perms import (
     identity,
     refuse_oversize,
 )
-from .searchspace import CandidateWord, cycle_images, listed_count, rank_candidate
+from .searchspace import (
+    CandidateWord,
+    cycle_images,
+    grown_cycle_images,
+    listed_count,
+    rank_candidate,
+)
 
 ENUM_FALLBACK = "enum"  # rotation_j marker: final slot was enumerated
 # Most booleans one unit's (final, word, point) compatibility mask may hold.
@@ -186,11 +200,14 @@ def admissible_rotations(n: int, threshold: int) -> list[int]:
     Coprimality of j and n forces gcd(j, n-j) = gcd(n-j, n) = 1 as well,
     so the whole triple (j, n, n-j) is pairwise coprime.
     """
+    return list(_rotation_offsets(n, threshold))
+
+
+def _rotation_offsets(n: int, threshold: int) -> Iterator[int]:
+    """admissible_rotations(n, threshold), ascending, one at a time."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    return [
-        j for j in range(1, n) if min(j, n - j) > threshold and gcd(j, n) == 1
-    ]
+    return (j for j in range(1, n) if min(j, n - j) > threshold and gcd(j, n) == 1)
 
 
 def _marker(level: int, final_row: np.ndarray) -> int | str:
@@ -209,12 +226,12 @@ def _stage2(f: Factorization, config: SearchConfig) -> tuple[np.ndarray, StageTr
     the first that the first policy level offering any gives."""
     n = f.b * f.k
     for level in [0] if config.rotation_policy == "strict" else [0, 1]:
-        offsets = admissible_rotations(n, f.b if level == 0 else 0)
-        if offsets:
+        j = next(_rotation_offsets(n, f.b if level == 0 else 0), None)
+        if j is not None:
             break
     else:
         raise StageDeadEndError(2, f"no admissible rotation at n={n}, threshold={f.b}")
-    beam = np.array([[np.arange(n), (np.arange(n) - offsets[0]) % n]], dtype=np.min_scalar_type(n))
+    beam = np.array([[np.arange(n), (np.arange(n) - j) % n]], dtype=np.min_scalar_type(n))
     g = _kernel.girth_of_images(beam[0] + 1, n)
     return beam, StageTrace(2, n, _marker(level, beam[0, 1]), candidates_evaluated=1, best_girth=g)
 
@@ -295,12 +312,14 @@ def _run_stage(
     n = b * k ** (stage - 1)
     d = b * k ** (stage - 2)
     at = stage - 3  # 0-based index of slot stage-2, the replaced one
-    words = cycle_images(d, config.candidate_cap)
-    # For stage >= 4 the replaced slot also has a left neighbour whose
-    # pair partition must stay on the stage-optimal sequence.  Partitions
-    # scale with their permutations, so the degree-d check targets the
-    # previous stage's sequence, whose parts are all equal.
-    if stage >= 4:
+    cap = config.candidate_cap
+    if stage == 3:
+        words = cycle_images(d, cap)  # every one is kept (module docstring)
+    else:
+        # The replaced slot also has a left neighbour whose pair partition
+        # must stay on the stage-optimal sequence.  Partitions scale with
+        # their permutations, so the degree-d check targets the previous
+        # stage's sequence, whose parts are all equal.
         (cycle,) = set(closed_form_partitions(b, k, stage - 1)[stage - 4].parts)
     dtype = np.min_scalar_type(n)  # of the new beam
     offsets = np.arange(0, n, d, dtype=dtype)[:, None]
@@ -311,17 +330,18 @@ def _run_stage(
         Rows 0..stage-2 are the member's rebased slots scaled, then come
         the finals compatible with the other scaled slots, then the words
         that pass the degree-d filters, scaled."""
-        keep = np.flatnonzero((words[:, None, :] != np.delete(slots, at, 0)).all(axis=(1, 2)))
-        if stage >= 4:
-            keep = keep[_uniform_cycles(np.argsort(slots[at - 1])[words[keep]], cycle)]
+        if stage == 3:
+            kept = words
+        else:
+            kept = grown_cycle_images(d, np.delete(slots, at, 0), slots[at - 1], cycle, cap)
         slots = (slots[:, None, :] + offsets).reshape(len(slots), n)
         rows = np.flatnonzero((finals[:, None, :] != np.delete(slots, at, 0)).all(axis=(1, 2)))
         first_word = stage - 1 + len(rows)
-        table = np.empty((first_word + len(keep), n), dtype=dtype)
+        table = np.empty((first_word + len(kept), n), dtype=dtype)
         table[: stage - 1] = slots
         table[stage - 1 : first_word] = finals[rows]
-        scaled = table[first_word:].reshape(len(keep), k, d)
-        scaled[:] = words[keep, None, :]
+        scaled = table[first_word:].reshape(len(kept), k, d)
+        scaled[:] = kept[:, None, :]
         scaled += offsets
         return table, first_word
 
@@ -329,7 +349,7 @@ def _run_stage(
     exhaustive = config.mode == "exhaustive"
     # Best mode at stage 3 scans one final of each reflection pair (see
     # the module docstring).
-    halve = stage == 3 and not exhaustive and config.candidate_cap is None
+    halve = stage == 3 and not exhaustive and cap is None
     moore = _moore_girth(n, stage)
     cells = max(1, min(BLOCK, PAIR_CELLS // n))  # most pairs in one unit
     attempted = 0
@@ -352,10 +372,10 @@ def _run_stage(
 
     with ThreadPoolExecutor(max_workers=config.worker_count) as pool:
         for level in levels:
-            finals = _finals_for_level(n, d, level, config.candidate_cap, stage)
+            finals = _finals_for_level(n, d, level, cap, stage)
             if not len(finals):
                 continue
-            attempted += len(beam) * len(finals) * len(words)
+            attempted += len(beam) * len(finals) * listed_count(d, cap)[1]()
             if halve and level < 2:
                 # The offsets ascend and pair up as j <-> n-j (n/2 is
                 # coprime to n only at n = 2): the first half is j <= n/2.

@@ -161,11 +161,90 @@ def cycle_images(n: int, limit: int | None = None) -> np.ndarray:
     """
     if n < 2:
         raise ValueError(f"need degree >= 2, got {n}")
-    words = lex_permutations(n - 1, limit)
+    return _cycles_of_words(lex_permutations(n - 1, limit))
+
+
+def _cycles_of_words(words: np.ndarray) -> np.ndarray:
+    """Row i is the n-cycle of words[i], a permutation of 0..n-2: it maps
+    n-1 to words[i, 0], each entry to the next, and the last back to n-1."""
+    n = words.shape[1] + 1
     visits = np.column_stack((np.full(len(words), n - 1, np.min_scalar_type(-n)), words))
     images = np.empty_like(visits)
     images[np.arange(len(visits))[:, None], visits] = np.roll(visits, -1, axis=1)
     return images
+
+
+def grown_cycle_images(
+    n: int, avoid: np.ndarray, left: np.ndarray, length: int, limit: int | None = None
+) -> np.ndarray:
+    """The rows w of cycle_images(n, limit), in order and in its type,
+    that differ from every row of `avoid` (values in 0..n-1) at every
+    point and for which every cycle of inv(left).w, the permutation
+    x -> inv(left)[w[x]], has `length` points.  They are the rows of
+
+        w = cycle_images(n, limit)
+        w[(w[:, None, :] != avoid).all(axis=(1, 2)) & <cycles of argsort(left)[w]>]
+
+    but no row that fails is built.  The word W of a row is grown one
+    entry at a time, in lexicographic order: a prefix fixes w on the
+    points it has visited, w(n-1) = W[0] and w(W[i]) = W[i+1], so a
+    child that adds value v adds one edge x -> v from the last point x,
+    and the last level adds the closing edge W[-1] -> n-1.  A child is
+    dropped when an `avoid` row has v at x, or when its edge
+    x -> inv(left)[v] of inv(left).w closes a cycle of other than
+    `length` points or joins two paths into one of more.  The paths are
+    kept as each end's other end and size, so a child costs O(1) besides
+    its copy.  Under a limit, a row is kept when its rank, read in the
+    factorial base, is below the limit's: the digits of a prefix can
+    equal the limit's leading digits for at most one prefix, the tight
+    one, and only its children are checked, with no rank arithmetic.
+    """
+    if n < 2:
+        raise ValueError(f"need degree >= 2, got {n}")
+    digits = []  # of the limit in the factorial base, when it cuts the rows
+    if limit is not None and limit < factorial(n - 1):
+        for j in range(n - 1):
+            digit, limit = divmod(limit, factorial(n - 2 - j))
+            digits.append(digit)
+    tight = 0 if digits else None  # the row whose prefix is the limit's
+    barred = np.zeros((n, n), dtype=bool)  # barred[x, v]: an avoid row has v at x
+    barred[np.arange(n), avoid] = True
+    # The edge x -> v of w is x -> heads[v] of inv(left).w.
+    heads = np.argsort(left)[: n - 1]
+    point = np.min_scalar_type(-2 * n).type  # holds two sizes' sum
+    words = np.zeros((1, n - 1), dtype=np.min_scalar_type(-n))
+    free = np.ones((1, n - 1), dtype=bool)  # values not yet in the prefix
+    other = np.arange(n, dtype=point)[None]  # the other end of a path end
+    size = np.ones((1, n), dtype=point)  # the points of the path at an end
+    for j in range(n - 1):
+        rows = np.arange(len(words))
+        x = words[:, j - 1] if j else np.full(len(words), n - 1)
+        tail, at_x = other[rows, x], size[rows, x]
+        ok = free & ~barred[x, : n - 1]
+        ok &= np.where(
+            tail[:, None] == heads, at_x[:, None] == length, at_x[:, None] + size[:, heads] <= length
+        )
+        if tight is not None:
+            # The tight prefix's children past the limit's digit are past it.
+            cut = np.flatnonzero(free[tight])[digits[j]]
+            ok[tight, cut + 1 :] = False
+        parent, v = np.nonzero(ok)
+        if tight is not None:
+            tight = next(iter(np.flatnonzero((parent == tight) & (v == cut))), None)
+        start, end = tail[parent], other[parent, heads[v]]
+        joined = at_x[parent] + size[parent, heads[v]]
+        words, free, other, size = words[parent], free[parent], other[parent], size[parent]
+        rows = np.arange(len(words))
+        words[:, j] = v
+        free[rows, v] = False
+        other[rows, start], other[rows, end] = end, start
+        size[rows, start], size[rows, end] = joined, joined
+    # The closing edge meets the one open path, from inv(left)[n-1] to W[-1].
+    x = words[:, -1]
+    keep = ~barred[x, n - 1] & (size[np.arange(len(words)), x] == length)
+    if tight is not None:
+        keep[tight] = False  # its rank is the limit's
+    return _cycles_of_words(words[keep])
 
 
 def cayley_stats(f: Factorization, i: int) -> CayleyStats:

@@ -38,6 +38,7 @@ from btusearch.engine import (
 from btusearch.parameters import (
     AssumptionWarning,
     DegenerateFactorizationError,
+    Factorization,
     factorize,
     optimal_partitions,
 )
@@ -75,6 +76,29 @@ class TestAdmissibleRotations:
                 assert gcd(j, n) == 1
                 assert gcd(j, n - j) == 1
                 assert gcd(n - j, n) == 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        b=st.integers(1, 40), k=st.integers(2, 6),
+        policy=st.sampled_from(["strict", "relaxed"]),
+    )
+    def test_stage_two_takes_the_first(self, b, k, policy):
+        # Level 0 takes offsets above the threshold b, level 1 (relaxed
+        # only) every offset coprime to n = b * k.
+        n = b * k
+        f = Factorization(m=n * k, r=3, b=b, k=k)
+        config = SearchConfig(rotation_policy=policy)
+        for level in [0] if policy == "strict" else [0, 1]:
+            offsets = admissible_rotations(n, b if level == 0 else 0)
+            if offsets:
+                break
+        else:
+            with pytest.raises(StageDeadEndError):
+                engine._stage2(f, config)
+            return
+        beam, trace = engine._stage2(f, config)
+        assert beam[0].tolist() == [list(range(n)), [(i - offsets[0]) % n for i in range(n)]]
+        assert trace.rotation_j == [offsets[0], f"relaxed-gcd:{offsets[0]}"][level]
 
 
 class TestSearchWeightTwo:
@@ -159,6 +183,13 @@ class TestSearchWeightFour:
         result = search(16, 4, SearchConfig(candidate_cap=60))
         f = factorize(16, 4)
         assert in_phi(result.btu, optimal_partitions(f).betas)
+
+    def test_81_4_with_cap(self):
+        # Stage 4 grows its words of degree 27 under the member's filters;
+        # listing the 10^6 capped words first took 684 MB.
+        result = search(81, 4, SearchConfig(candidate_cap=10**6))
+        assert result.girth == 4
+        assert [t.candidates_evaluated for t in result.traces] == [1, 241920, 18000000]
 
 
 class TestDeterminism:

@@ -5,7 +5,10 @@ from math import factorial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from btusearch import engine
 from btusearch.parameters import Factorization
 from btusearch.perms import (
     Permutation,
@@ -21,6 +24,7 @@ from btusearch.searchspace import (
     cayley_stats,
     cycle_images,
     enumerate_candidates,
+    grown_cycle_images,
     lex_permutations,
     rank_candidate,
     unrank_candidate,
@@ -168,6 +172,58 @@ class TestArrays:
         rows = lex_permutations(16, 5)
         assert rows.shape == (5, 16)
         assert (rows[:, :13] == np.arange(13)).all()
+
+
+class TestGrownCycleImages:
+    """The grown rows are the rows of cycle_images that the stage >= 4
+    filters of engine._run_stage keep, in order and type."""
+
+    @staticmethod
+    def masked(d, avoid, left, length, limit):
+        words = cycle_images(d, limit)
+        words = words[(words[:, None, :] != avoid).all(axis=(1, 2))]
+        return words[engine._uniform_cycles(np.argsort(left)[words], length)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_is_the_masked_list(self, data):
+        d = data.draw(st.integers(2, 9), label="d")
+        length = data.draw(st.sampled_from([t for t in range(1, d + 1) if d % t == 0]))
+        row = st.lists(st.integers(0, d - 1), min_size=d, max_size=d)
+        avoid = np.array(data.draw(st.lists(row, min_size=1, max_size=3), label="avoid"))
+        left = np.array(data.draw(st.permutations(range(d)), label="left"))
+        # (d-2-j)! rows follow each choice of word entry j.
+        boundary = factorial(d - 2 - data.draw(st.integers(0, d - 2)))
+        limit = data.draw(
+            st.sampled_from([None, 1, boundary - 1, boundary, boundary + 1, factorial(d - 1) + 1]),
+            label="limit",
+        )
+        got = grown_cycle_images(d, avoid, left, length, limit)
+        expected = self.masked(d, avoid, left, length, limit)
+        assert got.dtype == expected.dtype
+        assert got.tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("limit", [None, 1000])
+    def test_keeps_rows_at_stage_four(self, limit):
+        # (27, 4): stage 4 keeps the 9-cycles w of degree 9 with every
+        # cycle of inv(left).w of 3 points, compatible with the others.
+        left = (np.arange(9) + 4) % 9
+        avoid = np.array([np.arange(9), (np.arange(9) + 2) % 9])
+        got = grown_cycle_images(9, avoid, left, 3, limit)
+        expected = self.masked(9, avoid, left, 3, limit)
+        assert len(got) and got.tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("rank", [0, 2**63 + 5, factorial(26) - 1])
+    def test_limits_past_int64(self, rank):
+        # Only w = left passes cycles of 1 point, so one prefix grows at
+        # each level while the limit, and the row's rank, pass 2^63.
+        word = Permutation(word_at_index(27, rank))
+        left = np.array(unrank_candidate(CandidateWord(27, word), identity(27)).image) - 1
+        avoid = ((left + 1) % 27)[None]
+        for limit in (None, rank, rank + 1, 2**64, factorial(26) - 1, factorial(26)):
+            got = grown_cycle_images(27, avoid, left, 1, limit)
+            expected = [left.tolist()] if limit is None or rank < limit else []
+            assert got.tolist() == expected
 
 
 class TestCayleyStats:
