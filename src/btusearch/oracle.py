@@ -7,14 +7,23 @@ the family by partition signature, and compares the staged engine
 against the exhaustive answer.
 
 The m! permutations form one lexicographic int array, the universe
-(`searchspace.lex_permutations`).
-Each slot's choices are the universe rows that disagree everywhere with
-every earlier slot, found by one vectorised mask per chosen row, and
-the resulting tuples of universe rows come out in lexicographic order
-as blocks of at most BLOCK rows.  Girths are computed a block per
-kernel call, which reads each tuple's images from the universe itself,
-and partition signatures a block at a time by index arithmetic, so the
-memory in use is the universe plus one block.
+(`searchspace.lex_permutations`).  The free slots take their rows from
+the pool: the rows that disagree everywhere with the identity, row 0,
+when the first slot is fixed, and every row when it is free.  Where a
+slot must be checked against an earlier free slot (r >= 3 fixed, r >= 2
+free), the pool x pool "disagree everywhere" matrix K is built once, by
+one equality pass per position.  The tuples then grow one slot at a
+time by a join: the AND of the K rows of a prefix's slots marks its
+choices, and np.nonzero lists the (prefix, choice) pairs in row-major,
+which is lexicographic, order.  Every level but the last is joined
+whole; the last is joined a chunk of at most BLOCK cells at a time, and
+its tuples come out as blocks of at most BLOCK rows.  The census takes
+the partition code of each (previous slot, new slot) pair once, at the
+join that forms it, and carries it with the prefix.  Girths are computed
+a block per kernel call, which reads each tuple's images from the
+universe itself, so the memory in use is the universe plus K plus about
+one block; K is only built where the budget admits the sweep, so it is
+at most 720 x 720 booleans, at (6, 2) free.
 
 A run is refused up front, with BudgetExceededError (a
 perms.TooLargeError), when its cost estimate (the universe rows plus the
@@ -37,8 +46,9 @@ from .perms import BTUError, PartitionP2, Permutation, TooLargeError, refuse_ove
 from .searchspace import lex_permutations
 
 DEFAULT_BUDGET = 10_000_000
-# Tuples per block: bounds the index block, the kernel buffer and the
-# census keys, whatever the number of tuples.
+# Tuples per block, and (prefix, choice) cells per join of the last
+# slot: bounds the index block, the kernel buffer and the census keys,
+# whatever the number of tuples.
 BLOCK = 4096
 
 
@@ -92,43 +102,54 @@ def _log10_estimate(m: int, r: int, fixed: bool) -> float:
     return free * rows + log10(last) if last > 0 else rows
 
 
-def _leaves(
-    universe: np.ndarray,
-    compatible: np.ndarray,
-    choices: np.ndarray,
-    prefix: tuple[int, ...],
-    r: int,
-):
-    """(prefix, choices for slot r) for every way to fill slots 1..r-1,
-    in lexicographic order.  `compatible` are the universe rows that
-    disagree everywhere with every slot of `prefix`, and `choices` those
-    of them the next slot may take.
+def _disagree(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(len(a), len(b)) bool: whether row i of `a` disagrees everywhere
+    with row j of `b`, by one equality pass per position, so no
+    (len(a), len(b), m) array is made."""
+    out = np.ones((len(a), len(b)), dtype=bool)
+    for x in range(a.shape[1]):
+        out &= a[:, x, None] != b[:, x]
+    return out
 
-    A plain generator with explicit arguments: a self-referencing inner
-    function would form a reference cycle that keeps the universe alive
-    until the cyclic garbage collector runs.
+
+def _join(universe, pool, compatible, heads, codes, fixed, coded, c0, c1):
+    """Each row of `heads` (the pool positions of the free slots chosen so
+    far, in lexicographic order, with `codes` the codes of their adjacent
+    pairs) followed by each pool position in c0:c1 compatible with all
+    of its slots, in lexicographic order: the rows of np.nonzero of the
+    AND of the prefix's K rows.  When `coded`, the code of each new
+    (previous slot, new slot) pair is appended to its codes; the previous
+    slot of the first free slot is the fixed identity, or none.
     """
-    if len(prefix) == r - 1:
-        if len(choices):
-            yield prefix, choices
-        return
-    images = universe[compatible]
-    for c in choices.tolist():
-        rest = compatible[(images != universe[c]).all(axis=1)]
-        yield from _leaves(universe, rest, rest, (*prefix, c), r)
+    if heads.shape[1]:
+        mask = compatible[heads[:, 0], c0:c1]
+        for column in heads.T[1:]:
+            mask &= compatible[column, c0:c1]
+        at, choice = np.nonzero(mask)
+        choice += c0
+    else:  # the first free slot: any pool row
+        at, choice = np.zeros(c1 - c0, dtype=np.intp), np.arange(c0, c1)
+    pair = ()
+    if coded and (fixed or heads.shape[1]):
+        prev = pool[heads[at, -1]] if heads.shape[1] else np.zeros_like(choice)
+        pair = (_partition_codes(universe[np.column_stack((prev, pool[choice]))])[:, 0],)
+    return np.column_stack((heads[at], choice)), np.column_stack((codes[at], *pair))
 
 
-def _tuple_blocks(m: int, r: int, fixed: bool):
+def _tuple_blocks(m: int, r: int, fixed: bool, coded: bool = False):
     """Every ordered pairwise-compatible r-tuple, in lexicographic order,
-    as (universe, tuples): the universe of 0-based images, shape (m!, m),
-    and an int32 array of shape (at most BLOCK, r) of its rows.
+    as (universe, tuples, codes): the universe of 0-based images, shape
+    (m!, m), an int32 array of shape (at most BLOCK, r) of its rows, and
+    the int64 `_partition_codes` of each tuple's r-1 adjacent pairs when
+    `coded` (otherwise no columns).
 
     At the first next() it checks m and r, ends at once for r > m (no r
     permutations can pairwise disagree at a position with only m values
     available), and refuses a sweep over DEFAULT_BUDGET; only then is the
-    universe built.  Tuples of consecutive prefixes are pooled into one
-    block, and a long run of choices for the last slot is split, so a
-    block never holds more than BLOCK tuples.
+    universe built.  The free slots take pool rows; every slot but the
+    last is joined for all prefixes at once, and the last a chunk of at
+    most BLOCK (prefix, choice) cells at a time.  Chunks are pooled, so
+    every block but the last holds exactly BLOCK tuples.
     """
     if m < 1 or r < 1:
         raise ValueError("need m >= 1 and r >= 1")
@@ -141,22 +162,40 @@ def _tuple_blocks(m: int, r: int, fixed: bool):
         BudgetExceededError,
     )
     universe = lex_permutations(m)
-    everything = np.arange(len(universe))
-    first = everything[:1] if fixed else everything
-    pending, pooled = [], 0
-    for prefix, choices in _leaves(universe, everything, first, (), r):
-        for start in range(0, len(choices), BLOCK):
-            piece = np.empty((min(BLOCK, len(choices) - start), r), dtype=np.int32)
-            piece[:, :-1] = prefix
-            piece[:, -1] = choices[start : start + BLOCK]
+    if fixed:
+        pool = np.flatnonzero(_disagree(universe, universe[:1])[:, 0])
+    else:
+        pool = np.arange(len(universe))
+    free = r - fixed
+    if not free:  # r = 1 with the identity fixed
+        yield universe, np.zeros((1, 1), dtype=np.int32), np.empty((1, 0), dtype=np.int64)
+        return
+    # K, needed once a slot is checked against an earlier free slot.
+    compatible = _disagree(universe[pool], universe[pool]) if free > 1 else None
+    heads, codes = np.empty((1, 0), dtype=np.intp), np.empty((1, 0), dtype=np.int64)
+    for _ in range(free - 1):
+        heads, codes = _join(universe, pool, compatible, heads, codes, fixed, coded, 0, len(pool))
+    width = min(len(pool), BLOCK)
+    rows = BLOCK // width
+    pending, pending_codes, pooled = [], [], 0
+    for p0 in range(0, len(heads), rows):
+        for c0 in range(0, len(pool), width):
+            leaves, leaf_codes = _join(
+                universe, pool, compatible, heads[p0 : p0 + rows], codes[p0 : p0 + rows],
+                fixed, coded, c0, min(c0 + width, len(pool)),
+            )
+            piece = np.zeros((len(leaves), r), dtype=np.int32)
+            piece[:, int(fixed) :] = pool[leaves]
             pending.append(piece)
+            pending_codes.append(leaf_codes)
             pooled += len(piece)
             if pooled >= BLOCK:
-                tuples = np.concatenate(pending)
-                yield universe, tuples[:BLOCK]
-                pending, pooled = [tuples[BLOCK:]], pooled - BLOCK
+                tuples, tuple_codes = np.concatenate(pending), np.concatenate(pending_codes)
+                yield universe, tuples[:BLOCK], tuple_codes[:BLOCK]
+                pending, pending_codes = [tuples[BLOCK:]], [tuple_codes[BLOCK:]]
+                pooled -= BLOCK
     if pooled:
-        yield universe, np.concatenate(pending)
+        yield universe, np.concatenate(pending), np.concatenate(pending_codes)
 
 
 def _btu(images: np.ndarray) -> BTU:
@@ -173,7 +212,7 @@ def enumerate_btus(m: int, r: int, fix_first_identity: bool):
     Yields BTU values.  Empty for r > m (no r permutations can pairwise
     disagree at a position with only m values available).
     """
-    for universe, tuples in _tuple_blocks(m, r, fix_first_identity):
+    for universe, tuples, _ in _tuple_blocks(m, r, fix_first_identity):
         for one in universe[tuples]:
             yield _btu(one)
 
@@ -191,7 +230,7 @@ def max_girth(m: int, r: int, fix_first_identity: bool = True) -> OracleReport:
     """
     best, count, enumerated = -1, 0, 0
     witness: np.ndarray | None = None
-    for universe, tuples in _tuple_blocks(m, r, fix_first_identity):
+    for universe, tuples, _ in _tuple_blocks(m, r, fix_first_identity):
         girths = _kernel.girth_batch(universe, tuples, m, best - 1, slack=1)
         enumerated += len(tuples)
         top = int(girths.max())
@@ -251,22 +290,22 @@ def phi_census(
 ) -> dict[tuple[PartitionP2, ...], int]:
     """Counts of enumerated BTUs grouped by adjacent-partition signature.
 
-    A block's tuples get a dense signature number, pair by pair, that
+    Each tuple's pair codes come from the joins that formed it.  A
+    block's tuples get a dense signature number, pair by pair, that
     np.unique counts; signatures enter the dict in the order the stream
-    first meets them.
+    first meets them, and each distinct one is decoded once, at the end.
     """
-    census: dict[tuple[PartitionP2, ...], int] = {}
-    for universe, tuples in _tuple_blocks(m, r, fix_first_identity):
-        codes = _partition_codes(universe[tuples])
+    counts: dict[tuple[int, ...], int] = {}
+    for _, _, codes in _tuple_blocks(m, r, fix_first_identity, coded=True):
         key = np.zeros(len(codes), dtype=np.int64)
         for column in codes.T:
             _, ids = np.unique(column, return_inverse=True)
             _, key = np.unique(key * (ids.max() + 1) + ids, return_inverse=True)
-        _, first, counts = np.unique(key, return_index=True, return_counts=True)
+        _, first, block_counts = np.unique(key, return_index=True, return_counts=True)
         for i in np.argsort(first):
-            sig = tuple(_partition(code, m) for code in codes[first[i]].tolist())
-            census[sig] = census.get(sig, 0) + int(counts[i])
-    return census
+            sig = tuple(codes[first[i]].tolist())
+            counts[sig] = counts.get(sig, 0) + int(block_counts[i])
+    return {tuple(_partition(code, m) for code in sig): n for sig, n in counts.items()}
 
 
 def verify_search(m: int, r: int, config: SearchConfig | None = None) -> VerifyReport:

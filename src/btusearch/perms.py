@@ -205,17 +205,6 @@ def circular_rotation(n: int, j: int) -> Permutation:
     return Permutation(tuple((i + n - j - 1) % n + 1 for i in range(1, n + 1)))
 
 
-def as_rotation(p: Permutation) -> int | None:
-    """The j with p = circular_rotation(n, j), or None if p is not one."""
-    n = p.n
-    j = (n - p.image[0] + 1) % n
-    if j == 0:
-        return None  # identity is not a rotation (j must be >= 1)
-    if p.image == circular_rotation(n, j).image:
-        return j
-    return None
-
-
 def scale_permutation(q: Permutation, k: int) -> Permutation:
     """Block-diagonal replication: k diagonal copies of q's matrix.
 

@@ -143,7 +143,7 @@ def test_c06_oracle_equivalence():
 
 
 def test_c07_family_census_consistency():
-    from btusearch.perms import as_rotation
+    from helpers import as_rotation
 
     f = factorize(9, 3)
     assert (f.b, f.k) == (1, 3)

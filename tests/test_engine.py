@@ -159,7 +159,7 @@ class TestSearchWeightThree:
         # them has a circulant final slot, so the rotation-constrained
         # staged search tops out at 4.  Kept as data: the rotation
         # restriction is a genuine loss here, not just a convenience.
-        from btusearch.perms import as_rotation
+        from helpers import as_rotation
 
         found = None
         for member in enumerate_Z(8, 3):

@@ -7,7 +7,10 @@ import warnings
 from functools import lru_cache
 from math import factorial
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from btusearch import _kernel, oracle
 from btusearch.btu import BTU, adjacent_partitions, make_btu, to_biadjacency
@@ -20,7 +23,8 @@ from btusearch.oracle import (
     verify_search,
 )
 from btusearch.parameters import AssumptionWarning
-from btusearch.perms import BTUError, PartitionP2, Permutation
+from btusearch.perms import BTUError, PartitionP2, Permutation, union_cycle_partition
+from btusearch.searchspace import lex_permutations
 
 
 @pytest.fixture(autouse=True)
@@ -197,13 +201,62 @@ class TestBudget:
 
 
 class TestBlocks:
-    def test_blocks_are_bounded_and_cover_the_stream(self):
-        sizes = [
-            len(tuples)
-            for _, tuples in oracle._tuple_blocks(8, 2, True)
-        ]
-        assert max(sizes) <= oracle.BLOCK
-        assert sum(sizes) == 14833
+    @pytest.mark.parametrize(
+        "m,r,fixed",
+        [(8, 2, True), (6, 3, True), (5, 4, True), (6, 2, False)],
+        ids=["8-2-fixed", "6-3-fixed", "5-4-fixed", "6-2-free"],
+    )
+    def test_blocks_are_bounded_and_cover_the_stream(self, m, r, fixed):
+        blocks = list(oracle._tuple_blocks(m, r, fixed))
+        coded = list(oracle._tuple_blocks(m, r, fixed, coded=True))
+        assert all(len(tuples) <= oracle.BLOCK for _, tuples, _ in blocks)
+        assert all(len(tuples) == oracle.BLOCK for _, tuples, _ in blocks[:-1])
+        got = [tuple(map(tuple, one)) for u, tuples, _ in blocks for one in (u[tuples] + 1).tolist()]
+        assert got == [_images(b) for b in _ref_enumerate_btus(m, r, fixed)]
+        # the codes taken at each join are the codes of the finished tuples
+        assert len(coded) == len(blocks)
+        for (_, tuples, uncoded), (u, same, codes) in zip(blocks, coded):
+            assert uncoded.shape == (len(tuples), 0)
+            assert (same == tuples).all()
+            assert (codes == oracle._partition_codes(u[tuples])).all()
+
+
+@st.composite
+def _compatible_rows(draw):
+    """A row p of the degree-m universe, m = 7..10, and up to eight rows
+    q that disagree everywhere with p (q = p . sigma, sigma a derangement),
+    in the universe's dtype."""
+    m = draw(st.integers(7, 10))
+    p = draw(st.permutations(range(m)))
+    sigmas = draw(
+        st.lists(
+            st.permutations(range(m)).filter(lambda s: all(x != i for i, x in enumerate(s))),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    dtype = lex_permutations(m, 1).dtype
+    return np.array([p, *([p[x] for x in s] for s in sigmas)], dtype=dtype)
+
+
+class TestJoinCodes:
+    # Beyond CROSS_CHECK: at m = 10 a code reaches 10 * 11**9, past int32.
+    @settings(max_examples=100, deadline=None)
+    @given(rows=_compatible_rows(), fixed=st.booleans())
+    def test_join_code_is_the_union_cycle_partition(self, rows, fixed):
+        m = rows.shape[1]
+        # Row 0 is the previous slot: the fixed first slot, or a free slot
+        # chosen at the level before, whose K row admits every other row.
+        pool = np.arange(1, len(rows)) if fixed else np.arange(len(rows))
+        heads = np.empty((1, 0), dtype=np.intp) if fixed else np.zeros((1, 1), dtype=np.intp)
+        compatible = None if fixed else oracle._disagree(rows, rows)
+        joined, codes = oracle._join(
+            rows, pool, compatible, heads, np.empty((1, 0), dtype=np.int64), fixed, True, 0, len(pool)
+        )
+        assert pool[joined[:, -1]].tolist() == list(range(1, len(rows)))
+        left, *rights = (Permutation(tuple(row)) for row in (rows + 1).tolist())
+        for right, code in zip(rights, codes[:, 0].tolist()):
+            assert oracle._partition(code, m) == union_cycle_partition(left, right)
 
 
 # The recursive enumeration the array code replaced, kept as the
