@@ -64,53 +64,69 @@ def make_btu(perms: Sequence[Permutation]) -> BTU:
     return BTU(m=m, r=r, perms=perms)
 
 
+def to_cells(b: BTU) -> np.ndarray:
+    """The cells of the biadjacency matrix, (i, p_t(i)) for every slot t,
+    as the sorted row-major flat indices i*m + j.
+
+    Row i's columns are the r images of i, which differ, so sorting the
+    images along the slot axis lists each row's cells in order.
+    """
+    cols = np.sort(np.array([p.image for p in b.perms], dtype=np.int64), axis=0) - 1
+    return (cols + np.arange(0, b.m * b.m, b.m)).T.reshape(-1)
+
+
 def to_biadjacency(b: BTU) -> np.ndarray:
     """The m x m 0/1 matrix: cell (i, p_t(i)) = 1 for every slot t."""
-    mat = np.zeros((b.m, b.m), dtype=np.int8)
-    rows = np.arange(b.m)
-    for p in b.perms:
-        mat[rows, np.array(p.image) - 1] = 1
+    return cells_to_matrix(b.m, to_cells(b))
+
+
+def cells_to_matrix(m: int, cells: np.ndarray) -> np.ndarray:
+    """The m x m int8 matrix with a 1 at each of the flat cells."""
+    mat = np.zeros((m, m), dtype=np.int8)
+    mat.reshape(-1)[cells] = 1
     return mat
 
 
-def _cells(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of the nonzero cells, in row-major order.
+def _cells(mat: np.ndarray) -> np.ndarray:
+    """The flat row-major indices of the nonzero cells, in order.
 
     One boolean scan: np.nonzero on the int8 matrix is over ten times
     slower than np.flatnonzero on the boolean one.
     """
-    mat = np.asarray(mat)
-    return np.divmod(np.flatnonzero(mat != 0), mat.shape[1])
+    return np.flatnonzero(np.asarray(mat) != 0)
 
 
-def _ones(mat: np.ndarray, cells=None) -> tuple[np.ndarray, np.ndarray]:
-    """The cells of _cells (`cells`, when the caller has them), after
-    checking that every one of them holds 1.
+def _ones(mat: np.ndarray) -> np.ndarray:
+    """The cells of _cells, after checking that every one of them holds 1.
 
     The check reads only the nonzero cells, and it is exact for any
     dtype: 0.5, NaN, inf, -1 and 2 are all nonzero and not 1.
     """
     mat = np.asarray(mat)
-    rows, cols = _cells(mat) if cells is None else cells
-    if not (mat[rows, cols] == 1).all():
+    cells = _cells(mat)
+    if not (mat.reshape(-1)[cells] == 1).all():
         raise ValueError("matrix entries must be 0 or 1")
-    return rows, cols
+    return cells
 
 
-def _regular_cells(mat: np.ndarray, cells=None) -> tuple[int, np.ndarray]:
-    """r, and the column of each one in row-major order, of a square 0/1
-    matrix with r >= 1 ones in every row and column; ValueError for any
-    other matrix.
-
-    The m*m cells are scanned once, unless the caller passes their
-    `_cells`; the 0/1 check and the row and column sums then read only
-    the O(m*r) ones.
-    """
+def _square_cells(mat: np.ndarray) -> tuple[int, np.ndarray]:
+    """m and the cells of a square 0/1 matrix; ValueError for any other."""
     mat = np.asarray(mat)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"matrix must be square, got shape {mat.shape}")
-    m = mat.shape[0]
-    rows, cols = _ones(mat, cells)
+    return mat.shape[0], _ones(mat)
+
+
+def cell_degree(m: int, cells: np.ndarray) -> int:
+    """The common row and column count r >= 1 of the sorted row-major
+    cells of an m x m 0/1 matrix; ValueError when the counts differ or
+    there is no cell.
+
+    By Konig's theorem every such matrix splits into r permutation
+    matrices, so this decides whether decompose succeeds without
+    running it.
+    """
+    rows, cols = np.divmod(cells, m)
     row_sums = np.bincount(rows, minlength=m)
     col_sums = np.bincount(cols, minlength=m)
     r = int(row_sums[0]) if m else 0
@@ -118,7 +134,7 @@ def _regular_cells(mat: np.ndarray, cells=None) -> tuple[int, np.ndarray]:
         raise ValueError("matrix is not regular: row/column sums differ")
     if r == 0:
         raise ValueError("a BTU needs at least one permutation")
-    return r, cols
+    return r
 
 
 def _augment(
@@ -186,28 +202,21 @@ def _extract_matching(adj: list[list[int]], m: int) -> list[int]:
     return row_to_col
 
 
-def regular_degree(mat: np.ndarray, cells=None) -> int:
-    """The common row and column sum r >= 1 of a square 0/1 matrix, read
-    from its `_cells` when the caller passes them.
-
-    Raises ValueError for any other matrix.  By Konig's theorem every
-    matrix it accepts splits into r permutation matrices, so it decides
-    whether decompose_matrix succeeds without running it.
-    """
-    return _regular_cells(mat, cells)[0]
+def regular_degree(mat: np.ndarray) -> int:
+    """cell_degree of a square 0/1 matrix; ValueError for any other."""
+    return cell_degree(*_square_cells(mat))
 
 
-def decompose_matrix(mat: np.ndarray) -> BTU:
-    """Split a regular 0/1 matrix into permutations summing back to it.
+def decompose(m: int, cells: np.ndarray) -> BTU:
+    """Split the m x m 0/1 matrix of the sorted row-major cells into
+    permutations summing back to it.
 
-    The inverse of to_biadjacency for file import; slot order is the
+    The inverse of to_cells for file import; slot order is the
     deterministic matching-extraction order.
     """
-    r, cols = _regular_cells(mat)
-    m = len(mat)
-    # Row-major cells of a matrix with r ones in every row: row i's
-    # columns, ascending, are the i-th run of r.
-    remaining = cols.reshape(m, r).tolist()
+    r = cell_degree(m, cells)
+    # Row i's columns, ascending, are the i-th run of r cells.
+    remaining = (cells % m).reshape(m, r).tolist()
     perms = []
     for _ in range(r):
         row_to_col = _extract_matching(remaining, m)
@@ -215,6 +224,11 @@ def decompose_matrix(mat: np.ndarray) -> BTU:
         for i, j in enumerate(row_to_col):
             remaining[i].remove(j)
     return make_btu(perms)
+
+
+def decompose_matrix(mat: np.ndarray) -> BTU:
+    """decompose of a square 0/1 matrix; ValueError for any other."""
+    return decompose(*_square_cells(mat))
 
 
 def girth(b: BTU, witness: bool = False) -> GirthReport:

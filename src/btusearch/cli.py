@@ -17,7 +17,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import io_formats
-from .btu import _cells, decompose_matrix, girth, regular_degree
+from .btu import cell_degree, decompose, girth
 from .engine import MAX_LISTED, SearchConfig, enumerate_Z, search
 from .oracle import max_girth, verify_search
 from .parameters import factorize, optimal_partitions
@@ -97,8 +97,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_girth(args) -> int:
-    mat = io_formats.detect_and_parse(Path(args.input).read_text())
-    report = girth(decompose_matrix(mat), witness=args.witness)
+    m, cells = io_formats.parse_cells(Path(args.input).read_text())
+    report = girth(decompose(m, cells), witness=args.witness)
     lines = ["inf" if report.girth is None else str(report.girth)]
     if args.witness and report.witness_cycle:
         lines.append(" ".join(report.witness_cycle))
@@ -165,14 +165,10 @@ def _cmd_cayley(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    mat = io_formats.detect_and_parse(Path(args.input).read_text())
-    cells = _cells(mat)  # one scan, for the check and the writer
-    regular_degree(mat, cells)  # refuse what decompose_matrix would refuse
-    if args.format == "alist":
-        text = io_formats.matrix_to_alist(mat, cells)
-    else:
-        text = io_formats.matrix_to_dot(mat, cells)
-    _emit(text, args.output)
+    m, cells = io_formats.parse_cells(Path(args.input).read_text())
+    cell_degree(m, cells)  # refuse what decompose would refuse
+    write = io_formats.cells_to_alist if args.format == "alist" else io_formats.cells_to_dot
+    _emit(write((m, m), cells), args.output)
     return 0
 
 

@@ -1,8 +1,16 @@
 """Text interchange forms: matrix, alist, DOT, and the JSON reports.
 
+A 0/1 matrix travels as its cell list: the sorted row-major flat
+indices i*n_cols + j of its ones, as `btu.to_cells` gives them for a
+BTU.  Every reader returns (m, cells) and every writer takes a shape
+and cells, so no m x m matrix lies between a file and a BTU.  The
+matrix-named functions (text_to_matrix, matrix_to_text, ...) are dense
+wrappers over them.
+
 matrix layout: ASCII text of m non-blank lines of m whitespace-separated
 tokens, each exactly "0" or "1" (written with single spaces, one trailing
-newline).
+newline).  The reader reads the written layout in one pass, as (digit,
+separator) byte pairs; any other text goes to a general tokenizer.
 
 alist layout (1-based, single spaces, one trailing newline):
   line 1: "N M"                 (both equal to m here)
@@ -17,12 +25,13 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import re
 from typing import Any, NoReturn
 
 import numpy as np
 
-from .btu import BTU, _cells, _ones, to_biadjacency
+from .btu import BTU, _cells, _ones, cells_to_matrix, to_cells
 from .engine import SearchResult
 from .oracle import OracleReport, VerifyReport
 from .perms import PartitionP2
@@ -37,36 +46,75 @@ _LINE_BLANKS = b" \t\x1f"
 # the first character at which str.splitlines() ends a line.
 _FIRST_LINE = re.compile(r"\s*([^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*)")
 
+# Pairs the matrix layout check reads at a time.  The buffers of one
+# block of rows are reused by the next, where buffers of the whole text
+# each fault in fresh pages: at m = 2048 that took three times as long.
+_CHECK_PAIRS = 1 << 18
 
-def matrix_to_text(mat: np.ndarray) -> str:
-    """Each row as its 0/1 digits joined by single spaces, one row a line.
 
-    Built as one byte buffer: digits at even columns, spaces between,
-    a newline in the last column.  Every digit starts as "0", and the
-    ones found by the one scan of the matrix become "1".
+def _zero_row(n: int) -> np.ndarray:
+    """The row "0 0 ... 0\n" of n zeros as n little-endian uint16 (digit,
+    separator) pairs; a "1" in place of a "0" adds 1 to its pair."""
+    row = np.full(n, ord("0") | ord(" ") << 8, dtype="<u2")
+    row[-1] = ord("0") | ord("\n") << 8
+    return row
+
+
+def cells_to_text(shape: tuple[int, int], cells: np.ndarray) -> str:
+    """The matrix text of the shape's matrix with a 1 at each sorted
+    row-major flat cell: each row as its 0/1 digits joined by single
+    spaces, one row a line.
+
+    Built as one buffer of (digit, separator) pairs, row after row of
+    "0 " with "0\n" last, so cell c is pair c and becomes "1" by adding 1.
     """
-    mat = np.asarray(mat)
-    rows, cols = _ones(mat)
-    line = np.full(2 * mat.shape[1], ord(" "), dtype=np.uint8)
-    line[0::2] = ord("0")
-    line[-1] = ord("\n")
-    buf = np.tile(line, (mat.shape[0], 1))
-    buf[rows, 2 * cols] = ord("1")
+    n_rows, n_cols = shape
+    buf = np.tile(_zero_row(n_cols), n_rows)
+    buf[cells] += 1
     return str(buf, "ascii")
 
 
-def text_to_matrix(text: str) -> np.ndarray:
-    """Read m non-blank lines of m whitespace-separated tokens, each
-    exactly "0" or "1".
+def matrix_to_text(mat: np.ndarray) -> str:
+    """cells_to_text of a 0/1 matrix; ValueError for any other entry."""
+    mat = np.asarray(mat)
+    return cells_to_text(mat.shape, _ones(mat))
 
-    The text must be ASCII and is read as bytes.  Each token is one
-    character exactly when no two non-blank bytes are adjacent; the line
-    ends become newlines and the other blanks go, which leaves each line
-    as its digits.
+
+def text_cells(text: str) -> tuple[int, np.ndarray]:
+    """m and the sorted row-major flat cells of the 1 entries of m
+    non-blank lines of m whitespace-separated tokens, each exactly "0"
+    or "1".
+
+    Text in the exact layout cells_to_text writes is read in one pass,
+    as (digit, separator) pairs compared with the rows of zeros, a block
+    of rows at a time; any other text goes to the general tokenizer,
+    _tokenized_cells.
     """
     if not text.isascii():
         raise ValueError("matrix entries must be 0 or 1")
     data = text.encode("ascii")
+    m = math.isqrt(len(data) // 2)
+    if m and 2 * m * m == len(data):
+        pairs = np.frombuffer(data, dtype="<u2").reshape(m, m)
+        zero, step = _zero_row(m), max(1, _CHECK_PAIRS // m)
+        cells = []
+        for start in range(0, m, step):
+            ones = pairs[start : start + step] ^ zero
+            if ones.max() > 1:
+                break
+            cells.append(np.flatnonzero(ones == 1) + start * m)
+        else:
+            return m, np.concatenate(cells)
+    return _tokenized_cells(data)
+
+
+def _tokenized_cells(data: bytes) -> tuple[int, np.ndarray]:
+    """text_cells of any ASCII text, as bytes.
+
+    Each token is one character exactly when no two non-blank bytes are
+    adjacent; the line ends become newlines and the other blanks go,
+    which leaves each line as its digits.
+    """
     # Above " " is any byte but a blank or a control byte, and a control
     # byte fails the digit test below.
     above = np.frombuffer(data, dtype=np.uint8) > ord(" ")
@@ -81,7 +129,12 @@ def text_to_matrix(text: str) -> np.ndarray:
     n = len(widths)
     if not n or any(w != n for w in widths):
         raise ValueError("matrix text must be square")
-    return digits.reshape(n, n).astype(np.int8)
+    return n, np.flatnonzero(digits == 1)
+
+
+def text_to_matrix(text: str) -> np.ndarray:
+    """The int8 matrix of text_cells."""
+    return cells_to_matrix(*text_cells(text))
 
 
 def _index_lines(major: np.ndarray, minor: np.ndarray, n: int) -> list[str]:
@@ -92,16 +145,16 @@ def _index_lines(major: np.ndarray, minor: np.ndarray, n: int) -> list[str]:
     return [" ".join(labels[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
-def matrix_to_alist(mat: np.ndarray, cells=None) -> str:
-    """The alist text of mat; `cells` are its `btu._cells`, when the
-    caller has them."""
-    mat = np.asarray(mat)
-    n_cols, n_rows = mat.shape[1], mat.shape[0]
-    rows, cols = _cells(mat) if cells is None else cells
-    # The degrees are the column and row sums, also of a matrix not 0/1.
-    values = mat[rows, cols]
-    col_deg = np.bincount(cols, values, minlength=n_cols).astype(int)
-    row_deg = np.bincount(rows, values, minlength=n_rows).astype(int)
+def cells_to_alist(
+    shape: tuple[int, int], cells: np.ndarray, weights: np.ndarray | None = None
+) -> str:
+    """The alist text of the shape's matrix with a 1 at each sorted
+    row-major flat cell.  The degree lines count the cells, or sum their
+    `weights` when given (the entries of a matrix not 0/1)."""
+    n_rows, n_cols = shape
+    rows, cols = np.divmod(cells, n_cols)
+    col_deg = np.bincount(cols, weights, minlength=n_cols).astype(int)
+    row_deg = np.bincount(rows, weights, minlength=n_rows).astype(int)
     by_col = np.argsort(cols, kind="stable")  # rows stay ascending per column
     lines = [
         f"{n_cols} {n_rows}",
@@ -114,13 +167,21 @@ def matrix_to_alist(mat: np.ndarray, cells=None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def alist_to_matrix(text: str) -> np.ndarray:
-    """Read the alist layout of the module docstring, for a square matrix.
+def matrix_to_alist(mat: np.ndarray) -> str:
+    """cells_to_alist of the nonzero cells; the degrees are the column
+    and row sums, also of a matrix not 0/1."""
+    mat = np.asarray(mat)
+    cells = _cells(mat)
+    return cells_to_alist(mat.shape, cells, mat.reshape(-1)[cells])
+
+
+def alist_cells(text: str) -> tuple[int, np.ndarray]:
+    """m and the sorted row-major flat cells of the square alist text of
+    the module docstring.
 
     The index lines are read as one integer array and checked with
-    whole-array operations; the matrix is filled from the cells of the
-    column lines.  Only when a check fails are the lines read again one
-    at a time, to name the first damaged one.
+    whole-array operations.  Only when a check fails are the lines read
+    again one at a time, to name the first damaged one.
     """
     lines = [line for line in text.splitlines() if line.strip()]
     if len(lines) < 4:
@@ -137,9 +198,12 @@ def alist_to_matrix(text: str) -> np.ndarray:
     cells = _alist_cells(lines[4:], n_rows, col_deg)
     if cells is None:
         _raise_first_damage(lines[4:], n_rows, col_deg)
-    mat = np.zeros((n_rows, n_cols), dtype=np.int8)
-    mat.reshape(-1)[cells] = 1
-    return mat
+    return n_rows, cells
+
+
+def alist_to_matrix(text: str) -> np.ndarray:
+    """The int8 matrix of alist_cells."""
+    return cells_to_matrix(*alist_cells(text))
 
 
 def _alist_cells(index_lines: list[str], n: int, col_deg: list[int]) -> np.ndarray | None:
@@ -194,8 +258,9 @@ def _raise_first_damage(index_lines: list[str], n: int, col_deg: list[int]) -> N
     raise AssertionError("the whole-array alist checks refused valid lines")
 
 
-def detect_and_parse(text: str) -> np.ndarray:
-    """Parse file content as alist when its header says so, else as matrix.
+def parse_cells(text: str) -> tuple[int, np.ndarray]:
+    """alist_cells of file content when its header says alist, else
+    text_cells.
 
     The header says alist when the first non-blank line has exactly two
     tokens and there are at least 4 non-blank lines.  A valid matrix
@@ -206,20 +271,30 @@ def detect_and_parse(text: str) -> np.ndarray:
     first = _FIRST_LINE.match(text).group(1)
     if len(first.split()) == 2:
         if sum(1 for line in text.splitlines() if line.strip()) >= 4:
-            return alist_to_matrix(text)
-    return text_to_matrix(text)
+            return alist_cells(text)
+    return text_cells(text)
 
 
-def matrix_to_dot(mat: np.ndarray, cells=None) -> str:
-    """One edge per nonzero cell, in row-major order; `cells` are the
-    `btu._cells` of mat, when the caller has them."""
-    rows, cols = _cells(mat) if cells is None else cells
+def detect_and_parse(text: str) -> np.ndarray:
+    """The int8 matrix of parse_cells."""
+    return cells_to_matrix(*parse_cells(text))
+
+
+def cells_to_dot(shape: tuple[int, int], cells: np.ndarray) -> str:
+    """One edge per sorted row-major flat cell of the shape's matrix."""
+    rows, cols = np.divmod(cells, shape[1])
     lines = ["graph btu {"]
     lines += [
         f"  l{i} -- r{j};" for i, j in zip((rows + 1).tolist(), (cols + 1).tolist())
     ]
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def matrix_to_dot(mat: np.ndarray) -> str:
+    """cells_to_dot of the nonzero cells, in row-major order."""
+    mat = np.asarray(mat)
+    return cells_to_dot(mat.shape, _cells(mat))
 
 
 def _partition_list(betas) -> list[list[int]]:
@@ -314,11 +389,7 @@ def census_to_dict(census: dict[tuple[PartitionP2, ...], int]) -> dict[str, int]
 
 
 def btu_to_format(b: BTU, fmt: str) -> str:
-    mat = to_biadjacency(b)
-    if fmt == "matrix":
-        return matrix_to_text(mat)
-    if fmt == "alist":
-        return matrix_to_alist(mat)
-    if fmt == "dot":
-        return matrix_to_dot(mat)
-    raise ValueError(f"unknown format {fmt!r}")
+    writers = {"matrix": cells_to_text, "alist": cells_to_alist, "dot": cells_to_dot}
+    if fmt not in writers:
+        raise ValueError(f"unknown format {fmt!r}")
+    return writers[fmt]((b.m, b.m), to_cells(b))

@@ -136,20 +136,34 @@ def lex_permutations(n: int, limit: int | None = None) -> np.ndarray:
     narrowest signed type that holds n-1, in lexicographic order; the
     first `limit` only when a limit is given.
 
-    The rows of degree t are, for each first value v in turn, v followed
-    by the rows of degree t-1 with every value >= v shifted up by one; the
-    shift keeps their order.  The first `limit` rows permute only the
-    last t places, for the least t >= 1 (so n-t fits the type) with
-    t! >= limit, so only t! are built.
+    The first `limit` rows permute only the last t places, for the least
+    t >= 1 (so n-t fits the type) with t! >= limit, so only they are
+    built; the first n-t places hold 0..n-t-1.  The rows of degree s
+    are, for each first value v in turn, v followed by the rows of degree
+    s-1 with every value >= v shifted up by one; the shift keeps their
+    order.  Each degree is written in place into the one result array,
+    whole rows at a time: its (s-1)! rows of degree s-1 are copied once,
+    shifted for v = 0, and each later v puts back only the value v-1.
+    Places left of the degree's first hold scratch until a later degree
+    writes them.
     """
     dtype = np.min_scalar_type(-n).type  # holds -n, so n-1 as well
     t = n if limit is None else next((s for s in range(1, n) if factorial(s) >= limit), n)
-    rows = np.zeros((1, 0), dtype=dtype)
+    base = n - t  # the values of the last t places are base..n-1
+    count = factorial(t) if limit is None else min(limit, factorial(t))
+    out = np.zeros((count, n), dtype=dtype)
+    out[:1, :base] = np.arange(base, dtype=dtype)
     for size in range(1, t + 1):
-        rest = np.concatenate([rows + (rows >= v) for v in range(size)])
-        rows = np.column_stack((np.repeat(np.arange(size, dtype=dtype), len(rows)), rest))
-    head = np.broadcast_to(np.arange(n - t, dtype=dtype), (len(rows[:limit]), n - t))
-    return np.hstack((head, rows[:limit] + dtype(n - t)))
+        col, block = n - size, factorial(size - 1)
+        prev = out[:block]
+        rest = prev + (prev >= base)  # the fixed places < base stay
+        for v in range(base, base + size):
+            if v > base:
+                rest[rest == v] = v - 1
+            rest[:, col] = v
+            rows = out[(v - base) * block : (v - base + 1) * block]
+            rows[:] = rest[: len(rows)]
+    return out
 
 
 def cycle_images(n: int, limit: int | None = None) -> np.ndarray:

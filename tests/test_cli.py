@@ -308,27 +308,49 @@ class TestSmallCommands:
         assert out.splitlines()[0] == "4 4"
 
 
-    @pytest.mark.parametrize("fmt", ["alist", "dot"])
-    def test_export_scans_the_matrix_once(self, capsys, tmp_path, monkeypatch, fmt):
-        from btusearch import btu, cli, io_formats
+    @pytest.mark.parametrize(
+        "argv", [["export", "--format", "alist"], ["export", "--format", "dot"], ["girth", "--witness"]],
+        ids=["export-alist", "export-dot", "girth"],
+    )
+    def test_file_commands_build_and_scan_no_matrix(self, capsys, tmp_path, monkeypatch, argv):
+        # girth -i and export -i read the file as a cell list: they never
+        # build the m x m matrix nor scan one, and print what the dense
+        # path prints.
+        from btusearch import btu, io_formats
 
         b = make_btu([identity(12), circular_rotation(12, 1), circular_rotation(12, 5)])
-        f = tmp_path / "m.txt"
-        f.write_text(btu_to_format(b, "matrix"))
-        mat = io_formats.detect_and_parse(f.read_text())
-        expected = {"alist": io_formats.matrix_to_alist, "dot": io_formats.matrix_to_dot}[fmt](mat)
-        scans, cells = [], btu._cells
 
-        def counted(m):
-            scans.append(1)
-            return cells(m)
+        def dense(mat):
+            if argv[0] == "girth":
+                report = btu.girth(btu.decompose_matrix(mat), witness=True)
+                return f"{report.girth}\n{' '.join(report.witness_cycle)}\n"
+            write = io_formats.matrix_to_alist if argv[-1] == "alist" else io_formats.matrix_to_dot
+            return write(mat)
 
-        for module in (btu, cli, io_formats):
-            monkeypatch.setattr(module, "_cells", counted)
-        code, out, _ = run(capsys, "export", "-i", str(f), "--format", fmt)
-        assert code == 0
-        assert out == expected
-        assert len(scans) == 1
+        files = {}
+        for source in ("matrix", "alist"):
+            files[source] = tmp_path / f"in.{source}"
+            files[source].write_text(btu_to_format(b, source))
+        expected = {
+            source: dense(io_formats.detect_and_parse(f.read_text())) for source, f in files.items()
+        }
+        calls = []
+
+        def counted(name, fn):
+            def call(*args):
+                calls.append(name)
+                return fn(*args)
+
+            return call
+
+        for module in (btu, io_formats):
+            monkeypatch.setattr(module, "_cells", counted("_cells", btu._cells))
+            monkeypatch.setattr(module, "cells_to_matrix", counted("dense", btu.cells_to_matrix))
+        for source, f in files.items():
+            code, out, _ = run(capsys, argv[0], "-i", str(f), *argv[1:])
+            assert code == 0
+            assert out == expected[source]
+        assert calls == []
 
 
 _CAP_TAIL = "over the limit of 1000000; a candidate cap (--cap) bounds it"

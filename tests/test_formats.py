@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from strategies import EDITS, FUZZ_EDITS, edited, format_shaped_texts, regular_matrices
 
-from btusearch.btu import girth, make_btu, to_biadjacency
+from btusearch import io_formats
+from btusearch.btu import decompose, decompose_matrix, girth, make_btu, to_biadjacency, to_cells
 from btusearch.engine import search
 from btusearch.io_formats import (
     alist_to_matrix,
@@ -19,11 +20,13 @@ from btusearch.io_formats import (
     matrix_to_alist,
     matrix_to_dot,
     matrix_to_text,
+    parse_cells,
     search_result_to_dict,
+    text_cells,
     text_to_matrix,
     to_json,
 )
-from btusearch.perms import PartitionP2, circular_rotation, identity
+from btusearch.perms import PartitionP2, Permutation, circular_rotation, identity
 
 ALIST_I4_C1 = """4 4
 2 2
@@ -518,3 +521,119 @@ class TestDetectChoosesOneReader:
         assert mat.dtype == np.int8 and mat.ndim == 2
         assert mat.shape[0] == mat.shape[1] >= 1
         assert np.isin(mat, (0, 1)).all()
+
+
+# One edit of a text matrix_to_text wrote.  Each but "none" leaves the
+# exact layout, so the layout check must hand the text to the tokenizer.
+MUTATIONS = (
+    "none", "digit", "tab", "no_final_newline", "crlf", "leading_blank",
+    "trailing_blank", "short_row",
+)
+
+
+@st.composite
+def mutated_matrix_texts(draw, mat):
+    text = matrix_to_text(mat)
+    kind = draw(st.sampled_from(MUTATIONS if len(mat) > 1 else [k for k in MUTATIONS if k != "tab"]))
+    if kind == "digit":
+        at = 2 * draw(st.integers(0, len(text) // 2 - 1))
+        text = text[:at] + draw(st.sampled_from("2a")) + text[at + 1 :]
+    elif kind == "tab":
+        at = draw(st.sampled_from([i for i, c in enumerate(text) if c == " "]))
+        text = text[:at] + "\t" + text[at + 1 :]
+    elif kind == "no_final_newline":
+        text = text[:-1]
+    elif kind == "crlf":
+        text = text.replace("\n", "\r\n")
+    elif kind == "leading_blank":
+        text = "\n" + text
+    elif kind == "trailing_blank":
+        text = text + "\n"
+    elif kind == "short_row":
+        lines = text.split("\n")
+        at = draw(st.integers(0, len(mat) - 1))
+        lines[at] = lines[at][:-2]
+        text = "\n".join(lines)
+    return text
+
+
+def cells_outcome(read, text):
+    """The (m, cells) `read` returns, as lists, or ValueError."""
+    try:
+        m, cells = read(text)
+    except ValueError:
+        return ValueError
+    return m, cells.tolist()
+
+
+def ref_cells_outcome(text):
+    try:
+        mat = ref_text_to_matrix(text)
+    except ValueError:
+        return ValueError
+    return len(mat), np.flatnonzero(mat).tolist()
+
+
+class TestCellReaders:
+    """The cell readers return what the reference reads, without an
+    m x m matrix, and the matrix reader takes its one-pass layout check
+    exactly for the layout matrix_to_text writes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(mat=regular_matrices(max_m=12), data=st.data())
+    def test_mutated_matrix_text_reads_as_the_reference(self, mat, data):
+        text = data.draw(mutated_matrix_texts(mat))
+        expected = ref_cells_outcome(text)
+        assert cells_outcome(text_cells, text) == expected
+        assert cells_outcome(parse_cells, text) == expected
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 64, 600])
+    def test_only_the_written_layout_skips_the_tokenizer(self, monkeypatch, m):
+        # At m = 600 the check reads two blocks of rows, and the last
+        # text below fails it only in the second.
+        b = make_btu([identity(m), circular_rotation(m, 1)] if m > 1 else [identity(1)])
+        text = btu_to_format(b, "matrix")
+        tokenized, tokenizer = [], io_formats._tokenized_cells
+
+        def counted(data):
+            tokenized.append(data)
+            return tokenizer(data)
+
+        monkeypatch.setattr(io_formats, "_tokenized_cells", counted)
+        assert text_cells(text)[1].tolist() == to_cells(b).tolist()
+        assert tokenized == []
+        for other in (text + "\n", text.replace("\n", "\r\n"), "0" + text[1:-1] + " "):
+            cells_outcome(text_cells, other)
+        assert len(tokenized) == 3
+
+    def test_alist_cells_are_the_matrix_cells(self, small_btu):
+        for write in (matrix_to_text, matrix_to_alist):
+            m, cells = parse_cells(write(to_biadjacency(small_btu)))
+            assert m == 4 and cells.tolist() == to_cells(small_btu).tolist()
+
+
+@st.composite
+def random_btus(draw, max_m=24):
+    """A BTU decomposed from a regular matrix, its slots in a drawn order."""
+    b = decompose_matrix(draw(regular_matrices(max_m=max_m)))
+    order = draw(st.permutations(range(b.r)))
+    return make_btu([b.perms[t] for t in order])
+
+
+class TestDecomposeFromCells:
+    @settings(max_examples=150, deadline=None)
+    @given(b=random_btus())
+    def test_same_slots_as_the_dense_path(self, b):
+        reference = sorted(i * b.m + p.image[i] - 1 for p in b.perms for i in range(b.m))
+        assert to_cells(b).tolist() == reference
+        assert decompose(b.m, to_cells(b)) == decompose_matrix(to_biadjacency(b))
+
+    def test_same_slots_at_full_size(self):
+        # A circulant under a random relabelling of its columns.
+        m = 2048
+        relabel = np.random.default_rng(7).permutation(m) + 1
+        b = make_btu(
+            [Permutation(tuple(relabel[(np.arange(m) + s) % m].tolist())) for s in (0, 1, 3)]
+        )
+        for fmt in ("matrix", "alist"):
+            assert decompose(*parse_cells(btu_to_format(b, fmt))) == decompose_matrix(to_biadjacency(b))

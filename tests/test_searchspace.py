@@ -1,6 +1,7 @@
 """Candidate space: counts, the word bijection, enumeration, stats."""
 
 import itertools
+import tracemalloc
 from math import factorial
 
 import numpy as np
@@ -142,6 +143,18 @@ class TestArrays:
             rows = lex_permutations(n, limit)
             assert rows.shape == (len(everything[:limit]), n)
             assert [tuple(row) for row in rows.tolist()] == everything[:limit]
+
+    def test_lex_permutations_holds_one_universe(self):
+        # Each degree is written into the result in place; concatenating
+        # and stacking copies of the rows peaked at 3.9 times the result.
+        tracemalloc.start()
+        try:
+            rows = lex_permutations(9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows.shape == (factorial(9), 9)
+        assert peak <= 1.5 * rows.nbytes
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_cycle_images_are_the_candidates_minus_one(self, n):
