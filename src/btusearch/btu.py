@@ -218,11 +218,14 @@ def decompose(m: int, cells: np.ndarray) -> BTU:
     # Row i's columns, ascending, are the i-th run of r cells.
     remaining = (cells % m).reshape(m, r).tolist()
     perms = []
-    for _ in range(r):
+    for _ in range(r - 1):
         row_to_col = _extract_matching(remaining, m)
         perms.append(Permutation(tuple(j + 1 for j in row_to_col)))
         for i, j in enumerate(row_to_col):
             remaining[i].remove(j)
+    # The residual is 1-regular, a permutation matrix, so its one
+    # matching is the last slot.
+    perms.append(Permutation(tuple(cols[0] + 1 for cols in remaining)))
     return make_btu(perms)
 
 

@@ -97,7 +97,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_girth(args) -> int:
-    m, cells = io_formats.parse_cells(Path(args.input).read_text())
+    m, cells = io_formats.parse_cells(Path(args.input).read_bytes())
     report = girth(decompose(m, cells), witness=args.witness)
     lines = ["inf" if report.girth is None else str(report.girth)]
     if args.witness and report.witness_cycle:
@@ -124,20 +124,15 @@ def _candidate_lines(base: Permutation, cycles: np.ndarray) -> Iterator[str]:
     """The text of base composed with each row of cycles (0-based images),
     one row a line, in blocks of _BLOCK_ROWS rows.
 
-    Row i of a table holds the text of base(i + 1) and a space, padded
-    with zero bytes, so one gather both composes a block with the base and
-    spells it; each line's last space becomes a newline and the padding
-    goes.
+    Row i of a table holds the digits of base(i + 1) and a space, so one
+    gather both composes a block with the base and spells it; each
+    line's last space becomes a newline and the padding goes.
     """
-    texts = [f"{x} ".encode() for x in base.image]
-    table = np.zeros((len(texts), max(map(len, texts))), dtype=np.uint8)
-    for i, text in enumerate(texts):
-        table[i, : len(text)] = np.frombuffer(text, dtype=np.uint8)
+    table = io_formats.digit_table(base.n, tail=b" ")[np.asarray(base.image)]
     for start in range(0, len(cycles), _BLOCK_ROWS):
         cells = table[cycles[start : start + _BLOCK_ROWS]]
-        last = cells[:, -1]
-        last[last == ord(" ")] = ord("\n")
-        yield cells[cells != 0].tobytes().decode("ascii")
+        cells[:, -1, -1] = ord("\n")
+        yield io_formats.unpadded(cells)
 
 
 def _cmd_scale(args) -> int:
@@ -165,7 +160,7 @@ def _cmd_cayley(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    m, cells = io_formats.parse_cells(Path(args.input).read_text())
+    m, cells = io_formats.parse_cells(Path(args.input).read_bytes())
     cell_degree(m, cells)  # refuse what decompose would refuse
     write = io_formats.cells_to_alist if args.format == "alist" else io_formats.cells_to_dot
     _emit(write((m, m), cells), args.output)

@@ -7,6 +7,11 @@ and cells, so no m x m matrix lies between a file and a BTU.  The
 matrix-named functions (text_to_matrix, matrix_to_text, ...) are dense
 wrappers over them.
 
+The readers take a file's bytes or a str.  ASCII bytes are read as
+they are; other bytes are first decoded as Path.read_text() decodes
+them, so a file reads the same either way.  The writers spell their
+integers a whole array at a time, gathering rows of digit_table.
+
 matrix layout: ASCII text of m non-blank lines of m whitespace-separated
 tokens, each exactly "0" or "1" (written with single spaces, one trailing
 newline).  The reader reads the written layout in one pass, as (digit,
@@ -19,10 +24,14 @@ alist layout (1-based, single spaces, one trailing newline):
   line 4: the M row degrees
   next N lines: row indices of each column's entries, ascending
   next M lines: column indices of each row's entries, ascending
+The reader reads the index lines of bytes holding only ASCII digits,
+spaces, tabs and line ends in one whole-array pass; any other text
+reads each token with int().
 """
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import math
@@ -43,8 +52,17 @@ _LINE_ENDS = bytes.maketrans(b"\r\x0b\x0c\x1c\x1d\x1e", b"\n" * 6)
 _LINE_BLANKS = b" \t\x1f"
 
 # The first non-blank line: what follows the leading whitespace, up to
-# the first character at which str.splitlines() ends a line.
+# the first character at which str.splitlines() ends a line; the second
+# pattern reads ASCII bytes as the first reads their str.
 _FIRST_LINE = re.compile(r"\s*([^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*)")
+_ASCII_FIRST_LINE = re.compile(rb"[\t-\r\x1c-\x1f ]*([^\n\r\x0b\x0c\x1c-\x1e]*)")
+
+# The ASCII digits, and the blanks and line ends that bytes.split() and
+# bytes.splitlines() take as str's methods do.
+_DIGIT_PATH = b"0123456789\t\n\r "
+
+# int64 holds every value of this many decimal digits.
+_MAX_DIGITS = 18
 
 # Pairs the matrix layout check reads at a time.  The buffers of one
 # block of rows are reused by the next, where buffers of the whole text
@@ -58,6 +76,34 @@ def _zero_row(n: int) -> np.ndarray:
     row = np.full(n, ord("0") | ord(" ") << 8, dtype="<u2")
     row[-1] = ord("0") | ord("\n") << 8
     return row
+
+
+def _decoded(data: bytes) -> str:
+    """The str Path.read_text() reads from a file holding data."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="locale").read()
+
+
+def digit_table(top: int, head: bytes = b"", tail: bytes = b"") -> np.ndarray:
+    """Row v for each v in 0..top: head, zero bytes, the decimal digits
+    of v, then tail, as ASCII bytes, the zero bytes bringing every row to
+    one width.  Rows gathered from it and laid side by side spell text
+    once their zero bytes are dropped (unpadded)."""
+    width = len(str(top))
+    rows = np.empty((top + 1, len(head) + width + len(tail)), dtype=np.uint8)
+    rows[:, : len(head)] = np.frombuffer(head, dtype=np.uint8)
+    rows[:, len(head) + width :] = np.frombuffer(tail, dtype=np.uint8)
+    rest = np.arange(top + 1)
+    for col in range(len(head) + width - 1, len(head) - 1, -1):
+        rows[:, col] = np.where(rest > 0, rest % 10 + ord("0"), 0)
+        rest //= 10
+    rows[0, len(head) + width - 1] = ord("0")
+    return rows
+
+
+def unpadded(rows: np.ndarray) -> str:
+    """The ASCII text of rows gathered from digit_table, without the
+    zero bytes."""
+    return str(rows[rows != 0].tobytes(), "ascii")
 
 
 def cells_to_text(shape: tuple[int, int], cells: np.ndarray) -> str:
@@ -80,19 +126,19 @@ def matrix_to_text(mat: np.ndarray) -> str:
     return cells_to_text(mat.shape, _ones(mat))
 
 
-def text_cells(text: str) -> tuple[int, np.ndarray]:
+def text_cells(text: str | bytes) -> tuple[int, np.ndarray]:
     """m and the sorted row-major flat cells of the 1 entries of m
     non-blank lines of m whitespace-separated tokens, each exactly "0"
     or "1".
 
     Text in the exact layout cells_to_text writes is read in one pass,
     as (digit, separator) pairs compared with the rows of zeros, a block
-    of rows at a time; any other text goes to the general tokenizer,
-    _tokenized_cells.
+    of rows at a time, on the buffer of the bytes given; any other text
+    goes to the general tokenizer, _tokenized_cells.
     """
-    if not text.isascii():
+    if isinstance(text, str) and not text.isascii():
         raise ValueError("matrix entries must be 0 or 1")
-    data = text.encode("ascii")
+    data = text.encode("ascii") if isinstance(text, str) else text
     m = math.isqrt(len(data) // 2)
     if m and 2 * m * m == len(data):
         pairs = np.frombuffer(data, dtype="<u2").reshape(m, m)
@@ -105,6 +151,9 @@ def text_cells(text: str) -> tuple[int, np.ndarray]:
             cells.append(np.flatnonzero(ones == 1) + start * m)
         else:
             return m, np.concatenate(cells)
+    if not data.isascii():
+        _decoded(data)  # bytes Path.read_text() cannot decode raise its error
+        raise ValueError("matrix entries must be 0 or 1")
     return _tokenized_cells(data)
 
 
@@ -132,17 +181,27 @@ def _tokenized_cells(data: bytes) -> tuple[int, np.ndarray]:
     return n, np.flatnonzero(digits == 1)
 
 
-def text_to_matrix(text: str) -> np.ndarray:
+def text_to_matrix(text: str | bytes) -> np.ndarray:
     """The int8 matrix of text_cells."""
     return cells_to_matrix(*text_cells(text))
 
 
-def _index_lines(major: np.ndarray, minor: np.ndarray, n: int) -> list[str]:
-    """For each of 0..n-1 in turn, the 1-based minor indices of the cells
-    whose major index it is, in the given order; major ascends."""
-    bounds = np.searchsorted(major, np.arange(n + 1)).tolist()
-    labels = list(map(str, (minor + 1).tolist()))
-    return [" ".join(labels[a:b]) for a, b in zip(bounds, bounds[1:])]
+def _index_lines(major: np.ndarray, minor: np.ndarray, n: int) -> str:
+    """For each of 0..n-1 in turn, a line of the 1-based minor indices of
+    the cells whose major index it is, in the given order; major ascends.
+
+    Each index is spelled with a space after it, the last of a line with
+    a newline; an empty line is one token, label 0, which spells nothing
+    but its separator.
+    """
+    bounds = np.searchsorted(major, np.arange(n + 1))
+    sizes = np.diff(bounds)
+    labels = np.insert(minor + 1, bounds[:-1][sizes == 0], 0)
+    table = digit_table(int(labels.max()), tail=b" ")
+    table[0, :-1] = 0
+    spelled = table[labels]
+    spelled[np.cumsum(np.maximum(sizes, 1)) - 1, -1] = ord("\n")
+    return unpadded(spelled)
 
 
 def cells_to_alist(
@@ -156,15 +215,19 @@ def cells_to_alist(
     col_deg = np.bincount(cols, weights, minlength=n_cols).astype(int)
     row_deg = np.bincount(rows, weights, minlength=n_rows).astype(int)
     by_col = np.argsort(cols, kind="stable")  # rows stay ascending per column
-    lines = [
+    header = [
         f"{n_cols} {n_rows}",
         f"{int(col_deg.max())} {int(row_deg.max())}",
         " ".join(map(str, col_deg.tolist())),
         " ".join(map(str, row_deg.tolist())),
-        *_index_lines(cols[by_col], rows[by_col], n_cols),
-        *_index_lines(rows, cols, n_rows),
     ]
-    return "\n".join(lines) + "\n"
+    # The row lines follow the column lines as majors n_cols and up.
+    index = _index_lines(
+        np.concatenate([cols[by_col], rows + n_cols]),
+        np.concatenate([rows[by_col], cols]),
+        n_cols + n_rows,
+    )
+    return "\n".join(header) + "\n" + index
 
 
 def matrix_to_alist(mat: np.ndarray) -> str:
@@ -175,15 +238,31 @@ def matrix_to_alist(mat: np.ndarray) -> str:
     return cells_to_alist(mat.shape, cells, mat.reshape(-1)[cells])
 
 
-def alist_cells(text: str) -> tuple[int, np.ndarray]:
+def _nonblank_lines(text: str | bytes) -> list[str] | list[bytes]:
+    """The non-blank lines of text.  Bytes of _DIGIT_PATH alone stay
+    bytes, which split as their str does; other ASCII bytes are read as
+    str, and any other bytes as _decoded reads them."""
+    if isinstance(text, bytes):
+        if not text.isascii():
+            text = _decoded(text)
+        elif text.translate(None, _DIGIT_PATH):
+            text = str(text, "ascii")
+    return [line for line in text.splitlines() if line.strip()]
+
+
+def alist_cells(text: str | bytes) -> tuple[int, np.ndarray]:
     """m and the sorted row-major flat cells of the square alist text of
-    the module docstring.
+    the module docstring."""
+    return _alist_cells(_nonblank_lines(text))
+
+
+def _alist_cells(lines: list[str] | list[bytes]) -> tuple[int, np.ndarray]:
+    """alist_cells of the non-blank lines of the text.
 
     The index lines are read as one integer array and checked with
     whole-array operations.  Only when a check fails are the lines read
     again one at a time, to name the first damaged one.
     """
-    lines = [line for line in text.splitlines() if line.strip()]
     if len(lines) < 4:
         raise ValueError("alist needs at least 4 header lines")
     n_cols, n_rows = (int(tok) for tok in lines[0].split())
@@ -195,32 +274,74 @@ def alist_cells(text: str) -> tuple[int, np.ndarray]:
         raise ValueError("alist degree lines disagree with the header")
     if len(lines) != 4 + n_cols + n_rows:
         raise ValueError("alist line count disagrees with the header")
-    cells = _alist_cells(lines[4:], n_rows, col_deg)
+    cells = _index_cells(lines[4:], n_rows, col_deg)
     if cells is None:
         _raise_first_damage(lines[4:], n_rows, col_deg)
     return n_rows, cells
 
 
-def alist_to_matrix(text: str) -> np.ndarray:
+def alist_to_matrix(text: str | bytes) -> np.ndarray:
     """The int8 matrix of alist_cells."""
     return cells_to_matrix(*alist_cells(text))
 
 
-def _alist_cells(index_lines: list[str], n: int, col_deg: list[int]) -> np.ndarray | None:
-    """The row-major flat indices of the cells that the n column lines of
-    an n x n alist name, or None when the index lines fail any check of
-    _raise_first_damage.  Every token is read with int(), as there.
+def _digit_values(lines: list[bytes]) -> tuple[np.ndarray, np.ndarray] | None:
+    """The token count of each line and every token's value, in order,
+    of lines of ASCII digits, spaces and tabs; None when a token has
+    more than _MAX_DIGITS digits.
+
+    One pass over the lines joined: tokens start and end where a digit
+    run does, the values are built one digit column at a time from the
+    tokens' ends, and a line's count is the tokens started before its end.
     """
-    tokens = [line.split() for line in index_lines]
-    counts = np.fromiter(map(len, tokens), dtype=np.int64, count=2 * n)
+    buf = np.frombuffer(b"\n".join(lines) + b"\n", dtype=np.uint8)
+    digit = buf - ord("0") < 10  # uint8 wraps, so a byte below "0" reads above
+    edges = np.flatnonzero(np.diff(digit, prepend=False))
+    starts, ends = edges[0::2], edges[1::2]  # the text ends in a non-digit
+    lengths = ends - starts
+    if lengths.max() > _MAX_DIGITS:
+        return None
+    values = np.zeros(len(starts), dtype=np.int64)
+    for place in range(int(lengths.max())):
+        column = buf[ends - 1 - place].astype(np.int64) - ord("0")
+        values += np.where(lengths > place, column, 0) * 10**place
+    line_ends = np.flatnonzero(buf == ord("\n"))
+    counts = np.diff(np.searchsorted(starts, line_ends), prepend=0)
+    return counts, values
+
+
+def _int_values(lines: list[str] | list[bytes]) -> tuple[np.ndarray, np.ndarray] | None:
+    """_digit_values of any lines, each token read with int(); None when
+    int() refuses a token or int64 its value."""
+    tokens = [line.split() for line in lines]
+    counts = np.fromiter(map(len, tokens), dtype=np.int64, count=len(tokens))
     try:
         values = np.fromiter(
             map(int, itertools.chain.from_iterable(tokens)),
             dtype=np.int64,
             count=int(counts.sum()),
         )
+    except (ValueError, OverflowError):
+        return None
+    return counts, values
+
+
+def _index_cells(index_lines: list[str] | list[bytes], n: int, col_deg: list[int]) -> np.ndarray | None:
+    """The row-major flat indices of the cells that the n column lines of
+    an n x n alist name, or None when the index lines fail any check of
+    _raise_first_damage.  Lines of bytes, digits and blanks alone (see
+    _nonblank_lines), are read by _digit_values; other lines, and tokens
+    too long for it, by _int_values, which reads them as there.
+    """
+    read = _digit_values(index_lines) if isinstance(index_lines[0], bytes) else None
+    if read is None:
+        read = _int_values(index_lines)
+        if read is None:
+            return None
+    counts, values = read
+    try:
         degrees_agree = (counts[:n] == np.array(col_deg, dtype=np.int64)).all()
-    except (ValueError, OverflowError):  # int() refuses a token, or int64 a value
+    except OverflowError:  # a degree beyond int64
         return None
     if not (degrees_agree and 1 <= values.min() and values.max() <= n):
         return None
@@ -258,7 +379,18 @@ def _raise_first_damage(index_lines: list[str], n: int, col_deg: list[int]) -> N
     raise AssertionError("the whole-array alist checks refused valid lines")
 
 
-def parse_cells(text: str) -> tuple[int, np.ndarray]:
+def _first_line(text: str | bytes) -> str:
+    """The first non-blank line of text, bytes read as _decoded reads
+    them.  Only the bytes up to its end are read when they are ASCII."""
+    if isinstance(text, bytes):
+        head = _ASCII_FIRST_LINE.match(text)
+        if text[: head.end()].isascii():
+            return str(head.group(1), "ascii")
+        text = _decoded(text)
+    return _FIRST_LINE.match(text).group(1)
+
+
+def parse_cells(text: str | bytes) -> tuple[int, np.ndarray]:
     """alist_cells of file content when its header says alist, else
     text_cells.
 
@@ -268,14 +400,14 @@ def parse_cells(text: str) -> tuple[int, np.ndarray]:
     matrix reads as alist and no valid alist as matrix; the one reader
     chosen reports its own error.
     """
-    first = _FIRST_LINE.match(text).group(1)
-    if len(first.split()) == 2:
-        if sum(1 for line in text.splitlines() if line.strip()) >= 4:
-            return alist_cells(text)
+    if len(_first_line(text).split()) == 2:
+        lines = _nonblank_lines(text)
+        if len(lines) >= 4:
+            return _alist_cells(lines)
     return text_cells(text)
 
 
-def detect_and_parse(text: str) -> np.ndarray:
+def detect_and_parse(text: str | bytes) -> np.ndarray:
     """The int8 matrix of parse_cells."""
     return cells_to_matrix(*parse_cells(text))
 
@@ -283,12 +415,10 @@ def detect_and_parse(text: str) -> np.ndarray:
 def cells_to_dot(shape: tuple[int, int], cells: np.ndarray) -> str:
     """One edge per sorted row-major flat cell of the shape's matrix."""
     rows, cols = np.divmod(cells, shape[1])
-    lines = ["graph btu {"]
-    lines += [
-        f"  l{i} -- r{j};" for i, j in zip((rows + 1).tolist(), (cols + 1).tolist())
-    ]
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    left = digit_table(shape[0], b"  l", b" -- r")[rows + 1]
+    right = digit_table(shape[1], tail=b";\n")[cols + 1]
+    edges = np.concatenate([left, right], axis=1)
+    return "graph btu {\n" + unpadded(edges) + "}\n"
 
 
 def matrix_to_dot(mat: np.ndarray) -> str:

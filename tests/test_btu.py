@@ -203,6 +203,15 @@ class TestDecompose:
     def test_same_slots_as_the_row_list_construction(self, mat):
         assert decompose_matrix(mat) == ref_decompose_matrix(mat)
 
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_same_slots_at_low_degree(self, r, seed):
+        # The last slot is read off the 1-regular residual, at r = 1 the
+        # whole matrix.
+        rows = np.random.default_rng(seed).permutation(40)
+        mat = to_biadjacency(random_btu(40, r, seed))[rows]
+        assert decompose_matrix(mat) == ref_decompose_matrix(mat)
+
     @pytest.mark.parametrize("kind", ["m2048-random", "m2000-circulant"])
     def test_same_slots_as_the_reference_at_full_size(self, kind):
         # The random matrix sends a few hundred rows down augmenting

@@ -505,6 +505,87 @@ class TestInputHardening:
         assert err == "error: column 1 has a row index outside 1..3\n"
 
 
+# The Fano plane, (identity, rotation 1, rotation 3) at m = 7, as the
+# writers spell it.
+FANO_MATRIX = (
+    b"1 0 0 0 1 0 1\n1 1 0 0 0 1 0\n0 1 1 0 0 0 1\n1 0 1 1 0 0 0\n"
+    b"0 1 0 1 1 0 0\n0 0 1 0 1 1 0\n0 0 0 1 0 1 1\n"
+)
+FANO_ALIST = (
+    b"7 7\n3 3\n3 3 3 3 3 3 3\n3 3 3 3 3 3 3\n"
+    b"1 2 4\n2 3 5\n3 4 6\n4 5 7\n1 5 6\n2 6 7\n1 3 7\n"
+    b"1 5 7\n1 2 6\n2 3 7\n1 3 4\n2 4 5\n3 5 6\n4 6 7\n"
+)
+FANO_DOT = "graph btu {\n" + "".join(
+    f"  l{i} -- r{j};\n"
+    for i, line in enumerate(FANO_MATRIX.decode().splitlines(), start=1)
+    for j, x in enumerate(line.split(), start=1)
+    if x == "1"
+) + "}\n"
+
+# Files as bytes: the written layouts, re-spaced copies, bytes a str
+# reader sees differently, and alist tokens only int() reads.
+BYTE_CORPUS = {
+    "matrix": FANO_MATRIX,
+    "alist": FANO_ALIST,
+    "matrix-crlf": FANO_MATRIX.replace(b"\n", b"\r\n"),
+    "alist-crlf": FANO_ALIST.replace(b"\n", b"\r\n"),
+    "matrix-tabs": FANO_MATRIX.replace(b" ", b"\t"),
+    "matrix-leading-blank": b"\n" + FANO_MATRIX,
+    "alist-leading-blank": b"\n" + FANO_ALIST,
+    "matrix-bom": b"\xef\xbb\xbf" + FANO_MATRIX,
+    "alist-bom": b"\xef\xbb\xbf" + FANO_ALIST,
+    "matrix-ff": FANO_MATRIX.replace(b"0 1 1", b"0 \xff1 1", 1),
+    "alist-ff": FANO_ALIST.replace(b"1 2 4", b"1 2 \xff4"),
+    "alist-plus": FANO_ALIST.replace(b"1 2 4", b"+1 2 4"),
+    "alist-arabic-indic": FANO_ALIST.replace(b"2 3 5", "2 \u0663 5".encode()),
+    "alist-underscore": FANO_ALIST.replace(b"1 2 4", b"0_1 2 4"),
+    "alist-20-digits": FANO_ALIST.replace(b"1 2 4", b"0" * 19 + b"1 2 4"),
+    "alist-20-digits-out-of-range": FANO_ALIST.replace(b"1 2 4", b"9" * 20 + b" 2 4"),
+    "alist-unit-separator": FANO_ALIST.replace(b"1 2 4", b"1\x1f2 4"),
+    "alist-vertical-tab": FANO_ALIST.replace(b"\n1 2 4", b"\x0b1 2 4"),
+}
+
+# Per file, as the CLI printed it when it read files with
+# Path.read_text(): the stdout of `girth -i` and of `export -i --format
+# dot`, the stderr both print, and the exit status of both.
+BYTE_CORPUS_OUTCOMES = {
+    "matrix": ("6\n", FANO_DOT, "", 0),
+    "alist": ("6\n", FANO_DOT, "", 0),
+    "matrix-crlf": ("6\n", FANO_DOT, "", 0),
+    "alist-crlf": ("6\n", FANO_DOT, "", 0),
+    "matrix-tabs": ("6\n", FANO_DOT, "", 0),
+    "matrix-leading-blank": ("6\n", FANO_DOT, "", 0),
+    "alist-leading-blank": ("6\n", FANO_DOT, "", 0),
+    "matrix-bom": ("", "", "error: matrix entries must be 0 or 1\n", 1),
+    "alist-bom": ("", "", "error: invalid literal for int() with base 10: '\\ufeff7'\n", 1),
+    "matrix-ff": (
+        "", "", "error: 'utf-8' codec can't decode byte 0xff in position 30: invalid start byte\n", 1
+    ),
+    "alist-ff": (
+        "", "", "error: 'utf-8' codec can't decode byte 0xff in position 40: invalid start byte\n", 1
+    ),
+    "alist-plus": ("6\n", FANO_DOT, "", 0),
+    "alist-arabic-indic": ("6\n", FANO_DOT, "", 0),
+    "alist-underscore": ("6\n", FANO_DOT, "", 0),
+    "alist-20-digits": ("6\n", FANO_DOT, "", 0),
+    "alist-20-digits-out-of-range": ("", "", "error: column 1 has a row index outside 1..7\n", 1),
+    "alist-unit-separator": ("6\n", FANO_DOT, "", 0),
+    "alist-vertical-tab": ("6\n", FANO_DOT, "", 0),
+}
+
+
+class TestByteInput:
+    @pytest.mark.parametrize("name", list(BYTE_CORPUS))
+    def test_girth_and_export_as_read_text_read_them(self, capsys, tmp_path, name):
+        f = tmp_path / name
+        f.write_bytes(BYTE_CORPUS[name])
+        code, girth_out, err = run(capsys, "girth", "-i", str(f))
+        export_code, export_out, export_err = run(capsys, "export", "-i", str(f), "--format", "dot")
+        assert (export_code, export_err) == (code, err)
+        assert (girth_out, export_out, err, code) == BYTE_CORPUS_OUTCOMES[name]
+
+
 class TestFuzzedInput:
     """`girth` and `export` on damaged matrix and alist files end with
     exit 0, or exit 1 and an `error: ` line; they never raise."""

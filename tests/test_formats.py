@@ -13,6 +13,7 @@ from btusearch import io_formats
 from btusearch.btu import decompose, decompose_matrix, girth, make_btu, to_biadjacency, to_cells
 from btusearch.engine import search
 from btusearch.io_formats import (
+    alist_cells,
     alist_to_matrix,
     btu_to_format,
     census_to_dict,
@@ -354,6 +355,10 @@ class TestRewriteMatchesReference:
                 text = data.draw(edited(text, FUZZ_EDITS))
         assert read_outcome(alist_to_matrix, text) == read_outcome(ref_alist_to_matrix, text)
         assert read_message(alist_to_matrix, text) == read_message(per_line_alist_to_matrix, text)
+        # The bytes of the text, as a file holds them, read as the text.
+        data = text.encode()
+        assert read_message(alist_to_matrix, data) == read_message(per_line_alist_to_matrix, text)
+        assert read_message(detect_and_parse, data) == read_message(detect_and_parse, text)
 
     @pytest.mark.parametrize(
         "at, line, message",
@@ -447,6 +452,7 @@ class TestMatrixGrammar:
     def test_ascii_whitespace_reads_as_the_reference(self, text):
         assert read_outcome(text_to_matrix, text) == read_outcome(ref_text_to_matrix, text)
         assert read_outcome(detect_and_parse, text) == read_outcome(ref_text_to_matrix, text)
+        assert read_outcome(detect_and_parse, text.encode()) == read_outcome(ref_text_to_matrix, text)
 
     @settings(max_examples=150, deadline=None)
     @given(mat=regular_matrices(max_m=8), data=st.data())
@@ -462,6 +468,7 @@ class TestMatrixGrammar:
         # Separators that end a line make the text ragged for both readers.
         text = data.draw(respaced(mat, separators=ASCII_BLANKS))
         assert read_outcome(text_to_matrix, text) == read_outcome(ref_text_to_matrix, text)
+        assert read_outcome(detect_and_parse, text.encode()) == read_outcome(ref_text_to_matrix, text)
 
     @pytest.mark.parametrize("text", ["0\u00a01\n1 0\n", "0 1\u20281 0\n"])
     def test_non_ascii_text_is_refused(self, text):
@@ -618,6 +625,125 @@ def random_btus(draw, max_m=24):
     b = decompose_matrix(draw(regular_matrices(max_m=max_m)))
     order = draw(st.permutations(range(b.r)))
     return make_btu([b.perms[t] for t in order])
+
+
+def counted_calls(monkeypatch, *names):
+    """Replace each named io_formats function by one that records its
+    name in the returned list, then calls the original."""
+    calls = []
+    for name in names:
+        def call(*args, name=name, fn=getattr(io_formats, name)):
+            calls.append(name)
+            return fn(*args)
+
+        monkeypatch.setattr(io_formats, name, call)
+    return calls
+
+
+FANO = make_btu([identity(7), circular_rotation(7, 1), circular_rotation(7, 3)])
+FANO_ALIST = btu_to_format(FANO, "alist").encode()
+
+# Alist bytes only int() reads, each a variant of FANO_ALIST, and the
+# readers that see them: _digit_values turns away a token of over 18
+# digits, and the others never reach it.
+INT_PATH_ALISTS = {
+    "plus": (FANO_ALIST.replace(b"1 2 4", b"+1 2 4"), ["_int_values"]),
+    "arabic-indic": (FANO_ALIST.replace(b"2 3 5", "2 \u0663 5".encode()), ["_int_values"]),
+    "underscore": (FANO_ALIST.replace(b"1 2 4", b"0_1 2 4"), ["_int_values"]),
+    "20-digits": (FANO_ALIST.replace(b"1 2 4", b"0" * 19 + b"1 2 4"), ["_digit_values", "_int_values"]),
+    "20-digits-out-of-range": (
+        FANO_ALIST.replace(b"1 2 4", b"9" * 20 + b" 2 4"), ["_digit_values", "_int_values"],
+    ),
+    "non-ascii": (FANO_ALIST.replace(b"1 2 4", "1\u00a02 4".encode()), ["_int_values"]),
+    "unit-separator": (FANO_ALIST.replace(b"1 2 4", b"1\x1f2 4"), ["_int_values"]),
+}
+
+
+class TestAlistDigitPath:
+    """Bytes of ASCII digits and blanks take the whole-array pass; all
+    other alist text reads its tokens with int(), as before."""
+
+    @pytest.mark.parametrize("m", [7, 100, 2048])
+    def test_the_written_alist_takes_the_whole_array_pass(self, monkeypatch, m):
+        b = FANO if m == 7 else make_btu([identity(m), circular_rotation(m, 1), circular_rotation(m, 3)])
+        data = btu_to_format(b, "alist").encode()
+        calls = counted_calls(monkeypatch, "_digit_values", "_int_values")
+        for text in (data, data.replace(b"\n", b"\r\n"), data.replace(b" ", b" \t ")):
+            del calls[:]
+            assert cells_outcome(alist_cells, text) == (m, to_cells(b).tolist())
+            assert calls == ["_digit_values"]
+        # str input, as the dense wrappers take it, reads with int().
+        assert cells_outcome(alist_cells, data.decode()) == (m, to_cells(b).tolist())
+        assert calls == ["_digit_values", "_int_values"]
+
+    @pytest.mark.parametrize("name", list(INT_PATH_ALISTS))
+    def test_other_tokens_take_the_int_path(self, monkeypatch, name):
+        data, readers = INT_PATH_ALISTS[name]
+        text = data.decode()
+        expected = read_message(per_line_alist_to_matrix, text)
+        calls = counted_calls(monkeypatch, "_digit_values", "_int_values")
+        assert read_message(alist_to_matrix, data) == expected
+        assert calls == readers
+        assert read_message(detect_and_parse, data) == expected
+        assert read_message(alist_to_matrix, text) == expected
+
+    def test_values_of_every_width(self):
+        values = [0, 7, 10, 99, 100, 12345, 10**17, 10**18 - 1]
+        line = " ".join(map(str, values)).encode()
+        counts, read = io_formats._digit_values([line, b"1", b"\t 2  3 "])
+        assert counts.tolist() == [len(values), 1, 2]
+        assert read.tolist() == values + [1, 2, 3]
+        assert io_formats._digit_values([b"1 " + b"1" * 19]) is None
+
+
+def ref_cells_to_alist(shape, cells):
+    """cells_to_alist of 0/1 cells, one f-string per line."""
+    n_rows, n_cols = shape
+    by_col, by_row = [[] for _ in range(n_cols)], [[] for _ in range(n_rows)]
+    for i, j in (divmod(c, n_cols) for c in cells.tolist()):
+        by_col[j].append(i + 1)
+        by_row[i].append(j + 1)
+    lines = [f"{n_cols} {n_rows}", f"{max(map(len, by_col))} {max(map(len, by_row))}"]
+    lines.append(" ".join(f"{len(line)}" for line in by_col))
+    lines.append(" ".join(f"{len(line)}" for line in by_row))
+    lines += [" ".join(f"{x}" for x in line) for line in by_col + by_row]
+    return "".join(f"{line}\n" for line in lines)
+
+
+def ref_cells_to_dot(shape, cells):
+    """cells_to_dot, one f-string per edge."""
+    edges = [divmod(c, shape[1]) for c in cells.tolist()]
+    return "graph btu {\n" + "".join(f"  l{i + 1} -- r{j + 1};\n" for i, j in edges) + "}\n"
+
+
+class TestWriterLabelWidths:
+    """The writers spell labels of 1 to 5 digits as f-strings do."""
+
+    @pytest.mark.parametrize("m", [9, 10, 99, 100, 10000])
+    def test_circulant_writers_match_the_reference(self, m):
+        b = make_btu([identity(m), circular_rotation(m, 1), circular_rotation(m, 3)])
+        cells = to_cells(b)
+        assert io_formats.cells_to_alist((m, m), cells) == ref_cells_to_alist((m, m), cells)
+        assert io_formats.cells_to_dot((m, m), cells) == ref_cells_to_dot((m, m), cells)
+        if m <= 100:  # ref_matrix_to_dot scans all m * m cells
+            assert io_formats.cells_to_dot((m, m), cells) == ref_matrix_to_dot(to_biadjacency(b))
+
+    def test_non_square_weighted_alist_with_empty_lines(self):
+        # Column 2, column 12 and row 1 have no entry; the degrees are sums.
+        mat = np.zeros((3, 12), dtype=int)
+        mat[1, [0, 10]] = [2, 1]
+        mat[2, [0, 2, 10]] = [1, 3, 1]
+        assert matrix_to_alist(mat) == ref_matrix_to_alist(mat)
+        assert matrix_to_alist(mat).split("\n")[4:7] == ["2 3", "", "3"]
+
+    def test_empty_dot(self):
+        assert matrix_to_dot(np.zeros((3, 3))) == "graph btu {\n}\n"
+
+    @pytest.mark.parametrize("top", [0, 9, 10, 1234])
+    def test_digit_table(self, top):
+        table = io_formats.digit_table(top, b"<", b">")
+        assert table.shape == (top + 1, len(str(top)) + 2)
+        assert io_formats.unpadded(table) == "".join(f"<{v}>" for v in range(top + 1))
 
 
 class TestDecomposeFromCells:
