@@ -1,11 +1,16 @@
-/* Compiled girth kernel; _girth_py is the reference implementation.
+/* Compiled girth kernel and slot matcher; _girth_py is the reference
+ * implementation of both.
  *
  * A batch is a table of image rows plus a row index.  The table holds
  * rows of m unsigned ints of 1, 2 or 4 bytes, each a 0-based one-line
  * image; graph g has r slots, and slot t is table row index[g*r + t]:
  * row vertex i is joined to column vertex row[i].  The girth is the
  * length of the shortest cycle (2 for a double edge), or 0 for a forest.
- * The whole call runs without the GIL, so threads can share a search.
+ *
+ * The matcher splits an r-regular bipartite graph, given as the r
+ * columns of each row, into r perfect matchings: the slots of a BTU read
+ * from a file.  Both calls run without the GIL, so threads can share a
+ * search.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -14,7 +19,7 @@
 #include <stdlib.h>
 #include <string.h>
 
-enum { OK = 0, NO_MEMORY = -1, BAD_IMAGE = -2, BAD_ROW = -3 };
+enum { OK = 0, NO_MEMORY = -1, BAD_IMAGE = -2, BAD_ROW = -3, NOT_REGULAR = -4 };
 
 typedef struct {
     const char *table;
@@ -177,6 +182,92 @@ static Py_ssize_t girth_many(const Batch *b)
     return g;
 }
 
+/* Depth-first augmenting-path search from row `root`, on explicit stacks
+ * of at most m rows: each row on the path first takes its first free
+ * column, in adj order; failing that, it descends into its unseen
+ * columns in that order.  On success every column along the path passes
+ * to the row above it.  A column is seen in this search when seen holds
+ * root for it, so one array serves every root of a matching.  adj rows
+ * are `stride` apart and hold w columns.  Returns whether owner grew. */
+static int augment(const int *adj, Py_ssize_t stride, int w, int *owner, int *seen,
+                   int root, int *rows, int *next, int *via)
+{
+    int depth = 0, row = root;
+    for (;;) {
+        const int *cols = adj + row * stride;
+        for (int k = 0; k < w; k++)
+            if (owner[cols[k]] < 0) {
+                owner[cols[k]] = row;
+                for (int d = 0; d < depth; d++)
+                    owner[via[d]] = rows[d];
+                return 1;
+            }
+        rows[depth] = row;
+        next[depth++] = 0;
+        for (;;) {
+            if (!depth)
+                return 0;
+            const int *top = adj + rows[depth - 1] * stride;
+            int k = next[depth - 1];
+            while (k < w && seen[top[k]] == root)
+                k++;
+            if (k == w) {
+                depth--;
+                continue;
+            }
+            next[depth - 1] = k + 1;
+            seen[top[k]] = root;
+            via[depth - 1] = top[k];
+            row = owner[top[k]];
+            break;
+        }
+    }
+}
+
+/* Splits the (m, r) column table adj, which it overwrites, into r slots
+ * of m columns in out.  Each of r-1 rounds matches rows in order, each
+ * taking its first free column or else augmenting, and then removes
+ * every row's matched column (its first copy) from its list; the last
+ * slot is the one column each row has left.  OK, or NOT_REGULAR when a
+ * round finds no perfect matching or the residual is not a permutation.
+ * work holds 5*m ints. */
+static int split(int *adj, int m, int r, int *out, int *work)
+{
+    int *owner = work, *seen = owner + m, *rows = seen + m, *next = rows + m, *via = next + m;
+    for (int t = 0; t < r - 1; t++) {
+        int w = r - t, *slot = out + (Py_ssize_t)t * m;
+        memset(owner, 0xff, (size_t)m * sizeof(int));
+        memset(seen, 0xff, (size_t)m * sizeof(int));
+        for (int i = 0; i < m; i++) {
+            const int *cols = adj + (Py_ssize_t)i * r;
+            int k = 0;
+            while (k < w && owner[cols[k]] >= 0)
+                k++;
+            if (k < w)
+                owner[cols[k]] = i;
+            else if (!augment(adj, r, w, owner, seen, i, rows, next, via))
+                return NOT_REGULAR;
+        }
+        for (int j = 0; j < m; j++)
+            slot[owner[j]] = j;
+        for (int i = 0; i < m; i++) {
+            int *cols = adj + (Py_ssize_t)i * r, k = 0;
+            while (cols[k] != slot[i])
+                k++;
+            memmove(cols + k, cols + k + 1, (size_t)(w - 1 - k) * sizeof(int));
+        }
+    }
+    int *last = out + (Py_ssize_t)(r - 1) * m;
+    memset(seen, 0, (size_t)m * sizeof(int));
+    for (int i = 0; i < m; i++) {
+        int j = adj[(Py_ssize_t)i * r];
+        if (seen[j]++)
+            return NOT_REGULAR;
+        last[i] = j;
+    }
+    return OK;
+}
+
 /* Takes a C-contiguous buffer from obj into view, of items of 4 bytes
  * (or of 1, 2 or 4 when `any_width`), with at least `need` items, or
  * exactly that many when `exact`; need < 0 asks nothing of the count. */
@@ -256,6 +347,53 @@ static PyObject *girth_batch(PyObject *Py_UNUSED(self), PyObject *args)
     return done < 0 ? NULL : PyLong_FromSsize_t(done);
 }
 
+static PyObject *split_slots(PyObject *Py_UNUSED(self), PyObject *args)
+{
+    PyObject *cols_obj, *out_obj;
+    int m, r;
+    Py_buffer cols, out;
+    if (!PyArg_ParseTuple(args, "OiiO:split_slots", &cols_obj, &m, &r, &out_obj))
+        return NULL;
+    if (m < 1 || r < 1) {
+        PyErr_Format(PyExc_ValueError, "need m, r >= 1, got m=%d, r=%d", m, r);
+        return NULL;
+    }
+    Py_ssize_t need = (Py_ssize_t)m * r;
+    if (get_buffer(cols_obj, &cols, PyBUF_SIMPLE, "cols", 0, need, 1) < 0)
+        return NULL;
+    if (get_buffer(out_obj, &out, PyBUF_WRITABLE, "out", 0, need, 0) < 0) {
+        PyBuffer_Release(&cols);
+        return NULL;
+    }
+    int status = OK, *adj = NULL;
+    const int *given = cols.buf;
+    for (Py_ssize_t at = 0; at < need; at++)
+        if (given[at] < 0 || given[at] >= m) {
+            status = BAD_IMAGE;
+            break;
+        }
+    if (status == OK && !(adj = malloc((size_t)(need + 5 * (Py_ssize_t)m) * sizeof(int))))
+        status = NO_MEMORY;
+    if (status == OK) {
+        memcpy(adj, given, (size_t)need * sizeof(int));
+        Py_BEGIN_ALLOW_THREADS
+        status = split(adj, m, r, out.buf, adj + need);
+        Py_END_ALLOW_THREADS
+    }
+    free(adj);
+    PyBuffer_Release(&out);
+    PyBuffer_Release(&cols);
+    if (status == OK)
+        Py_RETURN_NONE;
+    if (status == NO_MEMORY)
+        PyErr_NoMemory();
+    else if (status == BAD_IMAGE)
+        PyErr_Format(PyExc_ValueError, "each column must be in 0..%d", m - 1);
+    else
+        PyErr_SetString(PyExc_ValueError, "matrix is not regular: no perfect matching");
+    return NULL;
+}
+
 static PyMethodDef methods[] = {
     {"girth_batch", girth_batch, METH_VARARGS,
      "girth_batch(table, index, n_graphs, m, r, out, cutoff, slack=0, stop=0)\n\n"
@@ -266,13 +404,23 @@ static PyMethodDef methods[] = {
      "out entry before it) - slack; out[g] is exact when the girth exceeds\n"
      "that cutoff, and otherwise some value v with girth <= v <= cutoff.\n"
      "With stop > 0 the call ends after the first entry >= stop."},
+    {"split_slots", split_slots, METH_VARARGS,
+     "split_slots(cols, m, r, out)\n\n"
+     "Splits an r-regular bipartite graph into r perfect matchings, releasing\n"
+     "the GIL: cols holds m rows of r 0-based columns in 4-byte ints, row i's\n"
+     "list in the order the matcher scans it, and out[t*m + i] gets row i's\n"
+     "column in slot t.  Each of r-1 rounds gives every row in turn its first\n"
+     "free column, or else augments depth-first over its unseen columns, and\n"
+     "then removes the matched column from each list; the last slot is what\n"
+     "the lists have left.  ValueError when a column is out of range or the\n"
+     "lists do not split into perfect matchings."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_girth_c",
-    .m_doc = "Compiled girth kernel.",
+    .m_doc = "Compiled girth kernel and slot matcher.",
     .m_size = -1,
     .m_methods = methods,
 };

@@ -1,4 +1,4 @@
-"""Pure-Python girth kernel.
+"""Pure-Python girth kernel and slot matcher.
 
 Same contract as the compiled kernel in _girth_c: a batch is a table of
 rows of m 0-based one-line images, in unsigned ints of 1, 2 or 4 bytes,
@@ -8,15 +8,22 @@ vertex row[i] of each of its slots, and its girth is the length of the
 shortest cycle (2 for a double edge), or 0 for a forest.  Input that
 would make the BFS index out of range raises ValueError, as it does
 there.
+
+`split_slots` is the reference of the compiled matcher: the same r
+perfect matchings of an r-regular bipartite graph, slot for slot, and
+ValueError for the same inputs.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 
 # Unsigned struct format per item size: the kernels read every table as
 # unsigned, so a negative value is out of range in both.
 _UNSIGNED = {1: "B", 2: "H", 4: "I"}
+
+_NOT_REGULAR = "matrix is not regular: no perfect matching"
 
 
 def _ints(obj, what: str, sizes: tuple[int, ...], need: int | None, exact: bool) -> memoryview:
@@ -108,3 +115,99 @@ def _girth(images: list[list[int]], m: int) -> int:
                     if best == 0 or cycle < best:
                         best = cycle
     return best
+
+
+def split_slots(cols, m: int, r: int, out) -> None:
+    """Writes to out[t*m + i] row i's column in slot t of the r perfect
+    matchings that split cols, m rows of r 0-based columns in 4-byte
+    ints, each row's list in the order the matcher scans it.
+
+    Each of r-1 rounds is one `_extract_matching`, after which every
+    row's matched column (its first copy) leaves its list; the last slot
+    is the one column each row has left.  ValueError when a column is out
+    of range or the lists do not split into perfect matchings.
+    """
+    if m < 1 or r < 1:
+        raise ValueError(f"need m, r >= 1, got m={m}, r={r}")
+    items = _ints(cols, "cols", (4,), m * r, exact=True).tolist()
+    out_view = _ints(out, "out", (4,), m * r, exact=False)
+    if not all(0 <= j < m for j in items):
+        raise ValueError(f"each column must be in 0..{m - 1}")
+    remaining = [items[i * r : i * r + r] for i in range(m)]
+    slots = []
+    for _ in range(r - 1):
+        row_to_col = _extract_matching(remaining, m)
+        slots.append(row_to_col)
+        for i, j in enumerate(row_to_col):
+            remaining[i].remove(j)
+    last = [row[0] for row in remaining]
+    if sorted(last) != list(range(m)):
+        raise ValueError(_NOT_REGULAR)
+    slots.append(last)
+    out_view[: m * r] = array("i", [j for slot in slots for j in slot])
+
+
+def _augment(
+    adj: list[list[int]], col_owner: list[int], root: int, seen: list[int]
+) -> bool:
+    """Depth-first augmenting-path search from `root`, on an explicit stack.
+
+    Each row on the path first takes its first free column, in list
+    order (ascending for a BTU read from a file); failing that, it
+    descends into its unseen columns in that order.  On success every
+    column along the path passes to the row above it.  A column counts
+    as seen in this search when `seen` holds `root` for it, so one array
+    serves every root of a matching.  Augmenting paths can be as long as
+    m, hence no recursion.
+    """
+    frames = []  # (row, iterator over the columns it has yet to descend into)
+    path = []  # (row, column) of each descent between consecutive frames
+    row = root
+    while True:
+        for j in adj[row]:
+            if col_owner[j] == -1:
+                col_owner[j] = row
+                for owner, col in path:
+                    col_owner[col] = owner
+                return True
+        frames.append((row, iter(adj[row])))
+        while frames:
+            row, cols = frames[-1]
+            for j in cols:
+                if seen[j] != root:
+                    break
+            else:
+                frames.pop()
+                if path:
+                    path.pop()
+                continue
+            seen[j] = root
+            path.append((row, j))
+            row = col_owner[j]
+            break
+        else:
+            return False
+
+
+def _extract_matching(adj: list[list[int]], m: int) -> list[int]:
+    """One perfect matching, rows greedily then by augmenting paths.
+
+    Rows are processed in order; each row first takes its first free
+    column, and only augments (again scanning columns in list order)
+    when none of its columns is free.  Regularity of the residual
+    matrix guarantees a perfect matching exists.
+    """
+    col_owner = [-1] * m
+    seen = [-1] * m
+    for i in range(m):
+        for j in adj[i]:
+            if col_owner[j] == -1:
+                col_owner[j] = i
+                break
+        else:
+            if not _augment(adj, col_owner, i, seen):
+                raise ValueError(_NOT_REGULAR)
+    row_to_col = [-1] * m
+    for j, i in enumerate(col_owner):
+        row_to_col[i] = j
+    return row_to_col

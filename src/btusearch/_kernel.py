@@ -1,4 +1,10 @@
-"""Selects the girth kernel at import: compiled if available, else pure."""
+"""Selects the kernel at import: compiled if available, else pure.
+
+One module holds both calls: `girth_batch`, the girth of each graph of
+a batch, and `split_slots`, the slots of a BTU read from a file.  The
+compiled module `_girth_c` holds both in C; `_girth_py` is the
+pure-Python reference of each.
+"""
 
 from __future__ import annotations
 
@@ -45,3 +51,19 @@ def girth_batch(
     out = np.empty(n_graphs, dtype=np.int32)
     done = _impl.girth_batch(table, index, n_graphs, m, r, out, cutoff, slack, stop)
     return out[:done]
+
+
+def split_slots(cols: np.ndarray) -> np.ndarray:
+    """The r perfect matchings of an (m, r) table of 0-based columns,
+    row i's columns in the order the matcher scans them, as an (r, m)
+    int32 array: slot t joins row i to column out[t, i].
+
+    r-1 rounds each match the rows in order, every row taking its first
+    free column or else augmenting depth-first over its unseen columns;
+    the last slot is read off the 1-regular residual.  ValueError when a
+    column is out of range or the table is not regular.
+    """
+    m, r = cols.shape
+    out = np.empty((r, m), dtype=np.int32)
+    _impl.split_slots(np.ascontiguousarray(cols, dtype=np.int32), m, r, out)
+    return out

@@ -137,71 +137,6 @@ def cell_degree(m: int, cells: np.ndarray) -> int:
     return r
 
 
-def _augment(
-    adj: list[list[int]], col_owner: list[int], root: int, seen: list[int]
-) -> bool:
-    """Depth-first augmenting-path search from `root`, on an explicit stack.
-
-    Each row on the path first takes its lowest free column; failing
-    that, it descends into its unseen columns in ascending order.  On
-    success every column along the path passes to the row above it.
-    A column counts as seen in this search when `seen` holds `root`
-    for it, so one array serves every root of a matching.  Augmenting
-    paths can be as long as m, hence no recursion.
-    """
-    frames = []  # (row, iterator over the columns it has yet to descend into)
-    path = []  # (row, column) of each descent between consecutive frames
-    row = root
-    while True:
-        for j in adj[row]:
-            if col_owner[j] == -1:
-                col_owner[j] = row
-                for owner, col in path:
-                    col_owner[col] = owner
-                return True
-        frames.append((row, iter(adj[row])))
-        while frames:
-            row, cols = frames[-1]
-            for j in cols:
-                if seen[j] != root:
-                    break
-            else:
-                frames.pop()
-                if path:
-                    path.pop()
-                continue
-            seen[j] = root
-            path.append((row, j))
-            row = col_owner[j]
-            break
-        else:
-            return False
-
-
-def _extract_matching(adj: list[list[int]], m: int) -> list[int]:
-    """One perfect matching, rows greedily then by augmenting paths.
-
-    Rows are processed in order; each row first takes its lowest free
-    column, and only augments (again scanning columns in ascending
-    order) when none of its columns is free.  Regularity of the residual
-    matrix guarantees a perfect matching exists.
-    """
-    col_owner = [-1] * m
-    seen = [-1] * m
-    for i in range(m):
-        for j in adj[i]:
-            if col_owner[j] == -1:
-                col_owner[j] = i
-                break
-        else:
-            if not _augment(adj, col_owner, i, seen):
-                raise ValueError("matrix is not regular: no perfect matching")
-    row_to_col = [-1] * m
-    for j, i in enumerate(col_owner):
-        row_to_col[i] = j
-    return row_to_col
-
-
 def regular_degree(mat: np.ndarray) -> int:
     """cell_degree of a square 0/1 matrix; ValueError for any other."""
     return cell_degree(*_square_cells(mat))
@@ -212,21 +147,19 @@ def decompose(m: int, cells: np.ndarray) -> BTU:
     permutations summing back to it.
 
     The inverse of to_cells for file import; slot order is the
-    deterministic matching-extraction order.
+    deterministic matching order of `_kernel.split_slots`, compiled or
+    pure.  The slots are permutations by construction, so only whether
+    two agree at some row is checked, one whole-row comparison a pair:
+    with a cell listed twice they do, and make_btu names the first such
+    pair and row as it always has.
     """
     r = cell_degree(m, cells)
     # Row i's columns, ascending, are the i-th run of r cells.
-    remaining = (cells % m).reshape(m, r).tolist()
-    perms = []
-    for _ in range(r - 1):
-        row_to_col = _extract_matching(remaining, m)
-        perms.append(Permutation(tuple(j + 1 for j in row_to_col)))
-        for i, j in enumerate(row_to_col):
-            remaining[i].remove(j)
-    # The residual is 1-regular, a permutation matrix, so its one
-    # matching is the last slot.
-    perms.append(Permutation(tuple(cols[0] + 1 for cols in remaining)))
-    return make_btu(perms)
+    slots = _kernel.split_slots((cells % m).reshape(m, r))
+    perms = tuple(map(Permutation.unchecked, map(tuple, (slots + 1).tolist())))
+    if any((slots[a] == slots[b]).any() for a in range(r) for b in range(a + 1, r)):
+        make_btu(perms)  # raises CompatibilityError
+    return BTU(m=m, r=r, perms=perms)
 
 
 def decompose_matrix(mat: np.ndarray) -> BTU:

@@ -9,6 +9,7 @@ or unreadable file, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from pathlib import Path
@@ -167,7 +168,10 @@ def _cmd_export(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it as it was,
+    and each subcommand's function reads the names it calls when it runs."""
     parser = argparse.ArgumentParser(
         prog="btusearch",
         description="Search and validate girth-maximum regular bipartite graphs.",

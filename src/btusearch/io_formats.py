@@ -113,9 +113,15 @@ def cells_to_text(shape: tuple[int, int], cells: np.ndarray) -> str:
 
     Built as one buffer of (digit, separator) pairs, row after row of
     "0 " with "0\n" last, so cell c is pair c and becomes "1" by adding 1.
+    The buffer is allocated 64 bytes longer than the text.  Once freed,
+    it can then hold the text's encoded copy, which writing the str to a
+    file makes: a bytes object of the same length plus a 33-byte header.
+    An exact-size buffer leaves a hole too small for it, and at m = 2048
+    the copy then took 8 MB of fresh memory.
     """
     n_rows, n_cols = shape
-    buf = np.tile(_zero_row(n_cols), n_rows)
+    buf = np.empty(n_rows * n_cols + 32, dtype="<u2")[:-32]
+    buf.reshape(n_rows, n_cols)[:] = _zero_row(n_cols)
     buf[cells] += 1
     return str(buf, "ascii")
 

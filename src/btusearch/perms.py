@@ -81,13 +81,22 @@ class Permutation:
     image: tuple[int, ...]
 
     def __post_init__(self):
-        image = tuple(int(x) for x in self.image)
+        image = tuple(map(int, self.image))
         object.__setattr__(self, "image", image)
         n = len(image)
         if n < 1:
             raise ValueError("permutation degree must be >= 1")
-        if sorted(image) != list(range(1, n + 1)):
+        # n distinct ints from 1 to n are 1..n, without a sort.
+        if len(set(image)) != n or min(image) != 1 or max(image) != n:
             raise ValueError(f"not a permutation of 1..{n}: {image}")
+
+    @classmethod
+    def unchecked(cls, image: tuple[int, ...]) -> "Permutation":
+        """The permutation of a tuple of ints the caller knows to be one
+        of 1..n, built without converting or checking it."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "image", image)
+        return p
 
     @property
     def n(self) -> int:

@@ -5,13 +5,14 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from strategies import regular_matrices
 
 from btusearch.btu import (
     adjacent_partitions,
     canonicalize_order,
+    decompose,
     decompose_matrix,
     girth,
     in_Z,
@@ -198,7 +199,11 @@ class TestDecompose:
         assert again.m == m and again.r == 3
         assert (to_biadjacency(again) == mat).all()
 
-    @settings(max_examples=150, deadline=None)
+    # TestDecomposeOnEachMatcher runs this with a function-scoped fixture,
+    # which holds no state between examples.
+    @settings(
+        max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
     @given(mat=regular_matrices())
     def test_same_slots_as_the_row_list_construction(self, mat):
         assert decompose_matrix(mat) == ref_decompose_matrix(mat)
@@ -223,6 +228,36 @@ class TestDecompose:
             b = make_btu([identity(m), circular_rotation(m, 1), circular_rotation(m, 3)])
         mat = to_biadjacency(b)
         assert decompose_matrix(mat) == ref_decompose_matrix(mat)
+
+    @pytest.mark.parametrize(
+        "m,cells,error,text",
+        [
+            # A cell listed twice: the slots that both take it are named,
+            # with its row.
+            (4, [0, 0, 2, 5, 5, 7, 10, 10, 11, 12, 13, 15], CompatibilityError,
+             "permutations 1 and 2 agree at position 2"),
+            (5, [0, 3, 4, 5, 6, 9, 10, 11, 13, 17, 17, 19, 21, 22, 23], CompatibilityError,
+             "permutations 1 and 3 agree at position 4"),
+            (3, [1, 2, 2, 3, 4, 4, 6, 6, 8], CompatibilityError,
+             "permutations 2 and 3 agree at position 1"),
+            (3, [0, 1, 4], ValueError, "matrix is not regular: row/column sums differ"),
+            (0, [], ValueError, "a BTU needs at least one permutation"),
+            (3, [], ValueError, "a BTU needs at least one permutation"),  # r = 0
+        ],
+        ids=["dup-1-2", "dup-1-3", "dup-2-3", "irregular", "empty", "r0"],
+    )
+    def test_refusals_as_before(self, m, cells, error, text):
+        # Exception types and texts recorded from decompose before the
+        # matcher was compiled.
+        with pytest.raises(error) as err:
+            decompose(m, np.array(cells, dtype=np.int64))
+        assert type(err.value) is error
+        assert str(err.value) == text
+
+
+@pytest.mark.usefixtures("backend")
+class TestDecomposeOnEachMatcher(TestDecompose):
+    """TestDecompose on the pure slot matcher and on the compiled one."""
 
 
 class TestRegularDegree:

@@ -459,6 +459,39 @@ class TestUsageErrors:
         assert err.value.code == 2
 
 
+class TestOneParser:
+    """`main` builds its parser once per process; calls one after another
+    give what each gives with a parser of its own."""
+
+    CALLS = [
+        ["search", "-m", "12", "-r", "3", "--cap", "5", "--no-timing"],
+        ["search", "-m", "12", "-r", "3", "--no-timing"],
+        ["params", "-m", "4", "-r", "2", "--bogus"],
+        ["params", "-m", "12", "-r", "3"],
+    ]
+
+    @staticmethod
+    def outcome(capsys, argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_back_to_back_calls_match_fresh_ones(self, capsys):
+        back_to_back = [self.outcome(capsys, argv) for argv in self.CALLS]
+        assert _build_parser() is _build_parser()
+        fresh = []
+        for argv in self.CALLS:
+            _build_parser.cache_clear()
+            fresh.append(self.outcome(capsys, argv))
+        assert back_to_back == fresh
+        assert [code for code, _, _ in fresh] == [0, 0, 2, 0]
+        # The cap of the first call does not carry over to the second.
+        assert [json.loads(out)["girth"] for _, out, _ in fresh[:2]] == [4, 6]
+
+
 class TestInputHardening:
     @pytest.mark.parametrize("command", [["girth"], ["export", "--format", "dot"]])
     def test_missing_input_exits_one(self, capsys, tmp_path, command):

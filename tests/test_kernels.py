@@ -1,6 +1,7 @@
 """Both girth kernels agree with each other and with networkx, and keep
 the `girth_batch` contract: the cutoff that rises after every graph, the
-stop, and the input checks.
+stop, and the input checks.  Both slot matchers give the same slots and
+refuse the same input.
 
 The compiled kernel comes from the `compiled_kernel` fixture in
 conftest.py, which builds it from this checkout's C source.
@@ -10,9 +11,11 @@ import random
 from array import array
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from strategies import regular_matrices
 
 from btusearch import _girth_py
 from btusearch.btu import to_biadjacency
@@ -336,3 +339,108 @@ class TestChecksBeforeAnyRead:
         with pytest.raises(ValueError):
             kernel.girth_batch(table, index, len(seeds), m, r, out, -1)
         assert list(out) == [-1] * len(seeds)
+
+
+def columns_of(mat):
+    """The (m, r) int32 table of each row's columns, ascending."""
+    m = len(mat)
+    return (np.flatnonzero(mat) % m).astype(np.int32).reshape(m, -1)
+
+
+def split(kernel, cols):
+    """kernel.split_slots of an (m, r) table, as an (r, m) array."""
+    m, r = cols.shape
+    out = np.full((r, m), -1, dtype=np.int32)
+    assert kernel.split_slots(np.ascontiguousarray(cols), m, r, out) is None
+    return out
+
+
+def circulant_columns(m, shifts=(0, 1, 3)):
+    return np.sort((np.arange(m)[:, None] + np.array(shifts)) % m, axis=1).astype(np.int32)
+
+
+class TestSlotMatcher:
+    """The compiled matcher gives the pure one's slots, slot for slot, and
+    refuses the same input."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(mat=regular_matrices(max_m=40, max_r=6), data=st.data(), scramble=st.booleans())
+    def test_matches_pure(self, compiled_kernel, mat, data, scramble):
+        m = len(mat)
+        rows = data.draw(st.permutations(range(m)))
+        cols = columns_of(mat[np.ix_(rows, data.draw(st.permutations(range(m))))])
+        if scramble:  # the matcher scans each row's list in its given order
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+            cols = rng.permuted(cols, axis=1)
+        slots = split(compiled_kernel, cols)
+        assert (slots == split(_girth_py, cols)).all()
+        assert (np.sort(slots, axis=1) == np.arange(m)).all()  # each slot a permutation
+        assert (np.sort(slots, axis=0) == np.sort(cols.T, axis=0)).all()  # of the cells
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), m=st.integers(1, 30), r=st.integers(1, 6))
+    def test_matches_pure_with_repeats(self, compiled_kernel, data, m, r):
+        # Any table that lists every column r times splits, repeats in a
+        # row included: those rows' slots agree, and the copy a round
+        # removes decides the order of what is left.
+        listed = data.draw(st.permutations([j for j in range(m) for _ in range(r)]))
+        cols = np.array(listed, dtype=np.int32).reshape(m, r)
+        assert (split(compiled_kernel, cols) == split(_girth_py, cols)).all()
+
+    @pytest.mark.parametrize("r", range(1, 7))
+    def test_every_degree(self, compiled_kernel, r):
+        cols = circulant_columns(12, range(0, 2 * r, 2))[::-1].copy()
+        assert (split(compiled_kernel, cols) == split(_girth_py, cols)).all()
+
+    @pytest.mark.parametrize("a", [1, 17])
+    def test_long_augmenting_paths(self, compiled_kernel, a):
+        # The (2000, 3) circulant with column j renamed a*j mod 2000.  With
+        # a = 1 no augmenting path passes more than one row; with a = 17
+        # one passes 1,690 rows.
+        cols = np.sort(a * circulant_columns(2000) % 2000, axis=1)
+        assert (split(compiled_kernel, cols) == split(_girth_py, cols)).all()
+
+    def test_random_full_size(self, compiled_kernel):
+        # Its longest augmenting path passes 574 rows.
+        images = random_images(2048, 3, 7)
+        cols = np.sort(np.array(images, dtype=np.int32) - 1, axis=0).T.copy()
+        assert (split(compiled_kernel, cols) == split(_girth_py, cols)).all()
+
+    def test_repeated_column(self, kernel):
+        # A column listed twice in a row lands in two slots at that row.
+        cols = np.array([[0, 0], [1, 1]], dtype=np.int32)
+        assert split(kernel, cols).tolist() == [[0, 1], [0, 1]]
+
+    GOOD_COLS = np.array([[0, 1], [1, 2], [0, 2]], dtype=np.int32)
+
+    @pytest.mark.parametrize(
+        "cols,m,r,out",
+        [
+            (GOOD_COLS.astype(np.int64), 3, 2, np.zeros(6, np.int32)),  # 8-byte columns
+            (GOOD_COLS.astype(np.int16), 3, 2, np.zeros(6, np.int32)),  # 2-byte columns
+            (GOOD_COLS, 3, 2, np.zeros(6, np.int64)),  # 8-byte out
+            (GOOD_COLS, 3, 2, np.zeros(5, np.int32)),  # out too short
+            (GOOD_COLS, 2, 2, np.zeros(6, np.int32)),  # too many columns
+            (GOOD_COLS, 4, 2, np.zeros(8, np.int32)),  # too few
+            (GOOD_COLS, 6, 0, np.zeros(6, np.int32)),
+            (GOOD_COLS, 0, 6, np.zeros(6, np.int32)),
+            (np.array([[0, 1], [1, 3], [0, 2]], np.int32), 3, 2, np.zeros(6, np.int32)),
+            (np.array([[0, 1], [1, -1], [0, 2]], np.int32), 3, 2, np.zeros(6, np.int32)),
+            (np.array([[0, 1], [0, 1], [0, 1]], np.int32), 3, 2, np.zeros(6, np.int32)),
+            (np.array([[0, 1], [0, 2], [0, 2]], np.int32), 3, 2, np.zeros(6, np.int32)),
+            (np.array([[0], [0], [2]], np.int32), 3, 1, np.zeros(3, np.int32)),
+        ],
+        ids=["cols-8-byte", "cols-2-byte", "out-8-byte", "out-short", "cols-long",
+             "cols-short", "r0", "m0", "column-m", "column-negative", "no-matching",
+             "column-thrice", "residual-not-a-permutation"],
+    )
+    def test_rejects(self, kernel, cols, m, r, out):
+        with pytest.raises(ValueError):
+            kernel.split_slots(cols, m, r, out)
+
+    def test_bad_lists_name_the_cause(self, kernel):
+        out = np.zeros(6, np.int32)
+        with pytest.raises(ValueError, match=r"^each column must be in 0\.\.2$"):
+            kernel.split_slots(np.array([[0, 1], [1, 3], [0, 2]], np.int32), 3, 2, out)
+        with pytest.raises(ValueError, match="^matrix is not regular: no perfect matching$"):
+            kernel.split_slots(np.array([[0, 1], [0, 1], [0, 1]], np.int32), 3, 2, out)

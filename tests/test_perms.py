@@ -72,6 +72,33 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Permutation(())
 
+    @given(
+        image=st.integers(1, 9).flatmap(
+            lambda n: st.one_of(
+                st.lists(st.integers(-2, n + 2), min_size=n, max_size=n),
+                st.permutations(range(1, n + 1)).flatmap(
+                    lambda p: st.tuples(st.integers(0, n - 1), st.sampled_from([0, -1, 1, n, n + 1]))
+                    .map(lambda edit: p[: edit[0]] + [edit[1]] + p[edit[0] + 1 :])
+                ),
+                st.permutations(range(1, n + 1)),
+            )
+        )
+    )
+    def test_accepts_what_the_sorted_check_accepts(self, image):
+        # The check without a sort accepts exactly the images whose sorted
+        # values are 1..n, and refuses the rest with the same text.
+        n = len(image)
+        if sorted(image) == list(range(1, n + 1)):
+            assert Permutation(tuple(image)).image == tuple(image)
+        else:
+            with pytest.raises(ValueError) as err:
+                Permutation(tuple(image))
+            assert str(err.value) == f"not a permutation of 1..{n}: {tuple(image)}"
+
+    def test_unchecked_equals_checked(self):
+        assert Permutation.unchecked((3, 1, 2)) == Permutation((3, 1, 2))
+        assert hash(Permutation.unchecked((3, 1, 2))) == hash(Permutation((3, 1, 2)))
+
     def test_text_round_trip(self):
         p = Permutation((3, 4, 1, 2))
         assert p.to_text() == "3 4 1 2"
