@@ -1,5 +1,5 @@
-/* Compiled girth kernel and slot matcher; _girth_py is the reference
- * implementation of both.
+/* Compiled girth kernel, slot matcher and cycle grower; _girth_py is
+ * the reference implementation of all three.
  *
  * A batch is a table of image rows plus a row index.  The table holds
  * rows of m unsigned ints of 1, 2 or 4 bytes, each a 0-based one-line
@@ -9,8 +9,12 @@
  *
  * The matcher splits an r-regular bipartite graph, given as the r
  * columns of each row, into r perfect matchings: the slots of a BTU read
- * from a file.  Both calls run without the GIL, so threads can share a
- * search.
+ * from a file.
+ *
+ * The grower lists the n-cycles w of 0..n-1 that a stage >= 4 search
+ * keeps for its replaced slot, depth-first in the order of their words,
+ * and prunes a prefix at the first entry that fails a filter.  Every
+ * call runs without the GIL, so threads can share a search.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -19,7 +23,10 @@
 #include <stdlib.h>
 #include <string.h>
 
-enum { OK = 0, NO_MEMORY = -1, BAD_IMAGE = -2, BAD_ROW = -3, NOT_REGULAR = -4 };
+enum {
+    OK = 0, NO_MEMORY = -1, BAD_IMAGE = -2, BAD_ROW = -3, NOT_REGULAR = -4, BAD_HEAD = -5,
+    BAD_DIGIT = -6
+};
 
 typedef struct {
     const char *table;
@@ -268,18 +275,164 @@ static int split(int *adj, int m, int r, int *out, int *work)
     return OK;
 }
 
-/* Takes a C-contiguous buffer from obj into view, of items of 4 bytes
- * (or of 1, 2 or 4 when `any_width`), with at least `need` items, or
+/* The grower's input and output.  barred[x*n + v] bars w(x) = v;
+ * heads[v] is the point that inv(left).w reaches from x when w(x) = v;
+ * digits, when not NULL, holds the limit's n-1 factorial-base digits.
+ * Kept rows go to `rows`, n items of itemsize bytes each. */
+typedef struct {
+    const unsigned char *barred;
+    const int *heads, *digits;
+    int n, length, itemsize;
+    char *rows;
+    Py_ssize_t count, capacity;
+} Growth;
+
+/* Appends the image img to g's rows: OK or NO_MEMORY. */
+static int keep(Growth *g, const int *img)
+{
+    Py_ssize_t width = (Py_ssize_t)g->n * g->itemsize;
+    if (g->count == g->capacity) {
+        Py_ssize_t more = g->capacity ? 2 * g->capacity : 64;
+        char *rows = more <= PY_SSIZE_T_MAX / width
+                         ? realloc(g->rows, (size_t)more * (size_t)width)
+                         : NULL;
+        if (!rows)
+            return NO_MEMORY;
+        g->rows = rows;
+        g->capacity = more;
+    }
+    char *row = g->rows + g->count++ * width;
+    for (int i = 0; i < g->n; i++) {
+        if (g->itemsize == 1) {
+            row[i] = (char)img[i];
+        } else if (g->itemsize == 2) {
+            uint16_t v = (uint16_t)img[i];
+            memcpy(row + 2 * (Py_ssize_t)i, &v, 2);
+        } else {
+            uint32_t v = (uint32_t)img[i];
+            memcpy(row + 4 * (Py_ssize_t)i, &v, 4);
+        }
+    }
+    return OK;
+}
+
+/* Grows the words W of 0..n-2 depth-first in lexicographic order.  Word
+ * entry j fixes one edge x -> W[j] of w, from x = n-1 at j = 0 and from
+ * x = W[j-1] after, and the word closes with W[n-2] -> n-1.  An entry v
+ * is refused when barred, or when its edge x -> heads[v] of inv(left).w
+ * closes a cycle of other than `length` points or joins two paths into
+ * one of more.  A path is kept as each end's other end (`other`) and
+ * point count (`size`); a join records what it overwrote, so leaving
+ * the entry puts it back.  Under a limit, a prefix is tight while its
+ * entries' ranks among the values left equal the limit's digits: a
+ * tight prefix's entry j takes values up to the digits[j]-th left, and
+ * the one whole word that stays tight, of rank equal to the limit, is
+ * not kept.  Returns OK or NO_MEMORY. */
+static int grow(Growth *g)
+{
+    int n = g->n, len = g->length, last = n - 2;
+    int *work = malloc((size_t)n * 10 * sizeof(int));
+    unsigned char *used = calloc((size_t)n, 1);
+    if (!work || !used) {
+        free(work);
+        free(used);
+        return NO_MEMORY;
+    }
+    /* Per point: w's image so far, path ends.  Per entry: its value, the
+     * largest value it may take, whether its prefix is tight, and the
+     * start, end and two sizes a join overwrote (start < 0: a close). */
+    int *img = work, *other = img + n, *size = other + n, *value = size + n, *top = value + n,
+        *tight = top + n, *start = tight + n, *end = start + n, *sizes = end + n;
+    for (int x = 0; x < n; x++) {
+        other[x] = x;
+        size[x] = 1;
+    }
+    int j = 0, status = OK;
+    value[0] = -1;
+    tight[0] = g->digits != NULL;
+    for (;;) {
+        if (value[j] < 0) { /* a new entry: its range of values */
+            top[j] = last;
+            if (tight[j])
+                for (int v = 0, skip = g->digits[j]; v <= last; v++)
+                    if (!used[v] && !skip--) {
+                        top[j] = v;
+                        break;
+                    }
+        }
+        int x = j ? value[j - 1] : n - 1, v = value[j];
+        if (v >= 0) { /* leave the entry's last value */
+            used[v] = 0;
+            if (start[j] >= 0) {
+                other[start[j]] = x;
+                other[end[j]] = g->heads[v];
+                size[start[j]] = sizes[2 * j];
+                size[end[j]] = sizes[2 * j + 1];
+            }
+        }
+        int tail = other[x], at_x = size[x];
+        const unsigned char *bars = g->barred + (Py_ssize_t)x * n;
+        for (v++; v <= top[j]; v++) {
+            if (used[v] || bars[v])
+                continue;
+            int h = g->heads[v];
+            if (tail == h ? at_x == len : at_x + size[h] <= len)
+                break;
+        }
+        if (v > top[j]) { /* no value left: back to the entry before */
+            if (!j--)
+                break;
+            continue;
+        }
+        value[j] = v;
+        used[v] = 1;
+        img[x] = v;
+        int h = g->heads[v];
+        start[j] = -1;
+        if (tail != h) { /* join x's path to the path that starts at h */
+            int e = other[h], joined = at_x + size[h];
+            start[j] = tail;
+            end[j] = e;
+            sizes[2 * j] = at_x;
+            sizes[2 * j + 1] = size[h];
+            other[tail] = e;
+            other[e] = tail;
+            size[tail] = joined;
+            size[e] = joined;
+        }
+        if (j < last) {
+            tight[j + 1] = tight[j] && v == top[j];
+            value[++j] = -1;
+        } else if (!g->barred[(Py_ssize_t)v * n + n - 1] && size[v] == len &&
+                   !(tight[j] && v == top[j])) {
+            /* The closing edge v -> n-1 meets the one open path, whose
+             * other end is heads[n-1]. */
+            img[v] = n - 1;
+            if ((status = keep(g, img)) != OK)
+                break;
+        }
+    }
+    free(work);
+    free(used);
+    return status;
+}
+
+/* Takes a C-contiguous buffer from obj into view, of items of `width`
+ * bytes (of 1, 2 or 4 when width is 0), with at least `need` items, or
  * exactly that many when `exact`; need < 0 asks nothing of the count. */
 static int get_buffer(PyObject *obj, Py_buffer *view, int flags, const char *what,
-                      int any_width, Py_ssize_t need, int exact)
+                      int width, Py_ssize_t need, int exact)
 {
     if (PyObject_GetBuffer(obj, view, flags | PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0)
         return -1;
     Py_ssize_t size = view->itemsize, items = size ? view->len / size : 0;
-    if (size != 4 && !(any_width && (size == 1 || size == 2))) {
-        PyErr_Format(PyExc_ValueError, "%s must hold %s-byte ints, not %zd-byte items",
-                     what, any_width ? "1-, 2- or 4" : "4", size);
+    if (width ? size != width : size != 1 && size != 2 && size != 4) {
+        if (width)
+            PyErr_Format(PyExc_ValueError, "%s must hold %d-byte ints, not %zd-byte items",
+                         what, width, size);
+        else
+            PyErr_Format(PyExc_ValueError, "%s must hold 1-, 2- or 4-byte ints, not "
+                         "%zd-byte items", what, size);
     } else if (need >= 0 && (exact ? items != need : items < need)) {
         PyErr_Format(PyExc_ValueError, "%s has %zd items, needs %s%zd", what, items,
                      exact ? "" : "at least ", need);
@@ -308,13 +461,13 @@ static PyObject *girth_batch(PyObject *Py_UNUSED(self), PyObject *args)
         PyErr_SetString(PyExc_ValueError, "n_graphs * r is too large");
         return NULL;
     }
-    if (get_buffer(table_obj, &table, PyBUF_SIMPLE, "table", 1, -1, 0) < 0)
+    if (get_buffer(table_obj, &table, PyBUF_SIMPLE, "table", 0, -1, 0) < 0)
         return NULL;
-    if (get_buffer(index_obj, &index, PyBUF_SIMPLE, "index", 0, b.n * b.r, 1) < 0) {
+    if (get_buffer(index_obj, &index, PyBUF_SIMPLE, "index", 4, b.n * b.r, 1) < 0) {
         PyBuffer_Release(&table);
         return NULL;
     }
-    if (get_buffer(out_obj, &out, PyBUF_WRITABLE, "out", 0, b.n, 0) < 0) {
+    if (get_buffer(out_obj, &out, PyBUF_WRITABLE, "out", 4, b.n, 0) < 0) {
         PyBuffer_Release(&index);
         PyBuffer_Release(&table);
         return NULL;
@@ -359,9 +512,9 @@ static PyObject *split_slots(PyObject *Py_UNUSED(self), PyObject *args)
         return NULL;
     }
     Py_ssize_t need = (Py_ssize_t)m * r;
-    if (get_buffer(cols_obj, &cols, PyBUF_SIMPLE, "cols", 0, need, 1) < 0)
+    if (get_buffer(cols_obj, &cols, PyBUF_SIMPLE, "cols", 4, need, 1) < 0)
         return NULL;
-    if (get_buffer(out_obj, &out, PyBUF_WRITABLE, "out", 0, need, 0) < 0) {
+    if (get_buffer(out_obj, &out, PyBUF_WRITABLE, "out", 4, need, 0) < 0) {
         PyBuffer_Release(&cols);
         return NULL;
     }
@@ -394,6 +547,68 @@ static PyObject *split_slots(PyObject *Py_UNUSED(self), PyObject *args)
     return NULL;
 }
 
+static PyObject *grow_cycles(PyObject *Py_UNUSED(self), PyObject *args)
+{
+    PyObject *barred_obj, *heads_obj, *digits_obj;
+    Growth g = {.rows = NULL, .count = 0, .capacity = 0};
+    Py_buffer barred, heads, digits = {.obj = NULL};
+    if (!PyArg_ParseTuple(args, "OOOiii:grow_cycles", &barred_obj, &heads_obj, &digits_obj,
+                          &g.n, &g.length, &g.itemsize))
+        return NULL;
+    if (g.n < 2 || g.length < 1 || !(g.itemsize == 1 || g.itemsize == 2 || g.itemsize == 4) ||
+        (g.itemsize < 4 && (g.n - 1) >> (8 * g.itemsize - 1))) {
+        PyErr_Format(PyExc_ValueError, "need n >= 2, length >= 1 and a signed item size of "
+                     "1, 2 or 4 bytes that holds n-1, got n=%d, length=%d, itemsize=%d",
+                     g.n, g.length, g.itemsize);
+        return NULL;
+    }
+    int n = g.n;
+    if (get_buffer(barred_obj, &barred, PyBUF_SIMPLE, "barred", 1, (Py_ssize_t)n * n, 1) < 0)
+        return NULL;
+    if (get_buffer(heads_obj, &heads, PyBUF_SIMPLE, "heads", 4, n, 1) < 0) {
+        PyBuffer_Release(&barred);
+        return NULL;
+    }
+    if (digits_obj != Py_None &&
+        get_buffer(digits_obj, &digits, PyBUF_SIMPLE, "digits", 4, n - 1, 1) < 0) {
+        PyBuffer_Release(&heads);
+        PyBuffer_Release(&barred);
+        return NULL;
+    }
+    g.barred = barred.buf;
+    g.heads = heads.buf;
+    g.digits = digits.obj ? digits.buf : NULL;
+    int status = OK, bad = 0;
+    for (int v = 0; v < n && status == OK; v++)
+        if (g.heads[v] < 0 || g.heads[v] >= n)
+            status = BAD_HEAD;
+    for (int j = 0; g.digits && j < n - 1 && status == OK; j++)
+        if (g.digits[j] < 0 || g.digits[j] > n - 2 - j) {
+            status = BAD_DIGIT;
+            bad = j;
+        }
+    if (status == OK) {
+        Py_BEGIN_ALLOW_THREADS
+        status = grow(&g);
+        Py_END_ALLOW_THREADS
+    }
+    if (digits.obj)
+        PyBuffer_Release(&digits);
+    PyBuffer_Release(&heads);
+    PyBuffer_Release(&barred);
+    PyObject *rows = NULL;
+    if (status == OK)
+        rows = PyByteArray_FromStringAndSize(g.rows, g.count * n * g.itemsize);
+    else if (status == NO_MEMORY)
+        PyErr_NoMemory();
+    else if (status == BAD_HEAD)
+        PyErr_Format(PyExc_ValueError, "each head must be in 0..%d", n - 1);
+    else
+        PyErr_Format(PyExc_ValueError, "digits[%d] must be in 0..%d", bad, n - 2 - bad);
+    free(g.rows);
+    return rows;
+}
+
 static PyMethodDef methods[] = {
     {"girth_batch", girth_batch, METH_VARARGS,
      "girth_batch(table, index, n_graphs, m, r, out, cutoff, slack=0, stop=0)\n\n"
@@ -414,13 +629,23 @@ static PyMethodDef methods[] = {
      "then removes the matched column from each list; the last slot is what\n"
      "the lists have left.  ValueError when a column is out of range or the\n"
      "lists do not split into perfect matchings."},
+    {"grow_cycles", grow_cycles, METH_VARARGS,
+     "grow_cycles(barred, heads, digits, n, length, itemsize)\n\n"
+     "Grows, depth-first and releasing the GIL, the n-cycles w of 0..n-1 in\n"
+     "the lexicographic order of their words W (w(n-1) = W[0], w(W[i]) =\n"
+     "W[i+1], w(W[-1]) = n-1), and returns the kept ones as one bytearray of\n"
+     "rows of n ints of itemsize bytes.  A row is kept when no\n"
+     "barred[x*n + w(x)] byte is set, every cycle of x -> heads[w(x)] has\n"
+     "`length` points, and, when digits (n-1 4-byte ints) is not None, its\n"
+     "word's rank is below the limit those factorial-base digits spell.\n"
+     "heads holds n 4-byte ints in 0..n-1."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_girth_c",
-    .m_doc = "Compiled girth kernel and slot matcher.",
+    .m_doc = "Compiled girth kernel, slot matcher and cycle grower.",
     .m_size = -1,
     .m_methods = methods,
 };

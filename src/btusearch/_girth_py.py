@@ -1,4 +1,4 @@
-"""Pure-Python girth kernel and slot matcher.
+"""Pure-Python girth kernel, slot matcher and cycle grower.
 
 Same contract as the compiled kernel in _girth_c: a batch is a table of
 rows of m 0-based one-line images, in unsigned ints of 1, 2 or 4 bytes,
@@ -11,13 +11,17 @@ there.
 
 `split_slots` is the reference of the compiled matcher: the same r
 perfect matchings of an r-regular bipartite graph, slot for slot, and
-ValueError for the same inputs.
+ValueError for the same inputs.  `grow_cycles` is the reference of the
+compiled grower: the same rows in the same order, grown breadth-first
+with numpy where the compiled one grows them depth-first.
 """
 
 from __future__ import annotations
 
 from array import array
 from collections import deque
+
+import numpy as np
 
 # Unsigned struct format per item size: the kernels read every table as
 # unsigned, so a negative value is out of range in both.
@@ -31,11 +35,11 @@ def _ints(obj, what: str, sizes: tuple[int, ...], need: int | None, exact: bool)
     `need` of them, or exactly that many when `exact`."""
     view = memoryview(obj)
     if view.itemsize not in sizes:
-        widths = "1-, 2- or 4" if len(sizes) > 1 else "4"
+        widths = "1-, 2- or 4" if len(sizes) > 1 else sizes[0]
         raise ValueError(
             f"{what} must hold {widths}-byte ints, not {view.itemsize}-byte items"
         )
-    view = view.cast("B").cast(_UNSIGNED[view.itemsize] if len(sizes) > 1 else "i")
+    view = view.cast("B").cast("i" if sizes == (4,) else _UNSIGNED[view.itemsize])
     if need is not None and (len(view) != need if exact else len(view) < need):
         qualifier = "" if exact else "at least "
         raise ValueError(f"{what} has {len(view)} items, needs {qualifier}{need}")
@@ -211,3 +215,84 @@ def _extract_matching(adj: list[list[int]], m: int) -> list[int]:
     for j, i in enumerate(col_owner):
         row_to_col[i] = j
     return row_to_col
+
+
+def grow_cycles(barred, heads, digits, n: int, length: int, itemsize: int):
+    """The n-cycles w of 0..n-1 that pass the grower's filters, in the
+    lexicographic order of their words, as an (rows, n) int array of
+    `itemsize` bytes an entry: w(n-1) = W[0], w(W[i]) = W[i+1] and
+    w(W[-1]) = n-1 for the word W, a permutation of 0..n-2.  A row is
+    kept when barred[x*n + w(x)] is 0 at every x, every cycle of
+    x -> heads[w(x)] has `length` points, and, when digits is not None,
+    the word's rank is below the limit whose n-1 factorial-base digits
+    they are.  barred holds n*n bytes, heads n 4-byte ints in 0..n-1 and
+    digits n-1 4-byte ints, digit j in 0..n-2-j.
+
+    The words are grown one entry at a time, breadth-first: a prefix
+    fixes w on the points it has visited, so a child that adds value v
+    adds one edge x -> v from the last point x, and the last level adds
+    the closing edge W[-1] -> n-1.  A child is dropped when barred at
+    (x, v), or when its edge x -> heads[v] closes a cycle of other than
+    `length` points or joins two paths into one of more.  The paths are
+    kept as each end's other end and size, so a child costs O(1) besides
+    its copy.  The digits of a prefix can equal the limit's leading
+    digits for at most one prefix, the tight one, and only its children
+    are cut, with no rank arithmetic.
+    """
+    signed = 8 * itemsize - 1
+    if n < 2 or length < 1 or itemsize not in (1, 2, 4) or (itemsize < 4 and (n - 1) >> signed):
+        raise ValueError(
+            f"need n >= 2, length >= 1 and a signed item size of 1, 2 or 4 bytes "
+            f"that holds n-1, got n={n}, length={length}, itemsize={itemsize}"
+        )
+    barred = np.frombuffer(_ints(barred, "barred", (1,), n * n, exact=True), np.uint8)
+    heads = np.frombuffer(_ints(heads, "heads", (4,), n, exact=True), np.int32)
+    if digits is not None:
+        digits = _ints(digits, "digits", (4,), n - 1, exact=True).tolist()
+    if not ((heads >= 0) & (heads < n)).all():
+        raise ValueError(f"each head must be in 0..{n - 1}")
+    for j, digit in enumerate(digits or ()):
+        if not 0 <= digit <= n - 2 - j:
+            raise ValueError(f"digits[{j}] must be in 0..{n - 2 - j}")
+    barred = barred.reshape(n, n).astype(bool)
+    heads = heads[: n - 1]
+    tight = 0 if digits is not None else None  # the row whose prefix is the limit's
+    point = np.min_scalar_type(-2 * n).type  # holds two sizes' sum
+    words = np.zeros((1, n - 1), dtype=np.min_scalar_type(-n))
+    free = np.ones((1, n - 1), dtype=bool)  # values not yet in the prefix
+    other = np.arange(n, dtype=point)[None]  # the other end of a path end
+    size = np.ones((1, n), dtype=point)  # the points of the path at an end
+    for j in range(n - 1):
+        rows = np.arange(len(words))
+        x = words[:, j - 1] if j else np.full(len(words), n - 1)
+        tail, at_x = other[rows, x], size[rows, x]
+        ok = free & ~barred[x, : n - 1]
+        ok &= np.where(
+            tail[:, None] == heads, at_x[:, None] == length, at_x[:, None] + size[:, heads] <= length
+        )
+        if tight is not None:
+            # The tight prefix's children past the limit's digit are past it.
+            cut = np.flatnonzero(free[tight])[digits[j]]
+            ok[tight, cut + 1 :] = False
+        parent, v = np.nonzero(ok)
+        if tight is not None:
+            tight = next(iter(np.flatnonzero((parent == tight) & (v == cut))), None)
+        start, end = tail[parent], other[parent, heads[v]]
+        joined = at_x[parent] + size[parent, heads[v]]
+        words, free, other, size = words[parent], free[parent], other[parent], size[parent]
+        rows = np.arange(len(words))
+        words[:, j] = v
+        free[rows, v] = False
+        other[rows, start], other[rows, end] = end, start
+        size[rows, start], size[rows, end] = joined, joined
+    # The closing edge meets the one open path, from heads[n-1] to W[-1].
+    x = words[:, -1]
+    keep = ~barred[x, n - 1] & (size[np.arange(len(words)), x] == length)
+    if tight is not None:
+        keep[tight] = False  # its rank is the limit's
+    words = words[keep]
+    # w maps n-1 to W[0], each entry to the next, and the last back to n-1.
+    visits = np.column_stack((np.full(len(words), n - 1, words.dtype), words))
+    images = np.empty(visits.shape, dtype=f"i{itemsize}")
+    images[np.arange(len(visits))[:, None], visits] = np.roll(visits, -1, axis=1)
+    return images

@@ -1,9 +1,11 @@
 """Selects the kernel at import: compiled if available, else pure.
 
-One module holds both calls: `girth_batch`, the girth of each graph of
-a batch, and `split_slots`, the slots of a BTU read from a file.  The
-compiled module `_girth_c` holds both in C; `_girth_py` is the
-pure-Python reference of each.
+One module holds the three calls: `girth_batch`, the girth of each
+graph of a batch; `split_slots`, the slots of a BTU read from a file;
+and `grow_cycles`, the candidate cycles a stage >= 4 search keeps for
+its replaced slot.  The compiled module `_girth_c` holds all three in C
+(the grower depth-first); `_girth_py` is the pure-Python reference of
+each (the grower breadth-first, with numpy).
 """
 
 from __future__ import annotations
@@ -67,3 +69,27 @@ def split_slots(cols: np.ndarray) -> np.ndarray:
     out = np.empty((r, m), dtype=np.int32)
     _impl.split_slots(np.ascontiguousarray(cols, dtype=np.int32), m, r, out)
     return out
+
+
+def grow_cycles(
+    barred: np.ndarray, heads: np.ndarray, digits: list[int] | None, n: int, length: int
+) -> np.ndarray:
+    """The n-cycles w of 0..n-1, in the lexicographic order of their
+    words and in the narrowest signed int type that holds n-1, with no
+    barred[x, w(x)] set, every cycle of x -> heads[w(x)] of `length`
+    points, and, when digits is given, a word rank below the limit whose
+    n-1 factorial-base digits they are (digit j in 0..n-2-j).  The word
+    W of w is its visiting order from n-1: w(n-1) = W[0], w(W[i]) =
+    W[i+1] and w(W[-1]) = n-1.  ValueError for a head out of 0..n-1 or
+    a digit out of its range.
+    """
+    dtype = np.min_scalar_type(-n)
+    rows = _impl.grow_cycles(
+        np.ascontiguousarray(barred, dtype=bool),
+        np.ascontiguousarray(heads, dtype=np.int32),
+        None if digits is None else np.array(digits, dtype=np.int32),
+        n,
+        length,
+        dtype.itemsize,
+    )
+    return np.frombuffer(rows, dtype=dtype).reshape(-1, n)

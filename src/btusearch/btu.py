@@ -148,11 +148,18 @@ def decompose(m: int, cells: np.ndarray) -> BTU:
 
     The inverse of to_cells for file import; slot order is the
     deterministic matching order of `_kernel.split_slots`, compiled or
-    pure.  The slots are permutations by construction, so only whether
-    two agree at some row is checked, one whole-row comparison a pair:
-    with a cell listed twice they do, and make_btu names the first such
-    pair and row as it always has.
+    pure.  ValueError when a cell comes after a larger one.  The slots
+    are permutations by construction, so only whether two agree at some
+    row is checked, one whole-row comparison a pair: with a cell listed
+    twice they do, and make_btu names the first such pair and row as it
+    always has.
     """
+    descents = np.flatnonzero(np.diff(cells) < 0)
+    if len(descents):
+        at = descents[0]
+        raise ValueError(
+            f"cells must be in row-major order: cell {cells[at + 1]} comes after {cells[at]}"
+        )
     r = cell_degree(m, cells)
     # Row i's columns, ascending, are the i-th run of r cells.
     slots = _kernel.split_slots((cells % m).reshape(m, r))

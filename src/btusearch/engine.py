@@ -68,8 +68,9 @@ of shape (members, slots, n), the candidates are rows of
 searchspace.cycle_images(d, cap), the finals are rotations or, at level
 2, the rows of cycle_images(n), all in its type.  Stage 3 takes every
 candidate row.  At stage >= 4 a member's candidates are grown under its
-filters by searchspace.grown_cycle_images, one word entry at a time in
-row order, so no row that fails is built: it must differ from the
+filters by searchspace.grown_cycle_images, one word entry at a time,
+depth-first in row order in the compiled kernel (breadth-first in the
+pure one), so no row that fails is built: it must differ from the
 member's other slots at every point, and every cycle of inv(left).q
 must have the one length the required partition holds.  Each member's
 graphs are rows of one image table, its scaled slots, the finals

@@ -7,7 +7,10 @@ indexes them by words of degree n-1.  That bijection gives the count
 (n-1)! and a deterministic lexicographic enumeration.  The words, and
 the cycles they name against the identity, also come as lexicographic
 int arrays (`lex_permutations`, `cycle_images`), through which the
-staged search and the exhaustive oracle both enumerate.
+staged search and the exhaustive oracle both enumerate.  A stage >= 4
+search takes only the cycles that pass its filters, grown word entry by
+word entry in the same order (`grown_cycle_images`): depth-first by the
+compiled kernel's `grow_cycles`, breadth-first by its pure reference.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
+from . import _kernel
 from .parameters import DegenerateFactorizationError, Factorization
 from .perms import (
     BTUError,
@@ -199,66 +203,32 @@ def grown_cycle_images(
         w = cycle_images(n, limit)
         w[(w[:, None, :] != avoid).all(axis=(1, 2)) & <cycles of argsort(left)[w]>]
 
-    but no row that fails is built.  The word W of a row is grown one
-    entry at a time, in lexicographic order: a prefix fixes w on the
-    points it has visited, w(n-1) = W[0] and w(W[i]) = W[i+1], so a
-    child that adds value v adds one edge x -> v from the last point x,
-    and the last level adds the closing edge W[-1] -> n-1.  A child is
-    dropped when an `avoid` row has v at x, or when its edge
-    x -> inv(left)[v] of inv(left).w closes a cycle of other than
-    `length` points or joins two paths into one of more.  The paths are
-    kept as each end's other end and size, so a child costs O(1) besides
-    its copy.  Under a limit, a row is kept when its rank, read in the
-    factorial base, is below the limit's: the digits of a prefix can
-    equal the limit's leading digits for at most one prefix, the tight
-    one, and only its children are checked, with no rank arithmetic.
+    but no row that fails is built.  `_kernel.grow_cycles` grows the
+    word W of a row one entry at a time, in lexicographic order
+    (depth-first in the compiled kernel, breadth-first in the pure one):
+    a prefix fixes w on the points it has visited, w(n-1) = W[0] and
+    w(W[i]) = W[i+1], so a child that adds value v adds one edge x -> v
+    from the last point x, and the last entry also closes W[-1] -> n-1.
+    A prefix is dropped as soon as an `avoid` row has v at x, or its edge
+    x -> inv(left)[v] closes a cycle of other than `length` points or
+    joins two paths into one of more.  Under a limit, a row is kept when
+    its rank, read in the factorial base, is below the limit's.  The
+    limit's digits are computed here, with Python ints, so a limit past
+    2^63 stays exact; the grower compares them along the one prefix whose
+    digits equal the limit's, with no rank arithmetic.
     """
     if n < 2:
         raise ValueError(f"need degree >= 2, got {n}")
-    digits = []  # of the limit in the factorial base, when it cuts the rows
+    digits = None  # of the limit in the factorial base, when it cuts the rows
     if limit is not None and limit < factorial(n - 1):
+        digits = []
         for j in range(n - 1):
             digit, limit = divmod(limit, factorial(n - 2 - j))
             digits.append(digit)
-    tight = 0 if digits else None  # the row whose prefix is the limit's
     barred = np.zeros((n, n), dtype=bool)  # barred[x, v]: an avoid row has v at x
     barred[np.arange(n), avoid] = True
     # The edge x -> v of w is x -> heads[v] of inv(left).w.
-    heads = np.argsort(left)[: n - 1]
-    point = np.min_scalar_type(-2 * n).type  # holds two sizes' sum
-    words = np.zeros((1, n - 1), dtype=np.min_scalar_type(-n))
-    free = np.ones((1, n - 1), dtype=bool)  # values not yet in the prefix
-    other = np.arange(n, dtype=point)[None]  # the other end of a path end
-    size = np.ones((1, n), dtype=point)  # the points of the path at an end
-    for j in range(n - 1):
-        rows = np.arange(len(words))
-        x = words[:, j - 1] if j else np.full(len(words), n - 1)
-        tail, at_x = other[rows, x], size[rows, x]
-        ok = free & ~barred[x, : n - 1]
-        ok &= np.where(
-            tail[:, None] == heads, at_x[:, None] == length, at_x[:, None] + size[:, heads] <= length
-        )
-        if tight is not None:
-            # The tight prefix's children past the limit's digit are past it.
-            cut = np.flatnonzero(free[tight])[digits[j]]
-            ok[tight, cut + 1 :] = False
-        parent, v = np.nonzero(ok)
-        if tight is not None:
-            tight = next(iter(np.flatnonzero((parent == tight) & (v == cut))), None)
-        start, end = tail[parent], other[parent, heads[v]]
-        joined = at_x[parent] + size[parent, heads[v]]
-        words, free, other, size = words[parent], free[parent], other[parent], size[parent]
-        rows = np.arange(len(words))
-        words[:, j] = v
-        free[rows, v] = False
-        other[rows, start], other[rows, end] = end, start
-        size[rows, start], size[rows, end] = joined, joined
-    # The closing edge meets the one open path, from inv(left)[n-1] to W[-1].
-    x = words[:, -1]
-    keep = ~barred[x, n - 1] & (size[np.arange(len(words)), x] == length)
-    if tight is not None:
-        keep[tight] = False  # its rank is the limit's
-    return _cycles_of_words(words[keep])
+    return _kernel.grow_cycles(barred, np.argsort(left), digits, n, length)
 
 
 def cayley_stats(f: Factorization, i: int) -> CayleyStats:

@@ -1,6 +1,6 @@
 """Shared fixtures: the compiled kernel built from this checkout, and a
-switch that routes the package's girth and slot-matching calls to
-either kernel."""
+switch that routes the package's girth, slot-matching and cycle-growing
+calls to either kernel."""
 
 import importlib.util
 import shutil
@@ -53,9 +53,11 @@ class LooseKernel:
     `girth_batch` contract allows, with the cutoff rising after every
     graph to the largest entry so far minus slack, and the call ending at
     the first entry >= stop.  A caller that leans on more than the
-    contract shows it.  Its slot matcher is the pure one."""
+    contract shows it.  Its slot matcher and cycle grower are the pure
+    ones."""
 
     split_slots = staticmethod(_girth_py.split_slots)
+    grow_cycles = staticmethod(_girth_py.grow_cycles)
 
     @staticmethod
     def girth_batch(table, index, n_graphs, m, r, out, cutoff, slack=0, stop=0):
@@ -82,7 +84,7 @@ def kernel(request):
 
 @pytest.fixture
 def backend(kernel, monkeypatch):
-    """Routes every girth evaluation and slot matching of the package
-    through `kernel`."""
+    """Routes every girth evaluation, slot matching and cycle growth of
+    the package through `kernel`."""
     monkeypatch.setattr(_kernel, "_impl", kernel)
     return kernel

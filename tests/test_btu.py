@@ -254,6 +254,28 @@ class TestDecompose:
         assert type(err.value) is error
         assert str(err.value) == text
 
+    @pytest.mark.parametrize(
+        "m,cells,text",
+        [
+            # The swap matrix listed backwards once read as the identity.
+            (2, [2, 1], "cell 1 comes after 2"),
+            (3, [0, 4, 8, 1, 5, 6], "cell 1 comes after 8"),
+            # Each row's run in order, the rows not.
+            (3, [3, 4, 0, 1, 6, 8], "cell 0 comes after 4"),
+            # A repeat next to a descent: the order is checked first.
+            (2, [0, 0, 3, 2], "cell 2 comes after 3"),
+        ],
+        ids=["swap-backwards", "rows-interleaved", "rows-swapped", "repeat-and-descent"],
+    )
+    def test_cells_out_of_order_refused(self, m, cells, text):
+        with pytest.raises(ValueError, match=f"^cells must be in row-major order: {text}$"):
+            decompose(m, np.array(cells, dtype=np.int64))
+
+    def test_repeated_cells_still_incompatible(self):
+        # Cells in order but listed twice keep the slot-pair message.
+        with pytest.raises(CompatibilityError, match="^permutations 1 and 2 agree at position 1$"):
+            decompose(2, np.array([0, 0, 3, 3], dtype=np.int64))
+
 
 @pytest.mark.usefixtures("backend")
 class TestDecomposeOnEachMatcher(TestDecompose):

@@ -696,6 +696,28 @@ class TestStageThreeMemory:
         assert peak < 50 * 2**20
 
 
+class TestStageFourPastTheRefusal:
+    def test_24_4(self, compiled_kernel, monkeypatch):
+        # search(24, 4) is refused up front on the 11! listed words of
+        # degree 12, but the grower builds only the 1,019,520 rows that
+        # pass the member's filters; the stage takes about 1.5 s.
+        monkeypatch.setattr(_kernel, "_impl", compiled_kernel)
+        grown, grow = [], engine.grown_cycle_images
+        monkeypatch.setattr(
+            engine, "grown_cycle_images", lambda *args: grown.append(grow(*args)) or grown[-1]
+        )
+        f, config = factorize(24, 4), SearchConfig()
+        with pytest.raises(StageTooLargeError):
+            search(24, 4, config)
+        beam, _ = engine._stage2(f, config)
+        beam, _ = engine._run_stage(beam, 3, f, config)
+        beam, trace = engine._run_stage(beam, 4, f, config)
+        assert [len(rows) for rows in grown] == [1_019_520]
+        assert grown[0].dtype == np.int8 and grown[0].shape[1] == 12
+        assert (trace.best_girth, trace.rotation_j) == (6, "relaxed-gcd:13")
+        assert girth(make_btu([Permutation(tuple(row)) for row in (beam[0] + 1).tolist()])).girth == 6
+
+
 class TestUniformCycles:
     """The stage >= 4 partition filter: every cycle of inv(left).q has
     the same length, as union_cycle_partition(left, q) == beta asks."""

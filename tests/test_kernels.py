@@ -1,7 +1,7 @@
 """Both girth kernels agree with each other and with networkx, and keep
 the `girth_batch` contract: the cutoff that rises after every graph, the
 stop, and the input checks.  Both slot matchers give the same slots and
-refuse the same input.
+refuse the same input, and so do both cycle growers with their rows.
 
 The compiled kernel comes from the `compiled_kernel` fixture in
 conftest.py, which builds it from this checkout's C source.
@@ -9,6 +9,7 @@ conftest.py, which builds it from this checkout's C source.
 
 import random
 from array import array
+from math import factorial
 
 import networkx as nx
 import numpy as np
@@ -17,9 +18,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from strategies import regular_matrices
 
-from btusearch import _girth_py
+from btusearch import _girth_py, _kernel
 from btusearch.btu import to_biadjacency
 from btusearch.perms import Permutation, identity, is_compatible
+from btusearch.searchspace import grown_cycle_images
 
 
 def pack(images):
@@ -444,3 +446,90 @@ class TestSlotMatcher:
             kernel.split_slots(np.array([[0, 1], [1, 3], [0, 2]], np.int32), 3, 2, out)
         with pytest.raises(ValueError, match="^matrix is not regular: no perfect matching$"):
             kernel.split_slots(np.array([[0, 1], [0, 1], [0, 1]], np.int32), 3, 2, out)
+
+
+def grown(kernel, monkeypatch, *args):
+    """searchspace.grown_cycle_images(*args) on the given kernel's grower."""
+    monkeypatch.setattr(_kernel, "_impl", kernel)
+    return grown_cycle_images(*args)
+
+
+class TestCycleGrower:
+    """The compiled grower keeps the pure one's rows, in order and type,
+    and refuses the same input."""
+
+    @pytest.mark.parametrize("d", range(2, 13))
+    def test_matches_pure(self, compiled_kernel, monkeypatch, d):
+        rng = np.random.default_rng(d)
+        for length in [t for t in range(1, d + 1) if d % t == 0]:
+            for case in range(6):
+                avoid = rng.integers(0, d, size=(int(rng.integers(1, 4)), d))
+                left = rng.permutation(d)
+                # t! words follow each choice of word entry d-2-t, whose
+                # digit is at most t; above degree 9 the limit stays below
+                # 8 * 7! words.
+                t = int(rng.integers(0, min(d - 2, 7) + 1))
+                limit = int(rng.integers(1, t + 2)) * factorial(t) + int(rng.integers(-1, 2))
+                if d <= 9 and case == 0:
+                    limit = None
+                elif limit < 1:
+                    limit = 1
+                args = (d, avoid, left, length, limit)
+                got = grown(compiled_kernel, monkeypatch, *args)
+                expected = grown(_girth_py, monkeypatch, *args)
+                assert got.dtype == expected.dtype
+                assert got.tolist() == expected.tolist(), args
+
+    @pytest.mark.parametrize("itemsize", [1, 2, 4])
+    def test_any_item_size(self, compiled_kernel, itemsize):
+        n, rng = 9, np.random.default_rng(1)
+        barred = rng.random((n, n)) < 0.1
+        heads = rng.permutation(n).astype(np.int32)
+        for digits in (None, np.array([3, 0, 5, 1, 2, 0, 1, 0], np.int32)):
+            got = compiled_kernel.grow_cycles(barred, heads, digits, n, n, itemsize)
+            expected = _girth_py.grow_cycles(barred, heads, digits, n, n, itemsize)
+            assert len(got) and bytes(got) == bytes(expected)
+
+    GOOD = (np.zeros((4, 4), bool), np.arange(4, dtype=np.int32), None, 4, 2, 1)
+
+    @pytest.mark.parametrize(
+        "at,value",
+        [
+            (3, 1),  # n
+            (4, 0),  # length
+            (5, 3),  # itemsize
+            (5, 8),
+            (0, np.zeros((4, 4), np.int32)),  # 4-byte barred
+            (0, np.zeros(15, bool)),
+            (1, np.arange(4)),  # 8-byte heads
+            (1, np.arange(3, dtype=np.int32)),
+            (1, np.array([0, 1, 2, 4], np.int32)),
+            (1, np.array([0, -1, 2, 3], np.int32)),
+            (2, np.zeros(2, np.int32)),
+            (2, np.zeros(3, np.int64)),
+            (2, np.array([0, 3, 0], np.int32)),
+            (2, np.array([-1, 0, 0], np.int32)),
+        ],
+        ids=["n1", "length0", "itemsize3", "itemsize8", "barred-4-byte", "barred-short",
+             "heads-8-byte", "heads-short", "head-n", "head-negative", "digits-short",
+             "digits-8-byte", "digit-too-large", "digit-negative"],
+    )
+    def test_rejects(self, kernel, at, value):
+        args = list(self.GOOD)
+        args[at] = value
+        with pytest.raises(ValueError):
+            kernel.grow_cycles(*args)
+
+    def test_one_byte_rows_hold_n_below_129(self, kernel):
+        barred = np.zeros((129, 129), bool)
+        heads = np.arange(129, dtype=np.int32)
+        with pytest.raises(ValueError, match="itemsize=1"):
+            kernel.grow_cycles(barred, heads, None, 129, 1, 1)
+        assert len(kernel.grow_cycles(barred, heads, None, 129, 1, 2)) == 0
+
+    def test_bad_values_name_the_cause(self, kernel):
+        barred, heads = self.GOOD[:2]
+        with pytest.raises(ValueError, match=r"^each head must be in 0\.\.3$"):
+            kernel.grow_cycles(barred, heads + 1, None, 4, 2, 1)
+        with pytest.raises(ValueError, match=r"^digits\[1\] must be in 0\.\.1$"):
+            kernel.grow_cycles(barred, heads, np.array([0, 2, 0], np.int32), 4, 2, 1)

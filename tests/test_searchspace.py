@@ -6,7 +6,7 @@ from math import factorial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from btusearch import engine
@@ -197,7 +197,11 @@ class TestGrownCycleImages:
         words = words[(words[:, None, :] != avoid).all(axis=(1, 2))]
         return words[engine._uniform_cycles(np.argsort(left)[words], length)]
 
-    @settings(max_examples=300, deadline=None)
+    # TestGrownCycleImagesOnEachGrower runs this with a function-scoped
+    # fixture, which holds no state between examples.
+    @settings(
+        max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
     @given(data=st.data())
     def test_is_the_masked_list(self, data):
         d = data.draw(st.integers(2, 9), label="d")
@@ -226,17 +230,33 @@ class TestGrownCycleImages:
         expected = self.masked(9, avoid, left, 3, limit)
         assert len(got) and got.tolist() == expected.tolist()
 
-    @pytest.mark.parametrize("rank", [0, 2**63 + 5, factorial(26) - 1])
-    def test_limits_past_int64(self, rank):
+    @staticmethod
+    def one_row_at(n, rank):
         # Only w = left passes cycles of 1 point, so one prefix grows at
         # each level while the limit, and the row's rank, pass 2^63.
-        word = Permutation(word_at_index(27, rank))
-        left = np.array(unrank_candidate(CandidateWord(27, word), identity(27)).image) - 1
-        avoid = ((left + 1) % 27)[None]
-        for limit in (None, rank, rank + 1, 2**64, factorial(26) - 1, factorial(26)):
-            got = grown_cycle_images(27, avoid, left, 1, limit)
+        word = Permutation(word_at_index(n, rank))
+        left = np.array(unrank_candidate(CandidateWord(n, word), identity(n)).image) - 1
+        avoid = ((left + 1) % n)[None]
+        for limit in (None, rank, rank + 1, 2**64, factorial(n - 1) - 1, factorial(n - 1)):
+            got = grown_cycle_images(n, avoid, left, 1, limit)
             expected = [left.tolist()] if limit is None or rank < limit else []
             assert got.tolist() == expected
+            assert got.dtype == cycle_images(n, 1).dtype
+
+    @pytest.mark.parametrize("rank", [0, 2**63 + 5, factorial(26) - 1])
+    def test_limits_past_int64(self, rank):
+        self.one_row_at(27, rank)
+
+    @pytest.mark.parametrize("rank", [0, 2**63 + 5, factorial(129) - 1],
+                             ids=["first", "past-2^63", "last"])
+    def test_two_byte_rows_past_int64(self, rank):
+        # At degree 130 the rows are int16.
+        self.one_row_at(130, rank)
+
+
+@pytest.mark.usefixtures("backend")
+class TestGrownCycleImagesOnEachGrower(TestGrownCycleImages):
+    """TestGrownCycleImages on the pure grower and on the compiled one."""
 
 
 class TestCayleyStats:
