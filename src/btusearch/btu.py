@@ -87,34 +87,22 @@ def cells_to_matrix(m: int, cells: np.ndarray) -> np.ndarray:
     return mat
 
 
-def _cells(mat: np.ndarray) -> np.ndarray:
-    """The flat row-major indices of the nonzero cells, in order.
-
-    One boolean scan: np.nonzero on the int8 matrix is over ten times
-    slower than np.flatnonzero on the boolean one.
-    """
-    return np.flatnonzero(np.asarray(mat) != 0)
-
-
-def _ones(mat: np.ndarray) -> np.ndarray:
-    """The cells of _cells, after checking that every one of them holds 1.
-
-    The check reads only the nonzero cells, and it is exact for any
-    dtype: 0.5, NaN, inf, -1 and 2 are all nonzero and not 1.
-    """
-    mat = np.asarray(mat)
-    cells = _cells(mat)
-    if not (mat.reshape(-1)[cells] == 1).all():
-        raise ValueError("matrix entries must be 0 or 1")
-    return cells
-
-
 def _square_cells(mat: np.ndarray) -> tuple[int, np.ndarray]:
-    """m and the cells of a square 0/1 matrix; ValueError for any other."""
+    """m and the sorted row-major flat cells of the ones of a square 0/1
+    matrix; ValueError for any other.
+
+    One boolean scan finds the nonzero cells: np.nonzero on the int8
+    matrix is over ten times slower than np.flatnonzero on the boolean
+    one.  The 0/1 check then reads only those cells, and it is exact for
+    any dtype: 0.5, NaN, inf, -1 and 2 are all nonzero and not 1.
+    """
     mat = np.asarray(mat)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"matrix must be square, got shape {mat.shape}")
-    return mat.shape[0], _ones(mat)
+    cells = np.flatnonzero(mat != 0)
+    if not (mat.reshape(-1)[cells] == 1).all():
+        raise ValueError("matrix entries must be 0 or 1")
+    return mat.shape[0], cells
 
 
 def cell_degree(m: int, cells: np.ndarray) -> int:
@@ -135,11 +123,6 @@ def cell_degree(m: int, cells: np.ndarray) -> int:
     if r == 0:
         raise ValueError("a BTU needs at least one permutation")
     return r
-
-
-def regular_degree(mat: np.ndarray) -> int:
-    """cell_degree of a square 0/1 matrix; ValueError for any other."""
-    return cell_degree(*_square_cells(mat))
 
 
 def decompose(m: int, cells: np.ndarray) -> BTU:

@@ -201,14 +201,9 @@ def admissible_rotations(n: int, threshold: int) -> list[int]:
     Coprimality of j and n forces gcd(j, n-j) = gcd(n-j, n) = 1 as well,
     so the whole triple (j, n, n-j) is pairwise coprime.
     """
-    return list(_rotation_offsets(n, threshold))
-
-
-def _rotation_offsets(n: int, threshold: int) -> Iterator[int]:
-    """admissible_rotations(n, threshold), ascending, one at a time."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    return (j for j in range(1, n) if min(j, n - j) > threshold and gcd(j, n) == 1)
+    return [j for j in range(1, n) if min(j, n - j) > threshold and gcd(j, n) == 1]
 
 
 def _marker(level: int, final_row: np.ndarray) -> int | str:
@@ -227,8 +222,9 @@ def _stage2(f: Factorization, config: SearchConfig) -> tuple[np.ndarray, StageTr
     the first that the first policy level offering any gives."""
     n = f.b * f.k
     for level in [0] if config.rotation_policy == "strict" else [0, 1]:
-        j = next(_rotation_offsets(n, f.b if level == 0 else 0), None)
-        if j is not None:
+        offsets = admissible_rotations(n, f.b if level == 0 else 0)
+        if offsets:
+            j = offsets[0]
             break
     else:
         raise StageDeadEndError(2, f"no admissible rotation at n={n}, threshold={f.b}")
@@ -292,18 +288,6 @@ def _evaluate_chunk(
     best_g = int(girths.max())
     hits = np.flatnonzero(girths == max(best_g, cutoff + 1))  # none if it only bounds
     return best_g, table[index[hits if exhaustive else hits[:1]]]
-
-
-def _uniform_cycles(sigma: np.ndarray, length: int) -> np.ndarray:
-    """Per row of sigma (a permutation of 0..d-1), whether all its cycles
-    have `length` points: no power below `length` fixes a point, and that
-    power is the identity."""
-    home = np.arange(sigma.shape[1])
-    power, ok = sigma, np.ones(len(sigma), dtype=bool)
-    for _ in range(1, length):
-        ok &= (power != home).all(axis=1)
-        power = np.take_along_axis(sigma, power, axis=1)
-    return ok & (power == home).all(axis=1)
 
 
 def _run_stage(
@@ -446,16 +430,22 @@ def search(m: int, r: int, config: SearchConfig | None = None) -> SearchResult:
 
 
 def enumerate_Z(m: int, r: int, cap: int | None = None) -> Iterator[BTU]:
-    """All BTUs of the fully scaled family, in lexicographic order.
+    """All BTUs of the fully scaled family, in lexicographic order; the
+    first `cap` only when a cap is given.
 
     Slot j <= r-2 ranges over k^(r-1-j)-fold scalings of single-cycle
-    candidates of degree b*k^j, slot r-1 is the identity, and slot r
+    candidates of degree d_j = b*k^j, slot r-1 is the identity, and slot r
     ranges over single-cycle candidates of degree m; combinations that
     fail pairwise compatibility or leave the optimal partition sequence
-    are dropped, so every yielded BTU is a family member.  Slot pairs
-    that involve slot r-1 or r hold both by construction but for the
-    compatibility of slot r, one mask over the cycle_images(m) rows per
-    prefix of scaled candidates.
+    are dropped, so every yielded BTU is a family member.  Slot 1 takes
+    every row of cycle_images(d_1).  Each later slot is grown at its own
+    degree by searchspace.grown_cycle_images, one subtree per choice of
+    the slots before it, under their filters: it differs from each of
+    them at every point, and every cycle of inv(slot j).(slot j+1) has
+    d_j points.  A slot scaled from degree d repeats its block every d
+    points, so at degree d_{j+1} the filters on the first d_{j+1} points
+    decide them on all m.  Slot r is grown at degree m against the
+    earlier slots and the identity, with cycles of m points.
 
     A run whose prod_{j=1}^{r-2} (b*k^j - 1)! * (m-1)! combinations are
     more than MAX_LISTED is refused with TooLargeError before the first,
@@ -464,32 +454,31 @@ def enumerate_Z(m: int, r: int, cap: int | None = None) -> Iterator[BTU]:
     f = factorize(m, r)
     if f.degenerate:
         raise DegenerateFactorizationError(f"m={m}, r={r}: k=1, family enumeration inapplicable")
-    b, k = f.b, f.k
-    degrees = (m, *(b * k**j for j in range(1, r - 1)))
+    degrees = [f.b * f.k**j for j in range(1, r - 1)]
     refuse_oversize(
-        MAX_LISTED, sum(listed_count(d)[0] for d in degrees), None,
+        MAX_LISTED, sum(listed_count(d)[0] for d in (m, *degrees)), None,
         f"m={m}, r={r}: the family enumeration would try {{count}} slot combinations, "
         "over the limit of {limit}; a cap bounds only the members listed",
     )
-    scaled = [
-        (cycle_images(d)[:, None, :] + np.arange(0, m, d)[:, None]).reshape(-1, m)
-        for d in degrees[1:]
-    ]
-    lasts, middle = cycle_images(m), identity(m)
-    yielded = 0
-    for combo in itertools.product(*map(range, map(len, scaled))):
-        prefix = np.array([q[i] for q, i in zip(scaled, combo)]).reshape(-1, m)
-        meet = itertools.combinations(range(r - 2), 2)
-        if not all((prefix[i] != prefix[j]).all() for i, j in meet):
-            continue
-        # Slots i+1 and i+2 (1-based) need cycles of b*k^(i+1) points.
-        sigmas = [np.argsort(p)[q] for p, q in zip(prefix, prefix[1:])]
-        if not all(_uniform_cycles(s[None], d)[0] for s, d in zip(sigmas, degrees[1:])):
-            continue
-        head = tuple(Permutation(tuple(image)) for image in (prefix + 1).tolist())
-        rows = np.flatnonzero((lasts[:, None, :] != prefix).all(axis=(1, 2)))
-        for image in (lasts[rows[: None if cap is None else cap - yielded]] + 1).tolist():
-            yield BTU(m=m, r=r, perms=(*head, middle, Permutation(tuple(image))))
-            yielded += 1
-        if cap is not None and yielded >= cap:
+    home, middle = np.arange(m), identity(m)
+
+    def members(slots: np.ndarray) -> Iterator[BTU]:
+        """The members whose first slots are the rows of `slots`, 0-based
+        images at degree m."""
+        j = len(slots)
+        if j == r - 2:
+            head = tuple(Permutation(tuple(image)) for image in (slots + 1).tolist())
+            lasts = grown_cycle_images(m, np.vstack([slots, home]), home, m)
+            for image in (lasts + 1).tolist():
+                yield BTU(m=m, r=r, perms=(*head, middle, Permutation(tuple(image))))
             return
+        d = degrees[j]
+        if j == 0:
+            rows = cycle_images(d)
+        else:
+            rows = grown_cycle_images(d, slots[:, :d], slots[-1, :d], degrees[j - 1])
+        blocks = np.arange(0, m, d)[:, None]
+        for row in rows:
+            yield from members(np.vstack([slots, (row + blocks).reshape(1, m)]))
+
+    yield from itertools.islice(members(np.empty((0, m), dtype=np.int64)), cap)

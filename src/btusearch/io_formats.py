@@ -3,9 +3,9 @@
 A 0/1 matrix travels as its cell list: the sorted row-major flat
 indices i*n_cols + j of its ones, as `btu.to_cells` gives them for a
 BTU.  Every reader returns (m, cells) and every writer takes a shape
-and cells, so no m x m matrix lies between a file and a BTU.  The
-matrix-named functions (text_to_matrix, matrix_to_text, ...) are dense
-wrappers over them.
+and cells, so no m x m matrix lies between a file and a BTU.  Three
+readers also return the dense int8 matrix (text_to_matrix,
+alist_to_matrix, detect_and_parse); no writer takes one.
 
 The readers take a file's bytes or a str.  ASCII bytes are read as
 they are; other bytes are first decoded as Path.read_text() decodes
@@ -40,7 +40,7 @@ from typing import Any, NoReturn
 
 import numpy as np
 
-from .btu import BTU, _cells, _ones, cells_to_matrix, to_cells
+from .btu import BTU, cells_to_matrix, to_cells
 from .engine import SearchResult
 from .oracle import OracleReport, VerifyReport
 from .perms import PartitionP2
@@ -126,12 +126,6 @@ def cells_to_text(shape: tuple[int, int], cells: np.ndarray) -> str:
     return str(buf, "ascii")
 
 
-def matrix_to_text(mat: np.ndarray) -> str:
-    """cells_to_text of a 0/1 matrix; ValueError for any other entry."""
-    mat = np.asarray(mat)
-    return cells_to_text(mat.shape, _ones(mat))
-
-
 def text_cells(text: str | bytes) -> tuple[int, np.ndarray]:
     """m and the sorted row-major flat cells of the 1 entries of m
     non-blank lines of m whitespace-separated tokens, each exactly "0"
@@ -210,16 +204,13 @@ def _index_lines(major: np.ndarray, minor: np.ndarray, n: int) -> str:
     return unpadded(spelled)
 
 
-def cells_to_alist(
-    shape: tuple[int, int], cells: np.ndarray, weights: np.ndarray | None = None
-) -> str:
+def cells_to_alist(shape: tuple[int, int], cells: np.ndarray) -> str:
     """The alist text of the shape's matrix with a 1 at each sorted
-    row-major flat cell.  The degree lines count the cells, or sum their
-    `weights` when given (the entries of a matrix not 0/1)."""
+    row-major flat cell.  The degree lines count the cells."""
     n_rows, n_cols = shape
     rows, cols = np.divmod(cells, n_cols)
-    col_deg = np.bincount(cols, weights, minlength=n_cols).astype(int)
-    row_deg = np.bincount(rows, weights, minlength=n_rows).astype(int)
+    col_deg = np.bincount(cols, minlength=n_cols)
+    row_deg = np.bincount(rows, minlength=n_rows)
     by_col = np.argsort(cols, kind="stable")  # rows stay ascending per column
     header = [
         f"{n_cols} {n_rows}",
@@ -234,14 +225,6 @@ def cells_to_alist(
         n_cols + n_rows,
     )
     return "\n".join(header) + "\n" + index
-
-
-def matrix_to_alist(mat: np.ndarray) -> str:
-    """cells_to_alist of the nonzero cells; the degrees are the column
-    and row sums, also of a matrix not 0/1."""
-    mat = np.asarray(mat)
-    cells = _cells(mat)
-    return cells_to_alist(mat.shape, cells, mat.reshape(-1)[cells])
 
 
 def _nonblank_lines(text: str | bytes) -> list[str] | list[bytes]:
@@ -425,12 +408,6 @@ def cells_to_dot(shape: tuple[int, int], cells: np.ndarray) -> str:
     right = digit_table(shape[1], tail=b";\n")[cols + 1]
     edges = np.concatenate([left, right], axis=1)
     return "graph btu {\n" + unpadded(edges) + "}\n"
-
-
-def matrix_to_dot(mat: np.ndarray) -> str:
-    """cells_to_dot of the nonzero cells, in row-major order."""
-    mat = np.asarray(mat)
-    return cells_to_dot(mat.shape, _cells(mat))
 
 
 def _partition_list(betas) -> list[list[int]]:

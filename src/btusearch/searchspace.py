@@ -112,17 +112,6 @@ def rank_candidate(q: Permutation, base: Permutation) -> CandidateWord:
     return CandidateWord(n=n, word=Permutation(tuple(word)))
 
 
-def word_at_index(n: int, index: int) -> tuple[int, ...]:
-    """The index-th (0-based) word of degree n-1 in lexicographic order."""
-    elems = list(range(1, n))
-    word = []
-    for pos in range(n - 1, 0, -1):
-        f = factorial(pos - 1)
-        word.append(elems.pop(index // f))
-        index %= f
-    return tuple(word)
-
-
 def enumerate_candidates(
     base: Permutation, limit: int | None = None
 ) -> Iterator[Permutation]:

@@ -2,9 +2,10 @@
 matrices, and text shaped like the matrix and alist file formats."""
 
 import numpy as np
+from helpers import matrix_cells
 from hypothesis import strategies as st
 
-from btusearch.io_formats import matrix_to_alist, matrix_to_text
+from btusearch.io_formats import cells_to_alist, cells_to_text
 
 
 @st.composite
@@ -79,8 +80,8 @@ def format_shaped_texts(draw):
             draw(st.lists(st.integers(0, 1), min_size=n * n, max_size=n * n)),
             dtype=np.int8,
         ).reshape(n, n)
-    write = draw(st.sampled_from([matrix_to_text, matrix_to_alist]))
-    text = write(mat)
+    write = draw(st.sampled_from([cells_to_text, cells_to_alist]))
+    text = write(*matrix_cells(mat))
     for _ in range(draw(st.integers(0, 3))):
         if not text.split():
             break

@@ -12,13 +12,14 @@ import warnings
 from math import factorial, gcd
 
 import pytest
+from helpers import matrix_cells
 
 from btusearch.btu import decompose_matrix, girth, make_btu, to_biadjacency
 from btusearch.engine import SearchConfig, admissible_rotations, enumerate_Z, search
 from btusearch.io_formats import (
     alist_to_matrix,
-    matrix_to_alist,
-    matrix_to_text,
+    cells_to_alist,
+    cells_to_text,
     search_result_to_dict,
     text_to_matrix,
     to_json,
@@ -180,16 +181,17 @@ def test_c08_derangement_census():
 def test_c09_format_round_trips(m, r):
     result = search(m, r)
     mat = to_biadjacency(result.btu)
-    matrix_text = matrix_to_text(mat)
+    matrix_text = cells_to_text(*matrix_cells(mat))
+    alist_text = cells_to_alist(*matrix_cells(mat))
 
-    via_alist = matrix_to_text(alist_to_matrix(matrix_to_alist(mat)))
+    via_alist = cells_to_text(*matrix_cells(alist_to_matrix(alist_text)))
     assert via_alist == matrix_text
 
     recomposed = to_biadjacency(decompose_matrix(text_to_matrix(matrix_text)))
-    assert matrix_to_text(recomposed) == matrix_text
+    assert cells_to_text(*matrix_cells(recomposed)) == matrix_text
 
     g = result.girth
-    assert girth(decompose_matrix(alist_to_matrix(matrix_to_alist(mat)))).girth == g
+    assert girth(decompose_matrix(alist_to_matrix(alist_text))).girth == g
     assert girth(decompose_matrix(text_to_matrix(matrix_text))).girth == g
 
 

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 from strategies import regular_matrices
 
 from btusearch.btu import (
+    _square_cells,
     adjacent_partitions,
     canonicalize_order,
+    cell_degree,
     decompose,
     decompose_matrix,
     girth,
@@ -19,10 +21,10 @@ from btusearch.btu import (
     in_phi,
     make_btu,
     rebase,
-    regular_degree,
     to_biadjacency,
+    to_cells,
 )
-from btusearch.io_formats import matrix_to_text
+from btusearch.io_formats import cells_to_text
 from btusearch.parameters import Factorization
 from btusearch.perms import (
     CompatibilityError,
@@ -46,6 +48,18 @@ FIG_SCALED_MATRIX = np.array(
     ],
     dtype=np.int8,
 )
+
+
+def regular_degree(mat):
+    """cell_degree of the cells decompose_matrix reads of a matrix."""
+    return cell_degree(*_square_cells(mat))
+
+
+def matrix_to_text(mat):
+    """The matrix text written from the cells decompose_matrix reads of
+    a matrix."""
+    m, cells = _square_cells(mat)
+    return cells_to_text((m, m), cells)
 
 
 def random_btu(m, r, seed):
@@ -283,34 +297,37 @@ class TestDecomposeOnEachMatcher(TestDecompose):
 
 
 class TestRegularDegree:
-    """`regular_degree` accepts exactly what `decompose_matrix` can split,
-    and refuses the rest with the same message."""
+    """`cell_degree` accepts exactly the cells `decompose` can split, and
+    refuses the rest with the same message; the dense reading of a
+    matrix refuses any entry but 0 and 1."""
 
     @settings(max_examples=300, deadline=None)
     @given(
-        cells=st.integers(0, 5).flatmap(
-            lambda n: st.lists(st.integers(0, 2), min_size=n * n, max_size=n * n)
+        entries=st.integers(0, 5).flatmap(
+            lambda n: st.lists(st.integers(0, 1), min_size=n * n, max_size=n * n)
         ),
-        square=st.booleans(),
     )
-    def test_agrees_with_decompose(self, cells, square):
-        n = int(round(len(cells) ** 0.5))
-        mat = np.array(cells, dtype=np.int8).reshape(n, n)
-        if not square:
-            mat = mat[:, :-1]
+    def test_agrees_with_decompose(self, entries):
+        m = int(round(len(entries) ** 0.5))
+        cells = np.flatnonzero(entries)
         try:
-            b = decompose_matrix(mat)
+            b = decompose(m, cells)
         except ValueError as exc:
             with pytest.raises(ValueError) as err:
-                regular_degree(mat)
+                cell_degree(m, cells)
             assert str(err.value) == str(exc)
         else:
-            assert regular_degree(mat) == b.r
-            assert (to_biadjacency(b) == mat).all()
+            assert cell_degree(m, cells) == b.r
+            assert to_cells(b).tolist() == cells.tolist()
 
     def test_zero_matrix_refused(self):
         with pytest.raises(ValueError, match="at least one permutation"):
-            regular_degree(np.zeros((3, 3), dtype=np.int8))
+            cell_degree(3, np.flatnonzero(np.zeros((3, 3), dtype=np.int8)))
+
+    @pytest.mark.parametrize("shape", [(3, 2), (2, 3), (4,), (2, 2, 2)])
+    def test_non_square_matrix_refused(self, shape):
+        with pytest.raises(ValueError, match=r"^matrix must be square, got shape"):
+            decompose_matrix(np.ones(shape, dtype=np.int8))
 
     @pytest.mark.parametrize(
         "dtype, value",

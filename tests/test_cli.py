@@ -9,6 +9,7 @@ from math import factorial
 from pathlib import Path
 
 import pytest
+from helpers import matrix_cells
 from hypothesis import given, settings
 from strategies import format_shaped_texts
 
@@ -324,8 +325,8 @@ class TestSmallCommands:
             if argv[0] == "girth":
                 report = btu.girth(btu.decompose_matrix(mat), witness=True)
                 return f"{report.girth}\n{' '.join(report.witness_cycle)}\n"
-            write = io_formats.matrix_to_alist if argv[-1] == "alist" else io_formats.matrix_to_dot
-            return write(mat)
+            write = io_formats.cells_to_alist if argv[-1] == "alist" else io_formats.cells_to_dot
+            return write(*matrix_cells(mat))
 
         files = {}
         for source in ("matrix", "alist"):
@@ -343,8 +344,8 @@ class TestSmallCommands:
 
             return call
 
+        monkeypatch.setattr(btu, "_square_cells", counted("scan", btu._square_cells))
         for module in (btu, io_formats):
-            monkeypatch.setattr(module, "_cells", counted("_cells", btu._cells))
             monkeypatch.setattr(module, "cells_to_matrix", counted("dense", btu.cells_to_matrix))
         for source, f in files.items():
             code, out, _ = run(capsys, argv[0], "-i", str(f), *argv[1:])

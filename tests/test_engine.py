@@ -11,6 +11,7 @@ from math import factorial, gcd
 
 import numpy as np
 import pytest
+from helpers import uniform_cycles
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from strategies import regular_matrices
@@ -257,7 +258,7 @@ class TestEnumerateZ:
 
 def per_attempt_Z(m, r, cap=None):
     """The family enumeration as one make_btu and in_Z check per slot
-    combination: the reference the array filter is tested against."""
+    combination: the reference the grown enumeration is tested against."""
     f = factorize(m, r)
     scaled_slots = [
         [
@@ -719,8 +720,9 @@ class TestStageFourPastTheRefusal:
 
 
 class TestUniformCycles:
-    """The stage >= 4 partition filter: every cycle of inv(left).q has
-    the same length, as union_cycle_partition(left, q) == beta asks."""
+    """The array partition filter the grower is checked against: every
+    cycle of inv(left).q has the same length, as
+    union_cycle_partition(left, q) == beta asks."""
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -743,7 +745,7 @@ class TestUniformCycles:
         expected = union_cycle_partition(
             Permutation(tuple(x + 1 for x in left)), Permutation(tuple(x + 1 for x in q))
         ) == PartitionP2((length,) * (d // length))
-        got = engine._uniform_cycles(np.argsort(left)[np.array([q])], length)
+        got = uniform_cycles(np.argsort(left)[np.array([q])], length)
         assert got.tolist() == [expected]
 
 

@@ -5,22 +5,31 @@ import json
 
 import numpy as np
 import pytest
+from helpers import matrix_cells
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from strategies import EDITS, FUZZ_EDITS, edited, format_shaped_texts, regular_matrices
 
 from btusearch import io_formats
-from btusearch.btu import decompose, decompose_matrix, girth, make_btu, to_biadjacency, to_cells
+from btusearch.btu import (
+    _square_cells,
+    decompose,
+    decompose_matrix,
+    girth,
+    make_btu,
+    to_biadjacency,
+    to_cells,
+)
 from btusearch.engine import search
 from btusearch.io_formats import (
     alist_cells,
     alist_to_matrix,
     btu_to_format,
+    cells_to_alist,
+    cells_to_dot,
+    cells_to_text,
     census_to_dict,
     detect_and_parse,
-    matrix_to_alist,
-    matrix_to_dot,
-    matrix_to_text,
     parse_cells,
     search_result_to_dict,
     text_cells,
@@ -52,7 +61,7 @@ def small_btu():
 class TestMatrixText:
     def test_round_trip(self, small_btu):
         mat = to_biadjacency(small_btu)
-        assert (text_to_matrix(matrix_to_text(mat)) == mat).all()
+        assert (text_to_matrix(cells_to_text(*matrix_cells(mat))) == mat).all()
 
     def test_rejects_ragged(self):
         with pytest.raises(ValueError):
@@ -65,14 +74,14 @@ class TestMatrixText:
 
 class TestAlist:
     def test_golden_layout(self, small_btu):
-        assert matrix_to_alist(to_biadjacency(small_btu)) == ALIST_I4_C1
+        assert cells_to_alist(*matrix_cells(to_biadjacency(small_btu))) == ALIST_I4_C1
 
     def test_round_trip_bytes(self, small_btu):
         mat = to_biadjacency(small_btu)
-        text = matrix_to_alist(mat)
+        text = cells_to_alist(*matrix_cells(mat))
         back = alist_to_matrix(text)
         assert (back == mat).all()
-        assert matrix_to_alist(back) == text
+        assert cells_to_alist(*matrix_cells(back)) == text
 
     def test_corrupt_alist_rejected(self):
         bad = ALIST_I4_C1.replace("1 2\n2 3", "1 2\n2 4", 1)
@@ -102,11 +111,11 @@ class TestAlistIndexRange:
 class TestDetect:
     def test_alist_detected(self, small_btu):
         mat = to_biadjacency(small_btu)
-        assert (detect_and_parse(matrix_to_alist(mat)) == mat).all()
+        assert (detect_and_parse(cells_to_alist(*matrix_cells(mat))) == mat).all()
 
     def test_matrix_detected(self, small_btu):
         mat = to_biadjacency(small_btu)
-        assert (detect_and_parse(matrix_to_text(mat)) == mat).all()
+        assert (detect_and_parse(cells_to_text(*matrix_cells(mat))) == mat).all()
 
     def test_tiny_all_ones_matrix_is_not_mistaken_for_alist(self):
         assert (detect_and_parse("1 1\n1 1\n") == np.ones((2, 2))).all()
@@ -115,7 +124,7 @@ class TestDetect:
 class TestDot:
     def test_edges_row_major(self):
         mat = np.array([[1, 1], [1, 1]])
-        assert matrix_to_dot(mat) == (
+        assert cells_to_dot(*matrix_cells(mat)) == (
             "graph btu {\n"
             "  l1 -- r1;\n"
             "  l1 -- r2;\n"
@@ -170,7 +179,8 @@ class TestBtuFormats:
 
         g = girth(small_btu).girth
         mat = to_biadjacency(small_btu)
-        for text in (matrix_to_text(mat), matrix_to_alist(mat)):
+        for write in (cells_to_text, cells_to_alist):
+            text = write(*matrix_cells(mat))
             assert girth(decompose_matrix(detect_and_parse(text))).girth == g
 
 
@@ -316,10 +326,10 @@ def read_outcome(read, text):
 
 
 READERS = [
-    (text_to_matrix, ref_text_to_matrix, matrix_to_text),
-    (alist_to_matrix, ref_alist_to_matrix, matrix_to_alist),
-    (detect_and_parse, ref_detect_and_parse, matrix_to_text),
-    (detect_and_parse, ref_detect_and_parse, matrix_to_alist),
+    (text_to_matrix, ref_text_to_matrix, cells_to_text),
+    (alist_to_matrix, ref_alist_to_matrix, cells_to_alist),
+    (detect_and_parse, ref_detect_and_parse, cells_to_text),
+    (detect_and_parse, ref_detect_and_parse, cells_to_alist),
 ]
 
 
@@ -327,15 +337,15 @@ class TestRewriteMatchesReference:
     @settings(max_examples=150, deadline=None)
     @given(mat=regular_matrices())
     def test_writers_byte_identical(self, mat):
-        assert matrix_to_text(mat) == ref_matrix_to_text(mat)
-        assert matrix_to_alist(mat) == ref_matrix_to_alist(mat)
-        assert matrix_to_dot(mat) == ref_matrix_to_dot(mat)
+        assert cells_to_text(*matrix_cells(mat)) == ref_matrix_to_text(mat)
+        assert cells_to_alist(*matrix_cells(mat)) == ref_matrix_to_alist(mat)
+        assert cells_to_dot(*matrix_cells(mat)) == ref_matrix_to_dot(mat)
 
     @settings(max_examples=100, deadline=None)
     @given(mat=regular_matrices())
     def test_readers_agree_on_valid_text(self, mat):
         for read, ref_read, write in READERS:
-            text = write(mat)
+            text = write(*matrix_cells(mat))
             assert read_outcome(read, text) == read_outcome(ref_read, text)
             assert (read(text) == mat).all()
 
@@ -343,13 +353,13 @@ class TestRewriteMatchesReference:
     @given(mat=regular_matrices(max_m=12), data=st.data())
     def test_readers_agree_on_damaged_text(self, mat, data):
         for read, ref_read, write in READERS:
-            text = data.draw(edited(write(mat), EDITS))
+            text = data.draw(edited(write(*matrix_cells(mat)), EDITS))
             assert read_outcome(read, text) == read_outcome(ref_read, text)
 
     @settings(max_examples=300, deadline=None)
     @given(mat=regular_matrices(max_m=12), data=st.data())
     def test_alist_reader_under_fuzzing(self, mat, data):
-        text = matrix_to_alist(mat)
+        text = cells_to_alist(*matrix_cells(mat))
         for _ in range(2):
             if text.split():
                 text = data.draw(edited(text, FUZZ_EDITS))
@@ -398,15 +408,11 @@ class TestRewriteMatchesReference:
         with pytest.raises(ValueError, match="matrix entries must be 0 or 1"):
             text_to_matrix("300 1\n1 1\n")
 
-    @pytest.mark.parametrize("mat", [[[2, 0], [1, 1]], [[1, -1], [0, 3]]])
-    def test_alist_writer_sums_a_non_binary_matrix(self, mat):
-        # The degree lines are the column and row sums, as they were.
-        mat = np.array(mat)
-        assert matrix_to_alist(mat) == ref_matrix_to_alist(mat)
-
     def test_matrix_writer_rejects_non_binary(self):
+        # A matrix reaches the writers only as the cells of its ones,
+        # which the dense reading takes only from a 0/1 matrix.
         with pytest.raises(ValueError, match="matrix entries must be 0 or 1"):
-            matrix_to_text(np.array([[2, 0], [0, 1]]))
+            _square_cells(np.array([[2, 0], [0, 1]]))
 
 
 # The ASCII characters str.split() takes for whitespace; the line ends
@@ -484,9 +490,9 @@ class TestMatrixGrammar:
     @given(mat=regular_matrices())
     def test_writers_on_int64_and_bool(self, mat):
         for cast in (mat.astype(np.int64), mat.astype(bool)):
-            assert matrix_to_text(cast) == ref_matrix_to_text(cast)
-            assert matrix_to_alist(cast) == ref_matrix_to_alist(cast)
-            assert matrix_to_dot(cast) == ref_matrix_to_dot(cast)
+            assert cells_to_text(*matrix_cells(cast)) == ref_matrix_to_text(cast)
+            assert cells_to_alist(*matrix_cells(cast)) == ref_matrix_to_alist(cast)
+            assert cells_to_dot(*matrix_cells(cast)) == ref_matrix_to_dot(cast)
 
 
 class TestM2000CirculantTexts:
@@ -530,7 +536,7 @@ class TestDetectChoosesOneReader:
         assert np.isin(mat, (0, 1)).all()
 
 
-# One edit of a text matrix_to_text wrote.  Each but "none" leaves the
+# One edit of a text cells_to_text wrote.  Each but "none" leaves the
 # exact layout, so the layout check must hand the text to the tokenizer.
 MUTATIONS = (
     "none", "digit", "tab", "no_final_newline", "crlf", "leading_blank",
@@ -540,7 +546,7 @@ MUTATIONS = (
 
 @st.composite
 def mutated_matrix_texts(draw, mat):
-    text = matrix_to_text(mat)
+    text = cells_to_text(*matrix_cells(mat))
     kind = draw(st.sampled_from(MUTATIONS if len(mat) > 1 else [k for k in MUTATIONS if k != "tab"]))
     if kind == "digit":
         at = 2 * draw(st.integers(0, len(text) // 2 - 1))
@@ -584,7 +590,7 @@ def ref_cells_outcome(text):
 class TestCellReaders:
     """The cell readers return what the reference reads, without an
     m x m matrix, and the matrix reader takes its one-pass layout check
-    exactly for the layout matrix_to_text writes."""
+    exactly for the layout cells_to_text writes."""
 
     @settings(max_examples=300, deadline=None)
     @given(mat=regular_matrices(max_m=12), data=st.data())
@@ -614,8 +620,8 @@ class TestCellReaders:
         assert len(tokenized) == 3
 
     def test_alist_cells_are_the_matrix_cells(self, small_btu):
-        for write in (matrix_to_text, matrix_to_alist):
-            m, cells = parse_cells(write(to_biadjacency(small_btu)))
+        for write in (cells_to_text, cells_to_alist):
+            m, cells = parse_cells(write(*matrix_cells(to_biadjacency(small_btu))))
             assert m == 4 and cells.tolist() == to_cells(small_btu).tolist()
 
 
@@ -728,16 +734,17 @@ class TestWriterLabelWidths:
         if m <= 100:  # ref_matrix_to_dot scans all m * m cells
             assert io_formats.cells_to_dot((m, m), cells) == ref_matrix_to_dot(to_biadjacency(b))
 
-    def test_non_square_weighted_alist_with_empty_lines(self):
-        # Column 2, column 12 and row 1 have no entry; the degrees are sums.
+    def test_non_square_alist_with_empty_lines(self):
+        # Column 2, column 12 and row 1 have no entry.
         mat = np.zeros((3, 12), dtype=int)
-        mat[1, [0, 10]] = [2, 1]
-        mat[2, [0, 2, 10]] = [1, 3, 1]
-        assert matrix_to_alist(mat) == ref_matrix_to_alist(mat)
-        assert matrix_to_alist(mat).split("\n")[4:7] == ["2 3", "", "3"]
+        mat[1, [0, 10]] = 1
+        mat[2, [0, 2, 10]] = 1
+        text = cells_to_alist(*matrix_cells(mat))
+        assert text == ref_matrix_to_alist(mat)
+        assert text.split("\n")[4:7] == ["2 3", "", "3"]
 
     def test_empty_dot(self):
-        assert matrix_to_dot(np.zeros((3, 3))) == "graph btu {\n}\n"
+        assert cells_to_dot(*matrix_cells(np.zeros((3, 3)))) == "graph btu {\n}\n"
 
     @pytest.mark.parametrize("top", [0, 9, 10, 1234])
     def test_digit_table(self, top):

@@ -6,10 +6,10 @@ from math import factorial
 
 import numpy as np
 import pytest
+from helpers import uniform_cycles, word_at_index
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from btusearch import engine
 from btusearch.parameters import Factorization
 from btusearch.perms import (
     Permutation,
@@ -29,7 +29,6 @@ from btusearch.searchspace import (
     lex_permutations,
     rank_candidate,
     unrank_candidate,
-    word_at_index,
 )
 
 
@@ -195,7 +194,7 @@ class TestGrownCycleImages:
     def masked(d, avoid, left, length, limit):
         words = cycle_images(d, limit)
         words = words[(words[:, None, :] != avoid).all(axis=(1, 2))]
-        return words[engine._uniform_cycles(np.argsort(left)[words], length)]
+        return words[uniform_cycles(np.argsort(left)[words], length)]
 
     # TestGrownCycleImagesOnEachGrower runs this with a function-scoped
     # fixture, which holds no state between examples.
