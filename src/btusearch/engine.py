@@ -89,7 +89,6 @@ at stage >= 4 as well, though only the grown rows are built there.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -201,9 +200,14 @@ def admissible_rotations(n: int, threshold: int) -> list[int]:
     Coprimality of j and n forces gcd(j, n-j) = gcd(n-j, n) = 1 as well,
     so the whole triple (j, n, n-j) is pairwise coprime.
     """
+    return list(_rotation_offsets(n, threshold))
+
+
+def _rotation_offsets(n: int, threshold: int) -> Iterator[int]:
+    """admissible_rotations(n, threshold), ascending, one at a time."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    return [j for j in range(1, n) if min(j, n - j) > threshold and gcd(j, n) == 1]
+    return (j for j in range(1, n) if min(j, n - j) > threshold and gcd(j, n) == 1)
 
 
 def _marker(level: int, final_row: np.ndarray) -> int | str:
@@ -222,9 +226,8 @@ def _stage2(f: Factorization, config: SearchConfig) -> tuple[np.ndarray, StageTr
     the first that the first policy level offering any gives."""
     n = f.b * f.k
     for level in [0] if config.rotation_policy == "strict" else [0, 1]:
-        offsets = admissible_rotations(n, f.b if level == 0 else 0)
-        if offsets:
-            j = offsets[0]
+        j = next(_rotation_offsets(n, f.b if level == 0 else 0), None)
+        if j is not None:
             break
     else:
         raise StageDeadEndError(2, f"no admissible rotation at n={n}, threshold={f.b}")
@@ -460,17 +463,13 @@ def enumerate_Z(m: int, r: int, cap: int | None = None) -> Iterator[BTU]:
         f"m={m}, r={r}: the family enumeration would try {{count}} slot combinations, "
         "over the limit of {limit}; a cap bounds only the members listed",
     )
-    home, middle = np.arange(m), identity(m)
 
-    def members(slots: np.ndarray) -> Iterator[BTU]:
-        """The members whose first slots are the rows of `slots`, 0-based
-        images at degree m."""
+    def prefixes(slots: np.ndarray) -> Iterator[np.ndarray]:
+        """Each choice of slots 1..r-2 whose first slots are the rows of
+        `slots`, 0-based images at degree m."""
         j = len(slots)
         if j == r - 2:
-            head = tuple(Permutation(tuple(image)) for image in (slots + 1).tolist())
-            lasts = grown_cycle_images(m, np.vstack([slots, home]), home, m)
-            for image in (lasts + 1).tolist():
-                yield BTU(m=m, r=r, perms=(*head, middle, Permutation(tuple(image))))
+            yield slots
             return
         d = degrees[j]
         if j == 0:
@@ -479,6 +478,15 @@ def enumerate_Z(m: int, r: int, cap: int | None = None) -> Iterator[BTU]:
             rows = grown_cycle_images(d, slots[:, :d], slots[-1, :d], degrees[j - 1])
         blocks = np.arange(0, m, d)[:, None]
         for row in rows:
-            yield from members(np.vstack([slots, (row + blocks).reshape(1, m)]))
+            yield from prefixes(np.vstack([slots, (row + blocks).reshape(1, m)]))
 
-    yield from itertools.islice(members(np.empty((0, m), dtype=np.int64)), cap)
+    home, middle = np.arange(m), identity(m)
+    yielded = 0
+    for slots in prefixes(np.empty((0, m), dtype=np.int64)):
+        head = tuple(Permutation(tuple(image)) for image in (slots + 1).tolist())
+        lasts = grown_cycle_images(m, np.vstack([slots, home]), home, m)
+        for image in (lasts[: None if cap is None else cap - yielded] + 1).tolist():
+            yield BTU(m=m, r=r, perms=(*head, middle, Permutation(tuple(image))))
+            yielded += 1
+        if cap is not None and yielded >= cap:
+            return

@@ -50,12 +50,12 @@ FIG_SCALED_MATRIX = np.array(
 )
 
 
-def regular_degree(mat):
+def square_cell_degree(mat):
     """cell_degree of the cells decompose_matrix reads of a matrix."""
     return cell_degree(*_square_cells(mat))
 
 
-def matrix_to_text(mat):
+def square_cell_text(mat):
     """The matrix text written from the cells decompose_matrix reads of
     a matrix."""
     m, cells = _square_cells(mat)
@@ -171,7 +171,7 @@ def ref_decompose_matrix(mat):
     """decompose_matrix as it was before the row lists came from one cell
     scan (one flatnonzero per row) and before the matching loops were
     rewritten."""
-    r = regular_degree(mat)
+    r = square_cell_degree(mat)
     m = mat.shape[0]
     remaining = [np.flatnonzero(row).tolist() for row in mat]
     perms = []
@@ -335,7 +335,12 @@ class TestRegularDegree:
         + [(np.int64, v) for v in (-1, 2)],
     )
     @pytest.mark.parametrize("cell", [(0, 0), (0, 1)], ids=["on-a-one", "on-a-zero"])
-    @pytest.mark.parametrize("read", [regular_degree, decompose_matrix, matrix_to_text])
+    # The ids keep the names of the dense readers these routes replaced.
+    @pytest.mark.parametrize(
+        "read",
+        [square_cell_degree, decompose_matrix, square_cell_text],
+        ids=["regular_degree", "decompose_matrix", "matrix_to_text"],
+    )
     def test_non_binary_entries_refused(self, read, cell, dtype, value):
         mat = np.eye(3, dtype=dtype)
         mat[cell] = value
@@ -346,9 +351,9 @@ class TestRegularDegree:
     def test_other_dtypes_of_0_and_1_accepted(self, dtype):
         mat = to_biadjacency(random_btu(6, 3, seed=2))
         cast = mat.astype(dtype)
-        assert regular_degree(cast) == 3
+        assert square_cell_degree(cast) == 3
         assert decompose_matrix(cast) == decompose_matrix(mat)
-        assert matrix_to_text(cast) == matrix_to_text(mat)
+        assert square_cell_text(cast) == square_cell_text(mat)
 
 
 class TestGirth:

@@ -53,7 +53,12 @@ from btusearch.perms import (
     scale_permutation,
     union_cycle_partition,
 )
-from btusearch.searchspace import CandidateWord, cycle_images, enumerate_candidates
+from btusearch.searchspace import (
+    CandidateWord,
+    cycle_images,
+    enumerate_candidates,
+    grown_cycle_images,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -254,6 +259,54 @@ class TestEnumerateZ:
     @pytest.mark.parametrize("cap", [1, 5])
     def test_capped_members_are_the_per_attempt_loop(self, cap):
         assert list(enumerate_Z(9, 3, cap=cap)) == list(per_attempt_Z(9, 3, cap))
+
+    @pytest.mark.parametrize("m,r", [(8, 4), (16, 4), (27, 4), (16, 5)])
+    def test_middle_slots_are_the_array_filter(self, backend, monkeypatch, m, r):
+        # Slots 2..r-2 are grown only at r >= 4, where the one size under
+        # the listing limit, (8,4), has no member.  So the last slot is
+        # not grown here: each prefix it would be grown against is
+        # recorded, and the prefixes must be the array filter's, in order.
+        # (27,4) keeps 864 prefixes; the other sizes keep none.
+        seen = []
+
+        def last_slot_skipped(d, avoid, left, length, *rest):
+            if d < m:
+                return grown_cycle_images(d, avoid, left, length, *rest)
+            seen.append(avoid[:-1].tolist())
+            return np.empty((0, m), dtype=np.int64)
+
+        monkeypatch.setattr(engine, "MAX_LISTED", float("inf"))
+        monkeypatch.setattr(engine, "grown_cycle_images", last_slot_skipped)
+        assert list(enumerate_Z(m, r)) == []
+        assert seen == filtered_prefixes(m, r)
+
+
+def filtered_prefixes(m, r):
+    """The slot 1..r-2 prefixes of the fully scaled family, 0-based, in
+    lexicographic order, as the array filter kept them: every scaled
+    candidate of each degree, then the rows that meet an earlier slot
+    dropped, and those whose cycles against the slot before are not all
+    of that slot's degree."""
+    f = factorize(m, r)
+    degrees = [f.b * f.k**j for j in range(1, r - 1)]
+    scaled = [
+        (cycle_images(d)[:, None, :] + np.arange(0, m, d)[:, None]).reshape(-1, m)
+        for d in degrees
+    ]
+
+    def grow(prefix):
+        if len(prefix) == r - 2:
+            yield prefix.tolist()
+            return
+        rows = scaled[len(prefix)]
+        if len(prefix):
+            keep = (rows[:, None, :] != prefix).all(axis=(1, 2))
+            keep &= uniform_cycles(np.argsort(prefix[-1])[rows], degrees[len(prefix) - 1])
+            rows = rows[keep]
+        for row in rows:
+            yield from grow(np.vstack([prefix, row]))
+
+    return list(grow(np.empty((0, m), dtype=np.int64)))
 
 
 def per_attempt_Z(m, r, cap=None):

@@ -11,15 +11,7 @@ from hypothesis import strategies as st
 from strategies import EDITS, FUZZ_EDITS, edited, format_shaped_texts, regular_matrices
 
 from btusearch import io_formats
-from btusearch.btu import (
-    _square_cells,
-    decompose,
-    decompose_matrix,
-    girth,
-    make_btu,
-    to_biadjacency,
-    to_cells,
-)
+from btusearch.btu import decompose, decompose_matrix, girth, make_btu, to_biadjacency, to_cells
 from btusearch.engine import search
 from btusearch.io_formats import (
     alist_cells,
@@ -410,9 +402,9 @@ class TestRewriteMatchesReference:
 
     def test_matrix_writer_rejects_non_binary(self):
         # A matrix reaches the writers only as the cells of its ones,
-        # which the dense reading takes only from a 0/1 matrix.
+        # which decompose_matrix takes only from a 0/1 matrix.
         with pytest.raises(ValueError, match="matrix entries must be 0 or 1"):
-            _square_cells(np.array([[2, 0], [0, 1]]))
+            decompose_matrix(np.array([[2, 0], [0, 1]]))
 
 
 # The ASCII characters str.split() takes for whitespace; the line ends
