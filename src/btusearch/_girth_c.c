@@ -1,5 +1,5 @@
-/* Compiled girth kernel, slot matcher and cycle grower; _girth_py is
- * the reference implementation of all three.
+/* Compiled girth kernel, slot matcher, cycle grower and pair coder;
+ * _girth_py is the reference implementation of all four.
  *
  * A batch is a table of image rows plus a row index.  The table holds
  * rows of m unsigned ints of 1, 2 or 4 bytes, each a 0-based one-line
@@ -13,8 +13,12 @@
  *
  * The grower lists the n-cycles w of 0..n-1 that a stage >= 4 search
  * keeps for its replaced slot, depth-first in the order of their words,
- * and prunes a prefix at the first entry that fails a filter.  Every
- * call runs without the GIL, so threads can share a search.
+ * and prunes a prefix at the first entry that fails a filter.
+ *
+ * The pair coder takes pairs (a, b) of table rows and writes, for each,
+ * an int64 code of the cycle type of x -> inv(a)[b[x]]: the union-cycle
+ * partition of the pair that the oracle's census groups tuples by.
+ * Every call runs without the GIL, so threads can share a search.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -417,6 +421,78 @@ static int grow(Growth *g)
     return status;
 }
 
+/* The largest m whose pair codes fit in int64: m (m+1)^(m-1), the code
+ * of one m-cycle, is below 2^63 for m = 15 and above it for m = 16. */
+#define MAX_CODED 15
+
+/* The pair coder's input and output: pair k is table rows a =
+ * index[2k] and b = index[2k+1], and out[k] gets its code. */
+typedef struct {
+    const char *table;
+    Py_ssize_t rows;
+    int itemsize;
+    const int *index;
+    Py_ssize_t n;
+    int m;
+    int64_t *out;
+} Pairs;
+
+/* Codes pairs in order, each as sum_L c_L (m+1)^(L-1), c_L the points
+ * on cycles of length L of x -> inv(a)[b[x]]; each row is checked to
+ * be a permutation as it is read, with a bit per value.  Inlined once
+ * per item size.  OK or BAD_IMAGE. */
+static inline int codes_as(const Pairs *p, const int64_t *weight, int itemsize)
+{
+    int m = p->m, inv[MAX_CODED], step[MAX_CODED];
+    for (Py_ssize_t k = 0; k < p->n; k++) {
+        const char *a = p->table + p->index[2 * k] * (Py_ssize_t)m * itemsize,
+                   *b = p->table + p->index[2 * k + 1] * (Py_ssize_t)m * itemsize;
+        unsigned in_a = 0, in_b = 0, seen = 0;
+        for (int i = 0; i < m; i++) {
+            unsigned v = item(a, itemsize, i);
+            if (v >= (unsigned)m || in_a >> v & 1)
+                return BAD_IMAGE;
+            in_a |= 1u << v;
+            inv[v] = i;
+        }
+        for (int i = 0; i < m; i++) {
+            unsigned v = item(b, itemsize, i);
+            if (v >= (unsigned)m || in_b >> v & 1)
+                return BAD_IMAGE;
+            in_b |= 1u << v;
+            step[i] = inv[v];
+        }
+        int64_t code = 0;
+        for (int s = 0; s < m; s++) {
+            int len = 0;
+            for (int x = s; !(seen >> x & 1); x = step[x], len++)
+                seen |= 1u << x;
+            if (len)
+                code += len * weight[len - 1];
+        }
+        p->out[k] = code;
+    }
+    return OK;
+}
+
+/* Checks every row index, then codes every pair: OK, BAD_ROW or
+ * BAD_IMAGE. */
+static int code_pairs(const Pairs *p)
+{
+    for (Py_ssize_t i = 0; i < 2 * p->n; i++)
+        if (p->index[i] < 0 || p->index[i] >= p->rows)
+            return BAD_ROW;
+    int64_t weight[MAX_CODED];
+    weight[0] = 1;
+    for (int t = 1; t < p->m; t++)
+        weight[t] = weight[t - 1] * (p->m + 1);
+    if (p->itemsize == 1)
+        return codes_as(p, weight, 1);
+    if (p->itemsize == 2)
+        return codes_as(p, weight, 2);
+    return codes_as(p, weight, 4);
+}
+
 /* Takes a C-contiguous buffer from obj into view, of items of `width`
  * bytes (of 1, 2 or 4 when width is 0), with at least `need` items, or
  * exactly that many when `exact`; need < 0 asks nothing of the count. */
@@ -609,6 +685,63 @@ static PyObject *grow_cycles(PyObject *Py_UNUSED(self), PyObject *args)
     return rows;
 }
 
+static PyObject *pair_codes(PyObject *Py_UNUSED(self), PyObject *args)
+{
+    PyObject *table_obj, *index_obj, *out_obj;
+    Pairs p;
+    Py_buffer table, index, out;
+    if (!PyArg_ParseTuple(args, "OOniO:pair_codes", &table_obj, &index_obj, &p.n, &p.m,
+                          &out_obj))
+        return NULL;
+    if (p.m < 1 || p.m > MAX_CODED || p.n < 0) {
+        PyErr_Format(PyExc_ValueError, "need 1 <= m <= %d and n_pairs >= 0, got m=%d, "
+                     "n_pairs=%zd", MAX_CODED, p.m, p.n);
+        return NULL;
+    }
+    if (p.n > PY_SSIZE_T_MAX / 8) {
+        PyErr_SetString(PyExc_ValueError, "n_pairs is too large");
+        return NULL;
+    }
+    if (get_buffer(table_obj, &table, PyBUF_SIMPLE, "table", 0, -1, 0) < 0)
+        return NULL;
+    if (get_buffer(index_obj, &index, PyBUF_SIMPLE, "index", 4, 2 * p.n, 1) < 0) {
+        PyBuffer_Release(&table);
+        return NULL;
+    }
+    if (get_buffer(out_obj, &out, PyBUF_WRITABLE, "out", 8, p.n, 0) < 0) {
+        PyBuffer_Release(&index);
+        PyBuffer_Release(&table);
+        return NULL;
+    }
+    Py_ssize_t items = table.len / table.itemsize;
+    int status = OK;
+    if (items % p.m) {
+        PyErr_Format(PyExc_ValueError, "table has %zd items, not a multiple of m=%d", items,
+                     p.m);
+        status = BAD_ROW;
+    } else {
+        p.table = table.buf;
+        p.rows = items / p.m;
+        p.itemsize = (int)table.itemsize;
+        p.index = index.buf;
+        p.out = out.buf;
+        Py_BEGIN_ALLOW_THREADS
+        status = code_pairs(&p);
+        Py_END_ALLOW_THREADS
+        if (status == BAD_ROW)
+            PyErr_Format(PyExc_ValueError, "each row index must be in 0..%zd", p.rows - 1);
+        else if (status == BAD_IMAGE)
+            PyErr_Format(PyExc_ValueError, "each image must be a permutation of 0..%d",
+                         p.m - 1);
+    }
+    PyBuffer_Release(&out);
+    PyBuffer_Release(&index);
+    PyBuffer_Release(&table);
+    if (status != OK)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
 static PyMethodDef methods[] = {
     {"girth_batch", girth_batch, METH_VARARGS,
      "girth_batch(table, index, n_graphs, m, r, out, cutoff, slack=0, stop=0)\n\n"
@@ -639,13 +772,22 @@ static PyMethodDef methods[] = {
      "`length` points, and, when digits (n-1 4-byte ints) is not None, its\n"
      "word's rank is below the limit those factorial-base digits spell.\n"
      "heads holds n 4-byte ints in 0..n-1."},
+    {"pair_codes", pair_codes, METH_VARARGS,
+     "pair_codes(table, index, n_pairs, m, out)\n\n"
+     "Codes n_pairs pairs of table rows, releasing the GIL: pair k is rows\n"
+     "a = index[2k] and b = index[2k+1] (4-byte ints) of table, rows of m\n"
+     "0-based images in 1-, 2- or 4-byte unsigned ints, and out[k] (8-byte\n"
+     "ints) gets sum_L c_L (m+1)^(L-1), c_L the points on cycles of length L\n"
+     "of x -> inv(a)[b[x]].  ValueError for m outside 1..15 (the code of an\n"
+     "m-cycle overflows int64 at m = 16), a row index outside the table or\n"
+     "a row that is not a permutation of 0..m-1."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_girth_c",
-    .m_doc = "Compiled girth kernel, slot matcher and cycle grower.",
+    .m_doc = "Compiled girth kernel, slot matcher, cycle grower and pair coder.",
     .m_size = -1,
     .m_methods = methods,
 };

@@ -1,19 +1,22 @@
-"""Pure-Python girth kernel, slot matcher and cycle grower.
+"""Pure-Python girth kernel, slot matcher, cycle grower and pair coder.
 
 Same contract as the compiled kernel in _girth_c: a batch is a table of
 rows of m 0-based one-line images, in unsigned ints of 1, 2 or 4 bytes,
 and a row index of 4-byte ints whose n_graphs * r entries name each
 graph's r slots in turn.  Row vertex i of a graph is joined to column
 vertex row[i] of each of its slots, and its girth is the length of the
-shortest cycle (2 for a double edge), or 0 for a forest.  Input that
-would make the BFS index out of range raises ValueError, as it does
-there.
+shortest cycle (2 for a double edge), or 0 for a forest.  An r = 2
+graph is scored in O(m) by the cycle walk the compiled kernel takes;
+larger r by a BFS from every row vertex.  Input that would make the
+kernel index out of range raises ValueError, as it does there.
 
 `split_slots` is the reference of the compiled matcher: the same r
 perfect matchings of an r-regular bipartite graph, slot for slot, and
 ValueError for the same inputs.  `grow_cycles` is the reference of the
 compiled grower: the same rows in the same order, grown breadth-first
-with numpy where the compiled one grows them depth-first.
+with numpy where the compiled one grows them depth-first.  `pair_codes`
+is the reference of the compiled pair coder: the same int64 cycle-type
+codes, taken for every pair at once by an m-step numpy orbit loop.
 """
 
 from __future__ import annotations
@@ -39,7 +42,10 @@ def _ints(obj, what: str, sizes: tuple[int, ...], need: int | None, exact: bool)
         raise ValueError(
             f"{what} must hold {widths}-byte ints, not {view.itemsize}-byte items"
         )
-    view = view.cast("B").cast("i" if sizes == (4,) else _UNSIGNED[view.itemsize])
+    fmt = {(4,): "i", (8,): "q"}.get(sizes) or _UNSIGNED[view.itemsize]
+    # memoryview casts no view with a 0 in its shape, so an empty buffer
+    # becomes an empty writable one.
+    view = (view.cast("B") if view.nbytes else memoryview(bytearray())).cast(fmt)
     if need is not None and (len(view) != need if exact else len(view) < need):
         qualifier = "" if exact else "at least "
         raise ValueError(f"{what} has {len(view)} items, needs {qualifier}{need}")
@@ -84,6 +90,8 @@ def _girth(images: list[list[int]], m: int) -> int:
         for i, v in enumerate(image):
             inverse[v] = i
         inv.append(inverse)
+    if len(images) == 2:
+        return 2 * _shortest_cycle([inv[0][v] for v in images[1]])
     if any(len(set(column)) < len(images) for column in zip(*images)):
         return 2  # two slots agree at a row: a double edge
 
@@ -118,6 +126,26 @@ def _girth(images: list[list[int]], m: int) -> int:
                     cycle = du + dist[w] + 1
                     if best == 0 or cycle < best:
                         best = cycle
+    return best
+
+
+def _shortest_cycle(step: list[int]) -> int:
+    """The fewest points on a cycle of the permutation `step`.  With r = 2
+    the graph is a union of cycles: row i reaches row inv0[img1[i]]
+    through two edges, so its girth is twice this for that map, whose
+    fixed points are the double edges."""
+    seen = [False] * len(step)
+    best = 0
+    for s in range(len(step)):
+        length, x = 0, s
+        while not seen[x]:
+            seen[x] = True
+            x = step[x]
+            length += 1
+        if length and (not best or length < best):
+            best = length
+            if best == 1:
+                break
     return best
 
 
@@ -296,3 +324,50 @@ def grow_cycles(barred, heads, digits, n: int, length: int, itemsize: int):
     images = np.empty(visits.shape, dtype=f"i{itemsize}")
     images[np.arange(len(visits))[:, None], visits] = np.roll(visits, -1, axis=1)
     return images
+
+
+# The largest m whose pair codes fit in int64: m (m+1)^(m-1), the code of
+# one m-cycle, is below 2^63 for m = 15 and above it for m = 16.
+MAX_CODED = 15
+
+
+def pair_codes(table, index, n_pairs: int, m: int, out) -> None:
+    """Writes to out[k] (8-byte ints) the code of pair k, table rows a =
+    index[2k] and b = index[2k+1]: with c_L the points on cycles of
+    length L of x -> inv(a)[b[x]], the code is sum_L c_L (m+1)^(L-1),
+    whose base-(m+1) digits give the partition back.  ValueError for m
+    outside 1..MAX_CODED, a row index outside the table or a row that is
+    not a permutation of 0..m-1.
+
+    One m-step numpy loop codes every pair at once: step t marks the
+    points that x -> inv(a)[b[x]] first brings home after t steps.
+    """
+    if not 1 <= m <= MAX_CODED or n_pairs < 0:
+        raise ValueError(
+            f"need 1 <= m <= {MAX_CODED} and n_pairs >= 0, got m={m}, n_pairs={n_pairs}"
+        )
+    items = _ints(table, "table", (1, 2, 4), None, exact=False)
+    rows = np.asarray(_ints(index, "index", (4,), 2 * n_pairs, exact=True))
+    out_view = _ints(out, "out", (8,), n_pairs, exact=False)
+    if len(items) % m:
+        raise ValueError(f"table has {len(items)} items, not a multiple of m={m}")
+    table = np.asarray(items).reshape(-1, m)
+    if not ((rows >= 0) & (rows < len(table))).all():
+        raise ValueError(f"each row index must be in 0..{len(table) - 1}")
+    if not (np.sort(table[np.unique(rows)], axis=1) == np.arange(m)).all():
+        raise ValueError(f"each image must be a permutation of 0..{m - 1}")
+    images = table[rows].reshape(n_pairs, 2, m)
+    # Point x of pair k sits at x + shift[k] of the flattened block, so
+    # one gather applies each pair's own permutation.
+    shift = np.arange(0, n_pairs * m, m)[:, None]
+    home = np.arange(m) + shift
+    weights = (m + 1) ** np.arange(m, dtype=np.int64)
+    inverse = np.empty(n_pairs * m, dtype=np.intp)
+    inverse[images[:, 0] + shift] = home
+    sigma = inverse[images[:, 1] + shift]
+    lengths = np.zeros((n_pairs, m), dtype=np.intp)
+    power = sigma
+    for t in range(1, m + 1):
+        lengths[(power == home) & (lengths == 0)] = t
+        power = sigma.ravel()[power]
+    np.asarray(out_view)[:n_pairs] = weights[lengths - 1].sum(axis=1)

@@ -1,11 +1,14 @@
 """Selects the kernel at import: compiled if available, else pure.
 
-One module holds the three calls: `girth_batch`, the girth of each
+One module holds the four calls: `girth_batch`, the girth of each
 graph of a batch; `split_slots`, the slots of a BTU read from a file;
-and `grow_cycles`, the candidate cycles a stage >= 4 search keeps for
-its replaced slot.  The compiled module `_girth_c` holds all three in C
-(the grower depth-first); `_girth_py` is the pure-Python reference of
-each (the grower breadth-first, with numpy).
+`grow_cycles`, the candidate cycles a stage >= 4 search keeps for its
+replaced slot; and `pair_codes`, the cycle type of inv(a).b for pairs
+of table rows, which the oracle's census groups tuples by.  The
+compiled module `_girth_c` holds all four in C (the grower
+depth-first); `_girth_py` is the pure-Python reference of each (the
+grower breadth-first and the pair coder over all pairs at once, with
+numpy).
 """
 
 from __future__ import annotations
@@ -93,3 +96,18 @@ def grow_cycles(
         dtype.itemsize,
     )
     return np.frombuffer(rows, dtype=dtype).reshape(-1, n)
+
+
+def pair_codes(table: np.ndarray, pairs: np.ndarray, m: int) -> np.ndarray:
+    """The int64 code of each row (a, b) of an (n_pairs, 2) array of row
+    indices into a table of 0-based images, m to a row: with c_L the
+    points on cycles of length L of x -> inv(a)[b[x]], the code is
+    sum_L c_L (m+1)^(L-1), whose base-(m+1) digits give the union-cycle
+    partition back.  ValueError for m above 15, whose codes overflow
+    int64, a row index outside the table or a row that is not a
+    permutation.
+    """
+    pairs = np.ascontiguousarray(pairs, dtype=np.int32)
+    out = np.empty(len(pairs), dtype=np.int64)
+    _impl.pair_codes(table, pairs, len(pairs), m, out)
+    return out

@@ -12,6 +12,7 @@ import argparse
 import functools
 import sys
 import time
+import warnings
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -260,16 +261,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """Prints a warning as one `warning:` line, as an error prints one
+    `error:` line: no library path and no source line."""
+    print(f"warning: {message}", file=sys.stderr if file is None else file)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except (BTUError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except MemoryError as exc:  # a bare MemoryError() has no text
-        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            return args.func(args)
+        except (BTUError, ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except MemoryError as exc:  # a bare MemoryError() has no text
+            print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

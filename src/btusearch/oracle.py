@@ -19,11 +19,13 @@ which is lexicographic, order.  Every level but the last is joined
 whole; the last is joined a chunk of at most BLOCK cells at a time, and
 its tuples come out as blocks of at most BLOCK rows.  The census takes
 the partition code of each (previous slot, new slot) pair once, at the
-join that forms it, and carries it with the prefix.  Girths are computed
-a block per kernel call, which reads each tuple's images from the
-universe itself, so the memory in use is the universe plus K plus about
-one block; K is only built where the budget admits the sweep, so it is
-at most 720 x 720 booleans, at (6, 2) free.
+join that forms it, by one `_kernel.pair_codes` call on the pairs'
+universe row indices, and carries it with the prefix; a block's codes
+become one dense key per tuple, which one np.unique counts.  Girths are
+computed a block per kernel call, which reads each tuple's images from
+the universe itself, so the memory in use is the universe plus K plus
+about one block; K is only built where the budget admits the sweep, so
+it is at most 720 x 720 booleans, at (6, 2) free.
 
 A run is refused up front, with BudgetExceededError (a
 perms.TooLargeError), when its cost estimate (the universe rows plus the
@@ -118,8 +120,9 @@ def _join(universe, pool, compatible, heads, codes, fixed, coded, c0, c1):
     pairs) followed by each pool position in c0:c1 compatible with all
     of its slots, in lexicographic order: the rows of np.nonzero of the
     AND of the prefix's K rows.  When `coded`, the code of each new
-    (previous slot, new slot) pair is appended to its codes; the previous
-    slot of the first free slot is the fixed identity, or none.
+    (previous slot, new slot) pair is appended to its codes: the kernel
+    takes the pairs as universe row indices; the previous slot of the
+    first free slot is the fixed identity, row 0, or none.
     """
     if heads.shape[1]:
         mask = compatible[heads[:, 0], c0:c1]
@@ -132,7 +135,8 @@ def _join(universe, pool, compatible, heads, codes, fixed, coded, c0, c1):
     pair = ()
     if coded and (fixed or heads.shape[1]):
         prev = pool[heads[at, -1]] if heads.shape[1] else np.zeros_like(choice)
-        pair = (_partition_codes(universe[np.column_stack((prev, pool[choice]))])[:, 0],)
+        rows = np.column_stack((prev, pool[choice]))
+        pair = (_kernel.pair_codes(universe, rows, universe.shape[1]),)
     return np.column_stack((heads[at], choice)), np.column_stack((codes[at], *pair))
 
 
@@ -140,7 +144,7 @@ def _tuple_blocks(m: int, r: int, fixed: bool, coded: bool = False):
     """Every ordered pairwise-compatible r-tuple, in lexicographic order,
     as (universe, tuples, codes): the universe of 0-based images, shape
     (m!, m), an int32 array of shape (at most BLOCK, r) of its rows, and
-    the int64 `_partition_codes` of each tuple's r-1 adjacent pairs when
+    the int64 `_kernel.pair_codes` of each tuple's r-1 adjacent pairs when
     `coded` (otherwise no columns).
 
     At the first next() it checks m and r, ends at once for r > m (no r
@@ -251,33 +255,23 @@ def max_girth(m: int, r: int, fix_first_identity: bool = True) -> OracleReport:
     )
 
 
-def _partition_codes(images: np.ndarray) -> np.ndarray:
-    """Per tuple, one int64 code for the union-cycle partition of each of
-    its r-1 adjacent slot pairs: with c_L the points on cycles of length
-    L under inv(p_i)[p_(i+1)], the code is sum_L c_L (m+1)^(L-1), whose
-    base-(m+1) digits give the partition back."""
-    count, r, m = images.shape
-    # Point x of tuple t sits at x + shift[t] of the flattened block, so
-    # one gather applies each tuple's own permutation.
-    shift = np.arange(0, count * m, m)[:, None]
-    home = np.arange(m) + shift
-    weights = (m + 1) ** np.arange(m, dtype=np.int64)
-    codes = np.zeros((count, r - 1), dtype=np.int64)
-    inverse = np.empty(count * m, dtype=np.intp)
-    for i in range(r - 1):
-        inverse[images[:, i] + shift] = home
-        sigma = inverse[images[:, i + 1] + shift]
-        lengths = np.zeros((count, m), dtype=np.intp)
-        power = sigma
-        for t in range(1, m + 1):
-            lengths[(power == home) & (lengths == 0)] = t
-            power = sigma.ravel()[power]
-        codes[:, i] = weights[lengths - 1].sum(axis=1)
-    return codes
+def _known_codes(m: int) -> np.ndarray:
+    """The sorted `_kernel.pair_codes` of the p(m) partitions of m, one
+    for each partition: a part L adds L (m+1)^(L-1)."""
+
+    def codes(n: int, top: int):
+        if not n:
+            yield 0
+            return
+        for part in range(min(n, top), 0, -1):
+            for rest in codes(n - part, part):
+                yield part * (m + 1) ** (part - 1) + rest
+
+    return np.sort(np.fromiter(codes(m, m), dtype=np.int64))
 
 
 def _partition(code: int, m: int) -> PartitionP2:
-    """The partition a `_partition_codes` entry stands for."""
+    """The partition a `_kernel.pair_codes` entry stands for."""
     parts = []
     for length in range(1, m + 1):
         points = code // (m + 1) ** (length - 1) % (m + 1)
@@ -290,17 +284,22 @@ def phi_census(
 ) -> dict[tuple[PartitionP2, ...], int]:
     """Counts of enumerated BTUs grouped by adjacent-partition signature.
 
-    Each tuple's pair codes come from the joins that formed it.  A
-    block's tuples get a dense signature number, pair by pair, that
-    np.unique counts; signatures enter the dict in the order the stream
-    first meets them, and each distinct one is decoded once, at the end.
+    Each tuple's pair codes come from the joins that formed it.  Each
+    code becomes the rank of its partition among the p(m) partitions of
+    m, by a searchsorted into their sorted codes, and a tuple's ranks
+    become one int64 key in base p(m) (the budget keeps p(m)^(r-1) far
+    below 2^63), which one np.unique counts per block.  Signatures enter
+    the dict in the order the stream first meets them, and each distinct
+    one is decoded once, at the end.
     """
     counts: dict[tuple[int, ...], int] = {}
+    known = None
     for _, _, codes in _tuple_blocks(m, r, fix_first_identity, coded=True):
+        if known is None:  # only once the sweep is admitted
+            known = _known_codes(m)
         key = np.zeros(len(codes), dtype=np.int64)
-        for column in codes.T:
-            _, ids = np.unique(column, return_inverse=True)
-            _, key = np.unique(key * (ids.max() + 1) + ids, return_inverse=True)
+        for column in np.searchsorted(known, codes).T:
+            key = key * len(known) + column
         _, first, block_counts = np.unique(key, return_index=True, return_counts=True)
         for i in np.argsort(first):
             sig = tuple(codes[first[i]].tolist())

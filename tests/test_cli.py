@@ -5,6 +5,7 @@ import io
 import json
 import tempfile
 import time
+import warnings
 from math import factorial
 from pathlib import Path
 
@@ -38,6 +39,28 @@ class TestParams:
         assert code == 1
         assert out == "b=7 k=1\n"
         assert "degenerate" in err
+
+
+class TestWarnings:
+    """A size outside r < m/2 runs as it did, with its AssumptionWarning
+    printed as one `warning:` line: no library path, no source line."""
+
+    LINE = "warning: r=4 is not < m/2 (m=8); outside the assumed search regime\n"
+
+    # The tests ignore this warning (pyproject.toml); a user sees it.
+    @pytest.mark.filterwarnings("default::btusearch.parameters.AssumptionWarning")
+    @pytest.mark.parametrize(
+        "argv", ["search -m 8 -r 4 --no-timing", "enum-z -m 8 -r 4", "params -m 8 -r 4"]
+    )
+    def test_one_line_and_the_same_output(self, capsys, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            quiet = run(capsys, *argv.split())
+        assert quiet[2] == ""
+        # Every invocation warns, not only the first of the process.
+        for _ in range(2):
+            assert run(capsys, *argv.split()) == (quiet[0], quiet[1], self.LINE)
+        assert quiet[0] == 0
 
 
 class TestSearch:

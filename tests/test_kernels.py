@@ -1,7 +1,8 @@
 """Both girth kernels agree with each other and with networkx, and keep
 the `girth_batch` contract: the cutoff that rises after every graph, the
 stop, and the input checks.  Both slot matchers give the same slots and
-refuse the same input, and so do both cycle growers with their rows.
+refuse the same input, and so do both cycle growers with their rows and
+both pair coders with their codes.
 
 The compiled kernel comes from the `compiled_kernel` fixture in
 conftest.py, which builds it from this checkout's C source.
@@ -9,7 +10,7 @@ conftest.py, which builds it from this checkout's C source.
 
 import random
 from array import array
-from math import factorial
+from math import factorial, gcd
 
 import networkx as nx
 import numpy as np
@@ -207,9 +208,9 @@ class TestTableWidths:
 
 
 class TestRTwo:
-    """The compiled kernel scores r = 2 in O(m) by the cycles of
-    inv(p1).p2; the pure one runs its BFS.  Slots drawn independently
-    meet in double edges, which both score 2."""
+    """Both kernels score r = 2 in O(m) by the cycles of inv(p1).p2, and
+    larger r by a BFS.  Slots drawn independently meet in double edges,
+    which both score 2."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -238,6 +239,22 @@ class TestRTwo:
         images = [(1, 2, 3, 4, 5, 6), (2, 3, 4, 1, 5, 6)]
         assert single(kernel, images, 6) == 2
         assert single(kernel, [*images, (3, 4, 1, 2, 6, 5)], 6) == 2
+
+    @settings(max_examples=100, deadline=None)
+    @given(m=st.integers(1, 24), data=st.data())
+    def test_pure_matches_networkx(self, m, data):
+        images = data.draw(st.lists(st.permutations(range(1, m + 1)), min_size=2, max_size=2))
+        # networkx sees a simple graph, so a double edge is scored here
+        double = any(a == b for a, b in zip(*images))
+        assert single(_girth_py, images, m) == (2 if double else nx_girth(images, m))
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 100, 1000, 2000])
+    def test_rings_match_compiled(self, compiled_kernel, m):
+        # The rotation by k has gcd(m, k) cycles of m / gcd(m, k) points.
+        for k in sorted({1, 2, 3, m // 2, m - 1} - {0}):
+            images = [tuple(range(1, m + 1)), tuple((x + k) % m + 1 for x in range(m))]
+            want = 2 * m // gcd(m, k)
+            assert single(_girth_py, images, m) == single(compiled_kernel, images, m) == want
 
     def test_long_cycle(self, compiled_kernel):
         # One cycle through all 40,000 vertices, as stage 2 of (20000, 2)
@@ -533,3 +550,96 @@ class TestCycleGrower:
             kernel.grow_cycles(barred, heads + 1, None, 4, 2, 1)
         with pytest.raises(ValueError, match=r"^digits\[1\] must be in 0\.\.1$"):
             kernel.grow_cycles(barred, heads, np.array([0, 2, 0], np.int32), 4, 2, 1)
+
+
+def coded(kernel, table, pairs, m):
+    """The codes a kernel's `pair_codes` writes for an (n, 2) array of
+    row indices into table."""
+    pairs = np.ascontiguousarray(pairs, dtype=np.int32)
+    out = np.full(len(pairs), -1, dtype=np.int64)
+    kernel.pair_codes(table, pairs, len(pairs), m, out)
+    return out.tolist()
+
+
+def cycle_code(a, b):
+    """The code of the pair by hand: sum_L c_L (m+1)^(L-1) over the cycles
+    of x -> inv(a)[b[x]], c_L the points on cycles of length L."""
+    m = len(a)
+    inverse = {v: i for i, v in enumerate(a)}
+    step = [inverse[v] for v in b]
+    code, seen = 0, set()
+    for x in range(m):
+        length = 0
+        while x not in seen:
+            seen.add(x)
+            x = step[x]
+            length += 1
+        code += length * (m + 1) ** (length - 1) if length else 0
+    return code
+
+
+class TestPairCoder:
+    """Both pair coders write the code of the cycle type of inv(a).b for
+    each pair, and refuse the same input with the same text."""
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32])
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_matches_pure(self, compiled_kernel, m, dtype):
+        rng = np.random.default_rng(m)
+        table = np.array([rng.permutation(m) for _ in range(8)], dtype=dtype)
+        pairs = rng.integers(0, len(table), size=(300, 2))
+        pairs[:20, 1] = pairs[:20, 0]  # a row with itself: m fixed points
+        got = coded(compiled_kernel, table, pairs, m)
+        assert got == coded(_girth_py, table, pairs, m)
+        assert got == [cycle_code(table[a].tolist(), table[b].tolist()) for a, b in pairs]
+
+    def test_one_m_cycle_at_the_largest_m(self, kernel):
+        # 15 * 16**14 is below 2**63; at m = 16, 16 * 17**15 is not.
+        m = 15
+        table = np.array([np.arange(m), np.roll(np.arange(m), 1)], dtype=np.uint8)
+        assert coded(kernel, table, [[0, 1], [1, 1]], m) == [15 * 16**14, 15]
+        with pytest.raises(ValueError, match=r"^need 1 <= m <= 15 "):
+            coded(kernel, np.zeros((2, 16), np.uint8), [[0, 1]], 16)
+
+    def test_no_pairs(self, kernel):
+        assert coded(kernel, np.zeros((0, 3), np.uint8), np.empty((0, 2)), 3) == []
+
+    GOOD = (
+        np.array([[0, 1, 2], [1, 2, 0]], np.uint8),
+        np.array([0, 1, 1, 0], np.int32),
+        2,
+        3,
+        np.zeros(2, np.int64),
+    )
+
+    @pytest.mark.parametrize(
+        "at,value",
+        [
+            (3, 0),  # m
+            (3, 16),
+            (2, -1),  # n_pairs
+            (2, 1),
+            (0, np.array([[0, 1, 2], [1, 2, 0]], np.int64)),
+            (0, np.array([0, 1, 2, 1], np.uint8)),
+            (1, np.array([0, 1, 1, 0], np.int64)),
+            (1, np.array([0, 2, 1, 0], np.int32)),
+            (1, np.array([0, 1, -1, 0], np.int32)),
+            (4, np.zeros(2, np.int32)),
+            (4, np.zeros(1, np.int64)),
+            (0, np.array([[0, 1, 2], [1, 1, 0]], np.uint8)),
+            (0, np.array([[0, 1, 2], [1, 3, 0]], np.uint16)),
+            (0, np.array([[0, 1, 2], [1, 2, 0]], np.int8) - 1),
+        ],
+        ids=["m0", "m16", "n-negative", "index-count", "table-8-byte",
+             "table-not-whole-rows", "index-8-byte", "row-past-the-table", "row-negative",
+             "out-4-byte", "out-short", "repeated-value", "value-past-m", "negative-value"],
+    )
+    def test_rejects_alike(self, compiled_kernel, at, value):
+        args = list(self.GOOD)
+        args[at] = value
+        texts = []
+        for kernel in (_girth_py, compiled_kernel):
+            with pytest.raises(ValueError) as err:
+                kernel.pair_codes(*args)
+            texts.append(str(err.value))
+        assert texts[0] == texts[1]

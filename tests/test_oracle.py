@@ -218,7 +218,8 @@ class TestBlocks:
         for (_, tuples, uncoded), (u, same, codes) in zip(blocks, coded):
             assert uncoded.shape == (len(tuples), 0)
             assert (same == tuples).all()
-            assert (codes == oracle._partition_codes(u[tuples])).all()
+            pairs = [_kernel.pair_codes(u, tuples[:, i : i + 2], m) for i in range(r - 1)]
+            assert (codes == np.column_stack(pairs)).all()
 
 
 @st.composite
@@ -324,6 +325,12 @@ def _ref_phi_census(m, r, fix_first_identity=True):
 
 
 @lru_cache(maxsize=None)
+def _reference_census(m, r, fixed):
+    """`_ref_phi_census` as its (signature, count) items, in order."""
+    return list(_ref_phi_census(m, r, fixed).items())
+
+
+@lru_cache(maxsize=None)
 def _reference_report(m, r, fixed):
     """(max, count, enumerated, witness images), or the error text, with
     None for the maximum of forests.  The reference takes exact
@@ -373,6 +380,13 @@ class TestMatchesRecursiveReference:
         got = phi_census(m, r, fix_first_identity=fixed)
         # same counts, and signatures in the order the stream meets them
         assert list(got.items()) == list(_ref_phi_census(m, r, fixed).items())
+
+    @pytest.mark.parametrize("m,r,fixed", CROSS_CHECK)
+    def test_census_on_either_kernel(self, backend, m, r, fixed):
+        # the pair codes come from the kernel: the same dict, in the same
+        # order, whichever kernel codes them
+        got = phi_census(m, r, fix_first_identity=fixed)
+        assert list(got.items()) == _reference_census(m, r, fixed)
 
     @pytest.mark.parametrize("kernel", ["python", "c", "loose"], indirect=True)
     @pytest.mark.parametrize("m,r,fixed", CROSS_CHECK)
