@@ -11,8 +11,8 @@
  * columns of each row, into r perfect matchings: the slots of a BTU read
  * from a file.
  *
- * The grower lists the n-cycles w of 0..n-1 that a stage >= 4 search
- * keeps for its replaced slot, depth-first in the order of their words,
+ * The grower lists the n-cycles w of 0..n-1 that a search stage keeps
+ * for its replaced slot, depth-first in the order of their words,
  * and prunes a prefix at the first entry that fails a filter.
  *
  * The pair coder takes pairs (a, b) of table rows and writes, for each,

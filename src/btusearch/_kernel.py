@@ -2,13 +2,13 @@
 
 One module holds the four calls: `girth_batch`, the girth of each
 graph of a batch; `split_slots`, the slots of a BTU read from a file;
-`grow_cycles`, the candidate cycles a stage >= 4 search keeps for its
-replaced slot; and `pair_codes`, the cycle type of inv(a).b for pairs
-of table rows, which the oracle's census groups tuples by.  The
-compiled module `_girth_c` holds all four in C (the grower
-depth-first); `_girth_py` is the pure-Python reference of each (the
-grower breadth-first and the pair coder over all pairs at once, with
-numpy).
+`grow_cycles`, the candidate cycles a search stage keeps for its
+replaced slot, and the family enumeration for each slot; and
+`pair_codes`, the cycle type of inv(a).b for pairs of table rows, which
+the oracle's census groups tuples by.  The compiled module `_girth_c`
+holds all four in C (the grower depth-first); `_girth_py` is the
+pure-Python reference of each (the grower breadth-first and the pair
+coder over all pairs at once, with numpy).
 """
 
 from __future__ import annotations

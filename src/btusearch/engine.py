@@ -19,12 +19,12 @@ Scaling commutes with compose and invert, and it keeps compatibility
 and scales union-cycle partitions part by part.  So each beam member is
 rebased at the previous degree d before scaling, and the stage's
 degree-d candidates are filtered once per member there: compatibility
-with every slot but the replaced one, and for stage >= 4 the partition
-against the left neighbour.  Only the check against the newest slot
-needs degree n.  At stage 3 the only other rebased slot is the
-identity, and a candidate against the identity is a single d-cycle
-(d >= 2), which has no fixed point: it differs from the identity at
-every point, so stage 3 keeps every candidate and runs no filter.
+with every slot but the replaced one, and the partition against the
+left neighbour.  Only the check against the newest slot needs degree
+n.  At stage 3 the identity is both the only other rebased slot and the
+left neighbour, and a candidate against the identity is a single
+d-cycle (d >= 2), which has no fixed point: it passes both filters, so
+stage 3 keeps every candidate.
 
 Each member's surviving candidates then meet the finals in one ordered
 scan over (final, word), one member at a time, so memory does not grow
@@ -66,13 +66,13 @@ Those scans stay whole.
 The stage runs on int arrays of 0-based images: the beam is one array
 of shape (members, slots, n), the candidates are rows of
 searchspace.cycle_images(d, cap), the finals are rotations or, at level
-2, the rows of cycle_images(n), all in its type.  Stage 3 takes every
-candidate row.  At stage >= 4 a member's candidates are grown under its
-filters by searchspace.grown_cycle_images, one word entry at a time,
-depth-first in row order in the compiled kernel (breadth-first in the
-pure one), so no row that fails is built: it must differ from the
-member's other slots at every point, and every cycle of inv(left).q
-must have the one length the required partition holds.  Each member's
+2, the rows of cycle_images(n), all in its type.  A member's candidates
+are grown under its filters by searchspace.grown_cycle_images, one word
+entry at a time, depth-first in row order in the compiled kernel
+(breadth-first in the pure one), so no row that fails is built: it must
+differ from the member's other slots at every point, and every cycle of
+inv(left).q must have the one length the required partition holds.  At
+stage 3 every row passes, so the grower builds them all.  Each member's
 graphs are rows of one image table, its scaled slots, the finals
 compatible with them and its kept words scaled to degree n, and a
 unit's pairs are the (final row, word row) pairs of its ranges that
@@ -83,8 +83,8 @@ holds no duplicate.  A stage that would list more than MAX_LISTED
 candidates ((d-1)!), rotations (n-1) or level-2 finals ((n-1)!) is
 refused with StageTooLargeError before the list is built, unless the
 candidate cap bounds it (it does not bound rotations): up front, but on
-reaching level 2 for the level-2 finals.  The candidate refusal stands
-at stage >= 4 as well, though only the grown rows are built there.
+reaching level 2 for the level-2 finals.  The candidate refusal counts
+the listed rows, though only the grown rows are built.
 """
 
 from __future__ import annotations
@@ -301,14 +301,12 @@ def _run_stage(
     d = b * k ** (stage - 2)
     at = stage - 3  # 0-based index of slot stage-2, the replaced one
     cap = config.candidate_cap
-    if stage == 3:
-        words = cycle_images(d, cap)  # every one is kept (module docstring)
-    else:
-        # The replaced slot also has a left neighbour whose pair partition
-        # must stay on the stage-optimal sequence.  Partitions scale with
-        # their permutations, so the degree-d check targets the previous
-        # stage's sequence, whose parts are all equal.
-        (cycle,) = set(closed_form_partitions(b, k, stage - 1)[stage - 4].parts)
+    # The replaced slot's pair with its left neighbour must stay on the
+    # stage-optimal sequence; partitions scale with their permutations,
+    # so at degree d it is the previous stage's, whose parts are equal.
+    # At stage 3, at - 1 and stage - 4 are -1: the neighbour is the last
+    # slot, the identity, and the part is d, which every d-cycle meets.
+    (cycle,) = set(closed_form_partitions(b, k, stage - 1)[stage - 4].parts)
     dtype = np.min_scalar_type(n)  # of the new beam
     offsets = np.arange(0, n, d, dtype=dtype)[:, None]
 
@@ -317,11 +315,8 @@ def _run_stage(
 
         Rows 0..stage-2 are the member's rebased slots scaled, then come
         the finals compatible with the other scaled slots, then the words
-        that pass the degree-d filters, scaled."""
-        if stage == 3:
-            kept = words
-        else:
-            kept = grown_cycle_images(d, np.delete(slots, at, 0), slots[at - 1], cycle, cap)
+        grown under the degree-d filters, scaled."""
+        kept = grown_cycle_images(d, np.delete(slots, at, 0), slots[at - 1], cycle, cap)
         slots = (slots[:, None, :] + offsets).reshape(len(slots), n)
         rows = np.flatnonzero((finals[:, None, :] != np.delete(slots, at, 0)).all(axis=(1, 2)))
         first_word = stage - 1 + len(rows)
@@ -440,15 +435,16 @@ def enumerate_Z(m: int, r: int, cap: int | None = None) -> Iterator[BTU]:
     candidates of degree d_j = b*k^j, slot r-1 is the identity, and slot r
     ranges over single-cycle candidates of degree m; combinations that
     fail pairwise compatibility or leave the optimal partition sequence
-    are dropped, so every yielded BTU is a family member.  Slot 1 takes
-    every row of cycle_images(d_1).  Each later slot is grown at its own
-    degree by searchspace.grown_cycle_images, one subtree per choice of
-    the slots before it, under their filters: it differs from each of
-    them at every point, and every cycle of inv(slot j).(slot j+1) has
-    d_j points.  A slot scaled from degree d repeats its block every d
-    points, so at degree d_{j+1} the filters on the first d_{j+1} points
-    decide them on all m.  Slot r is grown at degree m against the
-    earlier slots and the identity, with cycles of m points.
+    are dropped, so every yielded BTU is a family member.  Each slot is
+    grown at its own degree by searchspace.grown_cycle_images, one
+    subtree per choice of the slots before it, under their filters: it
+    differs from the identity and each of them at every point, and every
+    cycle of inv(slot j).(slot j+1) has d_j points; slot 1, against the
+    identity alone, keeps every row of cycle_images(d_1).  A slot scaled
+    from degree d repeats its block every d points, so at degree d_{j+1}
+    the filters on the first d_{j+1} points decide them on all m.  Slot
+    r is grown at degree m against the earlier slots and the identity,
+    with cycles of m points.
 
     A run whose prod_{j=1}^{r-2} (b*k^j - 1)! * (m-1)! combinations are
     more than MAX_LISTED is refused with TooLargeError before the first,
@@ -464,27 +460,26 @@ def enumerate_Z(m: int, r: int, cap: int | None = None) -> Iterator[BTU]:
         "over the limit of {limit}; a cap bounds only the members listed",
     )
 
-    def prefixes(slots: np.ndarray) -> Iterator[np.ndarray]:
-        """Each choice of slots 1..r-2 whose first slots are the rows of
-        `slots`, 0-based images at degree m."""
-        j = len(slots)
+    def prefixes(slots: np.ndarray, length: int) -> Iterator[np.ndarray]:
+        """Each choice of slots 1..r-2 whose first are the rows of `slots`
+        after the identity, behind the identity, 0-based images at degree
+        m.  The next slot's cycles against the last row have `length`
+        points."""
+        j = len(slots) - 1
         if j == r - 2:
             yield slots
             return
         d = degrees[j]
-        if j == 0:
-            rows = cycle_images(d)
-        else:
-            rows = grown_cycle_images(d, slots[:, :d], slots[-1, :d], degrees[j - 1])
+        rows = grown_cycle_images(d, slots[:, :d], slots[-1, :d], length)
         blocks = np.arange(0, m, d)[:, None]
         for row in rows:
-            yield from prefixes(np.vstack([slots, (row + blocks).reshape(1, m)]))
+            yield from prefixes(np.vstack([slots, (row + blocks).reshape(1, m)]), d)
 
     home, middle = np.arange(m), identity(m)
     yielded = 0
-    for slots in prefixes(np.empty((0, m), dtype=np.int64)):
-        head = tuple(Permutation(tuple(image)) for image in (slots + 1).tolist())
-        lasts = grown_cycle_images(m, np.vstack([slots, home]), home, m)
+    for slots in prefixes(home[None], f.b * f.k):
+        head = tuple(Permutation(tuple(image)) for image in (slots[1:] + 1).tolist())
+        lasts = grown_cycle_images(m, slots, home, m)
         for image in (lasts[: None if cap is None else cap - yielded] + 1).tolist():
             yield BTU(m=m, r=r, perms=(*head, middle, Permutation(tuple(image))))
             yielded += 1

@@ -13,19 +13,20 @@ when the first slot is fixed, and every row when it is free.  Where a
 slot must be checked against an earlier free slot (r >= 3 fixed, r >= 2
 free), the pool x pool "disagree everywhere" matrix K is built once, by
 one equality pass per position.  The tuples then grow one slot at a
-time by a join: the AND of the K rows of a prefix's slots marks its
-choices, and np.nonzero lists the (prefix, choice) pairs in row-major,
-which is lexicographic, order.  Every level but the last is joined
-whole; the last is joined a chunk of at most BLOCK cells at a time, and
-its tuples come out as blocks of at most BLOCK rows.  The census takes
-the partition code of each (previous slot, new slot) pair once, at the
-join that forms it, by one `_kernel.pair_codes` call on the pairs'
-universe row indices, and carries it with the prefix; a block's codes
-become one dense key per tuple, which one np.unique counts.  Girths are
-computed a block per kernel call, which reads each tuple's images from
-the universe itself, so the memory in use is the universe plus K plus
-about one block; K is only built where the budget admits the sweep, so
-it is at most 720 x 720 booleans, at (6, 2) free.
+time by a join: the AND of the K rows of a prefix's free slots (none
+for the first free slot) marks its choices, and np.nonzero lists the
+(prefix, choice) pairs in row-major, which is lexicographic, order.
+Every level but the last is joined whole; the last is joined a chunk of
+at most BLOCK cells at a time, and its tuples come out as blocks of at
+most BLOCK rows.  The census takes the partition code of each (previous
+slot, new slot) pair once, at the join that forms it, by one
+`_kernel.pair_codes` call on the pairs' universe row indices, and
+carries it with the prefix; a block's codes become one dense key per
+tuple, which one np.unique counts.  Girths are computed a block per
+kernel call, which reads each tuple's images from the universe itself,
+so the memory in use is the universe plus K plus about one block; K is
+only built where the budget admits the sweep, so it is at most 720 x
+720 booleans, at (6, 2) free.
 
 A run is refused up front, with BudgetExceededError (a
 perms.TooLargeError), when its cost estimate (the universe rows plus the
@@ -119,24 +120,23 @@ def _join(universe, pool, compatible, heads, codes, fixed, coded, c0, c1):
     far, in lexicographic order, with `codes` the codes of their adjacent
     pairs) followed by each pool position in c0:c1 compatible with all
     of its slots, in lexicographic order: the rows of np.nonzero of the
-    AND of the prefix's K rows.  When `coded`, the code of each new
-    (previous slot, new slot) pair is appended to its codes: the kernel
-    takes the pairs as universe row indices; the previous slot of the
-    first free slot is the fixed identity, row 0, or none.
+    AND of the prefix's K rows, none for the first free slot.  When
+    `coded`, the code of each new (previous slot, new slot) pair, from
+    their universe row indices, is appended to its codes; the first free
+    slot's previous slot is the fixed identity, row 0, or none.
     """
-    if heads.shape[1]:
-        mask = compatible[heads[:, 0], c0:c1]
-        for column in heads.T[1:]:
-            mask &= compatible[column, c0:c1]
-        at, choice = np.nonzero(mask)
-        choice += c0
-    else:  # the first free slot: any pool row
-        at, choice = np.zeros(c1 - c0, dtype=np.intp), np.arange(c0, c1)
-    pair = ()
-    if coded and (fixed or heads.shape[1]):
-        prev = pool[heads[at, -1]] if heads.shape[1] else np.zeros_like(choice)
-        rows = np.column_stack((prev, pool[choice]))
-        pair = (_kernel.pair_codes(universe, rows, universe.shape[1]),)
+    mask = np.ones((len(heads), c1 - c0), dtype=bool)
+    for column in heads.T:
+        mask &= compatible[column, c0:c1]
+    at, choice = np.nonzero(mask)
+    choice += c0
+    pair = []
+    if coded:
+        # Each prefix's slots as universe rows, the fixed identity first.
+        before = np.column_stack((np.zeros((len(heads), int(fixed)), np.intp), pool[heads]))
+        for last in before.T[-1:]:
+            rows = np.column_stack((last[at], pool[choice]))
+            pair.append(_kernel.pair_codes(universe, rows, universe.shape[1]))
     return np.column_stack((heads[at], choice)), np.column_stack((codes[at], *pair))
 
 

@@ -6,11 +6,13 @@ these candidates, and reading the cycle as the visiting order after n
 indexes them by words of degree n-1.  That bijection gives the count
 (n-1)! and a deterministic lexicographic enumeration.  The words, and
 the cycles they name against the identity, also come as lexicographic
-int arrays (`lex_permutations`, `cycle_images`), through which the
-staged search and the exhaustive oracle both enumerate.  A stage >= 4
-search takes only the cycles that pass its filters, grown word entry by
-word entry in the same order (`grown_cycle_images`): depth-first by the
-compiled kernel's `grow_cycles`, breadth-first by its pure reference.
+int arrays (`lex_permutations`, `cycle_images`): the exhaustive oracle
+enumerates the first, and the `candidates` command and the search's
+level-2 finals list the second.  Every search stage, and the family
+enumeration, takes only the cycles that pass its filters, grown word
+entry by word entry in the same order (`grown_cycle_images`):
+depth-first by the compiled kernel's `grow_cycles`, breadth-first by
+its pure reference.
 """
 
 from __future__ import annotations
@@ -204,7 +206,9 @@ def grown_cycle_images(
     its rank, read in the factorial base, is below the limit's.  The
     limit's digits are computed here, with Python ints, so a limit past
     2^63 stays exact; the grower compares them along the one prefix whose
-    digits equal the limit's, with no rank arithmetic.
+    digits equal the limit's, with no rank arithmetic.  Against the
+    identity alone, as `avoid` and `left`, with `length` n, every row
+    passes, as at a search's stage 3 and the family's slot 1.
     """
     if n < 2:
         raise ValueError(f"need degree >= 2, got {n}")

@@ -272,7 +272,7 @@ class TestEnumerateZ:
         def last_slot_skipped(d, avoid, left, length, *rest):
             if d < m:
                 return grown_cycle_images(d, avoid, left, length, *rest)
-            seen.append(avoid[:-1].tolist())
+            seen.append(avoid[1:].tolist())  # the identity leads
             return np.empty((0, m), dtype=np.int64)
 
         monkeypatch.setattr(engine, "MAX_LISTED", float("inf"))
@@ -766,10 +766,60 @@ class TestStageFourPastTheRefusal:
         beam, _ = engine._stage2(f, config)
         beam, _ = engine._run_stage(beam, 3, f, config)
         beam, trace = engine._run_stage(beam, 4, f, config)
-        assert [len(rows) for rows in grown] == [1_019_520]
-        assert grown[0].dtype == np.int8 and grown[0].shape[1] == 12
+        # Stage 3 grows the 5! words of degree 6 first.
+        assert [len(rows) for rows in grown] == [120, 1_019_520]
+        assert grown[-1].dtype == np.int8 and grown[-1].shape[1] == 12
         assert (trace.best_girth, trace.rotation_j) == (6, "relaxed-gcd:13")
         assert girth(make_btu([Permutation(tuple(row)) for row in (beam[0] + 1).tolist()])).girth == 6
+
+
+@pytest.mark.usefixtures("backend")
+class TestFirstSlotsGrowEveryRow:
+    """Stage 3's words, and enumerate_Z's slot 1, are grown against the
+    identity alone with cycles of their own degree d: the grower keeps
+    every row of cycle_images(d, cap), in order and in its type."""
+
+    @staticmethod
+    def recorded(monkeypatch, d):
+        """The rows of each grower call of degree d.  Every call returns
+        none of its rows, so no graph is scored and no later slot grown."""
+        calls, grow = [], engine.grown_cycle_images
+
+        def record(n, *args):
+            rows = grow(n, *args)
+            if n == d:
+                calls.append(rows)
+            return rows[:0]
+
+        monkeypatch.setattr(engine, "grown_cycle_images", record)
+        return calls
+
+    @staticmethod
+    def assert_rows(calls, expected):
+        assert calls
+        for rows in calls:
+            assert rows.dtype == expected.dtype
+            assert rows.tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("cap", [None, 1, 7, 10**20])
+    @pytest.mark.parametrize("b,k", [(1, 2), (2, 2), (1, 3), (2, 3), (5, 2), (1, 4)])
+    def test_stage_three_words(self, monkeypatch, b, k, cap):
+        f, config = Factorization(b * k**2, 3, b, k), SearchConfig(candidate_cap=cap)
+        beam, _ = engine._stage2(f, config)
+        calls = self.recorded(monkeypatch, b * k)
+        # With no words, every level is a dead end, or level 2 is refused.
+        with pytest.raises((StageDeadEndError, StageTooLargeError)):
+            engine._run_stage(beam, 3, f, config)
+        self.assert_rows(calls, cycle_images(b * k, cap))
+
+    @pytest.mark.parametrize("cap", [None, 1, 7, 10**20])
+    @pytest.mark.parametrize("b,k", [(1, 2), (2, 2), (1, 3), (2, 3), (5, 2), (1, 4)])
+    def test_family_slot_one(self, monkeypatch, b, k, cap):
+        # The cap counts members, so slot 1 is grown whole.
+        monkeypatch.setattr(engine, "MAX_LISTED", float("inf"))
+        calls = self.recorded(monkeypatch, b * k)
+        assert list(enumerate_Z(b * k**2, 3, cap)) == []
+        self.assert_rows(calls, cycle_images(b * k))
 
 
 class TestUniformCycles:

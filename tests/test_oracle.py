@@ -241,6 +241,22 @@ def _compatible_rows(draw):
 
 
 class TestJoinCodes:
+    @pytest.mark.parametrize("coded", [False, True])
+    @pytest.mark.parametrize("fixed", [False, True])
+    def test_first_free_slot_takes_every_pool_position(self, fixed, coded):
+        # No free slot is chosen yet, so no K row is read.
+        universe = lex_permutations(5)
+        pool = np.arange(len(universe))
+        if fixed:
+            pool = np.flatnonzero(oracle._disagree(universe, universe[:1])[:, 0])
+        heads, codes = np.empty((1, 0), dtype=np.intp), np.empty((1, 0), dtype=np.int64)
+        joined, codes = oracle._join(universe, pool, None, heads, codes, fixed, coded, 3, 40)
+        assert joined.tolist() == [[c] for c in range(3, 40)]
+        # Only the fixed identity, row 0, is a previous slot to code against.
+        pairs = np.column_stack((np.zeros(37, dtype=np.intp), pool[3:40]))
+        expected = [_kernel.pair_codes(universe, pairs, 5).tolist()] if fixed and coded else []
+        assert codes.T.tolist() == expected
+
     # Beyond CROSS_CHECK: at m = 10 a code reaches 10 * 11**9, past int32.
     @settings(max_examples=100, deadline=None)
     @given(rows=_compatible_rows(), fixed=st.booleans())

@@ -187,8 +187,8 @@ class TestArrays:
 
 
 class TestGrownCycleImages:
-    """The grown rows are the rows of cycle_images that the stage >= 4
-    filters of engine._run_stage keep, in order and type."""
+    """The grown rows are the rows of cycle_images that the filters of
+    engine._run_stage keep, in order and type."""
 
     @staticmethod
     def masked(d, avoid, left, length, limit):
