@@ -19,6 +19,9 @@
  * an int64 code of the cycle type of x -> inv(a)[b[x]]: the union-cycle
  * partition of the pair that the oracle's census groups tuples by.
  * Every call runs without the GIL, so threads can share a search.
+ *
+ * ABI numbers the calls' signatures and contracts; _kernel imports this
+ * module only when its ABI equals _kernel.ABI, so bump both together.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -26,6 +29,8 @@
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+
+enum { ABI = 1 };
 
 enum {
     OK = 0, NO_MEMORY = -1, BAD_IMAGE = -2, BAD_ROW = -3, NOT_REGULAR = -4, BAD_HEAD = -5,
@@ -794,5 +799,10 @@ static struct PyModuleDef module = {
 
 PyMODINIT_FUNC PyInit__girth_c(void)
 {
-    return PyModule_Create(&module);
+    PyObject *mod = PyModule_Create(&module);
+    if (mod != NULL && PyModule_AddIntConstant(mod, "ABI", ABI) < 0) {
+        Py_DECREF(mod);
+        return NULL;
+    }
+    return mod;
 }

@@ -9,20 +9,50 @@ the oracle's census groups tuples by.  The compiled module `_girth_c`
 holds all four in C (the grower depth-first); `_girth_py` is the
 pure-Python reference of each (the grower breadth-first and the pair
 coder over all pairs at once, with numpy).
+
+A compiled module built from another revision of `_girth_c.c` (an
+in-place build is not redone when the source changes) could take other
+arguments or keep another contract, so it is used only when its `ABI`
+equals this module's; otherwise the pure kernel is selected, with one
+RuntimeWarning that names the file and the rebuild command.
 """
 
 from __future__ import annotations
 
+import importlib
+import warnings
+
 import numpy as np
 
-try:
-    from . import _girth_c as _impl
+# The revision of the four calls' signatures and contracts; `_girth_c.c`
+# holds the same number.
+ABI = 1
 
-    BACKEND = "c"
-except ImportError:
-    from . import _girth_py as _impl  # type: ignore[no-redef]
 
-    BACKEND = "python"
+def _select():
+    """The kernel module to use and its BACKEND name: `_girth_c` when it
+    imports and its ABI is this module's, else `_girth_py`."""
+    try:
+        compiled = importlib.import_module(f"{__package__}._girth_c")
+    except ImportError:
+        compiled = None
+    if compiled is not None:
+        if getattr(compiled, "ABI", None) == ABI:
+            return compiled, "c"
+        warnings.warn(
+            f"{compiled.__file__} was built from another revision of _girth_c.c "
+            f"(ABI {getattr(compiled, 'ABI', 'missing')}, expected {ABI}); using the pure "
+            "kernel.  Rebuild it with `python setup.py build_ext --inplace --force`, "
+            "or delete it.",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    from . import _girth_py
+
+    return _girth_py, "python"
+
+
+_impl, BACKEND = _select()
 
 
 def girth_of_images(images, m: int) -> int | None:

@@ -1,10 +1,10 @@
 """Exhaustive ground truth at desk scale.
 
-Enumerates every labeled (m, r) BTU (optionally with the first slot
-pinned to the identity, which loses no girth values because any BTU can
-be relabelled to that form), computes the true maximum girth, groups
-the family by partition signature, and compares the staged engine
-against the exhaustive answer.
+Covers every labeled (m, r) BTU (optionally with the first slot pinned
+to the identity, which loses no girth values because any BTU can be
+relabelled to that form), computes the true maximum girth, groups the
+family by partition signature, and compares the staged engine against
+the exhaustive answer.
 
 The m! permutations form one lexicographic int array, the universe
 (`searchspace.lex_permutations`).  The free slots take their rows from
@@ -14,19 +14,28 @@ slot must be checked against an earlier free slot (r >= 3 fixed, r >= 2
 free), the pool x pool "disagree everywhere" matrix K is built once, by
 one equality pass per position.  The tuples then grow one slot at a
 time by a join: the AND of the K rows of a prefix's free slots (none
-for the first free slot) marks its choices, and np.nonzero lists the
-(prefix, choice) pairs in row-major, which is lexicographic, order.
-Every level but the last is joined whole; the last is joined a chunk of
-at most BLOCK cells at a time, and its tuples come out as blocks of at
-most BLOCK rows.  The census takes the partition code of each (previous
-slot, new slot) pair once, at the join that forms it, by one
-`_kernel.pair_codes` call on the pairs' universe row indices, and
-carries it with the prefix; a block's codes become one dense key per
-tuple, which one np.unique counts.  Girths are computed a block per
-kernel call, which reads each tuple's images from the universe itself,
-so the memory in use is the universe plus K plus about one block; K is
-only built where the budget admits the sweep, so it is at most 720 x
-720 booleans, at (6, 2) free.
+for the first free slot) marks its choices, and one flat scan of the
+marks lists the (prefix, choice) pairs in row-major, which is
+lexicographic, order.  Every level but the last is joined whole; the
+last is joined a chunk of at most BLOCK cells at a time, and its tuples
+come out as blocks of at most BLOCK rows.
+
+`enumerate_btus` lists every tuple.  `max_girth` and `phi_census` score
+only the tuples with the identity first and, for r >= 3, the lex-first
+pool row of its cycle type second, each counted with the number of
+tuples its relabellings give (`_tuple_blocks` has the argument), so
+their output is that of the full stream: (6, 3) fixed scores 322 graphs
+for its 21,280 tuples, and (6, 2) free 265 for 190,800.
+
+The census takes the partition code of each (previous slot, new slot)
+pair once, at the join that forms it, by one `_kernel.pair_codes` call
+on the pairs' universe row indices, and carries it with the prefix; a
+block's codes become one dense key per tuple, which one np.unique
+counts.  Girths are computed a block per kernel call, which reads each
+tuple's images from the universe itself, so the memory in use is the
+universe plus K plus about one block; K is only built where the budget
+admits the sweep, so it is at most 720 x 720 booleans, when every
+tuple of (6, 2) free is listed.
 
 A run is refused up front, with BudgetExceededError (a
 perms.TooLargeError), when its cost estimate (the universe rows plus the
@@ -119,8 +128,9 @@ def _join(universe, pool, compatible, heads, codes, fixed, coded, c0, c1):
     """Each row of `heads` (the pool positions of the free slots chosen so
     far, in lexicographic order, with `codes` the codes of their adjacent
     pairs) followed by each pool position in c0:c1 compatible with all
-    of its slots, in lexicographic order: the rows of np.nonzero of the
-    AND of the prefix's K rows, none for the first free slot.  When
+    of its slots, in lexicographic order: the set cells of the AND of the
+    prefix's K rows (none for the first free slot), listed by one flat
+    scan in row-major order.  When
     `coded`, the code of each new (previous slot, new slot) pair, from
     their universe row indices, is appended to its codes; the first free
     slot's previous slot is the fixed identity, row 0, or none.
@@ -128,7 +138,7 @@ def _join(universe, pool, compatible, heads, codes, fixed, coded, c0, c1):
     mask = np.ones((len(heads), c1 - c0), dtype=bool)
     for column in heads.T:
         mask &= compatible[column, c0:c1]
-    at, choice = np.nonzero(mask)
+    at, choice = np.divmod(np.flatnonzero(mask), c1 - c0)
     choice += c0
     pair = []
     if coded:
@@ -140,20 +150,41 @@ def _join(universe, pool, compatible, heads, codes, fixed, coded, c0, c1):
     return np.column_stack((heads[at], choice)), np.column_stack((codes[at], *pair))
 
 
-def _tuple_blocks(m: int, r: int, fixed: bool, coded: bool = False):
-    """Every ordered pairwise-compatible r-tuple, in lexicographic order,
-    as (universe, tuples, codes): the universe of 0-based images, shape
-    (m!, m), an int32 array of shape (at most BLOCK, r) of its rows, and
+def _tuple_blocks(m: int, r: int, fixed: bool, coded: bool = False, weighted: bool = False):
+    """The ordered pairwise-compatible r-tuples, in lexicographic order,
+    as (universe, tuples, codes, weights): the universe of 0-based images,
+    shape (m!, m), an int32 array of shape (at most BLOCK, r) of its rows,
     the int64 `_kernel.pair_codes` of each tuple's r-1 adjacent pairs when
-    `coded` (otherwise no columns).
+    `coded` (otherwise no columns), and the number of tuples each listed
+    one stands for: one int for the whole block, or an int64 array with
+    one entry per tuple.
+
+    Unless `weighted`, every tuple is listed, with weight 1.  When
+    `weighted`, a subsequence of that stream is listed:
+    - with the first slot free, relabelling the columns by inv(a) maps
+      (a, b, ...) one-to-one onto (id, inv(a).b, ...), so only the tuples
+      with the identity first are listed, the fixed sweep with every
+      weight times m!;
+    - with the identity first and a later slot to join, slot 2 takes only
+      the lex-first pool row of each cycle type, weighted by the pool rows
+      of that type: conjugating every slot by one sigma keeps the identity
+      and maps the completions of a row one-to-one onto those of any row
+      of its type.
+    Both relabellings keep compatibility, the graph up to isomorphism and
+    the cycle type of inv(p).q of every slot pair, so each girth and
+    signature has the weighted count it has in the full stream.  And the
+    full stream's first tuple with a given girth or signature is listed:
+    a tuple without the identity first, or with a slot 2 that is not the
+    first of its type, has a relabelled copy that comes before it.
 
     At the first next() it checks m and r, ends at once for r > m (no r
     permutations can pairwise disagree at a position with only m values
-    available), and refuses a sweep over DEFAULT_BUDGET; only then is the
-    universe built.  The free slots take pool rows; every slot but the
-    last is joined for all prefixes at once, and the last a chunk of at
-    most BLOCK (prefix, choice) cells at a time.  Chunks are pooled, so
-    every block but the last holds exactly BLOCK tuples.
+    available), and refuses a sweep over DEFAULT_BUDGET, estimated as
+    for the full stream; only then is the universe built.  The free slots
+    take pool rows; every slot but the last is joined for all prefixes at
+    once, and the last a chunk of at most BLOCK (prefix, choice) cells at
+    a time.  Chunks are pooled, so every block but the last holds exactly
+    BLOCK tuples.
     """
     if m < 1 or r < 1:
         raise ValueError("need m >= 1 and r >= 1")
@@ -166,19 +197,40 @@ def _tuple_blocks(m: int, r: int, fixed: bool, coded: bool = False):
         BudgetExceededError,
     )
     universe = lex_permutations(m)
+    scale = 1
+    if weighted and not fixed:
+        fixed, scale = True, factorial(m)
     if fixed:
         pool = np.flatnonzero(_disagree(universe, universe[:1])[:, 0])
     else:
         pool = np.arange(len(universe))
     free = r - fixed
     if not free:  # r = 1 with the identity fixed
-        yield universe, np.zeros((1, 1), dtype=np.int32), np.empty((1, 0), dtype=np.int64)
+        yield universe, np.zeros((1, 1), dtype=np.int32), np.empty((1, 0), dtype=np.int64), scale
         return
     # K, needed once a slot is checked against an earlier free slot.
     compatible = _disagree(universe[pool], universe[pool]) if free > 1 else None
     heads, codes = np.empty((1, 0), dtype=np.intp), np.empty((1, 0), dtype=np.int64)
-    for _ in range(free - 1):
+    levels, by_row = free - 1, None
+    if weighted and levels:
+        # The first free slot: one pool row per cycle type against the
+        # identity, the lex-first, weighted by its type's pool rows.
+        pairs = np.column_stack((np.zeros(len(pool), dtype=np.intp), pool))
+        types, first, size = np.unique(
+            _kernel.pair_codes(universe, pairs, m), return_index=True, return_counts=True
+        )
+        order = np.argsort(first)
+        heads = first[order, None]
+        codes = types[order, None] if coded else np.empty((len(order), 0), dtype=np.int64)
+        by_row = np.zeros(len(universe), dtype=np.int64)
+        by_row[pool[first]] = size * scale
+        levels -= 1
+    for _ in range(levels):
         heads, codes = _join(universe, pool, compatible, heads, codes, fixed, coded, 0, len(pool))
+
+    def block(tuples, tuple_codes):
+        return universe, tuples, tuple_codes, scale if by_row is None else by_row[tuples[:, 1]]
+
     width = min(len(pool), BLOCK)
     rows = BLOCK // width
     pending, pending_codes, pooled = [], [], 0
@@ -195,11 +247,11 @@ def _tuple_blocks(m: int, r: int, fixed: bool, coded: bool = False):
             pooled += len(piece)
             if pooled >= BLOCK:
                 tuples, tuple_codes = np.concatenate(pending), np.concatenate(pending_codes)
-                yield universe, tuples[:BLOCK], tuple_codes[:BLOCK]
+                yield block(tuples[:BLOCK], tuple_codes[:BLOCK])
                 pending, pending_codes = [tuples[BLOCK:]], [tuple_codes[BLOCK:]]
                 pooled -= BLOCK
     if pooled:
-        yield universe, np.concatenate(pending), np.concatenate(pending_codes)
+        yield block(np.concatenate(pending), np.concatenate(pending_codes))
 
 
 def _btu(images: np.ndarray) -> BTU:
@@ -216,7 +268,7 @@ def enumerate_btus(m: int, r: int, fix_first_identity: bool):
     Yields BTU values.  Empty for r > m (no r permutations can pairwise
     disagree at a position with only m values available).
     """
-    for universe, tuples, _ in _tuple_blocks(m, r, fix_first_identity):
+    for universe, tuples, _, _ in _tuple_blocks(m, r, fix_first_identity):
         for one in universe[tuples]:
             yield _btu(one)
 
@@ -224,24 +276,30 @@ def enumerate_btus(m: int, r: int, fix_first_identity: bool):
 def max_girth(m: int, r: int, fix_first_identity: bool = True) -> OracleReport:
     """Exact maximum girth over the exhaustive stream.
 
-    Each block goes to the girth kernel as one call on the universe and
-    its tuples, with slack 1, so the cutoff stays one below the running
-    best: a girth at or under the cutoff comes back at most the cutoff,
-    so it can neither reach the best nor tie it, and a tie comes back
-    exact, so the maximiser count is exact too.  The
-    witness is the first tuple that reaches the maximum.  The kernel's 0
-    for a forest is reported as None, as btu.girth reports it.
+    The stream is swept weighted (see `_tuple_blocks`): one tuple per
+    relabelling class of slot 2, counted with its class size, so
+    `enumerated` and the maximiser count are those of the full stream,
+    and the witness, the first tuple at the maximum, is the full
+    stream's, which the sweep lists.  Each block goes
+    to the girth kernel as one call on the universe and its tuples, with
+    slack 1, so the cutoff stays one below the running best: a girth at
+    or under the cutoff comes back at most the cutoff, so it can neither
+    reach the best nor tie it, and a tie comes back exact, so the
+    maximiser count is exact too.  The kernel's 0 for a forest is
+    reported as None, as btu.girth reports it.
     """
     best, count, enumerated = -1, 0, 0
     witness: np.ndarray | None = None
-    for universe, tuples, _ in _tuple_blocks(m, r, fix_first_identity):
+    for universe, tuples, _, weights in _tuple_blocks(m, r, fix_first_identity, weighted=True):
         girths = _kernel.girth_batch(universe, tuples, m, best - 1, slack=1)
-        enumerated += len(tuples)
+        split = isinstance(weights, np.ndarray)  # else one weight for the block
+        enumerated += int(weights.sum()) if split else weights * len(tuples)
         top = int(girths.max())
         if top > best:
             best, count, witness = top, 0, universe[tuples[int(girths.argmax())]]
         if top == best:
-            count += int(np.count_nonzero(girths == best))
+            hit = girths == best
+            count += int(weights[hit].sum()) if split else weights * int(np.count_nonzero(hit))
     if witness is None:
         raise BTUError(f"no ({m}, {r}) BTU exists")
     return OracleReport(
@@ -284,23 +342,28 @@ def phi_census(
 ) -> dict[tuple[PartitionP2, ...], int]:
     """Counts of enumerated BTUs grouped by adjacent-partition signature.
 
-    Each tuple's pair codes come from the joins that formed it.  Each
-    code becomes the rank of its partition among the p(m) partitions of
-    m, by a searchsorted into their sorted codes, and a tuple's ranks
-    become one int64 key in base p(m) (the budget keeps p(m)^(r-1) far
-    below 2^63), which one np.unique counts per block.  Signatures enter
-    the dict in the order the stream first meets them, and each distinct
-    one is decoded once, at the end.
+    The stream is swept weighted, as in `max_girth`, which keeps the
+    counts and the dict order of the full stream.  Each tuple's pair codes
+    come from the joins that formed it.  Each code becomes the rank of
+    its partition among the p(m) partitions of m, by a searchsorted into
+    their sorted codes, and a tuple's ranks become one int64 key in base
+    p(m) (the budget keeps p(m)^(r-1) far below 2^63), which one
+    np.unique counts per block.  A tuple's weight depends only on the
+    cycle type of its first free slot, its first code, so every tuple of
+    a key has the weight of the key's first.  Signatures enter the dict in
+    the order the stream first meets them, and each distinct one is
+    decoded once, at the end.
     """
     counts: dict[tuple[int, ...], int] = {}
     known = None
-    for _, _, codes in _tuple_blocks(m, r, fix_first_identity, coded=True):
+    for _, _, codes, weights in _tuple_blocks(m, r, fix_first_identity, coded=True, weighted=True):
         if known is None:  # only once the sweep is admitted
             known = _known_codes(m)
         key = np.zeros(len(codes), dtype=np.int64)
         for column in np.searchsorted(known, codes).T:
             key = key * len(known) + column
         _, first, block_counts = np.unique(key, return_index=True, return_counts=True)
+        block_counts *= weights[first] if isinstance(weights, np.ndarray) else weights
         for i in np.argsort(first):
             sig = tuple(codes[first[i]].tolist())
             counts[sig] = counts.get(sig, 0) + int(block_counts[i])

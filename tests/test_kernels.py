@@ -9,6 +9,9 @@ conftest.py, which builds it from this checkout's C source.
 """
 
 import random
+import sys
+import types
+import warnings
 from array import array
 from math import factorial, gcd
 
@@ -108,6 +111,42 @@ class TestCompiledKernel:
 
     def test_forest(self, compiled_kernel):
         assert single(compiled_kernel, [(2, 3, 1)], 3) == 0
+
+
+class TestSelection:
+    """`_kernel` uses a compiled module only when its ABI is `_kernel.ABI`."""
+
+    def test_this_checkout_builds_the_current_abi(self, compiled_kernel):
+        assert compiled_kernel.ABI == _kernel.ABI
+
+    def test_matching_abi_is_selected(self, monkeypatch):
+        current = types.ModuleType("btusearch._girth_c")
+        current.ABI = _kernel.ABI
+        monkeypatch.setitem(sys.modules, "btusearch._girth_c", current)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _kernel._select() == (current, "c")
+
+    @pytest.mark.parametrize("abi", [None, _kernel.ABI + 1], ids=["missing", "other"])
+    def test_stale_build_falls_back_with_one_warning(self, monkeypatch, abi):
+        stale = types.ModuleType("btusearch._girth_c")
+        stale.__file__ = "/somewhere/_girth_c.cpython-311-x86_64-linux-gnu.so"
+        if abi is not None:
+            stale.ABI = abi
+        monkeypatch.setitem(sys.modules, "btusearch._girth_c", stale)
+        with pytest.warns(RuntimeWarning) as record:
+            assert _kernel._select() == (_girth_py, "python")
+        assert len(record) == 1
+        text = str(record[0].message)
+        assert stale.__file__ in text
+        assert "python setup.py build_ext --inplace --force" in text
+
+    def test_no_compiled_module_falls_back_silently(self, monkeypatch):
+        # A None entry makes the import raise ImportError.
+        monkeypatch.setitem(sys.modules, "btusearch._girth_c", None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _kernel._select() == (_girth_py, "python")
 
 
 # `kernel` yields a module and holds no state between examples.

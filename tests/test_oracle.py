@@ -209,17 +209,97 @@ class TestBlocks:
     def test_blocks_are_bounded_and_cover_the_stream(self, m, r, fixed):
         blocks = list(oracle._tuple_blocks(m, r, fixed))
         coded = list(oracle._tuple_blocks(m, r, fixed, coded=True))
-        assert all(len(tuples) <= oracle.BLOCK for _, tuples, _ in blocks)
-        assert all(len(tuples) == oracle.BLOCK for _, tuples, _ in blocks[:-1])
-        got = [tuple(map(tuple, one)) for u, tuples, _ in blocks for one in (u[tuples] + 1).tolist()]
+        assert all(len(tuples) <= oracle.BLOCK for _, tuples, _, _ in blocks)
+        assert all(len(tuples) == oracle.BLOCK for _, tuples, _, _ in blocks[:-1])
+        # unweighted, every tuple is listed once, with weight 1
+        assert all(weights == 1 for *_, weights in blocks + coded)
+        got = [tuple(map(tuple, one)) for u, tuples, _, _ in blocks for one in (u[tuples] + 1).tolist()]
         assert got == [_images(b) for b in _ref_enumerate_btus(m, r, fixed)]
         # the codes taken at each join are the codes of the finished tuples
         assert len(coded) == len(blocks)
-        for (_, tuples, uncoded), (u, same, codes) in zip(blocks, coded):
+        for (_, tuples, uncoded, _), (u, same, codes, _) in zip(blocks, coded):
             assert uncoded.shape == (len(tuples), 0)
             assert (same == tuples).all()
             pairs = [_kernel.pair_codes(u, tuples[:, i : i + 2], m) for i in range(r - 1)]
             assert (codes == np.column_stack(pairs)).all()
+
+    @pytest.mark.parametrize(
+        "m,r,fixed,scored",
+        [(6, 3, True, 322), (5, 4, True, 60), (6, 2, False, 265), (5, 3, False, 25)],
+        ids=["6-3-fixed", "5-4-fixed", "6-2-free", "5-3-free"],
+    )
+    def test_weighted_blocks_are_class_representatives(self, m, r, fixed, scored):
+        full = [tuple(one) for u, tuples, _, _ in oracle._tuple_blocks(m, r, fixed) for one in tuples.tolist()]
+        blocks = list(oracle._tuple_blocks(m, r, fixed, coded=True, weighted=True))
+        listed = [tuple(one) for _, tuples, _, _ in blocks for one in tuples.tolist()]
+        weights = np.concatenate([np.broadcast_to(w, len(t)) for _, t, _, w in blocks])
+        assert len(listed) == scored
+        # a subsequence of the full stream, in its order, whose weights
+        # add up to the full stream
+        at = iter(full)
+        assert all(one in at for one in listed)
+        assert int(weights.sum()) == len(full)
+        # the identity leads; a free slot 1 is swept as fixed, times m!
+        assert all(one[0] == 0 for one in listed)
+        if not fixed:
+            assert (weights % factorial(m) == 0).all()
+        # a tuple's weight is set by its first free slot's cycle type
+        codes = np.concatenate([c for _, _, c, _ in blocks])
+        for code in np.unique(codes[:, 0]):
+            assert len(set(weights[codes[:, 0] == code].tolist())) == 1
+
+
+class TestRelabelling:
+    """The two relabellings that the weighted sweep counts classes by keep
+    the girth and every slot pair's cycle type."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        m=st.integers(2, 7),
+        data=st.data(),
+    )
+    def test_conjugating_every_slot(self, m, data):
+        sigma, a, b = (np.array(data.draw(st.permutations(range(m)))) for _ in range(3))
+        inverse = np.argsort(sigma)
+        ident = np.arange(m)
+        table = np.array([ident, a, b, sigma[a][inverse], sigma[b][inverse]], dtype=np.int32)
+        girths = _kernel.girth_batch(table, np.array([[0, 1, 2], [0, 3, 4]], dtype=np.int32), m, 0)
+        assert girths[0] == girths[1]
+        codes = _kernel.pair_codes(table, np.array([[0, 1], [1, 2], [0, 3], [3, 4]]), m)
+        assert codes[:2].tolist() == codes[2:].tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        m=st.integers(2, 7),
+        data=st.data(),
+    )
+    def test_relabelling_columns_by_the_first_slot(self, m, data):
+        a, b, c = (np.array(data.draw(st.permutations(range(m)))) for _ in range(3))
+        inverse = np.argsort(a)
+        table = np.array([a, b, c, np.arange(m), inverse[b], inverse[c]], dtype=np.int32)
+        girths = _kernel.girth_batch(table, np.array([[0, 1, 2], [3, 4, 5]], dtype=np.int32), m, 0)
+        assert girths[0] == girths[1]
+        codes = _kernel.pair_codes(table, np.array([[0, 1], [1, 2], [3, 4], [4, 5]]), m)
+        assert codes[:2].tolist() == codes[2:].tolist()
+
+
+class TestGraphsScored:
+    @pytest.mark.parametrize(
+        "m,r,fixed,scored",
+        [(6, 3, True, 322), (5, 4, True, 60), (6, 2, False, 265), (8, 2, True, 14_833)],
+        ids=["6-3-fixed", "5-4-fixed", "6-2-free", "8-2-fixed"],
+    )
+    def test_one_graph_per_class(self, monkeypatch, m, r, fixed, scored):
+        calls = []
+        girth_batch = _kernel.girth_batch
+
+        def spy(table, index, *args, **kwargs):
+            calls.append(len(index))
+            return girth_batch(table, index, *args, **kwargs)
+
+        monkeypatch.setattr(_kernel, "girth_batch", spy)
+        max_girth(m, r, fix_first_identity=fixed)
+        assert sum(calls) == scored
 
 
 @st.composite
@@ -379,10 +459,6 @@ CROSS_CHECK = [
     for fixed in (True, False)
     if r > m or oracle._estimate_checks(m, r, fixed) <= oracle.DEFAULT_BUDGET
 ]
-# 190,800 graphs: about 9 s per pass on the pure kernel, so this case's
-# girths are cross-checked on the compiled kernel only; its stream and
-# census are checked below like every other case.
-COMPILED_ONLY = {(6, 2, False)}
 
 
 class TestMatchesRecursiveReference:
@@ -407,6 +483,4 @@ class TestMatchesRecursiveReference:
     @pytest.mark.parametrize("kernel", ["python", "c", "loose"], indirect=True)
     @pytest.mark.parametrize("m,r,fixed", CROSS_CHECK)
     def test_max_girth(self, backend, kernel, m, r, fixed):
-        if (m, r, fixed) in COMPILED_ONLY and kernel.__name__ != "btusearch._girth_c":
-            pytest.skip("kernel-bound case, checked on the compiled kernel")
         assert _report(m, r, fixed) == _reference_report(m, r, fixed)
