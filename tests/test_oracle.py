@@ -101,8 +101,9 @@ class TestMaxGirth:
         assert girth(report.witness).girth == report.max_girth
 
     def test_universe_freed_without_cyclic_gc(self):
-        # The 7! universe (about 0.6 MB) must go with its last reference.
-        # With automatic collection off, everything the call allocated is
+        # The tables must go with their last reference: the weighted
+        # sweep's, and the 7! universe (35 KB) of the full stream.
+        # With automatic collection off, everything the calls allocated is
         # in the youngest generation, and collecting just that generation
         # leaves the interpreter's free lists alone, so the difference
         # below is exactly what only the cyclic collector could free.
@@ -110,6 +111,7 @@ class TestMaxGirth:
         tracemalloc.start()
         try:
             max_girth(7, 2)
+            list(oracle._tuple_blocks(7, 2, True))
             held, _ = tracemalloc.get_traced_memory()
             gc.collect(0)
             baseline, _ = tracemalloc.get_traced_memory()
@@ -225,14 +227,18 @@ class TestBlocks:
 
     @pytest.mark.parametrize(
         "m,r,fixed,scored",
-        [(6, 3, True, 322), (5, 4, True, 60), (6, 2, False, 265), (5, 3, False, 25)],
+        [(6, 3, True, 322), (5, 4, True, 60), (6, 2, False, 4), (5, 3, False, 25)],
         ids=["6-3-fixed", "5-4-fixed", "6-2-free", "5-3-free"],
     )
     def test_weighted_blocks_are_class_representatives(self, m, r, fixed, scored):
-        full = [tuple(one) for u, tuples, _, _ in oracle._tuple_blocks(m, r, fixed) for one in tuples.tolist()]
+        def images(blocks):
+            return [tuple(map(tuple, one)) for u, tuples, _, _ in blocks for one in u[tuples].tolist()]
+
+        full = images(oracle._tuple_blocks(m, r, fixed))
         blocks = list(oracle._tuple_blocks(m, r, fixed, coded=True, weighted=True))
-        listed = [tuple(one) for _, tuples, _, _ in blocks for one in tuples.tolist()]
-        weights = np.concatenate([np.broadcast_to(w, len(t)) for _, t, _, w in blocks])
+        listed = images(blocks)
+        weights = np.concatenate([w for *_, w in blocks])
+        assert all(w.dtype == np.int64 for *_, w in blocks)
         assert len(listed) == scored
         # a subsequence of the full stream, in its order, whose weights
         # add up to the full stream
@@ -240,13 +246,66 @@ class TestBlocks:
         assert all(one in at for one in listed)
         assert int(weights.sum()) == len(full)
         # the identity leads; a free slot 1 is swept as fixed, times m!
-        assert all(one[0] == 0 for one in listed)
+        assert all(one[0] == tuple(range(m)) for one in listed)
         if not fixed:
             assert (weights % factorial(m) == 0).all()
         # a tuple's weight is set by its first free slot's cycle type
         codes = np.concatenate([c for _, _, c, _ in blocks])
         for code in np.unique(codes[:, 0]):
             assert len(set(weights[codes[:, 0] == code].tolist())) == 1
+
+
+def _pool_classes(m):
+    """The lex-first pool row of each cycle type against the identity,
+    with its type's pool rows, its pair code and its universe row, by
+    coding every pool row: the pass that `oracle._class_representatives`
+    replaced."""
+    universe = lex_permutations(m)
+    pool = np.flatnonzero(oracle._disagree(universe, universe[:1])[:, 0])
+    pairs = np.column_stack((np.zeros(len(pool), dtype=np.intp), pool))
+    types, first, size = np.unique(
+        _kernel.pair_codes(universe, pairs, m), return_index=True, return_counts=True
+    )
+    rows = pool[np.sort(first)]
+    order = np.argsort(first)
+    return universe[rows], size[order], types[order], rows
+
+
+class TestClassRepresentatives:
+    @pytest.mark.parametrize("m", range(2, 10))
+    def test_closed_form_is_the_lex_first_pool_row_of_each_type(self, m):
+        got = oracle._class_representatives(m)
+        want = _pool_classes(m)
+        assert got[0].dtype == want[0].dtype
+        assert [column.tolist() for column in got] == [column.tolist() for column in want]
+
+    @pytest.mark.parametrize(
+        "m,derangements", zip(range(2, 10), [1, 2, 9, 44, 265, 1854, 14833, 133496])
+    )
+    def test_weights_add_up_to_the_derangements(self, m, derangements):
+        _, sizes, _, _ = oracle._class_representatives(m)
+        assert sizes.dtype == np.int64
+        assert int(sizes.sum()) == derangements
+
+    def test_weighted_r_2_builds_no_universe(self, monkeypatch):
+        built = []
+
+        def spy(n, *args):
+            built.append(n)
+            return lex_permutations(n, *args)
+
+        monkeypatch.setattr(oracle, "lex_permutations", spy)
+        for m in range(2, 11):
+            max_girth(m, 2)
+            phi_census(m, 2)
+        for m in range(2, 7):
+            max_girth(m, 2, fix_first_identity=False)
+            phi_census(m, 2, fix_first_identity=False)
+        assert built == []
+        # the spy sees the sweeps that do build it
+        max_girth(4, 3)
+        list(enumerate_btus(3, 2, fix_first_identity=True))
+        assert built == [4, 3]
 
 
 class TestRelabelling:
@@ -286,8 +345,15 @@ class TestRelabelling:
 class TestGraphsScored:
     @pytest.mark.parametrize(
         "m,r,fixed,scored",
-        [(6, 3, True, 322), (5, 4, True, 60), (6, 2, False, 265), (8, 2, True, 14_833)],
-        ids=["6-3-fixed", "5-4-fixed", "6-2-free", "8-2-fixed"],
+        [
+            (6, 3, True, 322),
+            (5, 4, True, 60),
+            (6, 2, False, 4),
+            (8, 2, True, 7),
+            (9, 2, True, 8),
+            (10, 2, True, 12),
+        ],
+        ids=["6-3-fixed", "5-4-fixed", "6-2-free", "8-2-fixed", "9-2-fixed", "10-2-fixed"],
     )
     def test_one_graph_per_class(self, monkeypatch, m, r, fixed, scored):
         calls = []
