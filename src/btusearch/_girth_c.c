@@ -12,8 +12,9 @@
  * from a file.
  *
  * The grower lists the n-cycles w of 0..n-1 that a search stage keeps
- * for its replaced slot, depth-first in the order of their words,
- * and prunes a prefix at the first entry that fails a filter.
+ * for its replaced slot and its level-2 finals, depth-first in the order
+ * of their words, and prunes a prefix at the first entry that fails a
+ * filter.  It reads the few rows w must avoid, in O(n) memory.
  *
  * The pair coder takes pairs (a, b) of table rows and writes, for each,
  * an int64 code of the cycle type of x -> inv(a)[b[x]]: the union-cycle
@@ -30,11 +31,11 @@
 #include <stdlib.h>
 #include <string.h>
 
-enum { ABI = 1 };
+enum { ABI = 2 };
 
 enum {
     OK = 0, NO_MEMORY = -1, BAD_IMAGE = -2, BAD_ROW = -3, NOT_REGULAR = -4, BAD_HEAD = -5,
-    BAD_DIGIT = -6
+    BAD_DIGIT = -6, BAD_AVOID = -7
 };
 
 typedef struct {
@@ -284,13 +285,14 @@ static int split(int *adj, int m, int r, int *out, int *work)
     return OK;
 }
 
-/* The grower's input and output.  barred[x*n + v] bars w(x) = v;
- * heads[v] is the point that inv(left).w reaches from x when w(x) = v;
- * digits, when not NULL, holds the limit's n-1 factorial-base digits.
- * Kept rows go to `rows`, n items of itemsize bytes each. */
+/* The grower's input and output.  avoid holds t rows of n values, and
+ * w(x) = v is barred when some row holds v at x; heads[v] is the point
+ * that inv(left).w reaches from x when w(x) = v; digits, when not NULL,
+ * holds the limit's n-1 factorial-base digits.  Kept rows go to `rows`,
+ * n items of itemsize bytes each. */
 typedef struct {
-    const unsigned char *barred;
-    const int *heads, *digits;
+    const int *avoid, *heads, *digits;
+    Py_ssize_t t;
     int n, length, itemsize;
     char *rows;
     Py_ssize_t count, capacity;
@@ -325,14 +327,23 @@ static int keep(Growth *g, const int *img)
     return OK;
 }
 
+/* Whether some avoid row holds v at x. */
+static inline int barred(const Growth *g, int x, int v)
+{
+    for (Py_ssize_t s = 0; s < g->t; s++)
+        if (g->avoid[s * g->n + x] == v)
+            return 1;
+    return 0;
+}
+
 /* Grows the words W of 0..n-2 depth-first in lexicographic order.  Word
  * entry j fixes one edge x -> W[j] of w, from x = n-1 at j = 0 and from
  * x = W[j-1] after, and the word closes with W[n-2] -> n-1.  An entry v
- * is refused when barred, or when its edge x -> heads[v] of inv(left).w
- * closes a cycle of other than `length` points or joins two paths into
- * one of more.  A path is kept as each end's other end (`other`) and
- * point count (`size`); a join records what it overwrote, so leaving
- * the entry puts it back.  Under a limit, a prefix is tight while its
+ * is refused when an avoid row holds v at x, or when its edge
+ * x -> heads[v] of inv(left).w closes a cycle of other than `length`
+ * points or joins two paths into one of more.  A path is kept as each
+ * end's other end (`other`) and point count (`size`); a join records
+ * what it overwrote, so leaving the entry puts it back.  Under a limit, a prefix is tight while its
  * entries' ranks among the values left equal the limit's digits: a
  * tight prefix's entry j takes values up to the digits[j]-th left, and
  * the one whole word that stays tight, of rank equal to the limit, is
@@ -380,9 +391,8 @@ static int grow(Growth *g)
             }
         }
         int tail = other[x], at_x = size[x];
-        const unsigned char *bars = g->barred + (Py_ssize_t)x * n;
         for (v++; v <= top[j]; v++) {
-            if (used[v] || bars[v])
+            if (used[v] || barred(g, x, v))
                 continue;
             int h = g->heads[v];
             if (tail == h ? at_x == len : at_x + size[h] <= len)
@@ -412,8 +422,7 @@ static int grow(Growth *g)
         if (j < last) {
             tight[j + 1] = tight[j] && v == top[j];
             value[++j] = -1;
-        } else if (!g->barred[(Py_ssize_t)v * n + n - 1] && size[v] == len &&
-                   !(tight[j] && v == top[j])) {
+        } else if (!barred(g, v, n - 1) && size[v] == len && !(tight[j] && v == top[j])) {
             /* The closing edge v -> n-1 meets the one open path, whose
              * other end is heads[n-1]. */
             img[v] = n - 1;
@@ -630,10 +639,10 @@ static PyObject *split_slots(PyObject *Py_UNUSED(self), PyObject *args)
 
 static PyObject *grow_cycles(PyObject *Py_UNUSED(self), PyObject *args)
 {
-    PyObject *barred_obj, *heads_obj, *digits_obj;
+    PyObject *avoid_obj, *heads_obj, *digits_obj;
     Growth g = {.rows = NULL, .count = 0, .capacity = 0};
-    Py_buffer barred, heads, digits = {.obj = NULL};
-    if (!PyArg_ParseTuple(args, "OOOiii:grow_cycles", &barred_obj, &heads_obj, &digits_obj,
+    Py_buffer avoid, heads, digits = {.obj = NULL};
+    if (!PyArg_ParseTuple(args, "OOOiii:grow_cycles", &avoid_obj, &heads_obj, &digits_obj,
                           &g.n, &g.length, &g.itemsize))
         return NULL;
     if (g.n < 2 || g.length < 1 || !(g.itemsize == 1 || g.itemsize == 2 || g.itemsize == 4) ||
@@ -644,19 +653,26 @@ static PyObject *grow_cycles(PyObject *Py_UNUSED(self), PyObject *args)
         return NULL;
     }
     int n = g.n;
-    if (get_buffer(barred_obj, &barred, PyBUF_SIMPLE, "barred", 1, (Py_ssize_t)n * n, 1) < 0)
+    if (get_buffer(avoid_obj, &avoid, PyBUF_SIMPLE, "avoid", 4, -1, 0) < 0)
         return NULL;
+    Py_ssize_t items = avoid.len / 4;
+    if (items % n) {
+        PyErr_Format(PyExc_ValueError, "avoid has %zd items, not a multiple of n=%d", items, n);
+        PyBuffer_Release(&avoid);
+        return NULL;
+    }
     if (get_buffer(heads_obj, &heads, PyBUF_SIMPLE, "heads", 4, n, 1) < 0) {
-        PyBuffer_Release(&barred);
+        PyBuffer_Release(&avoid);
         return NULL;
     }
     if (digits_obj != Py_None &&
         get_buffer(digits_obj, &digits, PyBUF_SIMPLE, "digits", 4, n - 1, 1) < 0) {
         PyBuffer_Release(&heads);
-        PyBuffer_Release(&barred);
+        PyBuffer_Release(&avoid);
         return NULL;
     }
-    g.barred = barred.buf;
+    g.avoid = avoid.buf;
+    g.t = items / n;
     g.heads = heads.buf;
     g.digits = digits.obj ? digits.buf : NULL;
     int status = OK, bad = 0;
@@ -668,6 +684,9 @@ static PyObject *grow_cycles(PyObject *Py_UNUSED(self), PyObject *args)
             status = BAD_DIGIT;
             bad = j;
         }
+    for (Py_ssize_t at = 0; at < items && status == OK; at++)
+        if (g.avoid[at] < 0 || g.avoid[at] >= n)
+            status = BAD_AVOID;
     if (status == OK) {
         Py_BEGIN_ALLOW_THREADS
         status = grow(&g);
@@ -676,7 +695,7 @@ static PyObject *grow_cycles(PyObject *Py_UNUSED(self), PyObject *args)
     if (digits.obj)
         PyBuffer_Release(&digits);
     PyBuffer_Release(&heads);
-    PyBuffer_Release(&barred);
+    PyBuffer_Release(&avoid);
     PyObject *rows = NULL;
     if (status == OK)
         rows = PyByteArray_FromStringAndSize(g.rows, g.count * n * g.itemsize);
@@ -684,6 +703,8 @@ static PyObject *grow_cycles(PyObject *Py_UNUSED(self), PyObject *args)
         PyErr_NoMemory();
     else if (status == BAD_HEAD)
         PyErr_Format(PyExc_ValueError, "each head must be in 0..%d", n - 1);
+    else if (status == BAD_AVOID)
+        PyErr_Format(PyExc_ValueError, "each avoid value must be in 0..%d", n - 1);
     else
         PyErr_Format(PyExc_ValueError, "digits[%d] must be in 0..%d", bad, n - 2 - bad);
     free(g.rows);
@@ -768,15 +789,16 @@ static PyMethodDef methods[] = {
      "the lists have left.  ValueError when a column is out of range or the\n"
      "lists do not split into perfect matchings."},
     {"grow_cycles", grow_cycles, METH_VARARGS,
-     "grow_cycles(barred, heads, digits, n, length, itemsize)\n\n"
+     "grow_cycles(avoid, heads, digits, n, length, itemsize)\n\n"
      "Grows, depth-first and releasing the GIL, the n-cycles w of 0..n-1 in\n"
      "the lexicographic order of their words W (w(n-1) = W[0], w(W[i]) =\n"
      "W[i+1], w(W[-1]) = n-1), and returns the kept ones as one bytearray of\n"
-     "rows of n ints of itemsize bytes.  A row is kept when no\n"
-     "barred[x*n + w(x)] byte is set, every cycle of x -> heads[w(x)] has\n"
-     "`length` points, and, when digits (n-1 4-byte ints) is not None, its\n"
-     "word's rank is below the limit those factorial-base digits spell.\n"
-     "heads holds n 4-byte ints in 0..n-1."},
+     "rows of n ints of itemsize bytes.  avoid holds t rows of n 4-byte ints\n"
+     "in 0..n-1 (t >= 0), and a row is kept when it differs from each avoid\n"
+     "row at every point, every cycle of x -> heads[w(x)] has `length`\n"
+     "points, and, when digits (n-1 4-byte ints) is not None, its word's\n"
+     "rank is below the limit those factorial-base digits spell.  heads\n"
+     "holds n 4-byte ints in 0..n-1.  No n x n table is built."},
     {"pair_codes", pair_codes, METH_VARARGS,
      "pair_codes(table, index, n_pairs, m, out)\n\n"
      "Codes n_pairs pairs of table rows, releasing the GIL: pair k is rows\n"

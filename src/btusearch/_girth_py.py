@@ -245,27 +245,28 @@ def _extract_matching(adj: list[list[int]], m: int) -> list[int]:
     return row_to_col
 
 
-def grow_cycles(barred, heads, digits, n: int, length: int, itemsize: int):
+def grow_cycles(avoid, heads, digits, n: int, length: int, itemsize: int):
     """The n-cycles w of 0..n-1 that pass the grower's filters, in the
     lexicographic order of their words, as an (rows, n) int array of
     `itemsize` bytes an entry: w(n-1) = W[0], w(W[i]) = W[i+1] and
     w(W[-1]) = n-1 for the word W, a permutation of 0..n-2.  A row is
-    kept when barred[x*n + w(x)] is 0 at every x, every cycle of
-    x -> heads[w(x)] has `length` points, and, when digits is not None,
-    the word's rank is below the limit whose n-1 factorial-base digits
-    they are.  barred holds n*n bytes, heads n 4-byte ints in 0..n-1 and
-    digits n-1 4-byte ints, digit j in 0..n-2-j.
+    kept when it differs from every avoid row at every point, every
+    cycle of x -> heads[w(x)] has `length` points, and, when digits is
+    not None, the word's rank is below the limit whose n-1
+    factorial-base digits they are.  avoid holds t rows of n 4-byte ints
+    in 0..n-1 (t >= 0), heads n 4-byte ints in 0..n-1 and digits n-1
+    4-byte ints, digit j in 0..n-2-j.
 
     The words are grown one entry at a time, breadth-first: a prefix
     fixes w on the points it has visited, so a child that adds value v
     adds one edge x -> v from the last point x, and the last level adds
-    the closing edge W[-1] -> n-1.  A child is dropped when barred at
-    (x, v), or when its edge x -> heads[v] closes a cycle of other than
-    `length` points or joins two paths into one of more.  The paths are
-    kept as each end's other end and size, so a child costs O(1) besides
-    its copy.  The digits of a prefix can equal the limit's leading
-    digits for at most one prefix, the tight one, and only its children
-    are cut, with no rank arithmetic.
+    the closing edge W[-1] -> n-1.  A child is dropped when an avoid row
+    holds v at x, or when its edge x -> heads[v] closes a cycle of other
+    than `length` points or joins two paths into one of more.  The paths
+    are kept as each end's other end and size, so a child costs O(1)
+    besides its copy.  The digits of a prefix can equal the limit's
+    leading digits for at most one prefix, the tight one, and only its
+    children are cut, with no rank arithmetic.
     """
     signed = 8 * itemsize - 1
     if n < 2 or length < 1 or itemsize not in (1, 2, 4) or (itemsize < 4 and (n - 1) >> signed):
@@ -273,7 +274,9 @@ def grow_cycles(barred, heads, digits, n: int, length: int, itemsize: int):
             f"need n >= 2, length >= 1 and a signed item size of 1, 2 or 4 bytes "
             f"that holds n-1, got n={n}, length={length}, itemsize={itemsize}"
         )
-    barred = np.frombuffer(_ints(barred, "barred", (1,), n * n, exact=True), np.uint8)
+    avoid = np.frombuffer(_ints(avoid, "avoid", (4,), None, exact=False), np.int32)
+    if len(avoid) % n:
+        raise ValueError(f"avoid has {len(avoid)} items, not a multiple of n={n}")
     heads = np.frombuffer(_ints(heads, "heads", (4,), n, exact=True), np.int32)
     if digits is not None:
         digits = _ints(digits, "digits", (4,), n - 1, exact=True).tolist()
@@ -282,7 +285,9 @@ def grow_cycles(barred, heads, digits, n: int, length: int, itemsize: int):
     for j, digit in enumerate(digits or ()):
         if not 0 <= digit <= n - 2 - j:
             raise ValueError(f"digits[{j}] must be in 0..{n - 2 - j}")
-    barred = barred.reshape(n, n).astype(bool)
+    if not ((avoid >= 0) & (avoid < n)).all():
+        raise ValueError(f"each avoid value must be in 0..{n - 1}")
+    avoid = avoid.reshape(-1, n)
     heads = heads[: n - 1]
     tight = 0 if digits is not None else None  # the row whose prefix is the limit's
     point = np.min_scalar_type(-2 * n).type  # holds two sizes' sum
@@ -294,7 +299,10 @@ def grow_cycles(barred, heads, digits, n: int, length: int, itemsize: int):
         rows = np.arange(len(words))
         x = words[:, j - 1] if j else np.full(len(words), n - 1)
         tail, at_x = other[rows, x], size[rows, x]
-        ok = free & ~barred[x, : n - 1]
+        ok = free.copy()
+        bars = avoid[:, x]  # the values each row's last point may not take
+        hit = bars < n - 1
+        ok[np.broadcast_to(rows, bars.shape)[hit], bars[hit]] = False
         ok &= np.where(
             tail[:, None] == heads, at_x[:, None] == length, at_x[:, None] + size[:, heads] <= length
         )
@@ -315,7 +323,7 @@ def grow_cycles(barred, heads, digits, n: int, length: int, itemsize: int):
         size[rows, start], size[rows, end] = joined, joined
     # The closing edge meets the one open path, from heads[n-1] to W[-1].
     x = words[:, -1]
-    keep = ~barred[x, n - 1] & (size[np.arange(len(words)), x] == length)
+    keep = (avoid[:, x] != n - 1).all(axis=0) & (size[np.arange(len(words)), x] == length)
     if tight is not None:
         keep[tight] = False  # its rank is the limit's
     words = words[keep]

@@ -26,7 +26,7 @@ import numpy as np
 
 # The revision of the four calls' signatures and contracts; `_girth_c.c`
 # holds the same number.
-ABI = 1
+ABI = 2
 
 
 def _select():
@@ -105,20 +105,23 @@ def split_slots(cols: np.ndarray) -> np.ndarray:
 
 
 def grow_cycles(
-    barred: np.ndarray, heads: np.ndarray, digits: list[int] | None, n: int, length: int
+    avoid: np.ndarray, heads: np.ndarray, digits: list[int] | None, n: int, length: int
 ) -> np.ndarray:
     """The n-cycles w of 0..n-1, in the lexicographic order of their
-    words and in the narrowest signed int type that holds n-1, with no
-    barred[x, w(x)] set, every cycle of x -> heads[w(x)] of `length`
-    points, and, when digits is given, a word rank below the limit whose
-    n-1 factorial-base digits they are (digit j in 0..n-2-j).  The word
-    W of w is its visiting order from n-1: w(n-1) = W[0], w(W[i]) =
-    W[i+1] and w(W[-1]) = n-1.  ValueError for a head out of 0..n-1 or
-    a digit out of its range.
+    words and in the narrowest signed int type that holds n-1, that
+    differ at every point from each row of the (t, n) array `avoid`
+    (values in 0..n-1, t >= 0), with every cycle of x -> heads[w(x)] of
+    `length` points, and, when digits is given, a word rank below the
+    limit whose n-1 factorial-base digits they are (digit j in
+    0..n-2-j).  The word W of w is its visiting order from n-1: w(n-1) =
+    W[0], w(W[i]) = W[i+1] and w(W[-1]) = n-1.  Memory is O(n) besides
+    the rows kept: no n x n table of barred values is built.  ValueError
+    for an avoid value or head out of 0..n-1 or a digit out of its
+    range.
     """
     dtype = np.min_scalar_type(-n)
     rows = _impl.grow_cycles(
-        np.ascontiguousarray(barred, dtype=bool),
+        np.ascontiguousarray(avoid, dtype=np.int32),
         np.ascontiguousarray(heads, dtype=np.int32),
         None if digits is None else np.array(digits, dtype=np.int32),
         n,

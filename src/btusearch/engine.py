@@ -18,17 +18,18 @@ the final slot pair is preserved either way).
 Scaling commutes with compose and invert, and it keeps compatibility
 and scales union-cycle partitions part by part.  So each beam member is
 rebased at the previous degree d before scaling, and the stage's
-degree-d candidates are filtered once per member there: compatibility
-with every slot but the replaced one, and the partition against the
-left neighbour.  Only the check against the newest slot needs degree
-n.  At stage 3 the identity is both the only other rebased slot and the
+degree-d candidates are grown there once per member, at its first
+policy level with finals, and kept for the later levels.  They are
+filtered by compatibility with every slot but the replaced one, and by
+the partition against the left neighbour.  Only the check against the
+newest slot needs degree n.  At stage 3 the identity is both the only other rebased slot and the
 left neighbour, and a candidate against the identity is a single
 d-cycle (d >= 2), which has no fixed point: it passes both filters, so
 stage 3 keeps every candidate.
 
 Each member's surviving candidates then meet the finals in one ordered
-scan over (final, word), one member at a time, so memory does not grow
-with the beam.  The scan is cut once, into units of a final range by a
+scan over (final, word), one member's table at a time, so the tables do
+not grow with the beam.  The scan is cut once, into units of a final range by a
 word range, finals outer, of at most BLOCK pairs and PAIR_CELLS mask
 cells.  A unit builds its own pair mask and kernel index and is one
 girth kernel call: the kernel raises its cutoff after every graph to
@@ -63,28 +64,26 @@ list, which the map need not keep; for level-2 finals, which run in
 word order; and for exhaustive mode, which lists every co-maximum.
 Those scans stay whole.
 
-The stage runs on int arrays of 0-based images: the beam is one array
-of shape (members, slots, n), the candidates are rows of
-searchspace.cycle_images(d, cap), the finals are rotations or, at level
-2, the rows of cycle_images(n), all in its type.  A member's candidates
-are grown under its filters by searchspace.grown_cycle_images, one word
-entry at a time, depth-first in row order in the compiled kernel
-(breadth-first in the pure one), so no row that fails is built: it must
-differ from the member's other slots at every point, and every cycle of
-inv(left).q must have the one length the required partition holds.  At
-stage 3 every row passes, so the grower builds them all.  Each member's
-graphs are rows of one image table, its scaled slots, the finals
-compatible with them and its kept words scaled to degree n, and a
-unit's pairs are the (final row, word row) pairs of its ranges that
+The stage runs on int arrays of 0-based images in the type of
+searchspace.cycle_images: the beam, of shape (members, slots, n), the
+candidates, rows of cycle_images(d, cap), and the finals, rotations or
+at level 2 rows of cycle_images(n, cap).  The candidates and the level-2
+finals are grown by grown_cycle_images one word entry at a time, so no
+row that fails the member's filters is built: both must differ from its
+other slots at every point, and a candidate's cycles against its left
+neighbour must have the one length the required partition holds.  A
+member's graphs are rows of one image table, its scaled slots, the
+finals compatible with them and its candidates scaled to degree n, and
+a unit's pairs are the (final row, word row) pairs of its ranges that
 differ at every point.  A scan never reads the replaced slot, so a
 member whose other rebased slots repeat an earlier member's would
-repeat its graphs in order: it is skipped, and the exhaustive beam
+repeat its graphs in order: it is dropped, and the exhaustive beam
 holds no duplicate.  A stage that would list more than MAX_LISTED
 candidates ((d-1)!), rotations (n-1) or level-2 finals ((n-1)!) is
-refused with StageTooLargeError before the list is built, unless the
+refused with StageTooLargeError before any is built, unless the
 candidate cap bounds it (it does not bound rotations): up front, but on
-reaching level 2 for the level-2 finals.  The candidate refusal counts
-the listed rows, though only the grown rows are built.
+reaching level 2 for the level-2 finals.  The refusals count the listed
+rows, though only the grown rows are built.
 """
 
 from __future__ import annotations
@@ -117,7 +116,6 @@ from .perms import (
 )
 from .searchspace import (
     CandidateWord,
-    cycle_images,
     grown_cycle_images,
     listed_count,
     rank_candidate,
@@ -236,18 +234,13 @@ def _stage2(f: Factorization, config: SearchConfig) -> tuple[np.ndarray, StageTr
     return beam, StageTrace(2, n, _marker(level, beam[0, 1]), candidates_evaluated=1, best_girth=g)
 
 
-def _finals_for_level(n: int, threshold: int, level: int, cap: int | None, stage: int):
-    """The newest slot's finals at a policy level, rows of 0-based images
-    in cycle_images(n)'s type: the rotations (i - j) mod n of the
-    admissible offsets j, ascending (at level 1 of every j coprime to n);
-    at level 2 every single-cycle candidate of degree n, cut to cap."""
-    if level < 2:
-        dt = np.min_scalar_type(-n)
-        offsets = np.array(admissible_rotations(n, threshold if level == 0 else 0), dtype=dt)
-        # (j - i) mod -n lies in (-n, 0], and -n fits dt where n need not.
-        return -((offsets[:, None] - np.arange(n, dtype=dt)) % -n)
-    _refuse_unlisted(stage, "finals", n, cap)
-    return cycle_images(n, cap)
+def _finals_for_level(n: int, threshold: int, level: int):
+    """The rotation finals (i - j) mod n, in cycle_images(n)'s type, of the
+    offsets j, ascending, admissible at level 0, or at level 1 of every j coprime to n."""
+    dt = np.min_scalar_type(-n)
+    offsets = np.array(admissible_rotations(n, threshold if level == 0 else 0), dtype=dt)
+    # (j - i) mod -n lies in (-n, 0], and -n fits dt where n need not.
+    return -((offsets[:, None] - np.arange(n, dtype=dt)) % -n)
 
 
 def _moore_girth(n: int, r: int) -> int:
@@ -310,19 +303,23 @@ def _run_stage(
     dtype = np.min_scalar_type(n)  # of the new beam
     offsets = np.arange(0, n, d, dtype=dtype)[:, None]
 
-    def prepare(slots: np.ndarray, finals: np.ndarray):
-        """The member's image table and the row of its first word.
-
-        Rows 0..stage-2 are the member's rebased slots scaled, then come
-        the finals compatible with the other scaled slots, then the words
-        grown under the degree-d filters, scaled."""
-        kept = grown_cycle_images(d, np.delete(slots, at, 0), slots[at - 1], cycle, cap)
+    def prepare(member: list, finals: np.ndarray | None):
+        """The image table of member = [rebased slots, words or None], and
+        the row of its first word: the slots, the finals compatible with
+        the other slots (grown if None) and the words, scaled to degree n."""
+        slots, kept = member
+        if kept is None:
+            kept = member[1] = grown_cycle_images(d, np.delete(slots, at, 0), slots[at - 1], cycle, cap)
         slots = (slots[:, None, :] + offsets).reshape(len(slots), n)
-        rows = np.flatnonzero((finals[:, None, :] != np.delete(slots, at, 0)).all(axis=(1, 2)))
-        first_word = stage - 1 + len(rows)
+        others = np.delete(slots, at, 0)
+        if finals is None:
+            finals = grown_cycle_images(n, others, np.arange(n), n, cap)
+        else:
+            finals = finals[(finals[:, None, :] != others).all(axis=(1, 2))]
+        first_word = stage - 1 + len(finals)
         table = np.empty((first_word + len(kept), n), dtype=dtype)
         table[: stage - 1] = slots
-        table[stage - 1 : first_word] = finals[rows]
+        table[stage - 1 : first_word] = finals
         scaled = table[first_word:].reshape(len(kept), k, d)
         scaled[:] = kept[:, None, :]
         scaled += offsets
@@ -353,24 +350,27 @@ def _run_stage(
         while ahead:
             yield ahead.popleft().result()
 
+    members = {}  # the first member of each set of other rebased slots
+    for member in beam:
+        rebased = member[:, np.argsort(member[-1])]
+        members.setdefault(np.delete(rebased, at, 0).tobytes(), [rebased, None])
+
     with ThreadPoolExecutor(max_workers=config.worker_count) as pool:
         for level in levels:
-            finals = _finals_for_level(n, d, level, cap, stage)
-            if not len(finals):
+            if level == 2:
+                _refuse_unlisted(stage, "finals", n, cap)
+            finals = _finals_for_level(n, d, level) if level < 2 else None  # None: grown
+            count = len(finals) if level < 2 else listed_count(n, cap)[1]()
+            if not count:
                 continue
-            attempted += len(beam) * len(finals) * listed_count(d, cap)[1]()
+            attempted += len(beam) * count * listed_count(d, cap)[1]()
             if halve and level < 2:
                 # The offsets ascend and pair up as j <-> n-j (n/2 is
                 # coprime to n only at n = 2): the first half is j <= n/2.
-                finals = finals[: (len(finals) + 1) // 2]
-            best_g, winners, seen = -1, [], set()
-            for member in beam:
-                rebased = member[:, np.argsort(member[-1])]
-                others = np.delete(rebased, at, 0).tobytes()
-                if others in seen:
-                    continue  # its graphs are an earlier member's, in order
-                seen.add(others)
-                table, first_word = prepare(rebased, finals)
+                finals = finals[: (count + 1) // 2]
+            best_g, winners = -1, []
+            for member in members.values():
+                table, first_word = prepare(member, finals)
                 wstep = max(1, min(len(table) - first_word, cells))
                 fstep = max(1, cells // wstep)  # finals outer, words inner
                 units = [

@@ -335,7 +335,11 @@ def _index_cells(index_lines: list[str] | list[bytes], n: int, col_deg: list[int
     if not (degrees_agree and 1 <= values.min() and values.max() <= n):
         return None
     by_col, by_row = np.split(values - 1, [int(counts[:n].sum())])
-    cells = np.unique(by_col * n + np.repeat(np.arange(n), counts[:n]))
+    # Sorted with adjacent repeats dropped: np.unique's result, without
+    # its cost.  A column line that names a row twice then shows as a
+    # missing cell below.
+    cells = np.sort(by_col * n + np.repeat(np.arange(n), counts[:n]))
+    cells = cells[np.diff(cells, prepend=-1) != 0]
     # The row lines agree with the columns when their cells, sorted, are
     # the cells of the column lines: each row line then lists, in some
     # order, exactly the columns of that row's cells.

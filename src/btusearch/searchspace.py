@@ -202,26 +202,41 @@ def grown_cycle_images(
     from the last point x, and the last entry also closes W[-1] -> n-1.
     A prefix is dropped as soon as an `avoid` row has v at x, or its edge
     x -> inv(left)[v] closes a cycle of other than `length` points or
-    joins two paths into one of more.  Under a limit, a row is kept when
-    its rank, read in the factorial base, is below the limit's.  The
-    limit's digits are computed here, with Python ints, so a limit past
-    2^63 stays exact; the grower compares them along the one prefix whose
-    digits equal the limit's, with no rank arithmetic.  Against the
-    identity alone, as `avoid` and `left`, with `length` n, every row
-    passes, as at a search's stage 3 and the family's slot 1.
+    joins two paths into one of more.  The grower reads the avoid rows
+    themselves, so memory is O(n) besides the rows kept, whatever n.
+    Under a limit, a row is kept when its rank, read in the factorial
+    base, is below the limit's (`_factorial_digits`); the grower compares
+    them along the one prefix whose digits equal the limit's, with no
+    rank arithmetic.  Against the identity alone, as `avoid` and `left`,
+    with `length` n, every row passes, as at a search's stage 3 and the
+    family's slot 1; with `left` the identity and `length` n, the rows
+    are those compatible with `avoid`, as the search's level-2 finals.
     """
     if n < 2:
         raise ValueError(f"need degree >= 2, got {n}")
-    digits = None  # of the limit in the factorial base, when it cuts the rows
-    if limit is not None and limit < factorial(n - 1):
-        digits = []
-        for j in range(n - 1):
-            digit, limit = divmod(limit, factorial(n - 2 - j))
-            digits.append(digit)
-    barred = np.zeros((n, n), dtype=bool)  # barred[x, v]: an avoid row has v at x
-    barred[np.arange(n), avoid] = True
     # The edge x -> v of w is x -> heads[v] of inv(left).w.
-    return _kernel.grow_cycles(barred, np.argsort(left), digits, n, length)
+    return _kernel.grow_cycles(avoid, np.argsort(left), _factorial_digits(limit, n), n, length)
+
+
+def _factorial_digits(limit: int | None, n: int) -> list[int] | None:
+    """The n-1 digits of limit in the factorial base, digit j of weight
+    (n-2-j)! and in 0..n-2-j, or None when no limit is given or it is at
+    least (n-1)!, so cuts no word of degree n-1.  Python ints keep a
+    limit past 2^63 exact.  The digits come from the low end, dividing by
+    1, 2, 3, ... until the quotient is 0: one division per digit up to
+    the limit's highest, and no factorial is computed.
+
+    >>> _factorial_digits(5, 4), _factorial_digits(6, 4), _factorial_digits(None, 4)
+    ([2, 1, 0], None, None)
+    """
+    if limit is None:
+        return None
+    digits = [0] * (n - 1)
+    radix = 1
+    while limit and radix < n:
+        limit, digits[n - 1 - radix] = divmod(limit, radix)
+        radix += 1
+    return None if limit else digits
 
 
 def cayley_stats(f: Factorization, i: int) -> CayleyStats:

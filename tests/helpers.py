@@ -4,6 +4,7 @@ from math import factorial
 
 import numpy as np
 
+from btusearch import engine
 from btusearch.perms import Permutation, circular_rotation
 
 
@@ -48,3 +49,17 @@ def matrix_cells(mat) -> tuple[tuple[int, int], np.ndarray]:
     its ones, as the cell writers take them."""
     mat = np.asarray(mat)
     return mat.shape, np.flatnonzero(mat)
+
+
+def beam_before(f, stage: int, config) -> np.ndarray:
+    """The beam that search() hands to stage `stage` of factorization f."""
+    beam, _ = engine._stage2(f, config)
+    for earlier in range(3, stage):
+        beam, _ = engine._run_stage(beam, earlier, f, config)
+    return beam
+
+
+def without_rotations(monkeypatch) -> None:
+    """Leaves every later stage no rotation final at policy levels 0 and
+    1, so each that does not end earlier reaches level 2."""
+    monkeypatch.setattr(engine, "admissible_rotations", lambda n, threshold: [])

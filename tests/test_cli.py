@@ -10,7 +10,7 @@ from math import factorial
 from pathlib import Path
 
 import pytest
-from helpers import matrix_cells
+from helpers import beam_before, matrix_cells, without_rotations
 from hypothesis import given, settings
 from strategies import format_shaped_texts
 
@@ -18,6 +18,7 @@ from btusearch import cli, engine
 from btusearch.btu import make_btu
 from btusearch.cli import _build_parser, main
 from btusearch.io_formats import btu_to_format
+from btusearch.parameters import factorize
 from btusearch.perms import Permutation, TooLargeError, circular_rotation, identity
 from btusearch.searchspace import enumerate_candidates
 
@@ -446,9 +447,12 @@ class TestRefusals:
         )
         assert time.perf_counter() - started < 1
 
-    def test_level_two_finals_refusal(self):
+    def test_level_two_finals_refusal(self, monkeypatch):
+        f, config = factorize(16, 5), engine.SearchConfig()
+        beam = beam_before(f, 5, config)
+        without_rotations(monkeypatch)
         with pytest.raises(TooLargeError) as err:
-            engine._finals_for_level(16, 8, 2, None, 5)
+            engine._run_stage(beam, 5, f, config)
         assert str(err.value) == (
             f"stage 5 would list 1307674368000 finals of degree 16, {_CAP_TAIL}"
         )

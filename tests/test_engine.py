@@ -11,7 +11,7 @@ from math import factorial, gcd
 
 import numpy as np
 import pytest
-from helpers import uniform_cycles
+from helpers import beam_before, uniform_cycles, without_rotations
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from strategies import regular_matrices
@@ -511,19 +511,86 @@ class TestExhaustiveBeams:
         assert hashlib.sha256(text.encode()).hexdigest() == EXHAUSTIVE_BEAMS[(m, r)]
 
 
+def record_grower(monkeypatch):
+    """The (stage, degree, rows) of every grower call the search makes
+    from here on, in order."""
+    calls, grow, run = [], engine.grown_cycle_images, engine._run_stage
+    stage = []
+
+    def record(n, *args):
+        rows = grow(n, *args)
+        calls.append((stage[-1] if stage else None, n, rows))
+        return rows
+
+    def staged(beam, at, *args):
+        stage.append(at)
+        return run(beam, at, *args)
+
+    monkeypatch.setattr(engine, "grown_cycle_images", record)
+    monkeypatch.setattr(engine, "_run_stage", staged)
+    return calls
+
+
+def masked_finals(member, stage, k, cap):
+    """cycle_images(n, cap) at the stage's degree n, masked against the
+    member's other rebased slots scaled by k: the level-2 finals the
+    search listed and masked before they were grown."""
+    rebased = member[:, np.argsort(member[-1])].astype(np.int64)
+    d = rebased.shape[1]
+    scaled = (rebased[:, None, :] + np.arange(0, d * k, d)[:, None]).reshape(len(rebased), d * k)
+    others = np.delete(scaled, stage - 3, 0)
+    finals = cycle_images(d * k, cap)
+    return finals[(finals[:, None, :] != others).all(axis=(1, 2))]
+
+
 class TestFinalsForLevel:
-    def test_level_two_is_the_candidate_array(self):
-        finals = engine._finals_for_level(7, 3, 2, None, 3)
-        assert np.array_equal(finals, cycle_images(7))
-        assert finals.dtype == cycle_images(7).dtype
-        assert {engine._marker(2, row) for row in finals} == {"enum"}
-        assert np.array_equal(engine._finals_for_level(7, 3, 2, 5, 3), cycle_images(7, 5))
+    def test_level_two_is_the_candidate_array(self, monkeypatch):
+        # search(4, 3) reaches level 2: its one member grows the rows of
+        # cycle_images(4) that meet neither of its other slots.
+        f, config = factorize(4, 3), SearchConfig()
+        beam = beam_before(f, 3, config)
+        calls = record_grower(monkeypatch)
+        _, trace = engine._run_stage(beam, 3, f, config)
+        assert trace.rotation_j == "enum"
+        finals = [rows for _, n, rows in calls if n == 4]
+        assert len(finals) == 1 and len(finals[0])
+        assert finals[0].dtype == cycle_images(4).dtype
+        assert finals[0].tolist() == masked_finals(beam[0], 3, 2, None).tolist()
+
+    @pytest.mark.parametrize("cap", [None, 1, 7, 10**20])
+    @pytest.mark.parametrize(
+        "b,k,stage", [(1, 2, 3), (2, 2, 3), (1, 3, 3), (2, 3, 3), (5, 2, 3), (1, 3, 4), (2, 2, 4)]
+    )
+    def test_level_two_rows_are_the_masked_list(self, backend, monkeypatch, b, k, stage, cap):
+        # Each distinct member grows its level-2 finals once, against its
+        # other slots; an uncapped list past MAX_LISTED is refused first.
+        f = Factorization(b * k ** (stage - 1), stage, b, k)
+        config = SearchConfig(mode="exhaustive", candidate_cap=cap)
+        beam = beam_before(f, stage, config)
+        n = b * k ** (stage - 1)
+        without_rotations(monkeypatch)
+        calls = record_grower(monkeypatch)
+        try:
+            engine._run_stage(beam, stage, f, config)
+        except StageTooLargeError as err:
+            assert "finals of degree" in str(err)
+            assert min(factorial(n - 1), cap or factorial(n)) > engine.MAX_LISTED
+        except StageDeadEndError:
+            pass
+        finals = [rows for _, degree, rows in calls if degree == n]
+        members = {np.delete(m[:, np.argsort(m[-1])], stage - 3, 0).tobytes(): m for m in beam}
+        if calls:
+            assert len(finals) == len(members)
+        for rows, member in zip(finals, members.values()):
+            expected = masked_finals(member, stage, k, cap)
+            assert rows.dtype == expected.dtype
+            assert rows.tolist() == expected.tolist()
 
     # At n = 128 the narrow type holds -n but not n.
     @pytest.mark.parametrize("n,threshold", [(9, 3), (12, 2), (16, 8), (7, 1), (128, 40), (129, 40)])
     @pytest.mark.parametrize("level", [0, 1])
     def test_rotation_rows(self, n, threshold, level):
-        finals = engine._finals_for_level(n, threshold, level, None, 3)
+        finals = engine._finals_for_level(n, threshold, level)
         assert finals.dtype == cycle_images(n, 1).dtype
         offsets = admissible_rotations(n, threshold if level == 0 else 0)
         assert len(finals) == len(offsets)
@@ -773,6 +840,29 @@ class TestStageFourPastTheRefusal:
         assert girth(make_btu([Permutation(tuple(row)) for row in (beam[0] + 1).tolist()])).girth == 6
 
 
+class TestWordsOncePerStage:
+    @pytest.mark.parametrize(
+        "mode,growth",
+        [
+            ("best", [(3, 2), (3, 4), (4, 4), (4, 8), (5, 8)]),
+            # Stage 4 has two distinct members, each grown once.
+            ("exhaustive", [(3, 2), (3, 4), (4, 4), (4, 4), (4, 8), (4, 8)]),
+        ],
+    )
+    def test_16_5(self, monkeypatch, mode, growth):
+        # Stages 3 and 4 of (16, 5) scan level 1 without a winner and then
+        # reach level 2: each member's words, of degree 2 and 4, are grown
+        # once, at level 1, and its level-2 finals, of degree 4 and 8, at
+        # level 2.
+        calls = record_grower(monkeypatch)
+        result = search(16, 5, SearchConfig(mode=mode))
+        assert [t.rotation_j for t in result.traces] == [
+            "relaxed-gcd:1", "enum", "enum", "relaxed-gcd:7"
+        ]
+        assert [(stage, n) for stage, n, _ in calls][: len(growth)] == growth
+        assert {stage for stage, _, _ in calls[len(growth):]} <= {5}
+
+
 @pytest.mark.usefixtures("backend")
 class TestFirstSlotsGrowEveryRow:
     """Stage 3's words, and enumerate_Z's slot 1, are grown against the
@@ -911,13 +1001,26 @@ class TestStageTooLarge:
         engine._refuse_unlisted(3, "candidates", 10, None)
         assert factorial(9) <= engine.MAX_LISTED < factorial(10)
 
-    def test_level_two_finals_refused_unless_capped(self):
+    def test_level_two_finals_refused_unless_capped(self, monkeypatch):
+        # Stage 5 of (16, 5) with no rotation final reaches level 2, where
+        # it is refused on the 15! finals of degree 16 before any is
+        # grown, unless the cap bounds them.  (Below a cap of 100, stage 4
+        # is a dead end.)
+        f, capped = factorize(16, 5), SearchConfig(candidate_cap=100)
+        beams = beam_before(f, 5, SearchConfig()), beam_before(f, 5, capped)
+        without_rotations(monkeypatch)
+        calls = record_grower(monkeypatch)
         with pytest.raises(StageTooLargeError) as err:
-            engine._finals_for_level(16, 8, 2, None, 5)
+            engine._run_stage(beams[0], 5, f, SearchConfig())
         assert "finals of degree 16" in str(err.value)
-        finals = engine._finals_for_level(16, 8, 2, 10, 5)
-        assert np.array_equal(finals, cycle_images(16, 10))
-        assert finals.dtype == cycle_images(16, 1).dtype
+        assert not [n for _, n, _ in calls if n == 16]
+        beam = beams[1]
+        with pytest.raises(StageDeadEndError):  # no pair of the capped lists is compatible
+            engine._run_stage(beam, 5, f, capped)
+        finals = [rows for _, n, rows in calls if n == 16]
+        assert len(finals) == 1  # empty: each of the 100 meets a slot
+        assert finals[0].dtype == cycle_images(16, 1).dtype
+        assert finals[0].tolist() == masked_finals(beam[0], 5, 2, 100).tolist()
 
     def test_cli_exits_one(self, capsys):
         assert main(["search", "-m", "24", "-r", "3"]) == 1

@@ -381,6 +381,16 @@ class TestRewriteMatchesReference:
         assert read_message(alist_to_matrix, text) == ("ValueError", message)
         assert read_message(per_line_alist_to_matrix, text) == ("ValueError", message)
 
+    def test_alist_doubled_index_named(self):
+        # Column 1 names row 1 twice and row 1 names column 1 twice: the
+        # cells of the column and row lines agree only as lists with
+        # repeats, so the whole-array check must drop repeats to refuse.
+        text = "2 2\n2 2\n2 2\n2 2\n1 1\n1 2\n1 1 2\n2\n"
+        for data in (text, text.encode()):
+            assert read_message(alist_to_matrix, data) == (
+                "ValueError", "row 1 entries disagree with columns"
+            )
+
     def test_alist_tokens_read_as_int_reads_them(self):
         text = alist_3x3(col1="+1 ٣", row3="0_1 3")
         assert (alist_to_matrix(text) == alist_to_matrix(alist_3x3())).all()

@@ -10,6 +10,7 @@ conftest.py, which builds it from this checkout's C source.
 
 import random
 import sys
+import tracemalloc
 import types
 import warnings
 from array import array
@@ -25,7 +26,7 @@ from strategies import regular_matrices
 from btusearch import _girth_py, _kernel
 from btusearch.btu import to_biadjacency
 from btusearch.perms import Permutation, identity, is_compatible
-from btusearch.searchspace import grown_cycle_images
+from btusearch.searchspace import cycle_images, grown_cycle_images
 
 
 def pack(images):
@@ -539,14 +540,34 @@ class TestCycleGrower:
     @pytest.mark.parametrize("itemsize", [1, 2, 4])
     def test_any_item_size(self, compiled_kernel, itemsize):
         n, rng = 9, np.random.default_rng(1)
-        barred = rng.random((n, n)) < 0.1
-        heads = rng.permutation(n).astype(np.int32)
-        for digits in (None, np.array([3, 0, 5, 1, 2, 0, 1, 0], np.int32)):
-            got = compiled_kernel.grow_cycles(barred, heads, digits, n, n, itemsize)
-            expected = _girth_py.grow_cycles(barred, heads, digits, n, n, itemsize)
-            assert len(got) and bytes(got) == bytes(expected)
+        # inv(left) for an n-cycle left: x -> heads[w(x)] is then even, as
+        # an n-cycle of odd n must be.
+        heads = np.argsort(cycle_images(n, 5000)[rng.integers(5000)]).astype(np.int32)
+        kept = 0
+        for t in range(4):
+            avoid = rng.integers(0, n, size=(t, n), dtype=np.int32)
+            for digits in (None, np.array([3, 0, 5, 1, 2, 0, 1, 0], np.int32)):
+                got = compiled_kernel.grow_cycles(avoid, heads, digits, n, n, itemsize)
+                expected = _girth_py.grow_cycles(avoid, heads, digits, n, n, itemsize)
+                assert bytes(got) == bytes(expected)
+                kept += len(got)
+        assert kept
 
-    GOOD = (np.zeros((4, 4), bool), np.arange(4, dtype=np.int32), None, 4, 2, 1)
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_avoid_rows_are_the_barred_values(self, kernel, n):
+        # Value v is barred at x when some avoid row holds v at x: the
+        # rows kept are the unbarred rows' mask over every n-cycle.
+        rng = np.random.default_rng(n)
+        heads = np.arange(n, dtype=np.int32)
+        every = np.frombuffer(kernel.grow_cycles(np.zeros(0, np.int32), heads, None, n, n, 4),
+                              np.int32).reshape(-1, n)
+        for t in range(4):
+            avoid = rng.integers(0, n, size=(t, n), dtype=np.int32)
+            got = np.frombuffer(kernel.grow_cycles(avoid, heads, None, n, n, 4), np.int32)
+            mask = (every[:, None, :] != avoid).all(axis=(1, 2))
+            assert got.tolist() == every[mask].ravel().tolist()
+
+    GOOD = (np.zeros((1, 4), np.int32), np.arange(4, dtype=np.int32), None, 4, 2, 1)
 
     @pytest.mark.parametrize(
         "at,value",
@@ -555,8 +576,10 @@ class TestCycleGrower:
             (4, 0),  # length
             (5, 3),  # itemsize
             (5, 8),
-            (0, np.zeros((4, 4), np.int32)),  # 4-byte barred
-            (0, np.zeros(15, bool)),
+            (0, np.zeros((1, 4), np.int64)),  # 8-byte avoid
+            (0, np.zeros(6, np.int32)),  # not whole rows of n
+            (0, np.array([[0, 1, 4, 2]], np.int32)),
+            (0, np.array([[0, 1, -1, 2]], np.int32)),
             (1, np.arange(4)),  # 8-byte heads
             (1, np.arange(3, dtype=np.int32)),
             (1, np.array([0, 1, 2, 4], np.int32)),
@@ -566,9 +589,10 @@ class TestCycleGrower:
             (2, np.array([0, 3, 0], np.int32)),
             (2, np.array([-1, 0, 0], np.int32)),
         ],
-        ids=["n1", "length0", "itemsize3", "itemsize8", "barred-4-byte", "barred-short",
-             "heads-8-byte", "heads-short", "head-n", "head-negative", "digits-short",
-             "digits-8-byte", "digit-too-large", "digit-negative"],
+        ids=["n1", "length0", "itemsize3", "itemsize8", "avoid-8-byte", "avoid-ragged",
+             "avoid-value-n", "avoid-negative", "heads-8-byte", "heads-short", "head-n",
+             "head-negative", "digits-short", "digits-8-byte", "digit-too-large",
+             "digit-negative"],
     )
     def test_rejects(self, kernel, at, value):
         args = list(self.GOOD)
@@ -577,18 +601,39 @@ class TestCycleGrower:
             kernel.grow_cycles(*args)
 
     def test_one_byte_rows_hold_n_below_129(self, kernel):
-        barred = np.zeros((129, 129), bool)
+        avoid = np.zeros((1, 129), np.int32)
         heads = np.arange(129, dtype=np.int32)
         with pytest.raises(ValueError, match="itemsize=1"):
-            kernel.grow_cycles(barred, heads, None, 129, 1, 1)
-        assert len(kernel.grow_cycles(barred, heads, None, 129, 1, 2)) == 0
+            kernel.grow_cycles(avoid, heads, None, 129, 1, 1)
+        assert len(kernel.grow_cycles(avoid, heads, None, 129, 1, 2)) == 0
 
     def test_bad_values_name_the_cause(self, kernel):
-        barred, heads = self.GOOD[:2]
+        avoid, heads = self.GOOD[:2]
         with pytest.raises(ValueError, match=r"^each head must be in 0\.\.3$"):
-            kernel.grow_cycles(barred, heads + 1, None, 4, 2, 1)
+            kernel.grow_cycles(avoid, heads + 1, None, 4, 2, 1)
         with pytest.raises(ValueError, match=r"^digits\[1\] must be in 0\.\.1$"):
-            kernel.grow_cycles(barred, heads, np.array([0, 2, 0], np.int32), 4, 2, 1)
+            kernel.grow_cycles(avoid, heads, np.array([0, 2, 0], np.int32), 4, 2, 1)
+        with pytest.raises(ValueError, match=r"^each avoid value must be in 0\.\.3$"):
+            kernel.grow_cycles(avoid + 4, heads, None, 4, 2, 1)
+        with pytest.raises(ValueError, match=r"^avoid has 6 items, not a multiple of n=4$"):
+            kernel.grow_cycles(np.zeros(6, np.int32), heads, None, 4, 2, 1)
+
+    def test_holds_no_square_table(self, kernel, monkeypatch):
+        # At n = 20,000 an n x n table of barred values would take 400 MB.
+        # numpy reports its allocations to tracemalloc, so a square table
+        # built in Python, or by the pure grower, would show in the peak.
+        # The pure grower takes O(n) numpy steps per word entry, 16 s at
+        # 20,000, so it runs at 3,000, where the table would take 9 MB.
+        n = 20_000 if kernel is not _girth_py else 3_000
+        monkeypatch.setattr(_kernel, "_impl", kernel)
+        tracemalloc.start()
+        try:
+            rows = grown_cycle_images(n, np.arange(n)[None], np.arange(n), n, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows.tolist() == [[*range(1, n), 0]]
+        assert peak < 4 * 2**20
 
 
 def coded(kernel, table, pairs, m):

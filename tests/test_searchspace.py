@@ -20,6 +20,7 @@ from btusearch.perms import (
 )
 from btusearch.searchspace import (
     CandidateWord,
+    _factorial_digits,
     NotACandidateError,
     candidate_count,
     cayley_stats,
@@ -256,6 +257,46 @@ class TestGrownCycleImages:
 @pytest.mark.usefixtures("backend")
 class TestGrownCycleImagesOnEachGrower(TestGrownCycleImages):
     """TestGrownCycleImages on the pure grower and on the compiled one."""
+
+
+def spelled_digits(limit, n):
+    """limit's factorial-base digits for degree n, spelled from the high
+    end as limit // (n-2-j)! in turn; None when no limit cuts the rows."""
+    if limit is None or limit >= factorial(n - 1):
+        return None
+    digits = []
+    for j in range(n - 1):
+        digit, limit = divmod(limit, factorial(n - 2 - j))
+        digits.append(digit)
+    return digits
+
+
+class TestFactorialDigits:
+    """_factorial_digits spells the limit from the low end, in time
+    linear in its digits, as the quotients from the high end did."""
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_is_the_quotient_formula(self, n):
+        # Every limit below 8!, which is every limit that cuts the rows up
+        # to degree 9; above it each a * t! - 1, a * t! and a * t! + 1 for
+        # each digit place t and digit a, and 1,000 more at random.
+        rng = np.random.default_rng(n)
+        limits = set(range(min(factorial(n - 1), factorial(8)) + 2))
+        limits |= {a * factorial(t) + e for t in range(n) for a in range(1, t + 2) for e in (-1, 0, 1)}
+        limits |= {int(x) for x in rng.integers(0, factorial(n - 1) + 2, 1000)}
+        for limit in (None, *sorted(limit for limit in limits if limit >= 0)):
+            assert _factorial_digits(limit, n) == spelled_digits(limit, n), limit
+
+    @pytest.mark.parametrize("n", [27, 130])
+    def test_limits_past_int64(self, n):
+        for limit in (2**63 - 1, 2**63, 2**63 + 5, 2**64, factorial(n - 1) - 1, factorial(n - 1)):
+            assert _factorial_digits(limit, n) == spelled_digits(limit, n), limit
+
+    def test_small_limit_at_large_degree(self):
+        # From the high end this computed 10^5 factorials of up to 10^5.
+        n = 100_000
+        assert _factorial_digits(1, n) == [0] * (n - 3) + [1, 0]
+        assert _factorial_digits(7, n)[-4:] == [1, 0, 1, 0]
 
 
 class TestCayleyStats:
