@@ -1,11 +1,21 @@
-/* Compiled girth kernel, slot matcher, cycle grower and pair coder;
- * _girth_py is the reference implementation of all four.
+/* Compiled girth kernel, pair scorer, slot matcher, cycle grower and pair
+ * coder; _girth_py is the reference implementation of all five.
  *
  * A batch is a table of image rows plus a row index.  The table holds
  * rows of m unsigned ints of 1, 2 or 4 bytes, each a 0-based one-line
  * image; graph g has r slots, and slot t is table row index[g*r + t]:
  * row vertex i is joined to column vertex row[i].  The girth is the
  * length of the shortest cycle (2 for a double edge), or 0 for a forest.
+ *
+ * The pair scorer takes no index: it scores, in (final, word) order, the
+ * graphs whose slot t is table row t but whose slot `at` is a word row
+ * and slot r-1 a final row, for the pairs of a final range and a word
+ * range whose rows differ at every point, and returns the position and
+ * girth of each.  It loads the fixed slots once, each final once, and
+ * each word in the pass that tests it against the final.  Both scorers
+ * share one BFS, which resets only the vertices it queued, and which
+ * runs from rows 0..p-1 only when the caller promises that every slot
+ * commutes with x -> x + p.
  *
  * The matcher splits an r-regular bipartite graph, given as the r
  * columns of each row, into r perfect matchings: the slots of a BTU read
@@ -31,20 +41,26 @@
 #include <stdlib.h>
 #include <string.h>
 
-enum { ABI = 2 };
+enum { ABI = 3 };
 
 enum {
     OK = 0, NO_MEMORY = -1, BAD_IMAGE = -2, BAD_ROW = -3, NOT_REGULAR = -4, BAD_HEAD = -5,
     BAD_DIGIT = -6, BAD_AVOID = -7
 };
 
+/* A scoring call's input and output.  girth_batch reads graph g's slot t
+ * from table row index[g*r + t]; girth_pairs reads slot t from row t,
+ * but slot `at` from each word row w0..w1-1 and slot r-1 from each final
+ * row f0..f1-1, and writes each scored pair's position to pairs.  With
+ * period > 0 every slot commutes with x -> x + period. */
 typedef struct {
     const char *table;
     Py_ssize_t rows;
     int itemsize;
     const int *index;
-    Py_ssize_t n;
-    int m, r, cutoff, slack, stop;
+    Py_ssize_t n, f0, f1, w0, w1;
+    int m, r, at, cutoff, slack, stop, period;
+    int64_t *pairs;
     int *out;
 } Batch;
 
@@ -62,33 +78,67 @@ static inline unsigned item(const char *row, int itemsize, int i)
     return v;
 }
 
-/* Copies graph g's slots into img (slot-major) and their inverses into
- * inv, checking that each is a permutation of 0..m-1: OK or BAD_IMAGE.
- * Inlined once per item size, so each copy reads a fixed width. */
-static inline int load_as(const Batch *b, Py_ssize_t g, int *img, int *inv, int itemsize)
+static inline const char *row_at(const Batch *b, Py_ssize_t row)
 {
-    int m = b->m;
-    memset(inv, 0xff, (size_t)b->r * (size_t)m * sizeof(int));
-    for (Py_ssize_t t = 0, at = 0; t < b->r; t++, at += m) {
-        const char *row = b->table + b->index[g * b->r + t] * (Py_ssize_t)m * itemsize;
-        for (int i = 0; i < m; i++) {
-            unsigned v = item(row, itemsize, i);
-            if (v >= (unsigned)m || inv[at + v] >= 0)
-                return BAD_IMAGE;
-            img[at + i] = (int)v;
-            inv[at + v] = i;
-        }
+    return b->table + row * (Py_ssize_t)b->m * b->itemsize;
+}
+
+/* Copies a table row into img and its inverse into inv, checking that it
+ * is a permutation of 0..m-1: OK or BAD_IMAGE.  Inlined once per item
+ * size, so each copy reads a fixed width. */
+static inline int load_as(const char *row, int m, int *img, int *inv, int itemsize)
+{
+    memset(inv, 0xff, (size_t)m * sizeof(int));
+    for (int i = 0; i < m; i++) {
+        unsigned v = item(row, itemsize, i);
+        if (v >= (unsigned)m || inv[v] >= 0)
+            return BAD_IMAGE;
+        img[i] = (int)v;
+        inv[v] = i;
     }
     return OK;
 }
 
-static int load(const Batch *b, Py_ssize_t g, int *img, int *inv)
+static int load(const Batch *b, Py_ssize_t row, int *img, int *inv)
 {
     if (b->itemsize == 1)
-        return load_as(b, g, img, inv, 1);
+        return load_as(row_at(b, row), b->m, img, inv, 1);
     if (b->itemsize == 2)
-        return load_as(b, g, img, inv, 2);
-    return load_as(b, g, img, inv, 4);
+        return load_as(row_at(b, row), b->m, img, inv, 2);
+    return load_as(row_at(b, row), b->m, img, inv, 4);
+}
+
+/* Loads a word row into img and inv when it differs from final at every
+ * point: 1 when loaded, 0 when some point agrees, BAD_IMAGE when it
+ * differs everywhere but is not a permutation.  A value counts as taken
+ * when mark holds stamp for it, so no array is cleared per word. */
+static inline int load_word_as(const char *row, const int *final, int m, int *img, int *inv,
+                               unsigned *mark, unsigned stamp, int itemsize)
+{
+    int bad = 0;
+    for (int i = 0; i < m; i++) {
+        unsigned v = item(row, itemsize, i);
+        if (v == (unsigned)final[i])
+            return 0;
+        if (v >= (unsigned)m || mark[v] == stamp) {
+            bad = 1;
+            continue;
+        }
+        mark[v] = stamp;
+        img[i] = (int)v;
+        inv[v] = i;
+    }
+    return bad ? BAD_IMAGE : 1;
+}
+
+static int load_word(const Batch *b, Py_ssize_t row, const int *final, int *img, int *inv,
+                     unsigned *mark, unsigned stamp)
+{
+    if (b->itemsize == 1)
+        return load_word_as(row_at(b, row), final, b->m, img, inv, mark, stamp, 1);
+    if (b->itemsize == 2)
+        return load_word_as(row_at(b, row), final, b->m, img, inv, mark, stamp, 2);
+    return load_word_as(row_at(b, row), final, b->m, img, inv, mark, stamp, 4);
 }
 
 /* Whether two slots agree at some row: a double edge, a cycle of 2. */
@@ -120,52 +170,86 @@ static int girth_two(const int *img, const int *inv, int m, int *seen)
     return best;
 }
 
-/* One BFS from every row vertex (every cycle passes through one).  The
- * search ends at the first cycle of length 4, the shortest a bipartite
- * graph without double edges has, or at most cutoff: a girth <= cutoff
- * may then come back as any value in [girth, cutoff], while a larger
- * girth is exact.  Every BFS value is the length of a closed walk, so
- * never below the girth; only a value above cutoff must be exact, and
- * only then are double edges looked for.  work holds 2*r*m + 6*m ints. */
-static int girth_one(const Batch *b, Py_ssize_t g, int cutoff, int *work)
+/* The work buffer of one call: the loaded graph and the BFS arrays.
+ * dist holds -1 for every vertex between searches. */
+typedef struct {
+    int *img, *inv, *dist, *parent, *queue;
+} Work;
+
+static int *start_work(const Batch *b, Work *w)
 {
-    int m = b->m, r = b->r, nv = 2 * m, best = 0, enough = cutoff > 4 ? cutoff : 4;
+    Py_ssize_t rm = (Py_ssize_t)b->r * b->m, nv = 2 * (Py_ssize_t)b->m;
+    int *all = malloc((size_t)(2 * rm + 3 * nv) * sizeof(int));
+    if (all) {
+        w->img = all;
+        w->inv = all + rm;
+        w->dist = w->inv + rm;
+        w->parent = w->dist + nv;
+        w->queue = w->parent + nv;
+        memset(w->dist, 0xff, (size_t)nv * sizeof(int));
+    }
+    return all;
+}
+
+/* The girth of the loaded graph, by one BFS from each source row (every
+ * cycle passes through a row vertex): rows 0..period-1 with period > 0,
+ * whose shift orbits hold every row, or else every row.  The search ends
+ * at the first cycle of length 4, the shortest a bipartite graph without
+ * double edges has, or at most cutoff: a girth <= cutoff may then come
+ * back as any value in [girth, cutoff], while a larger girth is exact.
+ * Every BFS value is the length of a closed walk, so never below the
+ * girth; only a value above cutoff must be exact, and only then are
+ * double edges looked for.  Each BFS resets only the vertices it queued. */
+static int score(const Batch *b, int cutoff, const Work *w)
+{
+    int m = b->m, r = b->r, best = 0, enough = cutoff > 4 ? cutoff : 4, done = 0;
+    int sources = b->period > 0 ? b->period : m;
     Py_ssize_t rm = (Py_ssize_t)r * m;
-    int *img = work, *inv = img + rm, *dist = inv + rm, *parent = dist + nv,
-        *queue = parent + nv;
-
-    int status = load(b, g, img, inv);
-    if (status != OK)
-        return status;
+    const int *img = w->img, *inv = w->inv;
+    int *dist = w->dist, *parent = w->parent, *queue = w->queue;
     if (r == 2)
-        return girth_two(img, inv, m, dist);
+        return girth_two(img, inv, m, queue);
 
-    for (int s = 0; s < m; s++) {
-        memset(dist, 0xff, (size_t)nv * sizeof(int));
+    for (int s = 0; s < sources && !done; s++) {
         dist[s] = 0;
         parent[s] = -1;
         int head = 0, tail = 0;
         queue[tail++] = s;
-        while (head < tail) {
-            int u = queue[head++], du = dist[u];
+        while (head < tail && !done) {
+            int u = queue[head++], du = dist[u], pu = parent[u];
             if (best && 2 * du >= best)
                 continue;
+            /* A row's neighbours are its columns, img + m; a column's its rows. */
+            const int *next = u < m ? img + u : inv + (u - m);
+            int offset = u < m ? m : 0;
             for (Py_ssize_t t = 0; t < rm; t += m) {
-                int w = u < m ? img[t + u] + m : inv[t + u - m];
-                if (dist[w] < 0) {
-                    dist[w] = du + 1;
-                    parent[w] = u;
-                    queue[tail++] = w;
-                } else if (w != parent[u] && (!best || du + dist[w] + 1 < best)) {
-                    best = du + dist[w] + 1;
-                    if (best <= enough)
-                        goto found;
+                int v = next[t] + offset;
+                if (dist[v] < 0) {
+                    dist[v] = du + 1;
+                    parent[v] = u;
+                    queue[tail++] = v;
+                } else if (v != pu && (!best || du + dist[v] + 1 < best)) {
+                    best = du + dist[v] + 1;
+                    if ((done = best <= enough))
+                        break;
                 }
             }
         }
+        while (tail)
+            dist[queue[--tail]] = -1;
     }
-found:
     return best > cutoff && twice(img, m, r) ? 2 : best;
+}
+
+/* Records an entry: raises the cutoff to the best entry minus slack, and
+ * returns whether the call ends, at an entry >= stop when stop > 0. */
+static inline int record(const Batch *b, int girth, int *best, int *cutoff)
+{
+    if (girth > *best)
+        *best = girth;
+    if (*best - b->slack > *cutoff)
+        *cutoff = *best - b->slack;
+    return b->stop > 0 && girth >= b->stop;
 }
 
 /* Checks every row index, then scores graphs in order until the batch
@@ -176,27 +260,75 @@ static Py_ssize_t girth_many(const Batch *b)
     for (Py_ssize_t i = 0; i < b->n * b->r; i++)
         if (b->index[i] < 0 || b->index[i] >= b->rows)
             return BAD_ROW;
-    int *work = malloc((size_t)(2 * (Py_ssize_t)b->r + 6) * (size_t)b->m * sizeof(int));
-    if (!work)
+    Work w;
+    int *all = start_work(b, &w);
+    if (!all)
         return NO_MEMORY;
     Py_ssize_t g = 0;
     int best = 0, cutoff = b->cutoff;
     while (g < b->n) {
-        int girth = girth_one(b, g, cutoff, work);
-        if (girth < 0) {
-            g = girth;
+        int status = OK;
+        for (int t = 0; t < b->r && status == OK; t++)
+            status = load(b, b->index[g * b->r + t], w.img + (Py_ssize_t)t * b->m,
+                          w.inv + (Py_ssize_t)t * b->m);
+        if (status != OK) {
+            g = status;
             break;
         }
+        int girth = score(b, cutoff, &w);
         b->out[g++] = girth;
-        if (girth > best)
-            best = girth;
-        if (best - b->slack > cutoff)
-            cutoff = best - b->slack;
-        if (b->stop > 0 && girth >= b->stop)
+        if (record(b, girth, &best, &cutoff))
             break;
     }
-    free(work);
+    free(all);
     return g;
+}
+
+/* Scores the (final, word) pairs whose rows differ at every point, in
+ * that order, until the ranges end or an entry reaches stop.  The fixed
+ * slots are loaded once, each final once, and each word in the same pass
+ * that tests it against the final.  Returns the pairs scored, or a
+ * status below 0. */
+static Py_ssize_t girth_pairs_many(const Batch *b)
+{
+    Work w;
+    int *all = start_work(b, &w);
+    unsigned *mark = calloc((size_t)b->m, sizeof(unsigned)), stamp = 0;
+    if (!all || !mark) {
+        free(all);
+        free(mark);
+        return NO_MEMORY;
+    }
+    int m = b->m, *final = w.img + (Py_ssize_t)(b->r - 1) * m;
+    int *word = w.img + (Py_ssize_t)b->at * m, *word_inv = w.inv + (Py_ssize_t)b->at * m;
+    int status = OK, best = 0, cutoff = b->cutoff;
+    for (int t = 0; t < b->r - 1 && status == OK; t++)
+        if (t != b->at)
+            status = load(b, t, w.img + (Py_ssize_t)t * m, w.inv + (Py_ssize_t)t * m);
+    Py_ssize_t done = 0, words = b->w1 - b->w0;
+    for (Py_ssize_t f = b->f0; f < b->f1 && status == OK; f++) {
+        status = load(b, f, final, w.inv + (Py_ssize_t)(b->r - 1) * m);
+        for (Py_ssize_t v = b->w0; v < b->w1 && status == OK; v++) {
+            if (!++stamp) { /* wrapped: clear the marks once */
+                memset(mark, 0, (size_t)m * sizeof(unsigned));
+                stamp = 1;
+            }
+            int loaded = load_word(b, v, final, word, word_inv, mark, stamp);
+            if (loaded <= 0) {
+                status = loaded;
+                continue;
+            }
+            int girth = score(b, cutoff, &w);
+            b->pairs[done] = (f - b->f0) * words + (v - b->w0);
+            b->out[done++] = girth;
+            if (record(b, girth, &best, &cutoff))
+                goto end;
+        }
+    }
+end:
+    free(mark);
+    free(all);
+    return status == OK ? done : status;
 }
 
 /* Depth-first augmenting-path search from row `root`, on explicit stacks
@@ -590,6 +722,67 @@ static PyObject *girth_batch(PyObject *Py_UNUSED(self), PyObject *args)
     return done < 0 ? NULL : PyLong_FromSsize_t(done);
 }
 
+static PyObject *girth_pairs(PyObject *Py_UNUSED(self), PyObject *args)
+{
+    PyObject *table_obj, *pairs_obj, *out_obj;
+    Batch b = {.slack = 0, .stop = 0, .period = 0};
+    Py_buffer table, pairs, out;
+    if (!PyArg_ParseTuple(args, "OiiinnnnOOi|iii:girth_pairs", &table_obj, &b.m, &b.r, &b.at,
+                          &b.f0, &b.f1, &b.w0, &b.w1, &pairs_obj, &out_obj, &b.cutoff, &b.slack,
+                          &b.stop, &b.period))
+        return NULL;
+    if (b.m < 1 || b.m > INT_MAX / 2 || b.r < 2 || b.at < 0 || b.at > b.r - 2 || b.slack < 0 ||
+        b.period < 0 || (b.period && b.m % b.period)) {
+        PyErr_Format(PyExc_ValueError, "need 1 <= m <= %d, r >= 2, 0 <= at <= r-2, slack >= 0 "
+                     "and a period >= 0 that divides m if not 0, got m=%d, r=%d, at=%d, "
+                     "slack=%d, period=%d", INT_MAX / 2, b.m, b.r, b.at, b.slack, b.period);
+        return NULL;
+    }
+    if (get_buffer(table_obj, &table, PyBUF_SIMPLE, "table", 0, -1, 0) < 0)
+        return NULL;
+    Py_ssize_t items = table.len / table.itemsize, rows = items / b.m;
+    if (items % b.m) {
+        PyErr_Format(PyExc_ValueError, "table has %zd items, not a multiple of m=%d", items,
+                     b.m);
+        PyBuffer_Release(&table);
+        return NULL;
+    }
+    if (rows < b.r - 1 || b.f0 < 0 || b.f0 > b.f1 || b.f1 > rows || b.w0 < 0 || b.w0 > b.w1 ||
+        b.w1 > rows || (b.w1 > b.w0 && b.f1 - b.f0 > PY_SSIZE_T_MAX / 8 / (b.w1 - b.w0))) {
+        PyErr_Format(PyExc_ValueError, "need r-1 fixed rows and row ranges 0 <= f0 <= f1 <= "
+                     "%zd and 0 <= w0 <= w1 <= %zd in a table of %zd rows, got r=%d, f0=%zd, "
+                     "f1=%zd, w0=%zd, w1=%zd", rows, rows, rows, b.r, b.f0, b.f1, b.w0, b.w1);
+        PyBuffer_Release(&table);
+        return NULL;
+    }
+    Py_ssize_t need = (b.f1 - b.f0) * (b.w1 - b.w0), done = 0;
+    if (get_buffer(pairs_obj, &pairs, PyBUF_WRITABLE, "pairs", 8, need, 0) < 0) {
+        PyBuffer_Release(&table);
+        return NULL;
+    }
+    if (get_buffer(out_obj, &out, PyBUF_WRITABLE, "out", 4, need, 0) < 0) {
+        PyBuffer_Release(&pairs);
+        PyBuffer_Release(&table);
+        return NULL;
+    }
+    b.table = table.buf;
+    b.rows = rows;
+    b.itemsize = (int)table.itemsize;
+    b.pairs = pairs.buf;
+    b.out = out.buf;
+    Py_BEGIN_ALLOW_THREADS
+    done = girth_pairs_many(&b);
+    Py_END_ALLOW_THREADS
+    if (done == NO_MEMORY)
+        PyErr_NoMemory();
+    else if (done == BAD_IMAGE)
+        PyErr_Format(PyExc_ValueError, "each image must be a permutation of 0..%d", b.m - 1);
+    PyBuffer_Release(&out);
+    PyBuffer_Release(&pairs);
+    PyBuffer_Release(&table);
+    return done < 0 ? NULL : PyLong_FromSsize_t(done);
+}
+
 static PyObject *split_slots(PyObject *Py_UNUSED(self), PyObject *args)
 {
     PyObject *cols_obj, *out_obj;
@@ -778,6 +971,20 @@ static PyMethodDef methods[] = {
      "out entry before it) - slack; out[g] is exact when the girth exceeds\n"
      "that cutoff, and otherwise some value v with girth <= v <= cutoff.\n"
      "With stop > 0 the call ends after the first entry >= stop."},
+    {"girth_pairs", girth_pairs, METH_VARARGS,
+     "girth_pairs(table, m, r, at, f0, f1, w0, w1, pairs, out, cutoff, slack=0, stop=0,\n"
+     "            period=0)\n\n"
+     "Scores, releasing the GIL, the graphs of the (final, word) pairs of\n"
+     "table rows f0..f1-1 and w0..w1-1, finals outer, whose two rows differ\n"
+     "at every point, and returns the number scored.  Slot t is table row t,\n"
+     "but slot `at` (0 <= at <= r-2) is the word and slot r-1 the final;\n"
+     "table rows hold m 0-based images in 1-, 2- or 4-byte unsigned ints.\n"
+     "The k-th scored pair's position (final-f0)*(w1-w0) + (word-w0) goes to\n"
+     "pairs[k] (8-byte ints) and its girth to out[k], under girth_batch's\n"
+     "cutoff, slack and stop rules.  A period p > 0, which must divide m,\n"
+     "promises that every slot commutes with x -> x + p, and the BFS runs\n"
+     "from rows 0..p-1 only.  ValueError for a row range outside the table\n"
+     "or a row read that is not a permutation."},
     {"split_slots", split_slots, METH_VARARGS,
      "split_slots(cols, m, r, out)\n\n"
      "Splits an r-regular bipartite graph into r perfect matchings, releasing\n"
@@ -814,7 +1021,7 @@ static PyMethodDef methods[] = {
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_girth_c",
-    .m_doc = "Compiled girth kernel, slot matcher, cycle grower and pair coder.",
+    .m_doc = "Compiled girth kernel, pair scorer, slot matcher, cycle grower and pair coder.",
     .m_size = -1,
     .m_methods = methods,
 };

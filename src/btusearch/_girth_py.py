@@ -1,4 +1,5 @@
-"""Pure-Python girth kernel, slot matcher, cycle grower and pair coder.
+"""Pure-Python girth kernel, pair scorer, slot matcher, cycle grower and
+pair coder.
 
 Same contract as the compiled kernel in _girth_c: a batch is a table of
 rows of m 0-based one-line images, in unsigned ints of 1, 2 or 4 bytes,
@@ -7,9 +8,14 @@ graph's r slots in turn.  Row vertex i of a graph is joined to column
 vertex row[i] of each of its slots, and its girth is the length of the
 shortest cycle (2 for a double edge), or 0 for a forest.  An r = 2
 graph is scored in O(m) by the cycle walk the compiled kernel takes;
-larger r by a BFS from every row vertex.  Input that would make the
-kernel index out of range raises ValueError, as it does there.
+larger r by a BFS from every row vertex, or from rows 0..p-1 when the
+caller promises that every slot commutes with x -> x + p.  Input that
+would make the kernel index out of range raises ValueError, as it does
+there.
 
+`girth_pairs` is the reference of the compiled pair scorer: the same
+pairs in the same order, each final row tested against the words one
+word at a time, so no array grows with words x m.
 `split_slots` is the reference of the compiled matcher: the same r
 perfect matchings of an r-regular bipartite graph, slot for slot, and
 ValueError for the same inputs.  `grow_cycles` is the reference of the
@@ -72,20 +78,86 @@ def girth_batch(
     if not all(0 <= row < len(items) // m for row in rows):
         raise ValueError(f"each row index must be in 0..{len(items) // m - 1}")
     for g in range(n_graphs):
-        images = [items[row * m : row * m + m].tolist() for row in rows[g * r : g * r + r]]
+        images = [
+            _permutation(items[row * m : row * m + m].tolist(), m) for row in rows[g * r : g * r + r]
+        ]
         out_view[g] = _girth(images, m)
         if 0 < stop <= out_view[g]:
             return g + 1
     return n_graphs
 
 
-def _girth(images: list[list[int]], m: int) -> int:
+def girth_pairs(
+    table, m: int, r: int, at: int, f0: int, f1: int, w0: int, w1: int, pairs, out,
+    cutoff: int, slack: int = 0, stop: int = 0, period: int = 0,
+) -> int:
+    """Scores the graphs of the (final, word) pairs of table rows f0..f1-1
+    and w0..w1-1, finals outer, whose rows differ at every point: slot t
+    is table row t, but slot `at` is the word and slot r-1 the final.  The
+    k-th scored pair's position (final-f0)*(w1-w0) + (word-w0) goes to
+    pairs[k] (8-byte ints) and its girth to out[k]; returns how many were
+    scored: every such pair, or with stop > 0 those up to the first girth
+    >= stop.  The girths are exact, which meets the compiled kernel's
+    rising-cutoff contract whatever cutoff and slack are.  The fixed rows
+    are checked once, each final row as its pass starts, and a word row
+    when a pair of it is scored.  A period p > 0 must divide m: see
+    `_girth`."""
+    if not (1 <= m and 2 <= r and 0 <= at <= r - 2 and slack >= 0 and period >= 0) or (
+        period and m % period
+    ):
+        raise ValueError(
+            f"need m >= 1, r >= 2, 0 <= at <= r-2, slack >= 0 and a period >= 0 that "
+            f"divides m if not 0, got m={m}, r={r}, at={at}, slack={slack}, period={period}"
+        )
+    items = _ints(table, "table", (1, 2, 4), None, exact=False)
+    if len(items) % m:
+        raise ValueError(f"table has {len(items)} items, not a multiple of m={m}")
+    rows = len(items) // m
+    if not (r - 1 <= rows and 0 <= f0 <= f1 <= rows and 0 <= w0 <= w1 <= rows):
+        raise ValueError(
+            f"need r-1 fixed rows and row ranges 0 <= f0 <= f1 <= {rows} and "
+            f"0 <= w0 <= w1 <= {rows} in a table of {rows} rows, got r={r}, f0={f0}, "
+            f"f1={f1}, w0={w0}, w1={w1}"
+        )
+    words = w1 - w0
+    pairs_view = _ints(pairs, "pairs", (8,), (f1 - f0) * words, exact=False)
+    out_view = _ints(out, "out", (4,), (f1 - f0) * words, exact=False)
+
+    def row(t: int) -> list[int]:
+        return _permutation(items[t * m : t * m + m].tolist(), m)
+
+    images = [row(t) if t != at else [] for t in range(r - 1)] + [[]]
+    done = 0
+    for f in range(f0, f1):
+        images[-1] = final = row(f)
+        for w in range(w0, w1):
+            word = items[w * m : w * m + m].tolist()
+            if any(x == y for x, y in zip(final, word)):
+                continue
+            images[at] = _permutation(word, m)
+            girth = _girth(images, m, period)
+            pairs_view[done], out_view[done] = (f - f0) * words + (w - w0), girth
+            done += 1
+            if 0 < stop <= girth:
+                return done
+    return done
+
+
+def _permutation(image: list[int], m: int) -> list[int]:
+    """The image, once checked to be a permutation of 0..m-1."""
+    if sorted(image) != list(range(m)):
+        raise ValueError(f"each image must be a permutation of 0..{m - 1}")
+    return image
+
+
+def _girth(images: list[list[int]], m: int, period: int = 0) -> int:
+    """The girth of the graph of the given 0-based images, permutations
+    of 0..m-1, by a BFS from every row vertex, or from rows 0..period-1
+    when every slot commutes with x -> x + period: the shift then maps a
+    shortest cycle through any row onto one through a row below period."""
     # Inverse images: for column vertex j, its row neighbours.
-    values = list(range(m))
     inv = []
     for image in images:
-        if sorted(image) != values:
-            raise ValueError(f"each image must be a permutation of 0..{m - 1}")
         inverse = [0] * m
         for i, v in enumerate(image):
             inverse[v] = i
@@ -100,7 +172,7 @@ def _girth(images: list[list[int]], m: int) -> int:
     parent = [-1] * nv
     best = 0  # 0 = no cycle found yet
 
-    for s in range(m):  # every cycle passes through a row vertex
+    for s in range(period or m):  # every cycle passes through a row vertex
         if best == 4:  # the shortest cycle without double edges
             break
         for v in range(nv):

@@ -1,14 +1,16 @@
 """Selects the kernel at import: compiled if available, else pure.
 
-One module holds the four calls: `girth_batch`, the girth of each
-graph of a batch; `split_slots`, the slots of a BTU read from a file;
-`grow_cycles`, the candidate cycles a search stage keeps for its
-replaced slot, and the family enumeration for each slot; and
-`pair_codes`, the cycle type of inv(a).b for pairs of table rows, which
-the oracle's census groups tuples by.  The compiled module `_girth_c`
-holds all four in C (the grower depth-first); `_girth_py` is the
-pure-Python reference of each (the grower breadth-first and the pair
-coder over all pairs at once, with numpy).
+One module holds the five calls: `girth_batch`, the girth of each
+graph of a batch; `girth_pairs`, the girths of the (final, word) pairs
+of a search unit whose rows differ at every point; `split_slots`, the
+slots of a BTU read from a file; `grow_cycles`, the candidate cycles a
+search stage keeps for its replaced slot, and the family enumeration
+for each slot; and `pair_codes`, the cycle type of inv(a).b for pairs
+of table rows, which the oracle's census groups tuples by.  The
+compiled module `_girth_c` holds all five in C (the grower
+depth-first); `_girth_py` is the pure-Python reference of each (the
+grower breadth-first and the pair coder over all pairs at once, with
+numpy).
 
 A compiled module built from another revision of `_girth_c.c` (an
 in-place build is not redone when the source changes) could take other
@@ -24,9 +26,9 @@ import warnings
 
 import numpy as np
 
-# The revision of the four calls' signatures and contracts; `_girth_c.c`
+# The revision of the five calls' signatures and contracts; `_girth_c.c`
 # holds the same number.
-ABI = 2
+ABI = 3
 
 
 def _select():
@@ -86,6 +88,30 @@ def girth_batch(
     out = np.empty(n_graphs, dtype=np.int32)
     done = _impl.girth_batch(table, index, n_graphs, m, r, out, cutoff, slack, stop)
     return out[:done]
+
+
+def girth_pairs(
+    table: np.ndarray, r: int, at: int, finals: slice, words: slice, cutoff: int,
+    slack: int = 0, stop: int = 0, period: int = 0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The scored (final, word) pairs of a C-contiguous table of 0-based
+    images and their girths, as an int64 array of positions
+    (final - finals.start) * len(words) + (word - words.start) and an
+    int32 array of girths, in (final, word) order: the pairs of the two
+    row ranges whose rows differ at every point, as graphs whose slot t
+    is table row t but slot `at` the word and slot r-1 the final.  The
+    cutoff, slack and stop rules are those of `girth_batch`.  A period
+    p > 0 promises that every slot commutes with x -> x + p, and must
+    divide the row length.
+    """
+    size = max(0, finals.stop - finals.start) * max(0, words.stop - words.start)
+    pairs = np.empty(size, dtype=np.int64)
+    out = np.empty(size, dtype=np.int32)
+    done = _impl.girth_pairs(
+        table, table.shape[1], r, at, finals.start, finals.stop, words.start, words.stop,
+        pairs, out, cutoff, slack, stop, period,
+    )
+    return pairs[:done], out[:done]
 
 
 def split_slots(cols: np.ndarray) -> np.ndarray:

@@ -27,25 +27,31 @@ left neighbour, and a candidate against the identity is a single
 d-cycle (d >= 2), which has no fixed point: it passes both filters, so
 stage 3 keeps every candidate.
 
-Each member's surviving candidates then meet the finals in one ordered
-scan over (final, word), one member's table at a time, so the tables do
-not grow with the beam.  The scan is cut once, into units of a final range by a
-word range, finals outer, of at most BLOCK pairs and PAIR_CELLS mask
-cells.  A unit builds its own pair mask and kernel index and is one
-girth kernel call: the kernel raises its cutoff after every graph to
-the running best (minus 1 in exhaustive mode, so ties stay exact), and
-in best mode it ends the call at the bipartite Moore bound; neither can
-change which graph wins.  Each unit starts from the best girth of the
-units returned before it was started, minus 1.  With one worker, or a
-member of one unit, the units run in turn on the calling thread;
-otherwise the worker pool runs them, masks included, at most one per
-worker at a time.  A unit returns its co-maximal graphs (in best mode
-the first), and units come back in order, each in (final, word) order,
-so the first winner, which the trace is read off, is the lexicographic
-first maximum of (member, final, word), and the co-maximal list is in
-that order; in best mode no unit starts once one has returned a graph
-at the Moore bound.  Results are identical for any worker count, unit
-size and either kernel.
+Each member's surviving candidates then meet the finals in one ordered scan
+over (final, word), one member's table at a time, so the tables do not grow
+with the beam.  The scan is cut once, into units of a final range by a word
+range, finals outer, of at most BLOCK pairs.  A unit is one `girth_pairs`
+kernel call, which scores the pairs whose rows differ at every point and
+returns their positions, from which the unit rebuilds its hits' graphs: the
+kernel raises its cutoff after every graph to the running best (minus 1 in
+exhaustive mode, so ties stay exact), and in best mode it ends the call at
+the bipartite Moore bound; neither can change which graph wins.  Each unit
+starts from the best girth of the units returned before it was started,
+minus 1.  With one worker, or a member of one unit, the units run in turn on
+the calling thread; otherwise the worker pool runs them, at most one per
+worker at a time.  A unit returns its co-maximal graphs (in best mode the
+first), and units come back in order, each in (final, word) order, so the
+first winner, which the trace is read off, is the lexicographic first
+maximum of (member, final, word), and the co-maximal list is in that order;
+in best mode no unit starts once one has returned a graph at the Moore
+bound.  Results are identical for any worker count, unit size and either
+kernel.
+
+At levels 0 and 1 every slot commutes with the shift x -> x + d (scaled
+slots and words repeat their block every d points; rotations commute
+with every shift), so a stage graph is a cyclic cover (Gross & Tucker,
+Topological Graph Theory, 1987) and the kernel's BFS runs from rows
+0..d-1 only, one per shift orbit.  Level-2 finals keep every source.
 
 Best mode at stage 3 scans half of the rotation finals.  The reflection
 rho: x -> n-1-x relabels a graph's points, so it keeps the girth.  The
@@ -73,17 +79,15 @@ row that fails the member's filters is built: both must differ from its
 other slots at every point, and a candidate's cycles against its left
 neighbour must have the one length the required partition holds.  A
 member's graphs are rows of one image table, its scaled slots, the
-finals compatible with them and its candidates scaled to degree n, and
-a unit's pairs are the (final row, word row) pairs of its ranges that
-differ at every point.  A scan never reads the replaced slot, so a
-member whose other rebased slots repeat an earlier member's would
-repeat its graphs in order: it is dropped, and the exhaustive beam
-holds no duplicate.  A stage that would list more than MAX_LISTED
-candidates ((d-1)!), rotations (n-1) or level-2 finals ((n-1)!) is
-refused with StageTooLargeError before any is built, unless the
-candidate cap bounds it (it does not bound rotations): up front, but on
-reaching level 2 for the level-2 finals.  The refusals count the listed
-rows, though only the grown rows are built.
+finals compatible with them and its candidates scaled to degree n.  A
+scan never reads the replaced slot, so a member whose other rebased
+slots repeat an earlier member's would repeat its graphs in order: it is
+dropped, and the exhaustive beam holds no duplicate.  A stage that would
+list more than MAX_LISTED candidates ((d-1)!), rotations (n-1) or
+level-2 finals ((n-1)!) is refused with StageTooLargeError before any is
+built, unless the candidate cap bounds it (it does not bound rotations):
+up front, but on reaching level 2 for the level-2 finals.  The refusals
+count the listed rows, though only the grown rows are built.
 """
 
 from __future__ import annotations
@@ -122,8 +126,6 @@ from .searchspace import (
 )
 
 ENUM_FALLBACK = "enum"  # rotation_j marker: final slot was enumerated
-# Most booleans one unit's (final, word, point) compatibility mask may hold.
-PAIR_CELLS = 1 << 22
 # Most pairs in one unit, so most graphs one girth kernel call scores: it
 # bounds the call's index and result arrays, and is a pool worker's share.
 BLOCK = 65536
@@ -256,12 +258,12 @@ def _moore_girth(n: int, r: int) -> int:
 
 def _evaluate_chunk(
     table: np.ndarray, r: int, at: int, unit: tuple[slice, slice], moore: int,
-    exhaustive: bool, cutoff: int = -1,
+    exhaustive: bool, period: int, cutoff: int = -1,
 ) -> tuple[int, np.ndarray]:
     """Girths, in one kernel call, of the graphs of the compatible (final,
     word) pairs of the table rows unit = (finals, words), in that order:
     slot t is table row t, but slot `at` takes the word and slot r-1 the
-    final.
+    final; a period p > 0 promises that all commute with x -> x + p.
 
     A graph's cutoff is `cutoff` or, if higher, the unit's running best
     (minus 1 in exhaustive mode, so ties stay exact): a graph at or below
@@ -272,18 +274,15 @@ def _evaluate_chunk(
     a best girth at or below `cutoff` only bounds the unit's, and has none.
     """
     finals, words = unit
-    final, word = np.nonzero((table[finals, None] != table[words]).all(axis=2))
-    index = np.tile(np.arange(r, dtype=np.int32), (len(final), 1))
-    if not len(index):
-        return -1, table[index]
-    index[:, at] = word + words.start
-    index[:, -1] = final + finals.start
-    girths = _kernel.girth_batch(
-        table, index, table.shape[1], cutoff, slack=int(exhaustive), stop=0 if exhaustive else moore
+    pairs, girths = _kernel.girth_pairs(
+        table, r, at, finals, words, cutoff, int(exhaustive), 0 if exhaustive else moore, period
     )
-    best_g = int(girths.max())
-    hits = np.flatnonzero(girths == max(best_g, cutoff + 1))  # none if it only bounds
-    return best_g, table[index[hits if exhaustive else hits[:1]]]
+    best_g = int(girths.max()) if len(girths) else -1
+    hits = pairs[girths == max(best_g, cutoff + 1)]  # none if it only bounds
+    final, word = np.divmod(hits if exhaustive else hits[:1], words.stop - words.start)
+    index = np.tile(np.arange(r), (len(final), 1))
+    index[:, [at, -1]] = np.column_stack((word + words.start, final + finals.start))
+    return best_g, table[index]
 
 
 def _run_stage(
@@ -331,7 +330,6 @@ def _run_stage(
     # the module docstring).
     halve = stage == 3 and not exhaustive and cap is None
     moore = _moore_girth(n, stage)
-    cells = max(1, min(BLOCK, PAIR_CELLS // n))  # most pairs in one unit
     attempted = 0
 
     def in_order(scan, units):
@@ -371,15 +369,17 @@ def _run_stage(
             best_g, winners = -1, []
             for member in members.values():
                 table, first_word = prepare(member, finals)
-                wstep = max(1, min(len(table) - first_word, cells))
-                fstep = max(1, cells // wstep)  # finals outer, words inner
+                wstep = max(1, min(len(table) - first_word, BLOCK))
+                fstep = max(1, BLOCK // wstep)  # finals outer, words inner
                 units = [
-                    (slice(f0, min(f0 + fstep, first_word)), slice(w0, w0 + wstep))
+                    (slice(f0, min(f0 + fstep, first_word)),
+                     slice(w0, min(w0 + wstep, len(table))))
                     for f0 in range(stage - 1, first_word, fstep)
                     for w0 in range(first_word, len(table), wstep)
                 ]
                 scan = partial(
-                    _evaluate_chunk, table, stage, at, moore=moore, exhaustive=exhaustive
+                    _evaluate_chunk, table, stage, at, moore=moore, exhaustive=exhaustive,
+                    period=d if level < 2 else 0,
                 )
                 for g, graphs in in_order(scan, units):
                     if g > best_g:

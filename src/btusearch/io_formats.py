@@ -263,9 +263,9 @@ def _alist_cells(lines: list[str] | list[bytes]) -> tuple[int, np.ndarray]:
         raise ValueError("alist degree lines disagree with the header")
     if len(lines) != 4 + n_cols + n_rows:
         raise ValueError("alist line count disagrees with the header")
-    cells = _index_cells(lines[4:], n_rows, col_deg)
+    cells = _index_cells(lines[4:], n_rows, col_deg + row_deg)
     if cells is None:
-        _raise_first_damage(lines[4:], n_rows, col_deg)
+        _raise_first_damage(lines[4:], n_rows, col_deg + row_deg)
     return n_rows, cells
 
 
@@ -315,10 +315,13 @@ def _int_values(lines: list[str] | list[bytes]) -> tuple[np.ndarray, np.ndarray]
     return counts, values
 
 
-def _index_cells(index_lines: list[str] | list[bytes], n: int, col_deg: list[int]) -> np.ndarray | None:
+def _index_cells(
+    index_lines: list[str] | list[bytes], n: int, degrees: list[int]
+) -> np.ndarray | None:
     """The row-major flat indices of the cells that the n column lines of
     an n x n alist name, or None when the index lines fail any check of
-    _raise_first_damage.  Lines of bytes, digits and blanks alone (see
+    _raise_first_damage; degrees holds the column degrees, then the row
+    degrees.  Lines of bytes, digits and blanks alone (see
     _nonblank_lines), are read by _digit_values; other lines, and tokens
     too long for it, by _int_values, which reads them as there.
     """
@@ -329,46 +332,46 @@ def _index_cells(index_lines: list[str] | list[bytes], n: int, col_deg: list[int
             return None
     counts, values = read
     try:
-        degrees_agree = (counts[:n] == np.array(col_deg, dtype=np.int64)).all()
+        degrees_agree = (counts == np.array(degrees, dtype=np.int64)).all()
     except OverflowError:  # a degree beyond int64
         return None
     if not (degrees_agree and 1 <= values.min() and values.max() <= n):
         return None
     by_col, by_row = np.split(values - 1, [int(counts[:n].sum())])
-    # Sorted with adjacent repeats dropped: np.unique's result, without
-    # its cost.  A column line that names a row twice then shows as a
-    # missing cell below.
+    # A column line that names a row twice names a cell twice.
     cells = np.sort(by_col * n + np.repeat(np.arange(n), counts[:n]))
-    cells = cells[np.diff(cells, prepend=-1) != 0]
+    if (cells[1:] == cells[:-1]).any():
+        return None
     # The row lines agree with the columns when their cells, sorted, are
-    # the cells of the column lines: each row line then lists, in some
-    # order, exactly the columns of that row's cells.
+    # the cells of the column lines: each row line then lists, once each
+    # and in some order, exactly the columns of that row's cells.
     claimed = np.sort(np.repeat(np.arange(n), counts[n:]) * n + by_row)
     if len(claimed) != len(cells) or (claimed != cells).any():
         return None
     return cells
 
 
-def _raise_first_damage(index_lines: list[str], n: int, col_deg: list[int]) -> NoReturn:
+def _raise_first_damage(index_lines: list[str], n: int, degrees: list[int]) -> NoReturn:
     """Raises the ValueError of the first damaged index line of an n x n
-    alist, in file order.  Within a line: a token int() refuses, then
-    (column lines) the degree, then the index range, then (row lines)
-    the disagreement with the cells the column lines name."""
+    alist, in file order; degrees holds the column degrees, then the row
+    degrees.  Within a line: a token int() refuses, then the degree, then
+    the index range, then an index named twice, then (row lines) the
+    disagreement with the cells the column lines name."""
     row_cols: list[set[int]] = [set() for _ in range(n)]
-    for j, line in enumerate(index_lines[:n]):
+    for at, line in enumerate(index_lines):
+        kind, other = ("column", "row") if at < n else ("row", "column")
         entries = [int(tok) for tok in line.split()]
-        if len(entries) != col_deg[j]:
-            raise ValueError(f"column {j + 1} degree mismatch")
+        if len(entries) != degrees[at]:
+            raise ValueError(f"{kind} {at % n + 1} degree mismatch")
         if not 1 <= min(entries) <= max(entries) <= n:
-            raise ValueError(f"column {j + 1} has a row index outside 1..{n}")
-        for i in entries:
-            row_cols[i - 1].add(j + 1)
-    for i, line in enumerate(index_lines[n:]):
-        entries = [int(tok) for tok in line.split()]
-        if not 1 <= min(entries) <= max(entries) <= n:
-            raise ValueError(f"row {i + 1} has a column index outside 1..{n}")
-        if sorted(entries) != sorted(row_cols[i]):
-            raise ValueError(f"row {i + 1} entries disagree with columns")
+            raise ValueError(f"{kind} {at % n + 1} has a {other} index outside 1..{n}")
+        if len(set(entries)) < len(entries):
+            raise ValueError(f"{kind} {at % n + 1} names a {other} twice")
+        if at < n:
+            for i in entries:
+                row_cols[i - 1].add(at + 1)
+        elif set(entries) != row_cols[at - n]:
+            raise ValueError(f"row {at - n + 1} entries disagree with columns")
     raise AssertionError("the whole-array alist checks refused valid lines")
 
 

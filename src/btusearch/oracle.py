@@ -45,8 +45,9 @@ listed, and a weighted r = 3 sweep builds only its <= p(m) slot-2 rows.
 
 A run is refused up front, with BudgetExceededError (a
 perms.TooLargeError), when its cost estimate (the universe rows plus the
-compatibility checks) exceeds DEFAULT_BUDGET; an oracle that silently
-samples would not be an oracle.
+compatibility checks, or at weighted r = 2 the p(m) class rows)
+exceeds DEFAULT_BUDGET; an oracle that silently samples would not be
+an oracle.
 """
 
 from __future__ import annotations
@@ -101,10 +102,15 @@ class VerifyReport:
     engine_note: str | None
 
 
-def _estimate_checks(m: int, r: int, fixed: bool) -> int:
-    """Upper bound on the sweep's cost: the m! rows of the universe, plus
-    every slot extension costed as if all m! permutations were tried
-    against every prior slot."""
+def _estimate_checks(m: int, r: int, fixed: bool, weighted: bool = False) -> int:
+    """Upper bound on the sweep's cost.  A weighted r = 2 sweep builds no
+    universe, only one row per cycle type, so it is charged the p(m)
+    partitions of m, where its int64 codes and weights hold (see
+    `_class_rows_only`).  Any other sweep is charged the m! rows of the
+    universe, plus every slot extension costed as if all m! permutations
+    were tried against every prior slot."""
+    if _class_rows_only(m, r, fixed, weighted):
+        return sum(1 for _ in _partitions(m, 1))
     free = r - 1 if fixed else r
     prior0 = 1 if fixed else 0
     return factorial(m) + sum(
@@ -112,13 +118,22 @@ def _estimate_checks(m: int, r: int, fixed: bool) -> int:
     )
 
 
-def _log10_estimate(m: int, r: int, fixed: bool) -> float:
-    """log10 of _estimate_checks(m, r, fixed) to within its largest term,
-    sized from lgamma, so no huge factorial is computed."""
+def _log10_estimate(m: int, r: int, fixed: bool, weighted: bool = False) -> float:
+    """log10 of _estimate_checks(m, r, fixed, weighted) to within its
+    largest term, sized from lgamma, so no huge factorial is computed."""
+    if _class_rows_only(m, r, fixed, weighted):
+        return log10(_estimate_checks(m, r, fixed, weighted))
     free = r - 1 if fixed else r
     last = free if fixed else free - 1  # the factor of the largest term
     rows = lgamma(m + 1) / log(10)
     return free * rows + log10(last) if last > 0 else rows
+
+
+def _class_rows_only(m: int, r: int, fixed: bool, weighted: bool) -> bool:
+    """Whether the sweep is a weighted r = 2 one whose class codes, up to
+    m (m+1)^(m-1), and tuple counts, up to m!^2 with the first slot free,
+    fit in int64: m <= 15, and m <= 12 when free."""
+    return weighted and r == 2 and m <= 15 and factorial(m) ** (2 - fixed) < 2**63
 
 
 def _disagree(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -262,7 +277,8 @@ def _tuple_blocks(m: int, r: int, fixed: bool, coded: bool = False, weighted: bo
     if r > m:
         return
     refuse_oversize(
-        DEFAULT_BUDGET, _log10_estimate(m, r, fixed), lambda: _estimate_checks(m, r, fixed),
+        DEFAULT_BUDGET, _log10_estimate(m, r, fixed, weighted),
+        lambda: _estimate_checks(m, r, fixed, weighted),
         f"exhaustive sweep of ({m}, {r}) needs an estimated {{count}} "
         "universe rows and compatibility checks, over the budget of {limit}",
         BudgetExceededError,

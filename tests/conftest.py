@@ -53,7 +53,8 @@ class LooseKernel:
     `girth_batch` contract allows, with the cutoff rising after every
     graph to the largest entry so far minus slack, and the call ending at
     the first entry >= stop.  A caller that leans on more than the
-    contract shows it.  Its slot matcher, cycle grower and pair coder are
+    contract shows it.  Its `girth_pairs` answers the same way for the
+    pairs it scores.  Its slot matcher, cycle grower and pair coder are
     the pure ones."""
 
     split_slots = staticmethod(_girth_py.split_slots)
@@ -64,6 +65,21 @@ class LooseKernel:
     def girth_batch(table, index, n_graphs, m, r, out, cutoff, slack=0, stop=0):
         exact = array("i", [0]) * n_graphs
         done = _girth_py.girth_batch(table, index, n_graphs, m, r, exact, cutoff, slack, stop)
+        for g in range(done):
+            out[g] = exact[g] if exact[g] > cutoff else cutoff
+            cutoff = max(cutoff, out[g] - slack)
+            if 0 < stop <= out[g]:
+                return g + 1
+        return done
+
+    @staticmethod
+    def girth_pairs(
+        table, m, r, at, f0, f1, w0, w1, pairs, out, cutoff, slack=0, stop=0, period=0
+    ):
+        exact = array("i", [0]) * len(out)
+        done = _girth_py.girth_pairs(
+            table, m, r, at, f0, f1, w0, w1, pairs, exact, cutoff, slack, stop, period
+        )
         for g in range(done):
             out[g] = exact[g] if exact[g] > cutoff else cutoff
             cutoff = max(cutoff, out[g] - slack)

@@ -619,15 +619,15 @@ class TestReflectionHalfScan:
     def stage_three_graphs(monkeypatch, kernel, m, config):
         """Graphs the kernel scores at stage 3 of search(m, 3, config)."""
         monkeypatch.setattr(_kernel, "_impl", kernel)
-        batch, scored = _kernel.girth_batch, []
+        score, scored = _kernel.girth_pairs, []
 
-        def counting(table, index, *args, **kwargs):
-            girths = batch(table, index, *args, **kwargs)
-            if index.shape[1] == 3:
+        def counting(table, r, *args, **kwargs):
+            pairs, girths = score(table, r, *args, **kwargs)
+            if r == 3:
                 scored.append(len(girths))
-            return girths
+            return pairs, girths
 
-        monkeypatch.setattr(_kernel, "girth_batch", counting)
+        monkeypatch.setattr(_kernel, "girth_pairs", counting)
         search(m, 3, config)
         return sum(scored)
 
@@ -754,25 +754,95 @@ class TestSmallBlocks:
         indirect=["kernel"],
     )
     def test_no_call_exceeds_a_unit(self, backend, monkeypatch, m, r, mode):
-        batch, calls = _kernel.girth_batch, []
+        score, calls = _kernel.girth_pairs, []
 
-        def counting(table, index, *args, **kwargs):
-            calls.append((len(index), table.shape[1]))
-            return batch(table, index, *args, **kwargs)
+        def counting(table, r, at, finals, words, *args, **kwargs):
+            pairs, girths = score(table, r, at, finals, words, *args, **kwargs)
+            calls.append(((finals.stop - finals.start) * (words.stop - words.start), len(girths)))
+            return pairs, girths
 
-        monkeypatch.setattr(_kernel, "girth_batch", counting)
+        monkeypatch.setattr(_kernel, "girth_pairs", counting)
         search(m, r, SearchConfig(mode=mode))
-        assert calls
-        assert all(0 < g <= max(1, min(engine.BLOCK, engine.PAIR_CELLS // n)) for g, n in calls)
+        assert any(scored for _, scored in calls)
+        assert all(0 <= scored <= pairs <= engine.BLOCK for pairs, scored in calls)
+
+
+def commutes(rows: np.ndarray, p: int) -> bool:
+    """Whether every row of images commutes with x -> x + p (mod n)."""
+    rows = rows.astype(np.int64)
+    return bool((np.roll(rows, -p, axis=1) == (rows + p) % rows.shape[1]).all())
+
+
+class TestShiftPeriod:
+    """The engine passes the kernel a period p > 0 only for units whose
+    fixed slots, finals and words all commute with x -> x + p: at levels
+    0 and 1, with p = d.  Level-2 finals get period 0."""
+
+    @pytest.mark.parametrize(
+        "m,r,mode,periods",
+        [(18, 3, "best", {6}), (27, 4, "best", {3, 9}), (16, 5, "exhaustive", {0, 2, 4, 8}),
+         (12, 3, "exhaustive", {6}), (4, 3, "best", {0, 2}), (16, 4, "exhaustive", {4, 8})],
+    )
+    def test_period_only_where_the_shift_commutes(self, monkeypatch, m, r, mode, periods):
+        score, seen = _kernel.girth_pairs, set()
+
+        def checking(table, r, at, finals, words, cutoff, slack=0, stop=0, period=0):
+            if period:
+                assert table.shape[1] % period == 0
+                fixed = np.delete(table[: r - 1], at, 0)
+                assert commutes(np.concatenate((fixed, table[finals], table[words])), period)
+            seen.add(period)
+            return score(table, r, at, finals, words, cutoff, slack, stop, period)
+
+        monkeypatch.setattr(_kernel, "girth_pairs", checking)
+        search(m, r, SearchConfig(mode=mode))
+        assert seen == periods
+
+    def test_level_two_finals_do_not_commute(self, monkeypatch):
+        # The level-2 finals of stage 3 of (4, 3) do not commute with the
+        # shift by d = 2, so their graphs get period 0.
+        f, config = factorize(4, 3), SearchConfig()
+        beam = beam_before(f, 3, config)
+        calls = record_grower(monkeypatch)
+        engine._run_stage(beam, 3, f, config)
+        finals = [rows for _, n, rows in calls if n == 4]
+        assert not commutes(finals[0], 2)
+
+
+# SHA-256 of `search --no-timing` output where the period and the pair
+# scorer act on far more pairs than the LADDER rungs, taken with the
+# compiled kernel before the pair scorer, on 1 and 2 workers alike.
+LARGE = {
+    "-m 20 -r 3 --mode exhaustive":
+        "4b3fcc39bf7c67733e20f96c1e5f2ce681fd4e4ec97d3192c909ad0f7b1c6ded",
+    "-m 98 -r 3 --cap 100000":
+        "3b6cc6e5d6e07dd95519f1d12039442adb0d8fa01011823718986d06799613db",
+    "-m 98 -r 3 --cap 100000 --mode exhaustive":
+        "fc0dcaaa9d503a3646f169ef3cf3272c0e1cac32351c6b3d4bb223c28c16c4ee",
+    "-m 20000 -r 3 --cap 1":
+        "7c6f873820e50112d4bddd41ee6dde486955899833d2e0d1b305820777e32208",
+}
+
+
+class TestLargeAnswers:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("args", list(LARGE))
+    def test_json(self, compiled_kernel, monkeypatch, capsys, args, workers):
+        monkeypatch.setattr(_kernel, "_impl", compiled_kernel)
+        assert main(["search", *args.split(), "--workers", str(workers), "--no-timing"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == LARGE[args]
 
 
 class TestSmallPairCells(TestSmallBlocks):
-    """The same runs with units that PAIR_CELLS sets rather than BLOCK:
-    40 pairs to a unit at degree 32, 71 at degree 18."""
+    """The same runs with units of 40 pairs.  These runs once capped each
+    unit's (final, word, point) mask at 40 x 32 cells, which set 40 pairs
+    to a unit at degree 32 and 71 at degree 18; no unit builds a mask now,
+    so BLOCK sets the unit."""
 
     @pytest.fixture(autouse=True)
     def small_blocks(self, monkeypatch):
-        monkeypatch.setattr(engine, "PAIR_CELLS", 40 * 32)
+        monkeypatch.setattr(engine, "BLOCK", 40)
 
 
 class TestStageTwoMemory:
@@ -792,8 +862,9 @@ class TestStageTwoMemory:
 class TestStageThreeMemory:
     def test_exhaustive_20_3(self, compiled_kernel, monkeypatch):
         # 9! words of degree 10 against 8 rotation finals of degree 20.
-        # Each unit builds its own mask and index, so the peak holds the
-        # words, the table and one unit (45 MiB with a member-wide pair list).
+        # Each unit is one kernel call that returns its scored positions
+        # and girths, so the peak holds the words, the table and one unit
+        # (45 MiB with a member-wide pair list).
         monkeypatch.setattr(_kernel, "_impl", compiled_kernel)
         tracemalloc.start()
         try:

@@ -235,12 +235,18 @@ def ref_alist_to_matrix(text):
             raise ValueError(f"column {j + 1} degree mismatch")
         if not all(1 <= i <= n_rows for i in entries):
             raise ValueError(f"column {j + 1} has a row index outside 1..{n_rows}")
+        if len(set(entries)) < len(entries):
+            raise ValueError(f"column {j + 1} names a row twice")
         for i in entries:
             mat[i - 1, j] = 1
     for i in range(n_rows):
         entries = [int(tok) for tok in lines[4 + n_cols + i].split()]
+        if len(entries) != row_deg[i]:
+            raise ValueError(f"row {i + 1} degree mismatch")
         if not all(1 <= j <= n_cols for j in entries):
             raise ValueError(f"row {i + 1} has a column index outside 1..{n_cols}")
+        if len(set(entries)) < len(entries):
+            raise ValueError(f"row {i + 1} names a column twice")
         if sorted(entries) != [j + 1 for j in range(n_cols) if mat[i, j]]:
             raise ValueError(f"row {i + 1} entries disagree with columns")
     return mat
@@ -269,14 +275,20 @@ def per_line_alist_to_matrix(text):
             raise ValueError(f"column {j + 1} degree mismatch")
         if not 1 <= min(entries) <= max(entries) <= n_rows:
             raise ValueError(f"column {j + 1} has a row index outside 1..{n_rows}")
+        if len(set(entries)) < len(entries):
+            raise ValueError(f"column {j + 1} names a row twice")
         rows += entries
         cols += [j] * len(entries)
     mat = np.zeros((n_rows, n_cols), dtype=np.int8)
     mat[np.array(rows, dtype=np.intp) - 1, np.array(cols, dtype=np.intp)] = 1
     for i in range(n_rows):
         entries = [int(tok) for tok in lines[4 + n_cols + i].split()]
+        if len(entries) != row_deg[i]:
+            raise ValueError(f"row {i + 1} degree mismatch")
         if not 1 <= min(entries) <= max(entries) <= n_cols:
             raise ValueError(f"row {i + 1} has a column index outside 1..{n_cols}")
+        if len(set(entries)) < len(entries):
+            raise ValueError(f"row {i + 1} names a column twice")
         if sorted(entries) != (np.flatnonzero(mat[i]) + 1).tolist():
             raise ValueError(f"row {i + 1} entries disagree with columns")
     return mat
@@ -384,12 +396,31 @@ class TestRewriteMatchesReference:
     def test_alist_doubled_index_named(self):
         # Column 1 names row 1 twice and row 1 names column 1 twice: the
         # cells of the column and row lines agree only as lists with
-        # repeats, so the whole-array check must drop repeats to refuse.
+        # repeats.  The column line comes first in the file.
         text = "2 2\n2 2\n2 2\n2 2\n1 1\n1 2\n1 1 2\n2\n"
         for data in (text, text.encode()):
             assert read_message(alist_to_matrix, data) == (
-                "ValueError", "row 1 entries disagree with columns"
+                "ValueError", "column 1 names a row twice"
             )
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            # Column 1 names row 1 twice, and the row lines agree with the
+            # columns as sets: it read as cells [0, 1, 3] before.
+            ("2 2\n2 2\n2 2\n2 2\n1 1\n1 2\n1 2\n2\n", "column 1 names a row twice"),
+            # Row 1 names column 2 twice; the column lines hold no repeat.
+            ("2 2\n2 2\n1 2\n2 1\n2\n1 2\n2 2\n2\n", "row 1 names a column twice"),
+            # Row 2 lists one column where the row degrees say 2.
+            ("2 2\n2 2\n1 2\n2 2\n1\n1 2\n1 2\n2\n", "row 2 degree mismatch"),
+        ],
+        ids=["column-twice-rows-agree", "row-twice", "row-degree"],
+    )
+    def test_alist_strict_lines_named(self, text, message):
+        for data in (text, text.encode()):
+            assert read_message(alist_to_matrix, data) == ("ValueError", message)
+        assert read_message(per_line_alist_to_matrix, text) == ("ValueError", message)
+        assert read_outcome(ref_alist_to_matrix, text) == ValueError
 
     def test_alist_tokens_read_as_int_reads_them(self):
         text = alist_3x3(col1="+1 ٣", row3="0_1 3")

@@ -400,6 +400,142 @@ class TestChecksBeforeAnyRead:
         assert list(out) == [-1] * len(seeds)
 
 
+def pair_table(m, r, at, finals, words, seed, code="I"):
+    """A pair scorer's table of random permutations of 0..m-1: r-1 fixed
+    rows, but row `at` all zeros, which no call may read, then the final
+    and word rows.  Returns the table and the two row ranges."""
+    rng = np.random.default_rng(seed)
+    rows = [rng.permutation(m) for _ in range(r - 1 + finals + words)]
+    rows[at] = np.zeros(m, dtype=np.int64)
+    first_word = r - 1 + finals
+    table = array(code, np.concatenate(rows).tolist())
+    return table, (r - 1, first_word), (first_word, first_word + words)
+
+
+def masked_batch(kernel, table, m, r, at, fs, ws, cutoff, slack, stop):
+    """What girth_pairs should give: the positions of the pairs whose rows
+    differ at every point, and girth_batch's entries for their graphs."""
+    rows = np.asarray(table).reshape(-1, m)
+    positions, index = [], []
+    for f in range(*fs):
+        for w in range(*ws):
+            if (rows[f] != rows[w]).all():
+                positions.append((f - fs[0]) * (ws[1] - ws[0]) + w - ws[0])
+                slots = list(range(r - 1)) + [f]
+                slots[at] = w
+                index += slots
+    out = array("i", [0]) * len(positions)
+    index = array("i", index)
+    done = kernel.girth_batch(table, index, len(positions), m, r, out, cutoff, slack, stop)
+    return positions[:done], list(out[:done])
+
+
+def scored_pairs(kernel, table, m, r, at, fs, ws, cutoff, slack=0, stop=0, period=0):
+    size = (fs[1] - fs[0]) * (ws[1] - ws[0])
+    pairs, out = array("q", [-1]) * size, array("i", [-1]) * size
+    done = kernel.girth_pairs(table, m, r, at, *fs, *ws, pairs, out, cutoff, slack, stop, period)
+    return list(pairs[:done]), list(out[:done])
+
+
+def shift_commuting(m, p, rng):
+    """A random permutation of 0..m-1 that commutes with x -> x + p: rows
+    0..p-1 go to values of distinct residues mod p, each block after
+    them shifted by p."""
+    heads = rng.permutation(p) + p * rng.integers(0, m // p, p)
+    return (heads[np.arange(m) % p] + np.arange(m) // p * p) % m
+
+
+class TestPairScorer:
+    """girth_pairs scores the masked pairs of a unit as girth_batch scores
+    their graphs, and a period changes no girth of a graph that commutes
+    with the shift."""
+
+    @FIXTURE_SETTINGS
+    @given(
+        m=st.integers(3, 12), r=st.integers(2, 4), finals=st.integers(0, 4),
+        words=st.integers(0, 6), seed=st.integers(0, 2**32 - 1), data=st.data(),
+        code=st.sampled_from(["B", "H", "I"]),
+    )
+    @pytest.mark.parametrize("kernel", ["python", "c", "loose"], indirect=True)
+    def test_equals_batch_on_masked_pairs(self, kernel, m, r, finals, words, seed, data, code):
+        at = data.draw(st.integers(0, r - 2), label="at")
+        table, fs, ws = pair_table(m, r, at, finals, words, seed, code)
+        for cutoff in (-1, 0, 4, 6):
+            for slack in (0, 1, 2 * m):
+                for stop in (0, 4, 6, 8):
+                    want = masked_batch(kernel, table, m, r, at, fs, ws, cutoff, slack, stop)
+                    got = scored_pairs(kernel, table, m, r, at, fs, ws, cutoff, slack, stop)
+                    assert got == want
+
+    @FIXTURE_SETTINGS
+    @given(
+        p=st.integers(1, 6), k=st.integers(1, 5), r=st.integers(2, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_period_keeps_the_girth(self, kernel, p, k, r, seed):
+        m, rng = p * k, np.random.default_rng(seed)
+        rows = [shift_commuting(m, p, rng) for _ in range(r - 1 + 2 + 4)]
+        table = np.array(rows, dtype=np.int32)
+        fs, ws = (r - 1, r + 1), (r + 1, r + 5)
+        # Slack 2m keeps every cutoff at 0: every girth is exact.
+        exact = scored_pairs(kernel, table, m, r, 0, fs, ws, 0, 2 * m)
+        assert scored_pairs(kernel, table, m, r, 0, fs, ws, 0, 2 * m, period=p) == exact
+        assert scored_pairs(_girth_py, table, m, r, 0, fs, ws, 0, 2 * m, period=p) == exact
+
+    def test_the_zero_row_is_not_read(self, kernel):
+        table, fs, ws = pair_table(5, 3, 0, 2, 3, 1)
+        assert scored_pairs(kernel, table, 5, 3, 0, fs, ws, 0)[0]
+
+    GOOD = np.array([[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2]], dtype=np.int32)
+
+    @pytest.mark.parametrize(
+        "table,m,r,at,fs,ws,size,period",
+        [
+            (GOOD, 4, 3, 0, (2, 5), (3, 4), 3, 0),  # final range past the table
+            (GOOD, 4, 3, 0, (3, 2), (3, 4), 1, 0),  # final range backwards
+            (GOOD, 4, 3, 0, (2, 3), (-1, 4), 5, 0),  # word range before it
+            (GOOD, 4, 3, 0, (2, 3), (3, 5), 2, 0),  # word range past it
+            (GOOD[:1], 4, 3, 0, (0, 1), (0, 1), 1, 0),  # fewer than r-1 rows
+            (GOOD, 4, 3, 2, (2, 3), (3, 4), 1, 0),  # at is the final's slot
+            (GOOD, 4, 3, -1, (2, 3), (3, 4), 1, 0),
+            (GOOD, 4, 1, 0, (0, 1), (1, 2), 1, 0),  # r below 2
+            (GOOD, 4, 3, 0, (2, 3), (3, 4), 1, -2),  # negative period
+            (GOOD, 4, 3, 0, (2, 3), (3, 4), 1, 3),  # period not dividing m
+            (GOOD, 4, 3, 0, (2, 4), (3, 4), 1, 0),  # out too short
+            (GOOD[:, :3].copy(), 4, 3, 0, (2, 3), (0, 1), 1, 0),  # rows not whole
+            (GOOD.astype(np.int64), 4, 3, 0, (2, 3), (3, 4), 1, 0),  # 8-byte table
+        ],
+        ids=["finals-past", "finals-backwards", "words-before", "words-past", "few-rows",
+             "at-final", "at-negative", "r1", "period-negative", "period-3-of-4",
+             "out-short", "rows-not-whole", "table-8-byte"],
+    )
+    def test_rejects(self, kernel, table, m, r, at, fs, ws, size, period):
+        pairs, out = array("q", [0]) * size, array("i", [0]) * size
+        with pytest.raises(ValueError):
+            kernel.girth_pairs(table, m, r, at, *fs, *ws, pairs, out, 0, 0, 0, period)
+
+    @pytest.mark.parametrize("bad", [1, 2, 3], ids=["fixed", "final", "word"])
+    def test_rejects_a_row_that_is_not_a_permutation(self, kernel, bad):
+        # Rows: the unread slot 0, fixed slot 1, the final, the word; the
+        # final and the word differ at every point.
+        table = self.GOOD.copy()
+        table[bad, 2] = table[bad, 0]
+        pairs, out = array("q", [0]), array("i", [0])
+        with pytest.raises(ValueError, match=r"^each image must be a permutation of 0\.\.3$"):
+            kernel.girth_pairs(table, 4, 3, 0, 2, 3, 3, 4, pairs, out, 0)
+
+    def test_an_incompatible_word_is_not_read(self, kernel):
+        # The word agrees with the final at point 0, so it is never loaded.
+        table = self.GOOD.copy()
+        table[3] = [2, 2, 2, 2]
+        pairs, out = array("q", [0]), array("i", [0])
+        assert kernel.girth_pairs(table, 4, 3, 0, 2, 3, 3, 4, pairs, out, 0) == 0
+
+    def test_empty_ranges(self, kernel):
+        pairs, out = array("q"), array("i")
+        assert kernel.girth_pairs(self.GOOD, 4, 3, 0, 2, 2, 3, 4, pairs, out, 0) == 0
+
+
 def columns_of(mat):
     """The (m, r) int32 table of each row's columns, ascending."""
     m = len(mat)

@@ -198,6 +198,25 @@ class TestBudget:
     def test_benchmark_and_test_sizes_admitted(self, m, r):
         assert oracle._estimate_checks(m, r, True) <= oracle.DEFAULT_BUDGET
 
+    @pytest.mark.parametrize("m,derangements", [(11, 14_684_570), (12, 176_214_841)])
+    def test_r_2_charged_its_class_rows(self, backend, m, derangements):
+        # The weighted r = 2 sweep builds one row per cycle type, not the
+        # m! universe rows that the full stream would list.
+        assert oracle._estimate_checks(m, 2, True, weighted=True) <= oracle.DEFAULT_BUDGET
+        assert oracle._estimate_checks(m, 2, True) > oracle.DEFAULT_BUDGET
+        report = max_girth(m, 2)
+        assert report.max_girth == 2 * m
+        assert report.maximizer_count == factorial(m - 1)
+        assert report.enumerated == derangements
+
+    @pytest.mark.parametrize("m,fixed", [(16, True), (13, False)])
+    def test_r_2_past_int64_charged_the_universe(self, m, fixed):
+        # Past m = 15 the class codes, and with the first slot free past
+        # m = 12 the tuple counts, would overflow int64.
+        assert oracle._estimate_checks(m, 2, fixed, weighted=True) > oracle.DEFAULT_BUDGET
+        with pytest.raises(BudgetExceededError):
+            max_girth(m, 2, fix_first_identity=fixed)
+
     def test_r_above_m_is_empty_before_the_budget(self):
         assert list(enumerate_btus(13, 14, fix_first_identity=False)) == []
 
