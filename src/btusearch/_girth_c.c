@@ -22,9 +22,11 @@
  * from a file.
  *
  * The grower lists the n-cycles w of 0..n-1 that a search stage keeps
- * for its replaced slot and its level-2 finals, depth-first in the order
- * of their words, and prunes a prefix at the first entry that fails a
- * filter.  It reads the few rows w must avoid, in O(n) memory.
+ * for its replaced slot and its level-2 finals, and every row the
+ * `candidates` command prints, depth-first in the order of their words.
+ * It prunes a prefix at the first entry that fails a filter, and each
+ * entry steps only over the values still unused, kept in a linked ring.
+ * It reads the few rows w must avoid, in O(n) memory.
  *
  * The pair coder takes pairs (a, b) of table rows and writes, for each,
  * an int64 code of the cycle type of x -> inv(a)[b[x]]: the union-cycle
@@ -41,7 +43,7 @@
 #include <stdlib.h>
 #include <string.h>
 
-enum { ABI = 3 };
+enum { ABI = 4 };
 
 enum {
     OK = 0, NO_MEMORY = -1, BAD_IMAGE = -2, BAD_ROW = -3, NOT_REGULAR = -4, BAD_HEAD = -5,
@@ -51,8 +53,9 @@ enum {
 /* A scoring call's input and output.  girth_batch reads graph g's slot t
  * from table row index[g*r + t]; girth_pairs reads slot t from row t,
  * but slot `at` from each word row w0..w1-1 and slot r-1 from each final
- * row f0..f1-1, and writes each scored pair's position to pairs.  With
- * period > 0 every slot commutes with x -> x + period. */
+ * row f0..f1-1, writes each scored pair's position to pairs, and with
+ * stop > 0 ends after the first entry >= stop.  With period > 0 every
+ * slot commutes with x -> x + period. */
 typedef struct {
     const char *table;
     Py_ssize_t rows;
@@ -252,9 +255,8 @@ static inline int record(const Batch *b, int girth, int *best, int *cutoff)
     return b->stop > 0 && girth >= b->stop;
 }
 
-/* Checks every row index, then scores graphs in order until the batch
- * ends or an entry reaches stop.  Returns the graphs scored, or a status
- * below 0. */
+/* Checks every row index, then scores every graph in order.  Returns the
+ * graphs scored, or a status below 0. */
 static Py_ssize_t girth_many(const Batch *b)
 {
     for (Py_ssize_t i = 0; i < b->n * b->r; i++)
@@ -277,8 +279,7 @@ static Py_ssize_t girth_many(const Batch *b)
         }
         int girth = score(b, cutoff, &w);
         b->out[g++] = girth;
-        if (record(b, girth, &best, &cutoff))
-            break;
+        record(b, girth, &best, &cutoff);
     }
     free(all);
     return g;
@@ -475,56 +476,63 @@ static inline int barred(const Growth *g, int x, int v)
  * x -> heads[v] of inv(left).w closes a cycle of other than `length`
  * points or joins two paths into one of more.  A path is kept as each
  * end's other end (`other`) and point count (`size`); a join records
- * what it overwrote, so leaving the entry puts it back.  Under a limit, a prefix is tight while its
- * entries' ranks among the values left equal the limit's digits: a
- * tight prefix's entry j takes values up to the digits[j]-th left, and
- * the one whole word that stays tight, of rank equal to the limit, is
- * not kept.  Returns OK or NO_MEMORY. */
+ * the start of x's path and its size, so leaving the entry splits the
+ * joined path back.  The unused values are a ring, ascending from the
+ * head n-1 (`next`, `prev`): an entry unlinks the value it takes and
+ * relinks it when it leaves it, last taken first left, so an entry
+ * steps only over unused values (Knuth, "Dancing links").  Under a
+ * limit, a prefix is tight while its entries' ranks among the values
+ * left equal the limit's digits: a tight prefix's entry j takes values
+ * up to the digits[j]-th left, found by walking the ring, and the one
+ * whole word that stays tight, of rank equal to the limit, is not kept.
+ * Returns OK or NO_MEMORY. */
 static int grow(Growth *g)
 {
     int n = g->n, len = g->length, last = n - 2;
     int *work = malloc((size_t)n * 10 * sizeof(int));
-    unsigned char *used = calloc((size_t)n, 1);
-    if (!work || !used) {
-        free(work);
-        free(used);
+    if (!work)
         return NO_MEMORY;
-    }
-    /* Per point: w's image so far, path ends.  Per entry: its value, the
-     * largest value it may take, whether its prefix is tight, and the
-     * start, end and two sizes a join overwrote (start < 0: a close). */
-    int *img = work, *other = img + n, *size = other + n, *value = size + n, *top = value + n,
-        *tight = top + n, *start = tight + n, *end = start + n, *sizes = end + n;
+    /* Per point: w's image so far, path ends.  Per value: the ring.  Per
+     * entry: its value (n-1 before its first), the largest value it may
+     * take, whether its prefix is tight, and the start of x's path and
+     * that path's size before the entry's join (start < 0: a close). */
+    int *img = work, *other = img + n, *size = other + n, *next = size + n, *prev = next + n,
+        *value = prev + n, *top = value + n, *tight = top + n, *start = tight + n,
+        *kept = start + n;
     for (int x = 0; x < n; x++) {
         other[x] = x;
         size[x] = 1;
+        next[x] = x < n - 1 ? x + 1 : 0;
+        prev[x] = x ? x - 1 : n - 1;
     }
     int j = 0, status = OK;
-    value[0] = -1;
+    value[0] = n - 1;
     tight[0] = g->digits != NULL;
     for (;;) {
-        if (value[j] < 0) { /* a new entry: its range of values */
-            top[j] = last;
-            if (tight[j])
-                for (int v = 0, skip = g->digits[j]; v <= last; v++)
-                    if (!used[v] && !skip--) {
-                        top[j] = v;
-                        break;
-                    }
-        }
         int x = j ? value[j - 1] : n - 1, v = value[j];
-        if (v >= 0) { /* leave the entry's last value */
-            used[v] = 0;
-            if (start[j] >= 0) {
-                other[start[j]] = x;
-                other[end[j]] = g->heads[v];
-                size[start[j]] = sizes[2 * j];
-                size[end[j]] = sizes[2 * j + 1];
+        if (v == n - 1) { /* a new entry: its range of values */
+            top[j] = last;
+            if (tight[j]) {
+                top[j] = next[n - 1];
+                for (int skip = g->digits[j]; skip > 0; skip--)
+                    top[j] = next[top[j]];
+            }
+        } else { /* leave the entry's last value */
+            next[prev[v]] = v;
+            prev[next[v]] = v;
+            int s = start[j];
+            if (s >= 0) { /* split s..e back into s..x and heads[v]..e */
+                int e = other[s], joined = size[s];
+                other[s] = x;
+                other[e] = g->heads[v];
+                size[s] = kept[j];
+                size[e] = joined - kept[j];
             }
         }
+        /* The head n-1 is above every top, so the walk stops there too. */
         int tail = other[x], at_x = size[x];
-        for (v++; v <= top[j]; v++) {
-            if (used[v] || barred(g, x, v))
+        for (v = next[v]; v <= top[j]; v = next[v]) {
+            if (barred(g, x, v))
                 continue;
             int h = g->heads[v];
             if (tail == h ? at_x == len : at_x + size[h] <= len)
@@ -536,16 +544,15 @@ static int grow(Growth *g)
             continue;
         }
         value[j] = v;
-        used[v] = 1;
+        next[prev[v]] = next[v];
+        prev[next[v]] = prev[v];
         img[x] = v;
         int h = g->heads[v];
         start[j] = -1;
         if (tail != h) { /* join x's path to the path that starts at h */
             int e = other[h], joined = at_x + size[h];
             start[j] = tail;
-            end[j] = e;
-            sizes[2 * j] = at_x;
-            sizes[2 * j + 1] = size[h];
+            kept[j] = at_x;
             other[tail] = e;
             other[e] = tail;
             size[tail] = joined;
@@ -553,7 +560,7 @@ static int grow(Growth *g)
         }
         if (j < last) {
             tight[j + 1] = tight[j] && v == top[j];
-            value[++j] = -1;
+            value[++j] = n - 1;
         } else if (!barred(g, v, n - 1) && size[v] == len && !(tight[j] && v == top[j])) {
             /* The closing edge v -> n-1 meets the one open path, whose
              * other end is heads[n-1]. */
@@ -563,7 +570,6 @@ static int grow(Growth *g)
         }
     }
     free(work);
-    free(used);
     return status;
 }
 
@@ -670,8 +676,8 @@ static PyObject *girth_batch(PyObject *Py_UNUSED(self), PyObject *args)
     PyObject *table_obj, *index_obj, *out_obj;
     Batch b = {.slack = 0, .stop = 0};
     Py_buffer table, index, out;
-    if (!PyArg_ParseTuple(args, "OOniiOi|ii:girth_batch", &table_obj, &index_obj, &b.n,
-                          &b.m, &b.r, &out_obj, &b.cutoff, &b.slack, &b.stop))
+    if (!PyArg_ParseTuple(args, "OOniiOi|i:girth_batch", &table_obj, &index_obj, &b.n, &b.m,
+                          &b.r, &out_obj, &b.cutoff, &b.slack))
         return NULL;
     if (b.m < 1 || b.r < 1 || b.m > INT_MAX / 2 || b.n < 0 || b.slack < 0) {
         PyErr_Format(PyExc_ValueError, "need 1 <= m <= %d, r >= 1, n_graphs >= 0 and "
@@ -963,14 +969,13 @@ static PyObject *pair_codes(PyObject *Py_UNUSED(self), PyObject *args)
 
 static PyMethodDef methods[] = {
     {"girth_batch", girth_batch, METH_VARARGS,
-     "girth_batch(table, index, n_graphs, m, r, out, cutoff, slack=0, stop=0)\n\n"
+     "girth_batch(table, index, n_graphs, m, r, out, cutoff, slack=0)\n\n"
      "Scores n_graphs graphs in order, releasing the GIL, and returns the\n"
      "number scored: slot t of graph g is row index[g*r + t] of table, rows\n"
      "of m 0-based images in 1-, 2- or 4-byte unsigned ints, and out[g] gets\n"
      "its girth.  Graph g's cutoff is the larger of cutoff and (the largest\n"
      "out entry before it) - slack; out[g] is exact when the girth exceeds\n"
-     "that cutoff, and otherwise some value v with girth <= v <= cutoff.\n"
-     "With stop > 0 the call ends after the first entry >= stop."},
+     "that cutoff, and otherwise some value v with girth <= v <= cutoff."},
     {"girth_pairs", girth_pairs, METH_VARARGS,
      "girth_pairs(table, m, r, at, f0, f1, w0, w1, pairs, out, cutoff, slack=0, stop=0,\n"
      "            period=0)\n\n"
@@ -981,10 +986,11 @@ static PyMethodDef methods[] = {
      "table rows hold m 0-based images in 1-, 2- or 4-byte unsigned ints.\n"
      "The k-th scored pair's position (final-f0)*(w1-w0) + (word-w0) goes to\n"
      "pairs[k] (8-byte ints) and its girth to out[k], under girth_batch's\n"
-     "cutoff, slack and stop rules.  A period p > 0, which must divide m,\n"
-     "promises that every slot commutes with x -> x + p, and the BFS runs\n"
-     "from rows 0..p-1 only.  ValueError for a row range outside the table\n"
-     "or a row read that is not a permutation."},
+     "cutoff and slack rules; with stop > 0 the call ends after the first\n"
+     "entry >= stop.  A period p > 0, which must divide m, promises that\n"
+     "every slot commutes with x -> x + p, and the BFS runs from rows\n"
+     "0..p-1 only.  ValueError for a row range outside the table or a row\n"
+     "read that is not a permutation."},
     {"split_slots", split_slots, METH_VARARGS,
      "split_slots(cols, m, r, out)\n\n"
      "Splits an r-regular bipartite graph into r perfect matchings, releasing\n"

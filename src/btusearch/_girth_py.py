@@ -19,8 +19,8 @@ word at a time, so no array grows with words x m.
 `split_slots` is the reference of the compiled matcher: the same r
 perfect matchings of an r-regular bipartite graph, slot for slot, and
 ValueError for the same inputs.  `grow_cycles` is the reference of the
-compiled grower: the same rows in the same order, grown breadth-first
-with numpy where the compiled one grows them depth-first.  `pair_codes`
+compiled grower: the same depth-first walk over a ring of the unused
+values, in plain Python, so the same rows in the same order.  `pair_codes`
 is the reference of the compiled pair coder: the same int64 cycle-type
 codes, taken for every pair at once by an m-step numpy orbit loop.
 """
@@ -35,6 +35,8 @@ import numpy as np
 # Unsigned struct format per item size: the kernels read every table as
 # unsigned, so a negative value is out of range in both.
 _UNSIGNED = {1: "B", 2: "H", 4: "I"}
+# Signed array type per item size: the grower's rows.
+_SIGNED = {1: "b", 2: "h", 4: "i"}
 
 _NOT_REGULAR = "matrix is not regular: no perfect matching"
 
@@ -59,12 +61,12 @@ def _ints(obj, what: str, sizes: tuple[int, ...], need: int | None, exact: bool)
 
 
 def girth_batch(
-    table, index, n_graphs: int, m: int, r: int, out, cutoff: int, slack: int = 0, stop: int = 0
+    table, index, n_graphs: int, m: int, r: int, out, cutoff: int, slack: int = 0
 ) -> int:
     """Writes the girths of graphs 0, 1, ... to out in order and returns
-    how many it wrote: all n_graphs, or with stop > 0 those up to the
-    first girth >= stop.  They are all exact, which meets the compiled
-    kernel's rising-cutoff contract whatever cutoff and slack are."""
+    how many it wrote, n_graphs.  They are all exact, which meets the
+    compiled kernel's rising-cutoff contract whatever cutoff and slack
+    are."""
     if m < 1 or r < 1 or n_graphs < 0 or slack < 0:
         raise ValueError(
             f"need m, r >= 1, n_graphs >= 0 and slack >= 0, "
@@ -82,8 +84,6 @@ def girth_batch(
             _permutation(items[row * m : row * m + m].tolist(), m) for row in rows[g * r : g * r + r]
         ]
         out_view[g] = _girth(images, m)
-        if 0 < stop <= out_view[g]:
-            return g + 1
     return n_graphs
 
 
@@ -319,8 +319,8 @@ def _extract_matching(adj: list[list[int]], m: int) -> list[int]:
 
 def grow_cycles(avoid, heads, digits, n: int, length: int, itemsize: int):
     """The n-cycles w of 0..n-1 that pass the grower's filters, in the
-    lexicographic order of their words, as an (rows, n) int array of
-    `itemsize` bytes an entry: w(n-1) = W[0], w(W[i]) = W[i+1] and
+    lexicographic order of their words, as one array of `itemsize`-byte
+    signed ints, n to a row: w(n-1) = W[0], w(W[i]) = W[i+1] and
     w(W[-1]) = n-1 for the word W, a permutation of 0..n-2.  A row is
     kept when it differs from every avoid row at every point, every
     cycle of x -> heads[w(x)] has `length` points, and, when digits is
@@ -329,16 +329,13 @@ def grow_cycles(avoid, heads, digits, n: int, length: int, itemsize: int):
     in 0..n-1 (t >= 0), heads n 4-byte ints in 0..n-1 and digits n-1
     4-byte ints, digit j in 0..n-2-j.
 
-    The words are grown one entry at a time, breadth-first: a prefix
-    fixes w on the points it has visited, so a child that adds value v
-    adds one edge x -> v from the last point x, and the last level adds
-    the closing edge W[-1] -> n-1.  A child is dropped when an avoid row
-    holds v at x, or when its edge x -> heads[v] closes a cycle of other
-    than `length` points or joins two paths into one of more.  The paths
-    are kept as each end's other end and size, so a child costs O(1)
-    besides its copy.  The digits of a prefix can equal the limit's
-    leading digits for at most one prefix, the tight one, and only its
-    children are cut, with no rank arithmetic.
+    The walk is the compiled grower's, step for step: depth-first over
+    the word entries, each stepping only over the unused values, a ring
+    that an entry unlinks its value from and relinks it to when it
+    leaves it; a path kept as each end's other end and size; and a join
+    that records x's path, so that leaving its entry splits it back.
+    The state is O(n) ints, and the rows kept go to one array of the row
+    type.
     """
     signed = 8 * itemsize - 1
     if n < 2 or length < 1 or itemsize not in (1, 2, 4) or (itemsize < 4 and (n - 1) >> signed):
@@ -346,64 +343,86 @@ def grow_cycles(avoid, heads, digits, n: int, length: int, itemsize: int):
             f"need n >= 2, length >= 1 and a signed item size of 1, 2 or 4 bytes "
             f"that holds n-1, got n={n}, length={length}, itemsize={itemsize}"
         )
-    avoid = np.frombuffer(_ints(avoid, "avoid", (4,), None, exact=False), np.int32)
-    if len(avoid) % n:
-        raise ValueError(f"avoid has {len(avoid)} items, not a multiple of n={n}")
-    heads = np.frombuffer(_ints(heads, "heads", (4,), n, exact=True), np.int32)
+    items = _ints(avoid, "avoid", (4,), None, exact=False)
+    if len(items) % n:
+        raise ValueError(f"avoid has {len(items)} items, not a multiple of n={n}")
+    heads = _ints(heads, "heads", (4,), n, exact=True)
     if digits is not None:
-        digits = _ints(digits, "digits", (4,), n - 1, exact=True).tolist()
-    if not ((heads >= 0) & (heads < n)).all():
+        digits = _ints(digits, "digits", (4,), n - 1, exact=True)
+    if not all(0 <= h < n for h in heads):
         raise ValueError(f"each head must be in 0..{n - 1}")
     for j, digit in enumerate(digits or ()):
         if not 0 <= digit <= n - 2 - j:
             raise ValueError(f"digits[{j}] must be in 0..{n - 2 - j}")
-    if not ((avoid >= 0) & (avoid < n)).all():
+    if not all(0 <= v < n for v in items):
         raise ValueError(f"each avoid value must be in 0..{n - 1}")
-    avoid = avoid.reshape(-1, n)
-    heads = heads[: n - 1]
-    tight = 0 if digits is not None else None  # the row whose prefix is the limit's
-    point = np.min_scalar_type(-2 * n).type  # holds two sizes' sum
-    words = np.zeros((1, n - 1), dtype=np.min_scalar_type(-n))
-    free = np.ones((1, n - 1), dtype=bool)  # values not yet in the prefix
-    other = np.arange(n, dtype=point)[None]  # the other end of a path end
-    size = np.ones((1, n), dtype=point)  # the points of the path at an end
-    for j in range(n - 1):
-        rows = np.arange(len(words))
-        x = words[:, j - 1] if j else np.full(len(words), n - 1)
-        tail, at_x = other[rows, x], size[rows, x]
-        ok = free.copy()
-        bars = avoid[:, x]  # the values each row's last point may not take
-        hit = bars < n - 1
-        ok[np.broadcast_to(rows, bars.shape)[hit], bars[hit]] = False
-        ok &= np.where(
-            tail[:, None] == heads, at_x[:, None] == length, at_x[:, None] + size[:, heads] <= length
-        )
-        if tight is not None:
-            # The tight prefix's children past the limit's digit are past it.
-            cut = np.flatnonzero(free[tight])[digits[j]]
-            ok[tight, cut + 1 :] = False
-        parent, v = np.nonzero(ok)
-        if tight is not None:
-            tight = next(iter(np.flatnonzero((parent == tight) & (v == cut))), None)
-        start, end = tail[parent], other[parent, heads[v]]
-        joined = at_x[parent] + size[parent, heads[v]]
-        words, free, other, size = words[parent], free[parent], other[parent], size[parent]
-        rows = np.arange(len(words))
-        words[:, j] = v
-        free[rows, v] = False
-        other[rows, start], other[rows, end] = end, start
-        size[rows, start], size[rows, end] = joined, joined
-    # The closing edge meets the one open path, from heads[n-1] to W[-1].
-    x = words[:, -1]
-    keep = (avoid[:, x] != n - 1).all(axis=0) & (size[np.arange(len(words)), x] == length)
-    if tight is not None:
-        keep[tight] = False  # its rank is the limit's
-    words = words[keep]
-    # w maps n-1 to W[0], each entry to the next, and the last back to n-1.
-    visits = np.column_stack((np.full(len(words), n - 1, words.dtype), words))
-    images = np.empty(visits.shape, dtype=f"i{itemsize}")
-    images[np.arange(len(visits))[:, None], visits] = np.roll(visits, -1, axis=1)
-    return images
+    avoid = [items[s : s + n] for s in range(0, len(items), n)]
+    closes = {at % n for at, v in enumerate(items) if v == n - 1}  # the points barred from n-1
+    rows = array(_SIGNED[itemsize])
+    img = array(_SIGNED[itemsize], bytes(itemsize * n))  # w's image so far
+    # Lists index faster than arrays.  Every int they hold is one of
+    # `ints`, so no item holds an int object of its own.
+    ints = list(range(n + 1))
+    heads = [ints[h] for h in heads]
+    other, size = ints[:n], [1] * n  # per point: the path ends
+    after, before = ints[1:n] + ints[:1], ints[n - 1 : n] + ints[: n - 1]  # per value: the ring
+    # Per entry: its value (n-1 before its first), the largest it may
+    # take, whether its prefix is tight, and the start of x's path and
+    # that path's size before the entry's join (start -1: a close).
+    value, top, tight = [n - 1] * (n - 1), [0] * (n - 1), [digits is not None] * (n - 1)
+    start, kept = [-1] * (n - 1), [0] * (n - 1)
+    j, last = 0, n - 2
+    while True:
+        x = value[j - 1] if j else n - 1
+        v = value[j]
+        if v == n - 1:  # a new entry: its range of values
+            top[j] = last
+            if tight[j]:
+                top[j] = after[n - 1]
+                for _ in range(digits[j]):
+                    top[j] = after[top[j]]
+        else:  # leave the entry's last value
+            after[before[v]] = before[after[v]] = v
+            s = start[j]
+            if s >= 0:  # split s..e back into s..x and heads[v]..e
+                e, joined = other[s], size[s]
+                other[s], other[e] = x, heads[v]
+                size[s], size[e] = kept[j], ints[joined - kept[j]]
+        tail, at_x, cap = other[x], size[x], top[j]
+        v = after[v]
+        while v <= cap:  # the head n-1 is above every top
+            for row in avoid:
+                if row[x] == v:
+                    break
+            else:
+                h = heads[v]
+                if at_x == length if tail == h else at_x + size[h] <= length:
+                    break
+            v = after[v]
+        if v > cap:  # no value left: back to the entry before
+            if not j:
+                return rows
+            j -= 1
+            continue
+        value[j] = v
+        after[before[v]], before[after[v]] = after[v], before[v]
+        img[x] = v
+        h = heads[v]
+        start[j] = -1
+        if tail != h:  # join x's path to the path that starts at h
+            e = other[h]
+            start[j], kept[j] = tail, at_x
+            other[tail], other[e] = e, tail
+            size[tail] = size[e] = ints[at_x + size[h]]
+        if j < last:
+            tight[j + 1] = tight[j] and v == cap
+            j += 1
+            value[j] = n - 1
+        elif v not in closes and size[v] == length and not (tight[j] and v == cap):
+            # The closing edge v -> n-1 meets the one open path, whose
+            # other end is heads[n-1].
+            img[v] = n - 1
+            rows += img
 
 
 # The largest m whose pair codes fit in int64: m (m+1)^(m-1), the code of

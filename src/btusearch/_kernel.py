@@ -3,14 +3,14 @@
 One module holds the five calls: `girth_batch`, the girth of each
 graph of a batch; `girth_pairs`, the girths of the (final, word) pairs
 of a search unit whose rows differ at every point; `split_slots`, the
-slots of a BTU read from a file; `grow_cycles`, the candidate cycles a
-search stage keeps for its replaced slot, and the family enumeration
-for each slot; and `pair_codes`, the cycle type of inv(a).b for pairs
-of table rows, which the oracle's census groups tuples by.  The
-compiled module `_girth_c` holds all five in C (the grower
-depth-first); `_girth_py` is the pure-Python reference of each (the
-grower breadth-first and the pair coder over all pairs at once, with
-numpy).
+slots of a BTU read from a file; `grow_cycles`, the single cycles that
+a search stage keeps for its replaced slot and its level-2 finals, the
+family enumeration for each slot and the `candidates` command lists;
+and `pair_codes`, the cycle type of inv(a).b for pairs of table rows,
+which the oracle's census groups tuples by.  The compiled module
+`_girth_c` holds all five in C; `_girth_py` is the pure-Python
+reference of each (the grower the same depth-first walk, and the pair
+coder over all pairs at once, with numpy).
 
 A compiled module built from another revision of `_girth_c.c` (an
 in-place build is not redone when the source changes) could take other
@@ -28,7 +28,7 @@ import numpy as np
 
 # The revision of the five calls' signatures and contracts; `_girth_c.c`
 # holds the same number.
-ABI = 3
+ABI = 4
 
 
 def _select():
@@ -70,12 +70,11 @@ def girth_of_images(images, m: int) -> int | None:
 
 
 def girth_batch(
-    table: np.ndarray, index: np.ndarray, m: int, cutoff: int, slack: int = 0, stop: int = 0
+    table: np.ndarray, index: np.ndarray, m: int, cutoff: int, slack: int = 0
 ) -> np.ndarray:
     """Girths of the graphs of an (n_graphs, r) int32 row index into a
     table of 0-based images, m to a row, as an int32 array with one entry
-    per graph the kernel scored: every graph, or with stop > 0 those up to
-    the first entry >= stop.
+    per graph.
 
     The cutoff of each graph is the larger of `cutoff` and the largest
     entry before it minus `slack`.  An entry is the exact girth when that
@@ -86,8 +85,8 @@ def girth_batch(
     """
     n_graphs, r = index.shape
     out = np.empty(n_graphs, dtype=np.int32)
-    done = _impl.girth_batch(table, index, n_graphs, m, r, out, cutoff, slack, stop)
-    return out[:done]
+    _impl.girth_batch(table, index, n_graphs, m, r, out, cutoff, slack)
+    return out
 
 
 def girth_pairs(
@@ -100,7 +99,8 @@ def girth_pairs(
     int32 array of girths, in (final, word) order: the pairs of the two
     row ranges whose rows differ at every point, as graphs whose slot t
     is table row t but slot `at` the word and slot r-1 the final.  The
-    cutoff, slack and stop rules are those of `girth_batch`.  A period
+    cutoff and slack rules are those of `girth_batch`; with stop > 0 the
+    call ends after the first entry >= stop.  A period
     p > 0 promises that every slot commutes with x -> x + p, and must
     divide the row length.
     """

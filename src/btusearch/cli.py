@@ -24,7 +24,7 @@ from .engine import MAX_LISTED, SearchConfig, enumerate_Z, search
 from .oracle import max_girth, verify_search
 from .parameters import factorize, optimal_partitions
 from .perms import BTUError, Permutation, identity, refuse_oversize, scale_permutation, spell_count
-from .searchspace import cayley_stats, cycle_images, listed_count
+from .searchspace import cayley_stats, grown_cycle_images, listed_count
 
 # Rows of a listing turned into text at a time.
 _BLOCK_ROWS = 1 << 14
@@ -118,7 +118,9 @@ def _cmd_candidates(args) -> int:
     )
     if base.n != args.n:
         raise BTUError(f"base degree {base.n} does not match -n {args.n}")
-    _emit(_candidate_lines(base, cycle_images(args.n, args.limit)), args.output)
+    home = np.arange(args.n)  # an n-cycle moves every point: the identity bars none
+    cycles = grown_cycle_images(args.n, home[None], home, args.n, args.limit)
+    _emit(_candidate_lines(base, cycles), args.output)
     return 0
 
 

@@ -32,20 +32,21 @@ over (final, word), one member's table at a time, so the tables do not grow
 with the beam.  The scan is cut once, into units of a final range by a word
 range, finals outer, of at most BLOCK pairs.  A unit is one `girth_pairs`
 kernel call, which scores the pairs whose rows differ at every point and
-returns their positions, from which the unit rebuilds its hits' graphs: the
+returns their positions, from which the unit reads its hits' rows: the
 kernel raises its cutoff after every graph to the running best (minus 1 in
 exhaustive mode, so ties stay exact), and in best mode it ends the call at
 the bipartite Moore bound; neither can change which graph wins.  Each unit
 starts from the best girth of the units returned before it was started,
 minus 1.  With one worker, or a member of one unit, the units run in turn on
 the calling thread; otherwise the worker pool runs them, at most one per
-worker at a time.  A unit returns its co-maximal graphs (in best mode the
-first), and units come back in order, each in (final, word) order, so the
-first winner, which the trace is read off, is the lexicographic first
-maximum of (member, final, word), and the co-maximal list is in that order;
-in best mode no unit starts once one has returned a graph at the Moore
-bound.  Results are identical for any worker count, unit size and either
-kernel.
+worker at a time.  A unit returns the (word, final) rows of its co-maximal
+graphs (in best mode the first); the member keeps them as rows, and builds
+their graphs from its table once its scan ends.  Units come back in order,
+each in (final, word) order, so the first winner, which the trace is read
+off, is the lexicographic first maximum of (member, final, word), and the
+co-maximal list is in that order; in best mode no unit starts once one has
+returned a graph at the Moore bound.  Results are identical for any worker
+count, unit size and either kernel.
 
 At levels 0 and 1 every slot commutes with the shift x -> x + d (scaled
 slots and words repeat their block every d points; rotations commute
@@ -70,13 +71,13 @@ list, which the map need not keep; for level-2 finals, which run in
 word order; and for exhaustive mode, which lists every co-maximum.
 Those scans stay whole.
 
-The stage runs on int arrays of 0-based images in the type of
-searchspace.cycle_images: the beam, of shape (members, slots, n), the
-candidates, rows of cycle_images(d, cap), and the finals, rotations or
-at level 2 rows of cycle_images(n, cap).  The candidates and the level-2
-finals are grown by grown_cycle_images one word entry at a time, so no
-row that fails the member's filters is built: both must differ from its
-other slots at every point, and a candidate's cycles against its left
+The stage runs on int arrays of 0-based images: the beam, of shape
+(members, slots, n); the candidates, d-cycles among the first cap words;
+and the finals, rotations or at level 2 n-cycles among the first cap
+words.  The candidates and the level-2 finals are grown by
+searchspace.grown_cycle_images one word entry at a time, so no row that
+fails the member's filters is built: both must differ from its other
+slots at every point, and a candidate's cycles against its left
 neighbour must have the one length the required partition holds.  A
 member's graphs are rows of one image table, its scaled slots, the
 finals compatible with them and its candidates scaled to degree n.  A
@@ -237,7 +238,7 @@ def _stage2(f: Factorization, config: SearchConfig) -> tuple[np.ndarray, StageTr
 
 
 def _finals_for_level(n: int, threshold: int, level: int):
-    """The rotation finals (i - j) mod n, in cycle_images(n)'s type, of the
+    """The rotation finals (i - j) mod n, in grown_cycle_images' type, of the
     offsets j, ascending, admissible at level 0, or at level 1 of every j coprime to n."""
     dt = np.min_scalar_type(-n)
     offsets = np.array(admissible_rotations(n, threshold if level == 0 else 0), dtype=dt)
@@ -269,9 +270,10 @@ def _evaluate_chunk(
     (minus 1 in exhaustive mode, so ties stay exact): a graph at or below
     it cannot change the result.  In best mode the call ends once a graph
     reaches the Moore bound, since nothing after it can beat it.  Returns
-    the best girth and the images of the co-maximal graphs in order (in
-    best mode only the first), or -1 and none without a compatible pair;
-    a best girth at or below `cutoff` only bounds the unit's, and has none.
+    the best girth and the (word row, final row) pairs of the co-maximal
+    graphs in order (in best mode only the first), or -1 and none without
+    a compatible pair; a best girth at or below `cutoff` only bounds the
+    unit's, and has none.
     """
     finals, words = unit
     pairs, girths = _kernel.girth_pairs(
@@ -280,9 +282,7 @@ def _evaluate_chunk(
     best_g = int(girths.max()) if len(girths) else -1
     hits = pairs[girths == max(best_g, cutoff + 1)]  # none if it only bounds
     final, word = np.divmod(hits if exhaustive else hits[:1], words.stop - words.start)
-    index = np.tile(np.arange(r), (len(final), 1))
-    index[:, [at, -1]] = np.column_stack((word + words.start, final + finals.start))
-    return best_g, table[index]
+    return best_g, np.column_stack((word + words.start, final + finals.start))
 
 
 def _run_stage(
@@ -381,13 +381,18 @@ def _run_stage(
                     _evaluate_chunk, table, stage, at, moore=moore, exhaustive=exhaustive,
                     period=d if level < 2 else 0,
                 )
-                for g, graphs in in_order(scan, units):
+                hits = []  # the member's co-maxima, as (word row, final row)
+                for g, pairs in in_order(scan, units):
                     if g > best_g:
-                        best_g, winners = g, []
-                    if g == best_g and len(graphs) and (exhaustive or not winners):
-                        winners.append(graphs)
+                        best_g, winners, hits = g, [], []
+                    if g == best_g and len(pairs) and (exhaustive or not (winners or hits)):
+                        hits.append(pairs)
                     if g == moore and not exhaustive:
                         break  # nothing later can beat it
+                if hits:  # their graphs, while the member's table exists
+                    index = np.tile(np.arange(stage), (sum(map(len, hits)), 1))
+                    index[:, [at, -1]] = np.concatenate(hits)
+                    winners.append(table[index])
             if not winners:
                 continue
 
@@ -440,7 +445,7 @@ def enumerate_Z(m: int, r: int, cap: int | None = None) -> Iterator[BTU]:
     subtree per choice of the slots before it, under their filters: it
     differs from the identity and each of them at every point, and every
     cycle of inv(slot j).(slot j+1) has d_j points; slot 1, against the
-    identity alone, keeps every row of cycle_images(d_1).  A slot scaled
+    identity alone, keeps every single d_1-cycle.  A slot scaled
     from degree d repeats its block every d points, so at degree d_{j+1}
     the filters on the first d_{j+1} points decide them on all m.  Slot
     r is grown at degree m against the earlier slots and the identity,

@@ -4,15 +4,13 @@ partition against a fixed base is the single part (n).
 Composing the base with an n-cycle through all points produces exactly
 these candidates, and reading the cycle as the visiting order after n
 indexes them by words of degree n-1.  That bijection gives the count
-(n-1)! and a deterministic lexicographic enumeration.  The words, and
-the cycles they name against the identity, also come as lexicographic
-int arrays (`lex_permutations`, `cycle_images`): the exhaustive oracle
-enumerates the first, and the `candidates` command and the search's
-level-2 finals list the second.  Every search stage, and the family
-enumeration, takes only the cycles that pass its filters, grown word
-entry by word entry in the same order (`grown_cycle_images`):
-depth-first by the compiled kernel's `grow_cycles`, breadth-first by
-its pure reference.
+(n-1)! and a deterministic lexicographic enumeration.  The cycles come
+as int arrays from one source, `grown_cycle_images`, grown word entry by
+word entry in that order and only where they pass the caller's filters:
+every search stage, the level-2 finals, the family enumeration and the
+`candidates` command, which filters nothing, list them there.  The
+exhaustive oracle's universe is the other array, every permutation of
+0..m-1 in lexicographic order (`lex_permutations`).
 """
 
 from __future__ import annotations
@@ -126,91 +124,57 @@ def enumerate_candidates(
         yield compose(base, _cycle_from_word(word, n))
 
 
-def lex_permutations(n: int, limit: int | None = None) -> np.ndarray:
+def lex_permutations(n: int) -> np.ndarray:
     """The permutations of 0..n-1 as the rows of an int array of the
-    narrowest signed type that holds n-1, in lexicographic order; the
-    first `limit` only when a limit is given.
+    narrowest signed type that holds n-1, in lexicographic order.
 
-    The first `limit` rows permute only the last t places, for the least
-    t >= 1 (so n-t fits the type) with t! >= limit, so only they are
-    built; the first n-t places hold 0..n-t-1.  The rows of degree s
-    are, for each first value v in turn, v followed by the rows of degree
-    s-1 with every value >= v shifted up by one; the shift keeps their
-    order.  Each degree is written in place into the one result array,
-    whole rows at a time: its (s-1)! rows of degree s-1 are copied once,
-    shifted for v = 0, and each later v puts back only the value v-1.
-    Places left of the degree's first hold scratch until a later degree
-    writes them.
+    The rows of degree s are, for each first value v in turn, v followed
+    by the rows of degree s-1 with every value >= v shifted up by one;
+    the shift keeps their order.  Each degree is written in place into
+    the one result array, whole rows at a time: its (s-1)! rows of degree
+    s-1 are copied once, shifted for v = 0, and each later v puts back
+    only the value v-1.  Places left of the degree's first hold scratch
+    until a later degree writes them.
     """
     dtype = np.min_scalar_type(-n).type  # holds -n, so n-1 as well
-    t = n if limit is None else next((s for s in range(1, n) if factorial(s) >= limit), n)
-    base = n - t  # the values of the last t places are base..n-1
-    count = factorial(t) if limit is None else min(limit, factorial(t))
-    out = np.zeros((count, n), dtype=dtype)
-    out[:1, :base] = np.arange(base, dtype=dtype)
-    for size in range(1, t + 1):
+    out = np.zeros((factorial(n), n), dtype=dtype)
+    for size in range(1, n + 1):
         col, block = n - size, factorial(size - 1)
-        prev = out[:block]
-        rest = prev + (prev >= base)  # the fixed places < base stay
-        for v in range(base, base + size):
-            if v > base:
+        rest = out[:block] + 1
+        for v in range(size):
+            if v:
                 rest[rest == v] = v - 1
             rest[:, col] = v
-            rows = out[(v - base) * block : (v - base + 1) * block]
-            rows[:] = rest[: len(rows)]
+            out[v * block : (v + 1) * block] = rest
     return out
-
-
-def cycle_images(n: int, limit: int | None = None) -> np.ndarray:
-    """Row i is the i-th image of enumerate_candidates(identity(n), limit)
-    minus 1, in the narrowest signed int type that holds n-1.
-
-    With S = [n-1 | word], the cycle maps S[j] to S[j+1] and the last
-    point back to n-1, so one scatter writes every row.
-    """
-    if n < 2:
-        raise ValueError(f"need degree >= 2, got {n}")
-    return _cycles_of_words(lex_permutations(n - 1, limit))
-
-
-def _cycles_of_words(words: np.ndarray) -> np.ndarray:
-    """Row i is the n-cycle of words[i], a permutation of 0..n-2: it maps
-    n-1 to words[i, 0], each entry to the next, and the last back to n-1."""
-    n = words.shape[1] + 1
-    visits = np.column_stack((np.full(len(words), n - 1, np.min_scalar_type(-n)), words))
-    images = np.empty_like(visits)
-    images[np.arange(len(visits))[:, None], visits] = np.roll(visits, -1, axis=1)
-    return images
 
 
 def grown_cycle_images(
     n: int, avoid: np.ndarray, left: np.ndarray, length: int, limit: int | None = None
 ) -> np.ndarray:
-    """The rows w of cycle_images(n, limit), in order and in its type,
-    that differ from every row of `avoid` (values in 0..n-1) at every
-    point and for which every cycle of inv(left).w, the permutation
-    x -> inv(left)[w[x]], has `length` points.  They are the rows of
+    """The n-cycles w of 0..n-1 among the first `limit` words (every
+    word without a limit), as 0-based images in word order and in the
+    narrowest signed int type that holds n-1, that differ from every row
+    of `avoid` (values in 0..n-1) at every point and for which every
+    cycle of inv(left).w, the permutation x -> inv(left)[w[x]], has
+    `length` points.  Against the identity alone, as `avoid` and `left`,
+    with `length` n, every row passes: row i is the i-th image of
+    enumerate_candidates(identity(n), limit) minus 1, as at a search's
+    stage 3, the family's slot 1 and the `candidates` command.  With
+    `left` the identity and `length` n, the rows are those compatible
+    with `avoid`, as the search's level-2 finals.
 
-        w = cycle_images(n, limit)
-        w[(w[:, None, :] != avoid).all(axis=(1, 2)) & <cycles of argsort(left)[w]>]
-
-    but no row that fails is built.  `_kernel.grow_cycles` grows the
-    word W of a row one entry at a time, in lexicographic order
-    (depth-first in the compiled kernel, breadth-first in the pure one):
-    a prefix fixes w on the points it has visited, w(n-1) = W[0] and
-    w(W[i]) = W[i+1], so a child that adds value v adds one edge x -> v
-    from the last point x, and the last entry also closes W[-1] -> n-1.
-    A prefix is dropped as soon as an `avoid` row has v at x, or its edge
-    x -> inv(left)[v] closes a cycle of other than `length` points or
-    joins two paths into one of more.  The grower reads the avoid rows
-    themselves, so memory is O(n) besides the rows kept, whatever n.
-    Under a limit, a row is kept when its rank, read in the factorial
-    base, is below the limit's (`_factorial_digits`); the grower compares
-    them along the one prefix whose digits equal the limit's, with no
-    rank arithmetic.  Against the identity alone, as `avoid` and `left`,
-    with `length` n, every row passes, as at a search's stage 3 and the
-    family's slot 1; with `left` the identity and `length` n, the rows
-    are those compatible with `avoid`, as the search's level-2 finals.
+    `_kernel.grow_cycles` grows the word W of a row one entry at a time,
+    depth-first: a prefix fixes w on the points it has visited, w(n-1) =
+    W[0] and w(W[i]) = W[i+1], so a child that adds value v adds one edge
+    x -> v from the last point x, and the last entry also closes W[-1]
+    -> n-1.  A prefix is dropped as soon as an `avoid` row has v at x,
+    or its edge x -> inv(left)[v] closes a cycle of other than `length`
+    points or joins two paths into one of more, so no failing row is
+    built, and memory is O(n) besides the rows kept.  Under a limit, a
+    row is kept when its rank, read in the factorial base, is below the
+    limit's (`_factorial_digits`), compared along the one prefix whose
+    digits equal the limit's, with no rank arithmetic.
     """
     if n < 2:
         raise ValueError(f"need degree >= 2, got {n}")

@@ -51,10 +51,10 @@ class LooseKernel:
     """The pure kernel, except that an entry whose girth is at most its
     graph's cutoff comes back as that cutoff itself: the largest value the
     `girth_batch` contract allows, with the cutoff rising after every
-    graph to the largest entry so far minus slack, and the call ending at
-    the first entry >= stop.  A caller that leans on more than the
-    contract shows it.  Its `girth_pairs` answers the same way for the
-    pairs it scores.  Its slot matcher, cycle grower and pair coder are
+    graph to the largest entry so far minus slack.  A caller that leans
+    on more than the contract shows it.  Its `girth_pairs` answers the
+    same way for the pairs it scores, and ends at the first entry >=
+    stop.  Its slot matcher, cycle grower and pair coder are
     the pure ones."""
 
     split_slots = staticmethod(_girth_py.split_slots)
@@ -62,14 +62,12 @@ class LooseKernel:
     pair_codes = staticmethod(_girth_py.pair_codes)
 
     @staticmethod
-    def girth_batch(table, index, n_graphs, m, r, out, cutoff, slack=0, stop=0):
+    def girth_batch(table, index, n_graphs, m, r, out, cutoff, slack=0):
         exact = array("i", [0]) * n_graphs
-        done = _girth_py.girth_batch(table, index, n_graphs, m, r, exact, cutoff, slack, stop)
+        done = _girth_py.girth_batch(table, index, n_graphs, m, r, exact, cutoff, slack)
         for g in range(done):
             out[g] = exact[g] if exact[g] > cutoff else cutoff
             cutoff = max(cutoff, out[g] - slack)
-            if 0 < stop <= out[g]:
-                return g + 1
         return done
 
     @staticmethod

@@ -1,11 +1,13 @@
 """Small readers of package values that only the tests need."""
 
+from functools import lru_cache
 from math import factorial
 
 import numpy as np
 
 from btusearch import engine
-from btusearch.perms import Permutation, circular_rotation
+from btusearch.perms import Permutation, circular_rotation, identity
+from btusearch.searchspace import enumerate_candidates
 
 
 def as_rotation(p: Permutation) -> int | None:
@@ -29,6 +31,19 @@ def word_at_index(n: int, index: int) -> tuple[int, ...]:
         word.append(elems.pop(index // f))
         index %= f
     return tuple(word)
+
+
+@lru_cache(maxsize=None)
+def candidate_images(n: int, limit: int | None = None) -> np.ndarray:
+    """The images of enumerate_candidates(identity(n), limit) minus 1, one
+    row each, in the narrowest signed int type that holds n-1: the
+    reference for the grower's unfiltered rows.  Cached, so read-only."""
+    if limit is not None and limit >= factorial(n - 1):
+        return candidate_images(n)
+    images = [q.image for q in enumerate_candidates(identity(n), limit)]
+    rows = (np.array(images, dtype=np.int64).reshape(-1, n) - 1).astype(np.min_scalar_type(-n))
+    rows.flags.writeable = False
+    return rows
 
 
 def uniform_cycles(sigma: np.ndarray, length: int) -> np.ndarray:

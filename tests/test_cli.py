@@ -251,6 +251,7 @@ class TestSmallCommands:
             (9, None, None),  # 40,320 lines: three blocks
             (10, "2 1 4 3 6 5 8 7 10 9", 20000),
             (30, None, 7),
+            (40000, None, 2),  # the grower's rows are linear in n
         ],
     )
     def test_candidates_text_is_enumerate_candidates(self, capsys, tmp_path, n, base, limit):

@@ -11,7 +11,7 @@ from math import factorial, gcd
 
 import numpy as np
 import pytest
-from helpers import beam_before, uniform_cycles, without_rotations
+from helpers import beam_before, candidate_images, uniform_cycles, without_rotations
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from strategies import regular_matrices
@@ -55,7 +55,6 @@ from btusearch.perms import (
 )
 from btusearch.searchspace import (
     CandidateWord,
-    cycle_images,
     enumerate_candidates,
     grown_cycle_images,
 )
@@ -290,7 +289,7 @@ def filtered_prefixes(m, r):
     f = factorize(m, r)
     degrees = [f.b * f.k**j for j in range(1, r - 1)]
     scaled = [
-        (cycle_images(d)[:, None, :] + np.arange(0, m, d)[:, None]).reshape(-1, m)
+        (candidate_images(d)[:, None, :] + np.arange(0, m, d)[:, None]).reshape(-1, m)
         for d in degrees
     ]
 
@@ -532,21 +531,21 @@ def record_grower(monkeypatch):
 
 
 def masked_finals(member, stage, k, cap):
-    """cycle_images(n, cap) at the stage's degree n, masked against the
+    """candidate_images(n, cap) at the stage's degree n, masked against the
     member's other rebased slots scaled by k: the level-2 finals the
     search listed and masked before they were grown."""
     rebased = member[:, np.argsort(member[-1])].astype(np.int64)
     d = rebased.shape[1]
     scaled = (rebased[:, None, :] + np.arange(0, d * k, d)[:, None]).reshape(len(rebased), d * k)
     others = np.delete(scaled, stage - 3, 0)
-    finals = cycle_images(d * k, cap)
+    finals = candidate_images(d * k, cap)
     return finals[(finals[:, None, :] != others).all(axis=(1, 2))]
 
 
 class TestFinalsForLevel:
     def test_level_two_is_the_candidate_array(self, monkeypatch):
         # search(4, 3) reaches level 2: its one member grows the rows of
-        # cycle_images(4) that meet neither of its other slots.
+        # candidate_images(4) that meet neither of its other slots.
         f, config = factorize(4, 3), SearchConfig()
         beam = beam_before(f, 3, config)
         calls = record_grower(monkeypatch)
@@ -554,7 +553,7 @@ class TestFinalsForLevel:
         assert trace.rotation_j == "enum"
         finals = [rows for _, n, rows in calls if n == 4]
         assert len(finals) == 1 and len(finals[0])
-        assert finals[0].dtype == cycle_images(4).dtype
+        assert finals[0].dtype == candidate_images(4).dtype
         assert finals[0].tolist() == masked_finals(beam[0], 3, 2, None).tolist()
 
     @pytest.mark.parametrize("cap", [None, 1, 7, 10**20])
@@ -591,7 +590,7 @@ class TestFinalsForLevel:
     @pytest.mark.parametrize("level", [0, 1])
     def test_rotation_rows(self, n, threshold, level):
         finals = engine._finals_for_level(n, threshold, level)
-        assert finals.dtype == cycle_images(n, 1).dtype
+        assert finals.dtype == candidate_images(n, 1).dtype
         offsets = admissible_rotations(n, threshold if level == 0 else 0)
         assert len(finals) == len(offsets)
         for j, row in zip(offsets, finals):
@@ -657,7 +656,7 @@ class TestReflectionHalfScan:
     def test_twins_have_equal_girth(self, kernel, bk, data):
         b, k = bk
         d, n = b * k, b * k * k
-        words = cycle_images(d)
+        words = candidate_images(d)
         w = words[data.draw(st.integers(0, len(words) - 1), label="word")].astype(np.intp)
         j = data.draw(st.sampled_from([j for j in range(1, n) if gcd(j, n) == 1]), label="j")
 
@@ -677,7 +676,7 @@ class TestReflectionHalfScan:
         index = np.array([[0, 1, 2], [3, 1, 4]], dtype=np.int32)
         out = np.empty(2, dtype=np.int32)
         # Slack 2n keeps the second graph's cutoff at 0: both are exact.
-        assert kernel.girth_batch(table, index, 2, n, 3, out, 0, 2 * n, 0) == 2
+        assert kernel.girth_batch(table, index, 2, n, 3, out, 0, 2 * n) == 2
         assert out[0] == out[1]
 
 
@@ -876,7 +875,7 @@ class TestStageThreeMemory:
 
     def test_capped_large_degree(self, compiled_kernel, monkeypatch):
         # One word against 1,440 rotation finals of degree 4,000.
-        # The finals are int16 rows, as cycle_images(4000) would be, and
+        # The finals are int16 rows, the grower's type at degree 4000, and
         # the stage keeps its winners as graphs (99 MiB with int64 finals).
         monkeypatch.setattr(_kernel, "_impl", compiled_kernel)
         tracemalloc.start()
@@ -886,6 +885,21 @@ class TestStageThreeMemory:
         finally:
             tracemalloc.stop()
         assert peak < 50 * 2**20
+
+
+    def test_exhaustive_98_3(self, compiled_kernel, monkeypatch):
+        # 100,000 capped words of degree 14 against the rotation finals of
+        # degree 98.  A unit's co-maxima stay (word, final) rows until the
+        # member's scan ends (41 MiB when each unit returned its graphs).
+        monkeypatch.setattr(_kernel, "_impl", compiled_kernel)
+        tracemalloc.start()
+        try:
+            config = SearchConfig(mode="exhaustive", candidate_cap=100_000)
+            assert search(98, 3, config).girth == 10
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
 
 
 class TestStageFourPastTheRefusal:
@@ -938,7 +952,7 @@ class TestWordsOncePerStage:
 class TestFirstSlotsGrowEveryRow:
     """Stage 3's words, and enumerate_Z's slot 1, are grown against the
     identity alone with cycles of their own degree d: the grower keeps
-    every row of cycle_images(d, cap), in order and in its type."""
+    every row of candidate_images(d, cap), in order and in its type."""
 
     @staticmethod
     def recorded(monkeypatch, d):
@@ -971,7 +985,7 @@ class TestFirstSlotsGrowEveryRow:
         # With no words, every level is a dead end, or level 2 is refused.
         with pytest.raises((StageDeadEndError, StageTooLargeError)):
             engine._run_stage(beam, 3, f, config)
-        self.assert_rows(calls, cycle_images(b * k, cap))
+        self.assert_rows(calls, candidate_images(b * k, cap))
 
     @pytest.mark.parametrize("cap", [None, 1, 7, 10**20])
     @pytest.mark.parametrize("b,k", [(1, 2), (2, 2), (1, 3), (2, 3), (5, 2), (1, 4)])
@@ -980,7 +994,7 @@ class TestFirstSlotsGrowEveryRow:
         monkeypatch.setattr(engine, "MAX_LISTED", float("inf"))
         calls = self.recorded(monkeypatch, b * k)
         assert list(enumerate_Z(b * k**2, 3, cap)) == []
-        self.assert_rows(calls, cycle_images(b * k))
+        self.assert_rows(calls, candidate_images(b * k))
 
 
 class TestUniformCycles:
@@ -1090,7 +1104,7 @@ class TestStageTooLarge:
             engine._run_stage(beam, 5, f, capped)
         finals = [rows for _, n, rows in calls if n == 16]
         assert len(finals) == 1  # empty: each of the 100 meets a slot
-        assert finals[0].dtype == cycle_images(16, 1).dtype
+        assert finals[0].dtype == candidate_images(16, 1).dtype
         assert finals[0].tolist() == masked_finals(beam[0], 5, 2, 100).tolist()
 
     def test_cli_exits_one(self, capsys):

@@ -1,8 +1,8 @@
 """Both girth kernels agree with each other and with networkx, and keep
-the `girth_batch` contract: the cutoff that rises after every graph, the
-stop, and the input checks.  Both slot matchers give the same slots and
-refuse the same input, and so do both cycle growers with their rows and
-both pair coders with their codes.
+the `girth_batch` contract: the cutoff that rises after every graph and
+the input checks; the pair scorer keeps it too, and its stop.  Both slot
+matchers give the same slots and refuse the same input, and so do both
+cycle growers with their rows and both pair coders with their codes.
 
 The compiled kernel comes from the `compiled_kernel` fixture in
 conftest.py, which builds it from this checkout's C source.
@@ -20,13 +20,14 @@ import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
+from helpers import candidate_images
 from hypothesis import strategies as st
 from strategies import regular_matrices
 
 from btusearch import _girth_py, _kernel
 from btusearch.btu import to_biadjacency
 from btusearch.perms import Permutation, identity, is_compatible
-from btusearch.searchspace import cycle_images, grown_cycle_images
+from btusearch.searchspace import grown_cycle_images
 
 
 def pack(images):
@@ -216,20 +217,6 @@ class TestRisingCutoff:
                 assert [g == top for g in out] == [g == top for g in exact]
 
 
-class TestStop:
-    @FIXTURE_SETTINGS
-    @given(**BATCHES, stop=st.integers(1, 10), slack=st.sampled_from([0, 1]))
-    @pytest.mark.parametrize("kernel", ["python", "c", "loose"], indirect=True)
-    def test_ends_after_the_first_entry_at_stop(self, kernel, m, r, seeds, stop, slack):
-        (table, index), exact = batch_of(m, r, seeds)
-        out = array("i", [-1]) * len(seeds)
-        done = kernel.girth_batch(table, index, len(seeds), m, r, out, -1, slack, stop)
-        reached = [g for g, girth in enumerate(exact) if girth >= stop]
-        assert done == (reached[0] + 1 if reached else len(seeds))
-        assert meets_contract(exact[:done], out[:done], -1, slack)
-        assert list(out[done:]) == [-1] * (len(seeds) - done)
-
-
 class TestTableWidths:
     @pytest.mark.parametrize("code", ["b", "B", "h", "H", "i", "I"])
     def test_any_one_two_or_four_byte_table(self, kernel, code):
@@ -382,7 +369,7 @@ class TestChecksBeforeAnyRead:
         index[at] = data.draw(st.sampled_from([-1, len(table) // m, 2**31 - 1, -(2**31)]))
         out = array("i", [-1]) * len(seeds)
         with pytest.raises(ValueError):
-            kernel.girth_batch(table, index, len(seeds), m, r, out, -1, 0, 0)
+            kernel.girth_batch(table, index, len(seeds), m, r, out, -1, 0)
         assert list(out) == [-1] * len(seeds)
 
     @FIXTURE_SETTINGS
@@ -414,7 +401,8 @@ def pair_table(m, r, at, finals, words, seed, code="I"):
 
 def masked_batch(kernel, table, m, r, at, fs, ws, cutoff, slack, stop):
     """What girth_pairs should give: the positions of the pairs whose rows
-    differ at every point, and girth_batch's entries for their graphs."""
+    differ at every point, and girth_batch's entries for their graphs, up
+    to the first entry >= stop when stop > 0."""
     rows = np.asarray(table).reshape(-1, m)
     positions, index = [], []
     for f in range(*fs):
@@ -426,7 +414,9 @@ def masked_batch(kernel, table, m, r, at, fs, ws, cutoff, slack, stop):
                 index += slots
     out = array("i", [0]) * len(positions)
     index = array("i", index)
-    done = kernel.girth_batch(table, index, len(positions), m, r, out, cutoff, slack, stop)
+    kernel.girth_batch(table, index, len(positions), m, r, out, cutoff, slack)
+    reached = [g for g, girth in enumerate(out) if 0 < stop <= girth]
+    done = reached[0] + 1 if reached else len(positions)
     return positions[:done], list(out[:done])
 
 
@@ -443,6 +433,27 @@ def shift_commuting(m, p, rng):
     them shifted by p."""
     heads = rng.permutation(p) + p * rng.integers(0, m // p, p)
     return (heads[np.arange(m) % p] + np.arange(m) // p * p) % m
+
+
+class TestStop:
+    @FIXTURE_SETTINGS
+    @given(
+        m=st.integers(3, 12), r=st.integers(2, 4), finals=st.integers(0, 4),
+        words=st.integers(0, 6), seed=st.integers(0, 2**32 - 1), data=st.data(),
+        stop=st.integers(1, 10), slack=st.sampled_from([0, 1]),
+    )
+    @pytest.mark.parametrize("kernel", ["python", "c", "loose"], indirect=True)
+    def test_ends_after_the_first_entry_at_stop(
+        self, kernel, m, r, finals, words, seed, data, stop, slack
+    ):
+        at = data.draw(st.integers(0, r - 2), label="at")
+        table, fs, ws = pair_table(m, r, at, finals, words, seed, "I")
+        positions, exact = scored_pairs(_girth_py, table, m, r, at, fs, ws, -1)
+        pairs, out = scored_pairs(kernel, table, m, r, at, fs, ws, -1, slack, stop)
+        reached = [g for g, girth in enumerate(exact) if girth >= stop]
+        done = reached[0] + 1 if reached else len(exact)
+        assert pairs == positions[:done]
+        assert meets_contract(exact[:done], out, -1, slack)
 
 
 class TestPairScorer:
@@ -678,7 +689,7 @@ class TestCycleGrower:
         n, rng = 9, np.random.default_rng(1)
         # inv(left) for an n-cycle left: x -> heads[w(x)] is then even, as
         # an n-cycle of odd n must be.
-        heads = np.argsort(cycle_images(n, 5000)[rng.integers(5000)]).astype(np.int32)
+        heads = np.argsort(candidate_images(n, 5000)[rng.integers(5000)]).astype(np.int32)
         kept = 0
         for t in range(4):
             avoid = rng.integers(0, n, size=(t, n), dtype=np.int32)
@@ -757,10 +768,9 @@ class TestCycleGrower:
     def test_holds_no_square_table(self, kernel, monkeypatch):
         # At n = 20,000 an n x n table of barred values would take 400 MB.
         # numpy reports its allocations to tracemalloc, so a square table
-        # built in Python, or by the pure grower, would show in the peak.
-        # The pure grower takes O(n) numpy steps per word entry, 16 s at
-        # 20,000, so it runs at 3,000, where the table would take 9 MB.
-        n = 20_000 if kernel is not _girth_py else 3_000
+        # built in Python, or by the pure grower, would show in the peak;
+        # so would pure-grower state of more than a few ints per point.
+        n = 20_000
         monkeypatch.setattr(_kernel, "_impl", kernel)
         tracemalloc.start()
         try:
@@ -770,6 +780,15 @@ class TestCycleGrower:
             tracemalloc.stop()
         assert rows.tolist() == [[*range(1, n), 0]]
         assert peak < 4 * 2**20
+
+    def test_first_row_at_40000(self, kernel, monkeypatch):
+        # One prefix stays tight under limit 1, and each entry steps only
+        # over unused values, so the walk is linear in n: milliseconds in
+        # C, where a scan of every value per entry would be quadratic.
+        n = 40_000
+        rows = grown(kernel, monkeypatch, n, np.arange(n)[None], np.arange(n), n, 1)
+        assert rows.dtype == np.int32
+        assert rows.tolist() == [[*range(1, n), 0]]
 
 
 def coded(kernel, table, pairs, m):

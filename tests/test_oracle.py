@@ -309,9 +309,9 @@ class TestClassRepresentatives:
     def test_weighted_r_2_builds_no_universe(self, monkeypatch):
         built = []
 
-        def spy(n, *args):
+        def spy(n):
             built.append(n)
-            return lex_permutations(n, *args)
+            return lex_permutations(n)
 
         monkeypatch.setattr(oracle, "lex_permutations", spy)
         for m in range(2, 11):
@@ -401,7 +401,7 @@ def _compatible_rows(draw):
             max_size=8,
         )
     )
-    dtype = lex_permutations(m, 1).dtype
+    dtype = np.min_scalar_type(-m)  # the type of lex_permutations(m)
     return np.array([p, *([p[x] for x in s] for s in sigmas)], dtype=dtype)
 
 

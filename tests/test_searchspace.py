@@ -6,10 +6,11 @@ from math import factorial
 
 import numpy as np
 import pytest
-from helpers import uniform_cycles, word_at_index
+from helpers import candidate_images, uniform_cycles, word_at_index
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from btusearch import _girth_py, _kernel
 from btusearch.parameters import Factorization
 from btusearch.perms import (
     Permutation,
@@ -24,7 +25,6 @@ from btusearch.searchspace import (
     NotACandidateError,
     candidate_count,
     cayley_stats,
-    cycle_images,
     enumerate_candidates,
     grown_cycle_images,
     lex_permutations,
@@ -130,19 +130,23 @@ class TestEnumerate:
             assert counts == {candidate_count(n)}
 
 
+def unfiltered_rows(kernel, monkeypatch, n, limit):
+    """The grower's rows of degree n against the identity alone, on the
+    given kernel's grower: every n-cycle, under the limit."""
+    monkeypatch.setattr(_kernel, "_impl", kernel)
+    home = np.arange(n)
+    return grown_cycle_images(n, home[None], home, n, limit)
+
+
 class TestArrays:
-    """The int-array enumeration the search and the oracle share."""
+    """The int arrays: the oracle's universe, and the cycle images that
+    the grower keeps against the identity alone, on both growers."""
 
     @pytest.mark.parametrize("n", range(8))
     def test_lex_permutations_is_the_lexicographic_head(self, n):
-        everything = list(itertools.permutations(range(n)))
-        limits = {None, factorial(n), factorial(n) + 5}
-        for t in range(n + 1):
-            limits |= {1, factorial(t), factorial(t) + 1}
-        for limit in limits:
-            rows = lex_permutations(n, limit)
-            assert rows.shape == (len(everything[:limit]), n)
-            assert [tuple(row) for row in rows.tolist()] == everything[:limit]
+        rows = lex_permutations(n)
+        assert rows.shape == (factorial(n), n)
+        assert [tuple(row) for row in rows.tolist()] == list(itertools.permutations(range(n)))
 
     def test_lex_permutations_holds_one_universe(self):
         # Each degree is written into the result in place; concatenating
@@ -157,43 +161,38 @@ class TestArrays:
         assert peak <= 1.5 * rows.nbytes
 
     @pytest.mark.parametrize("n", range(2, 8))
-    def test_cycle_images_are_the_candidates_minus_one(self, n):
-        for limit in (None, 1, 5, factorial(n - 1)):
-            images = cycle_images(n, limit) + 1
-            stream = [q.image for q in enumerate_candidates(identity(n), limit)]
-            assert [tuple(row) for row in images.tolist()] == stream
+    def test_cycle_images_are_the_candidates_minus_one(self, n, compiled_kernel, monkeypatch):
+        for kernel in (_girth_py, compiled_kernel):
+            for limit in (None, 1, 5, factorial(n - 1)):
+                images = unfiltered_rows(kernel, monkeypatch, n, limit) + 1
+                stream = [q.image for q in enumerate_candidates(identity(n), limit)]
+                assert [tuple(row) for row in images.tolist()] == stream
 
     @pytest.mark.parametrize("n", [128, 129, 256])
-    def test_no_wrap_at_large_degree(self, n):
-        rows = lex_permutations(n, 7)
-        assert np.iinfo(rows.dtype).max >= n - 1
-        tails = itertools.islice(itertools.permutations(range(n - 4, n)), 7)
-        assert rows[:, -4:].tolist() == [list(t) for t in tails]
-        assert (rows[:, : n - 4] == np.arange(n - 4)).all()
-        images = cycle_images(n, 7).astype(np.int64) + 1
+    def test_no_wrap_at_large_degree(self, n, compiled_kernel, monkeypatch):
         stream = [q.image for q in enumerate_candidates(identity(n), 7)]
-        assert [tuple(row) for row in images.tolist()] == stream
+        for kernel in (_girth_py, compiled_kernel):
+            rows = unfiltered_rows(kernel, monkeypatch, n, 7)
+            assert np.iinfo(rows.dtype).max >= n - 1
+            assert [tuple(row) for row in (rows.astype(np.int64) + 1).tolist()] == stream
 
     @pytest.mark.parametrize("n", [128, 129, 32768])
-    def test_first_row_at_large_degree(self, n):
-        # At n = 128 and 32768 the type holds n-1 but not n.
-        assert (lex_permutations(n, 1) == np.arange(n)).all()
-        assert cycle_images(n + 1, 1).tolist() == [[*range(1, n + 1), 0]]
-
-    def test_capped_universe_builds_only_its_tail(self):
-        # 15! rows would need terabytes; the first 5 permute the last 3.
-        rows = lex_permutations(16, 5)
-        assert rows.shape == (5, 16)
-        assert (rows[:, :13] == np.arange(13)).all()
+    def test_first_row_at_large_degree(self, n, compiled_kernel, monkeypatch):
+        # At degree 128 and 32768 the type holds n-1 but not n.
+        for kernel in (_girth_py, compiled_kernel):
+            for degree in (n, n + 1):
+                rows = unfiltered_rows(kernel, monkeypatch, degree, 1)
+                assert rows.dtype == np.min_scalar_type(-degree)
+                assert rows.tolist() == [[*range(1, degree), 0]]
 
 
 class TestGrownCycleImages:
-    """The grown rows are the rows of cycle_images that the filters of
-    engine._run_stage keep, in order and type."""
+    """The grown rows are the candidates of enumerate_candidates that the
+    filters of engine._run_stage keep, in order and type."""
 
     @staticmethod
     def masked(d, avoid, left, length, limit):
-        words = cycle_images(d, limit)
+        words = candidate_images(d, limit)
         words = words[(words[:, None, :] != avoid).all(axis=(1, 2))]
         return words[uniform_cycles(np.argsort(left)[words], length)]
 
@@ -212,7 +211,9 @@ class TestGrownCycleImages:
         # (d-2-j)! rows follow each choice of word entry j.
         boundary = factorial(d - 2 - data.draw(st.integers(0, d - 2)))
         limit = data.draw(
-            st.sampled_from([None, 1, boundary - 1, boundary, boundary + 1, factorial(d - 1) + 1]),
+            st.sampled_from(
+                [None, 1, boundary - 1, boundary, boundary + 1, factorial(d - 1) + 1, 2**64]
+            ),
             label="limit",
         )
         got = grown_cycle_images(d, avoid, left, length, limit)
@@ -241,7 +242,7 @@ class TestGrownCycleImages:
             got = grown_cycle_images(n, avoid, left, 1, limit)
             expected = [left.tolist()] if limit is None or rank < limit else []
             assert got.tolist() == expected
-            assert got.dtype == cycle_images(n, 1).dtype
+            assert got.dtype == candidate_images(n, 1).dtype
 
     @pytest.mark.parametrize("rank", [0, 2**63 + 5, factorial(26) - 1])
     def test_limits_past_int64(self, rank):
