@@ -26,7 +26,9 @@
  * `candidates` command prints, depth-first in the order of their words.
  * It prunes a prefix at the first entry that fails a filter, and each
  * entry steps only over the values still unused, kept in a linked ring.
- * It reads the few rows w must avoid, in O(n) memory.
+ * It reads the few rows w must avoid, in O(n) memory.  With `twins` it
+ * keeps a row only when its word is not after the word of its twin
+ * rho.inv(w).rho, rho: x -> n-1-x.
  *
  * The pair coder takes pairs (a, b) of table rows and writes, for each,
  * an int64 code of the cycle type of x -> inv(a)[b[x]]: the union-cycle
@@ -43,7 +45,7 @@
 #include <stdlib.h>
 #include <string.h>
 
-enum { ABI = 4 };
+enum { ABI = 5 };
 
 enum {
     OK = 0, NO_MEMORY = -1, BAD_IMAGE = -2, BAD_ROW = -3, NOT_REGULAR = -4, BAD_HEAD = -5,
@@ -421,12 +423,13 @@ static int split(int *adj, int m, int r, int *out, int *work)
 /* The grower's input and output.  avoid holds t rows of n values, and
  * w(x) = v is barred when some row holds v at x; heads[v] is the point
  * that inv(left).w reaches from x when w(x) = v; digits, when not NULL,
- * holds the limit's n-1 factorial-base digits.  Kept rows go to `rows`,
- * n items of itemsize bytes each. */
+ * holds the limit's n-1 factorial-base digits; twins, when not 0, keeps
+ * a row only when its word is not after its twin's.  Kept rows go to
+ * `rows`, n items of itemsize bytes each. */
 typedef struct {
     const int *avoid, *heads, *digits;
     Py_ssize_t t;
-    int n, length, itemsize;
+    int n, length, itemsize, twins;
     char *rows;
     Py_ssize_t count, capacity;
 } Growth;
@@ -469,6 +472,22 @@ static inline int barred(const Growth *g, int x, int v)
     return 0;
 }
 
+/* Whether the word W of the whole n-cycle img, inv its inverse, is not
+ * after the word W' of its twin rho.inv(w).rho, rho: x -> n-1-x:
+ * W[i] = w^(i+1)(n-1), the forward walk from n-1, against W'[i] = n-1 -
+ * w^-(i+1)(0), the reflected backward walk from 0.  Almost every pair
+ * differs at i = 0. */
+static inline int first_of_twins(const int *img, const int *inv, int n)
+{
+    for (int a = n - 1, b = 0, i = 0; i < n - 1; i++) {
+        a = img[a];
+        b = inv[b];
+        if (a != n - 1 - b)
+            return a < n - 1 - b;
+    }
+    return 1;
+}
+
 /* Grows the words W of 0..n-2 depth-first in lexicographic order.  Word
  * entry j fixes one edge x -> W[j] of w, from x = n-1 at j = 0 and from
  * x = W[j-1] after, and the word closes with W[n-2] -> n-1.  An entry v
@@ -485,20 +504,23 @@ static inline int barred(const Growth *g, int x, int v)
  * left equal the limit's digits: a tight prefix's entry j takes values
  * up to the digits[j]-th left, found by walking the ring, and the one
  * whole word that stays tight, of rank equal to the limit, is not kept.
- * Returns OK or NO_MEMORY. */
+ * With twins, a whole word after its twin's is not kept either: rows
+ * come in word order, so the rows kept are those whose index is at most
+ * their twin's.  Returns OK or NO_MEMORY. */
 static int grow(Growth *g)
 {
     int n = g->n, len = g->length, last = n - 2;
-    int *work = malloc((size_t)n * 10 * sizeof(int));
+    int *work = malloc((size_t)n * 11 * sizeof(int));
     if (!work)
         return NO_MEMORY;
-    /* Per point: w's image so far, path ends.  Per value: the ring.  Per
-     * entry: its value (n-1 before its first), the largest value it may
-     * take, whether its prefix is tight, and the start of x's path and
-     * that path's size before the entry's join (start < 0: a close). */
+    /* Per point: w's image so far, path ends.  Per value: the ring, and
+     * the point w takes to it so far (inv).  Per entry: its value (n-1
+     * before its first), the largest value it may take, whether its
+     * prefix is tight, and the start of x's path and that path's size
+     * before the entry's join (start < 0: a close). */
     int *img = work, *other = img + n, *size = other + n, *next = size + n, *prev = next + n,
         *value = prev + n, *top = value + n, *tight = top + n, *start = tight + n,
-        *kept = start + n;
+        *kept = start + n, *inv = kept + n;
     for (int x = 0; x < n; x++) {
         other[x] = x;
         size[x] = 1;
@@ -547,6 +569,7 @@ static int grow(Growth *g)
         next[prev[v]] = next[v];
         prev[next[v]] = prev[v];
         img[x] = v;
+        inv[v] = x;
         int h = g->heads[v];
         start[j] = -1;
         if (tail != h) { /* join x's path to the path that starts at h */
@@ -565,7 +588,8 @@ static int grow(Growth *g)
             /* The closing edge v -> n-1 meets the one open path, whose
              * other end is heads[n-1]. */
             img[v] = n - 1;
-            if ((status = keep(g, img)) != OK)
+            inv[n - 1] = v;
+            if ((!g->twins || first_of_twins(img, inv, n)) && (status = keep(g, img)) != OK)
                 break;
         }
     }
@@ -841,8 +865,8 @@ static PyObject *grow_cycles(PyObject *Py_UNUSED(self), PyObject *args)
     PyObject *avoid_obj, *heads_obj, *digits_obj;
     Growth g = {.rows = NULL, .count = 0, .capacity = 0};
     Py_buffer avoid, heads, digits = {.obj = NULL};
-    if (!PyArg_ParseTuple(args, "OOOiii:grow_cycles", &avoid_obj, &heads_obj, &digits_obj,
-                          &g.n, &g.length, &g.itemsize))
+    if (!PyArg_ParseTuple(args, "OOOiii|p:grow_cycles", &avoid_obj, &heads_obj, &digits_obj,
+                          &g.n, &g.length, &g.itemsize, &g.twins))
         return NULL;
     if (g.n < 2 || g.length < 1 || !(g.itemsize == 1 || g.itemsize == 2 || g.itemsize == 4) ||
         (g.itemsize < 4 && (g.n - 1) >> (8 * g.itemsize - 1))) {
@@ -1002,7 +1026,7 @@ static PyMethodDef methods[] = {
      "the lists have left.  ValueError when a column is out of range or the\n"
      "lists do not split into perfect matchings."},
     {"grow_cycles", grow_cycles, METH_VARARGS,
-     "grow_cycles(avoid, heads, digits, n, length, itemsize)\n\n"
+     "grow_cycles(avoid, heads, digits, n, length, itemsize, twins=False)\n\n"
      "Grows, depth-first and releasing the GIL, the n-cycles w of 0..n-1 in\n"
      "the lexicographic order of their words W (w(n-1) = W[0], w(W[i]) =\n"
      "W[i+1], w(W[-1]) = n-1), and returns the kept ones as one bytearray of\n"
@@ -1010,8 +1034,10 @@ static PyMethodDef methods[] = {
      "in 0..n-1 (t >= 0), and a row is kept when it differs from each avoid\n"
      "row at every point, every cycle of x -> heads[w(x)] has `length`\n"
      "points, and, when digits (n-1 4-byte ints) is not None, its word's\n"
-     "rank is below the limit those factorial-base digits spell.  heads\n"
-     "holds n 4-byte ints in 0..n-1.  No n x n table is built."},
+     "rank is below the limit those factorial-base digits spell, and, with\n"
+     "twins, its word W is not after the word W' of rho.inv(w).rho (rho:\n"
+     "x -> n-1-x): W[i] = w^(i+1)(n-1) against W'[i] = n-1 - w^-(i+1)(0).\n"
+     "heads holds n 4-byte ints in 0..n-1.  No n x n table is built."},
     {"pair_codes", pair_codes, METH_VARARGS,
      "pair_codes(table, index, n_pairs, m, out)\n\n"
      "Codes n_pairs pairs of table rows, releasing the GIL: pair k is rows\n"

@@ -317,7 +317,7 @@ def _extract_matching(adj: list[list[int]], m: int) -> list[int]:
     return row_to_col
 
 
-def grow_cycles(avoid, heads, digits, n: int, length: int, itemsize: int):
+def grow_cycles(avoid, heads, digits, n: int, length: int, itemsize: int, twins=False):
     """The n-cycles w of 0..n-1 that pass the grower's filters, in the
     lexicographic order of their words, as one array of `itemsize`-byte
     signed ints, n to a row: w(n-1) = W[0], w(W[i]) = W[i+1] and
@@ -325,7 +325,10 @@ def grow_cycles(avoid, heads, digits, n: int, length: int, itemsize: int):
     kept when it differs from every avoid row at every point, every
     cycle of x -> heads[w(x)] has `length` points, and, when digits is
     not None, the word's rank is below the limit whose n-1
-    factorial-base digits they are.  avoid holds t rows of n 4-byte ints
+    factorial-base digits they are, and, with twins, the word W is not
+    after the word W' of the twin rho.inv(w).rho, rho: x -> n-1-x:
+    W[i] = w^(i+1)(n-1) against W'[i] = n-1 - w^-(i+1)(0), compared at
+    the leaf.  avoid holds t rows of n 4-byte ints
     in 0..n-1 (t >= 0), heads n 4-byte ints in 0..n-1 and digits n-1
     4-byte ints, digit j in 0..n-2-j.
 
@@ -360,6 +363,7 @@ def grow_cycles(avoid, heads, digits, n: int, length: int, itemsize: int):
     closes = {at % n for at, v in enumerate(items) if v == n - 1}  # the points barred from n-1
     rows = array(_SIGNED[itemsize])
     img = array(_SIGNED[itemsize], bytes(itemsize * n))  # w's image so far
+    inv = [0] * n  # per value: the point w takes to it so far
     # Lists index faster than arrays.  Every int they hold is one of
     # `ints`, so no item holds an int object of its own.
     ints = list(range(n + 1))
@@ -407,6 +411,7 @@ def grow_cycles(avoid, heads, digits, n: int, length: int, itemsize: int):
         value[j] = v
         after[before[v]], before[after[v]] = after[v], before[v]
         img[x] = v
+        inv[v] = x
         h = heads[v]
         start[j] = -1
         if tail != h:  # join x's path to the path that starts at h
@@ -422,6 +427,15 @@ def grow_cycles(avoid, heads, digits, n: int, length: int, itemsize: int):
             # The closing edge v -> n-1 meets the one open path, whose
             # other end is heads[n-1].
             img[v] = n - 1
+            inv[n - 1] = v
+            if twins:
+                a, b = n - 1, 0
+                for _ in range(n - 1):
+                    a, b = img[a], inv[b]
+                    if a + b != n - 1:
+                        break
+                if a + b > n - 1:  # W[i] > W'[i]: the twin's row comes first
+                    continue
             rows += img
 
 

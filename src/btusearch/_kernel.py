@@ -28,7 +28,7 @@ import numpy as np
 
 # The revision of the five calls' signatures and contracts; `_girth_c.c`
 # holds the same number.
-ABI = 4
+ABI = 5
 
 
 def _select():
@@ -131,7 +131,8 @@ def split_slots(cols: np.ndarray) -> np.ndarray:
 
 
 def grow_cycles(
-    avoid: np.ndarray, heads: np.ndarray, digits: list[int] | None, n: int, length: int
+    avoid: np.ndarray, heads: np.ndarray, digits: list[int] | None, n: int, length: int,
+    twins: bool = False,
 ) -> np.ndarray:
     """The n-cycles w of 0..n-1, in the lexicographic order of their
     words and in the narrowest signed int type that holds n-1, that
@@ -140,10 +141,13 @@ def grow_cycles(
     `length` points, and, when digits is given, a word rank below the
     limit whose n-1 factorial-base digits they are (digit j in
     0..n-2-j).  The word W of w is its visiting order from n-1: w(n-1) =
-    W[0], w(W[i]) = W[i+1] and w(W[-1]) = n-1.  Memory is O(n) besides
-    the rows kept: no n x n table of barred values is built.  ValueError
-    for an avoid value or head out of 0..n-1 or a digit out of its
-    range.
+    W[0], w(W[i]) = W[i+1] and w(W[-1]) = n-1.  With twins, a row is
+    kept only when W is not lexicographically after the word W' of its
+    twin rho.inv(w).rho, rho: x -> n-1-x, read off w as W'[i] = n-1 -
+    w^-(i+1)(0): of each pair of rows the map swaps, the first.  Memory
+    is O(n) besides the rows kept: no n x n table of barred values is
+    built.  ValueError for an avoid value or head out of 0..n-1 or a
+    digit out of its range.
     """
     dtype = np.min_scalar_type(-n)
     rows = _impl.grow_cycles(
@@ -153,6 +157,7 @@ def grow_cycles(
         n,
         length,
         dtype.itemsize,
+        twins,
     )
     return np.frombuffer(rows, dtype=dtype).reshape(-1, n)
 

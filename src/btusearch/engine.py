@@ -19,7 +19,8 @@ Scaling commutes with compose and invert, and it keeps compatibility
 and scales union-cycle partitions part by part.  So each beam member is
 rebased at the previous degree d before scaling, and the stage's
 degree-d candidates are grown there once per member, at its first
-policy level with finals, and kept for the later levels.  They are
+policy level with finals, and kept for the later levels (but for
+best mode's twin pairs at stage 3, below).  They are
 filtered by compatibility with every slot but the replaced one, and by
 the partition against the left neighbour.  Only the check against the
 newest slot needs degree n.  At stage 3 the identity is both the only other rebased slot and the
@@ -65,11 +66,27 @@ so is the compatibility of word and final.  The level-0 and level-1
 finals are closed under j <-> n-j and run in ascending j, so a maximum,
 or a graph at the Moore bound, with j > n/2 has a twin of the same girth
 that the scan meets first: the finals with j <= n/2 give the same
-winner, and the same first graph at the Moore bound.  The attempted
-product still counts every final.  The argument fails for a capped word
-list, which the map need not keep; for level-2 finals, which run in
-word order; and for exhaustive mode, which lists every co-maximum.
-Those scans stay whole.
+winner, and the same first graph at the Moore bound.
+
+The same scan takes one word of each twin pair.  Transposing a graph
+replaces each slot by its inverse, and conjugating by rho then brings
+[scale(w), identity, rotation j] back to the same final: [scale(tau w),
+identity, rotation j], with tau w = rho.inv(w).rho at degree d, a
+single-cycle candidate again.  tau is an involution on an uncapped word
+list, the two graphs have the same girth, and a double edge maps to a
+double edge, so w and tau w are compatible with the same finals.  The
+first maximum (final, w) in (final, word) order thus has w first of
+its pair, or (final, tau w) would be a maximum before it; so has the
+first graph at the Moore bound.  The grower keeps exactly those words
+(grown_cycle_images with twins), and with the half scan the reduced
+scan meets the same winner and stops at the same graph.  The attempted
+product still counts every final and every word.  The arguments fail
+for a capped word list, which the maps need not keep; for level-2
+finals, which run in word order and are not closed under tau within a
+final, so a stage that reaches level 2 after a twin growth that dropped
+words grows them all then; and for exhaustive mode, which lists every
+co-maximum.  Those scans stay whole.  At d <= 3 every word is its own
+twin.
 
 The stage runs on int arrays of 0-based images: the beam, of shape
 (members, slots, n); the candidates, d-cycles among the first cap words;
@@ -97,7 +114,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from math import gcd, log10
+from math import factorial, gcd, log10
 from typing import Iterator
 
 import numpy as np
@@ -308,7 +325,10 @@ def _run_stage(
         the other slots (grown if None) and the words, scaled to degree n."""
         slots, kept = member
         if kept is None:
-            kept = member[1] = grown_cycle_images(d, np.delete(slots, at, 0), slots[at - 1], cycle, cap)
+            twins = halve and finals is not None  # rotation finals: one word of each pair
+            kept = member[1] = grown_cycle_images(
+                d, np.delete(slots, at, 0), slots[at - 1], cycle, cap, twins
+            )
         slots = (slots[:, None, :] + offsets).reshape(len(slots), n)
         others = np.delete(slots, at, 0)
         if finals is None:
@@ -326,8 +346,9 @@ def _run_stage(
 
     levels = [0] if config.rotation_policy == "strict" else [0, 1, 2]
     exhaustive = config.mode == "exhaustive"
-    # Best mode at stage 3 scans one final of each reflection pair (see
-    # the module docstring).
+    # Best mode at stage 3 scans one final of each reflection pair and,
+    # at levels 0 and 1, one word of each twin pair (see the module
+    # docstring).
     halve = stage == 3 and not exhaustive and cap is None
     moore = _moore_girth(n, stage)
     attempted = 0
@@ -357,6 +378,10 @@ def _run_stage(
         for level in levels:
             if level == 2:
                 _refuse_unlisted(stage, "finals", n, cap)
+                if halve:  # level-2 finals need every word; stage 3 keeps all (d-1)!
+                    for member in members.values():
+                        if member[1] is not None and len(member[1]) < factorial(d - 1):
+                            member[1] = None
             finals = _finals_for_level(n, d, level) if level < 2 else None  # None: grown
             count = len(finals) if level < 2 else listed_count(n, cap)[1]()
             if not count:

@@ -177,11 +177,22 @@ def union_cycle_partition(p: Permutation, q: Permutation) -> PartitionP2:
     """
     if p.n != q.n:
         raise ValueError(f"degree mismatch: {p.n} != {q.n}")
-    for pos, (x, y) in enumerate(zip(p.image, q.image), start=1):
-        if x == y:
-            raise CompatibilityError(1, 2, pos)
-    sigma = compose(invert(p), q)
-    return PartitionP2(tuple(cycle_type(sigma)))
+    at = [0] * (p.n + 1)  # at[x]: the 0-based position p maps to x
+    for i, x in enumerate(p.image):
+        at[x] = i
+    step = [at[y] for y in q.image]  # inv(p).q on 0-based positions
+    for i, s in enumerate(step):
+        if s == i:  # p and q share position i + 1
+            raise CompatibilityError(1, 2, i + 1)
+    lengths = []
+    for start in range(p.n):  # a cycle's points are marked -1 as it is walked
+        length, x = 0, start
+        while step[x] >= 0:
+            step[x], x = -1, step[x]
+            length += 1
+        if length:
+            lengths.append(length)
+    return PartitionP2(tuple(lengths))
 
 
 def cycle_type(p: Permutation) -> list[int]:

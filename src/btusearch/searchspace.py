@@ -150,7 +150,8 @@ def lex_permutations(n: int) -> np.ndarray:
 
 
 def grown_cycle_images(
-    n: int, avoid: np.ndarray, left: np.ndarray, length: int, limit: int | None = None
+    n: int, avoid: np.ndarray, left: np.ndarray, length: int, limit: int | None = None,
+    twins: bool = False,
 ) -> np.ndarray:
     """The n-cycles w of 0..n-1 among the first `limit` words (every
     word without a limit), as 0-based images in word order and in the
@@ -162,7 +163,11 @@ def grown_cycle_images(
     enumerate_candidates(identity(n), limit) minus 1, as at a search's
     stage 3, the family's slot 1 and the `candidates` command.  With
     `left` the identity and `length` n, the rows are those compatible
-    with `avoid`, as the search's level-2 finals.
+    with `avoid`, as the search's level-2 finals.  With `twins`, a row w
+    is kept only when its word is not lexicographically after that of
+    its twin rho.inv(w).rho, rho: x -> n-1-x: against the identity alone
+    the map is an involution on the rows, and the rows kept are those
+    whose index is at most their twin's, as at a best-mode stage 3.
 
     `_kernel.grow_cycles` grows the word W of a row one entry at a time,
     depth-first: a prefix fixes w on the points it has visited, w(n-1) =
@@ -179,7 +184,9 @@ def grown_cycle_images(
     if n < 2:
         raise ValueError(f"need degree >= 2, got {n}")
     # The edge x -> v of w is x -> heads[v] of inv(left).w.
-    return _kernel.grow_cycles(avoid, np.argsort(left), _factorial_digits(limit, n), n, length)
+    return _kernel.grow_cycles(
+        avoid, np.argsort(left), _factorial_digits(limit, n), n, length, twins
+    )
 
 
 def _factorial_digits(limit: int | None, n: int) -> list[int] | None:

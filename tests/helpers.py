@@ -46,6 +46,29 @@ def candidate_images(n: int, limit: int | None = None) -> np.ndarray:
     return rows
 
 
+def twin_images(rows: np.ndarray) -> np.ndarray:
+    """tau w = rho.inv(w).rho, rho: x -> d-1-x, of each row w, 0-based
+    images of degree d, in the rows' type: the word twin of the search's
+    best-mode stage 3."""
+    return (rows.shape[1] - 1 - np.argsort(rows, axis=1)[:, ::-1]).astype(rows.dtype)
+
+
+@lru_cache(maxsize=None)
+def first_twin_images(d: int) -> np.ndarray:
+    """The rows i of candidate_images(d) whose index is at most that of
+    their twin's (twin_images), in order: the reference for the grower's
+    rows with twins.  The twins' indices are found by sorting the rows'
+    base-d keys.  Cached, so read-only."""
+    rows = candidate_images(d)
+    weights = d ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    keys, twin_keys = rows @ weights, twin_images(rows) @ weights
+    order = np.argsort(keys)
+    twin_at = order[np.searchsorted(keys, twin_keys, sorter=order)]
+    first = rows[np.arange(len(rows)) <= twin_at]
+    first.flags.writeable = False
+    return first
+
+
 def uniform_cycles(sigma: np.ndarray, length: int) -> np.ndarray:
     """Per row of sigma (a permutation of 0..d-1), whether all its cycles
     have `length` points: no power below `length` fixes a point, and that

@@ -11,7 +11,14 @@ from math import factorial, gcd
 
 import numpy as np
 import pytest
-from helpers import beam_before, candidate_images, uniform_cycles, without_rotations
+from helpers import (
+    beam_before,
+    candidate_images,
+    first_twin_images,
+    twin_images,
+    uniform_cycles,
+    without_rotations,
+)
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from strategies import regular_matrices
@@ -612,7 +619,8 @@ def _reflect(p: np.ndarray) -> np.ndarray:
 class TestReflectionHalfScan:
     """Best mode at stage 3 scans only the rotation finals j <= n/2: the
     reflection maps [scale(w), identity, rotation j] to a graph of the
-    same girth, [scale(rho.w.rho), identity, rotation n-j]."""
+    same girth, [scale(rho.w.rho), identity, rotation n-j].  Within a
+    final it scans one word of each twin pair (TestWordTwins)."""
 
     @staticmethod
     def stage_three_graphs(monkeypatch, kernel, m, config):
@@ -633,8 +641,8 @@ class TestReflectionHalfScan:
     @pytest.mark.parametrize(
         "config,graphs",
         [
-            (SearchConfig(), 20160),
-            (SearchConfig(worker_count=2), 20160),
+            (SearchConfig(), 10464),
+            (SearchConfig(worker_count=2), 10464),
             (SearchConfig(candidate_cap=5040), 40320),
             (SearchConfig(mode="exhaustive"), 40320),
         ],
@@ -642,8 +650,16 @@ class TestReflectionHalfScan:
     )
     def test_graphs_scored_at_32_3(self, compiled_kernel, monkeypatch, config, graphs):
         # 8 rotation finals of degree 32 times 7! = 5,040 words of degree 8,
-        # every pair compatible; the cap lists all 5,040 but is a cap.
+        # every pair compatible; the cap lists all 5,040 but is a cap.  Best
+        # mode scans 4 finals times the 2,616 words first of their twin pair.
         assert self.stage_three_graphs(monkeypatch, compiled_kernel, 32, config) == graphs
+
+    def test_graphs_scored_at_20_3(self, compiled_kernel, monkeypatch):
+        # Level 0 has no final at n = 20; level 1 scans half of the 8
+        # coprime rotations against the 9! words' twin-first rows, up to
+        # the first graph at the Moore bound.
+        graphs = self.stage_three_graphs(monkeypatch, compiled_kernel, 20, SearchConfig())
+        assert graphs == 167_965
 
     @settings(
         max_examples=100, deadline=None,
@@ -680,6 +696,46 @@ class TestReflectionHalfScan:
         assert out[0] == out[1]
 
 
+class TestWordTwins:
+    """tau w = rho.inv(w).rho, rho: x -> d-1-x, maps the stage-3 words
+    onto themselves: transposing [scale(w), identity, rotation j] and
+    conjugating by rho gives [scale(tau w), identity, rotation j]."""
+
+    @settings(
+        max_examples=150, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        bk=st.sampled_from(
+            [(1, 2), (1, 3), (2, 2), (1, 4), (3, 2), (2, 3), (1, 5), (4, 2), (2, 4), (3, 3)]
+        ),
+        data=st.data(),
+    )
+    def test_twins_are_words_of_equal_girth(self, kernel, bk, data):
+        b, k = bk
+        d, n = b * k, b * k * k
+        words = candidate_images(d)
+        i = data.draw(st.integers(0, len(words) - 1), label="word")
+        w, twin = words[i], twin_images(words[i : i + 1])[0]
+        at = np.flatnonzero((words == twin).all(axis=1))
+        assert len(at) == 1  # tau w is a word, and tau is an involution
+        assert np.array_equal(twin_images(twin[None])[0], w)
+        j = data.draw(st.integers(1, n - 1), label="j")
+        rotation = (np.arange(n) - j) % n
+
+        def scale(w):
+            return (w[None, :].astype(np.int64) + np.arange(0, n, d)[:, None]).reshape(n)
+
+        # Compatible with the same rotations: a double edge maps to one.
+        assert (scale(w) != rotation).all() == (scale(twin) != rotation).all()
+        table = np.array([scale(w), np.arange(n), rotation, scale(twin)], dtype=np.int32)
+        index = np.array([[0, 1, 2], [3, 1, 2]], dtype=np.int32)
+        out = np.empty(2, dtype=np.int32)
+        # Slack 2n keeps the second graph's cutoff at 0: both are exact.
+        assert kernel.girth_batch(table, index, 2, n, 3, out, 0, 2 * n) == 2
+        assert out[0] == out[1]
+
+
 class TestCallingThread:
     """A member of one unit is scanned on the calling thread, and so is
     every member when there is one worker."""
@@ -698,8 +754,9 @@ class TestCallingThread:
         assert hashlib.sha256(out.encode()).hexdigest() == LADDER[(m, r, "best")]
 
     def test_a_member_of_several_blocks_goes_to_the_pool(self, compiled_kernel, monkeypatch):
-        # (32,3) scans 4 finals x 5,040 words: one unit, or at most 4,096
-        # pairs to a unit, each final in word ranges 0:4096 and 4096:5040.
+        # (32,3) scans 4 finals x the 2,616 words first of their twin pair:
+        # one unit, or at most 2,048 pairs to a unit, each final in word
+        # ranges 0:2048 and 2048:2616.
         monkeypatch.setattr(_kernel, "_impl", compiled_kernel)
         submit, tasks = ThreadPoolExecutor.submit, []
 
@@ -710,7 +767,7 @@ class TestCallingThread:
         monkeypatch.setattr(ThreadPoolExecutor, "submit", counting)
         assert search(32, 3, SearchConfig(worker_count=2)).girth == 8
         assert tasks == []
-        monkeypatch.setattr(engine, "BLOCK", 4096)
+        monkeypatch.setattr(engine, "BLOCK", 2048)
         assert search(32, 3, SearchConfig(worker_count=2)).girth == 8
         assert len(tasks) == 8
 
@@ -918,8 +975,9 @@ class TestStageFourPastTheRefusal:
         beam, _ = engine._stage2(f, config)
         beam, _ = engine._run_stage(beam, 3, f, config)
         beam, trace = engine._run_stage(beam, 4, f, config)
-        # Stage 3 grows the 5! words of degree 6 first.
-        assert [len(rows) for rows in grown] == [120, 1_019_520]
+        # Stage 3 grows first the 72 of the 5! words of degree 6 that come
+        # first of their twin pair.
+        assert [len(rows) for rows in grown] == [72, 1_019_520]
         assert grown[-1].dtype == np.int8 and grown[-1].shape[1] == 12
         assert (trace.best_girth, trace.rotation_j) == (6, "relaxed-gcd:13")
         assert girth(make_btu([Permutation(tuple(row)) for row in (beam[0] + 1).tolist()])).girth == 6
@@ -952,29 +1010,33 @@ class TestWordsOncePerStage:
 class TestFirstSlotsGrowEveryRow:
     """Stage 3's words, and enumerate_Z's slot 1, are grown against the
     identity alone with cycles of their own degree d: the grower keeps
-    every row of candidate_images(d, cap), in order and in its type."""
+    every row of candidate_images(d, cap), in order and in its type.
+    Best mode's uncapped stage 3 grows the rows first of their twin pair
+    for levels 0 and 1 (first_twin_images), and every row for level 2."""
 
     @staticmethod
     def recorded(monkeypatch, d):
-        """The rows of each grower call of degree d.  Every call returns
-        none of its rows, so no graph is scored and no later slot grown."""
+        """The rows of each grower call of degree d, and whether it asked
+        for twins.  Every call returns none of its rows, so no graph is
+        scored and no later slot grown."""
         calls, grow = [], engine.grown_cycle_images
 
         def record(n, *args):
             rows = grow(n, *args)
             if n == d:
-                calls.append(rows)
+                calls.append((rows, args[4:] == (True,)))
             return rows[:0]
 
         monkeypatch.setattr(engine, "grown_cycle_images", record)
         return calls
 
     @staticmethod
-    def assert_rows(calls, expected):
+    def assert_rows(calls, expected, twins=None):
         assert calls
-        for rows in calls:
-            assert rows.dtype == expected.dtype
-            assert rows.tolist() == expected.tolist()
+        for rows, twinned in calls:
+            want = twins if twinned else expected
+            assert rows.dtype == want.dtype
+            assert rows.tolist() == want.tolist()
 
     @pytest.mark.parametrize("cap", [None, 1, 7, 10**20])
     @pytest.mark.parametrize("b,k", [(1, 2), (2, 2), (1, 3), (2, 3), (5, 2), (1, 4)])
@@ -985,7 +1047,8 @@ class TestFirstSlotsGrowEveryRow:
         # With no words, every level is a dead end, or level 2 is refused.
         with pytest.raises((StageDeadEndError, StageTooLargeError)):
             engine._run_stage(beam, 3, f, config)
-        self.assert_rows(calls, candidate_images(b * k, cap))
+        self.assert_rows(calls, candidate_images(b * k, cap), first_twin_images(b * k))
+        assert [twinned for _, twinned in calls][:1] == [cap is None]
 
     @pytest.mark.parametrize("cap", [None, 1, 7, 10**20])
     @pytest.mark.parametrize("b,k", [(1, 2), (2, 2), (1, 3), (2, 3), (5, 2), (1, 4)])

@@ -20,7 +20,7 @@ import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
-from helpers import candidate_images
+from helpers import candidate_images, first_twin_images
 from hypothesis import strategies as st
 from strategies import regular_matrices
 
@@ -664,6 +664,14 @@ class TestCycleGrower:
 
     @pytest.mark.parametrize("d", range(2, 13))
     def test_matches_pure(self, compiled_kernel, monkeypatch, d):
+        self.assert_matches_pure(compiled_kernel, monkeypatch, d, twins=False)
+
+    @pytest.mark.parametrize("d", range(2, 13))
+    def test_twins_match_pure(self, compiled_kernel, monkeypatch, d):
+        self.assert_matches_pure(compiled_kernel, monkeypatch, d, twins=True)
+
+    @staticmethod
+    def assert_matches_pure(compiled_kernel, monkeypatch, d, twins):
         rng = np.random.default_rng(d)
         for length in [t for t in range(1, d + 1) if d % t == 0]:
             for case in range(6):
@@ -678,11 +686,32 @@ class TestCycleGrower:
                     limit = None
                 elif limit < 1:
                     limit = 1
-                args = (d, avoid, left, length, limit)
+                args = (d, avoid, left, length, limit, twins)
                 got = grown(compiled_kernel, monkeypatch, *args)
                 expected = grown(_girth_py, monkeypatch, *args)
                 assert got.dtype == expected.dtype
                 assert got.tolist() == expected.tolist(), args
+
+    @pytest.mark.parametrize("d", range(2, 10))
+    def test_twins_keep_the_first_of_each_pair(self, kernel, monkeypatch, d):
+        # Against the identity alone the twin map is an involution on the
+        # rows, and a row is kept when its index is at most its twin's.
+        home = np.arange(d)
+        rows = grown(kernel, monkeypatch, d, home[None], home, d, None, True)
+        expected = first_twin_images(d)
+        assert rows.dtype == expected.dtype
+        assert rows.tolist() == expected.tolist()
+        if d > 3:  # below, every word is its own twin
+            assert len(rows) < len(candidate_images(d))
+
+    def test_twins_in_any_item_size(self, compiled_kernel):
+        n, heads = 9, np.arange(9, dtype=np.int32)
+        avoid = heads[None]
+        for itemsize in (1, 2, 4):
+            got = compiled_kernel.grow_cycles(avoid, heads, None, n, n, itemsize, True)
+            expected = _girth_py.grow_cycles(avoid, heads, None, n, n, itemsize, True)
+            assert bytes(got) == bytes(expected)
+            assert len(got) == len(first_twin_images(n)) * n * itemsize
 
     @pytest.mark.parametrize("itemsize", [1, 2, 4])
     def test_any_item_size(self, compiled_kernel, itemsize):
